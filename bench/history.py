@@ -7,9 +7,11 @@ Runs ``bench/run.py`` once per seed and workload, one process at a time,
 from the root of the checkout, with the run length from BENCHMARK.json.
 For each workload and end-to-end metric it prints the median, the first and
 third quartile and their distance as a share of the median, next to the
-metric's bound.  ``--record`` also writes the summary, with the machine
-fingerprint of the first run, under ``bench/``; committed summaries there
-are the benchmark's history.
+metric's bound; and the same for ``host_ref_s``, the time of a fixed loop
+that does not touch einlocus, which shows how fast the host ran.  Like
+``wall_s`` it is read at each run's slowest pass.  ``--record`` also
+writes the summary, with the machine fingerprint of the first run, under
+``bench/``; committed summaries there are the benchmark's history.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ import sys
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
+
+
+def out_path(workload, seed):
+    return BENCH_DIR / "out" / f"{workload}-seed{seed}-trace0.json"
 
 
 def run_once(spec, workload, seed, trace=0):
@@ -66,24 +72,28 @@ def main():
     for workload in args.workload or names:
         seeds = list(range(args.first_seed, args.first_seed + args.runs))
         values = {name: [] for name in bounds}
+        host_ref = []
         for seed in seeds:
             result = run_once(spec, workload, seed)
             if not result["correct"]:
                 raise SystemExit(f"{workload} seed {seed}: {result['failed']} wrong verdicts")
             for name in bounds:
                 values[name].append(result["metrics"][name]["value"])
+            record = json.loads(out_path(workload, seed).read_text())
+            host_ref.append(max(record["host_ref_s"]))
         rows = {name: summarize(v, bounds[name]) for name, v in values.items()}
+        rows["host_ref_s"] = summarize(host_ref, None)
         summary["workloads"][workload] = {"seeds": seeds, "metrics": rows}
         for name, row in rows.items():
             print(
                 f"{workload:<9} {name:<17} median {row['median']:<10.4g} "
                 f"q1 {row['q1']:<10.4g} q3 {row['q3']:<10.4g} "
-                f"iqr/median {row['iqr_share']:.3f} (bound {row['bound']})",
+                f"iqr/median {row['iqr_share']:.3f} (bound {row['bound'] or '-'})",
                 flush=True,
             )
     if args.record:
         workload, runs = next(iter(summary["workloads"].items()))
-        first = BENCH_DIR / "out" / f"{workload}-seed{runs['seeds'][0]}-trace0.json"
+        first = out_path(workload, runs["seeds"][0])
         summary["machine"] = json.loads(first.read_text())["machine"]
         path = BENCH_DIR / args.record
         path.parent.mkdir(parents=True, exist_ok=True)

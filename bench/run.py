@@ -3,24 +3,32 @@
     python3 bench/run.py --workload suite --seed 0 --seconds 27 --trace 0
 
 Run from the root of a checkout; the package is imported from ``src/``.
-One single-threaded process does all the work.  It runs passes over the
-workload's verdict list until ``--seconds`` have been spent (at least two
-passes).  Before each pass it sets up afresh: a new ``import einlocus``,
-building the bundles and warming the jet-space tables they use; that
-set-up is what ``setup_s`` times.  Every verdict starts from cold chart and
-locus geometry caches.  With ``--trace 1`` the passes come in pairs, one
-untraced and one traced (see ``spans.py``), followed by a jet-kernel
-microbenchmark; these give the per-layer metrics.
+One single-threaded process does all the work.  It first runs the verdict
+list once, untimed, at two samples per verdict, to learn which jet-space
+tables the verdicts build.  Then it runs passes over the list until
+``--seconds`` have been spent (at least two passes).  Before each pass it
+sets up afresh, three to seven times: a new ``import einlocus``, building
+the bundles and warming the jet-space tables they use.  The pass runs on
+the last one.  ``setup_s`` is the median of the set-ups before one pass,
+taken at the pass where that median is largest (see ``end_to_end``).
+Every verdict starts from cold chart and locus geometry caches.  With
+``--trace 1`` the passes come in pairs, one untraced and one traced (see
+``spans.py``), followed by a jet-kernel microbenchmark; these give the
+per-layer metrics.
 
 Every verdict is checked against the closed-form oracle in ``workloads.py``
-and against the report bytes of the same verdict in the first pass.  A
-summary goes to stdout, then, as the last line, one JSON object with keys
-``correct``, ``attempted``, ``failed`` and ``metrics``.  The full record
+and against the report bytes of the same verdict in the first pass; the
+SHA-256 of each report is recorded, so that runs in different processes
+can be compared (``selfcheck.py`` does).  A summary goes to stdout, then,
+as the last line, one JSON object with keys ``correct``, ``attempted``,
+``failed`` and ``metrics``.  The full record
 (machine fingerprint, per-pass and per-verdict times, traced spans) is
 written to ``bench/out/<workload>-seed<seed>-trace<trace>.json``.
 
 Exit codes: 0 all verdicts correct, 1 some verdict wrong, 2 the benchmark
-could not run (bad arguments, no ``src/einlocus`` next to ``bench/``).
+could not run or measure: bad arguments, no ``src/einlocus`` next to
+``bench/``, a jet table built inside a timed pass, or, in a traced run, a
+span none of whose hooks exists in the package.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ for _var in (
 
 import argparse  # noqa: E402
 import gc  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -52,7 +61,7 @@ import time  # noqa: E402
 from collections import Counter, defaultdict  # noqa: E402
 
 from spans import STAGES, Tracer  # noqa: E402
-from workloads import WORKLOADS, check, jet_space_shapes  # noqa: E402
+from workloads import WORKLOADS, check  # noqa: E402
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -60,6 +69,11 @@ SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
 
 MIN_PASSES = 2
+# Timed set-ups before each pass: at least MIN_SETUPS, more while they
+# have taken less than SETUP_WINDOW_S, at most MAX_SETUPS.
+MIN_SETUPS, MAX_SETUPS, SETUP_WINDOW_S = 3, 7, 0.5
+# Samples per verdict in the untimed pass that finds the jet-space shapes.
+DISCOVERY_SAMPLES = 2
 MICROBENCH_VARS = (2, 8, 12, 18)
 
 END_TO_END_UNITS = {
@@ -107,6 +121,7 @@ PER_LAYER = {
     "metrics.einstein_residual.self_s": ("s", lambda c, s, x, p: s["metrics.einstein_residual"]),
     "metrics.riemann_covector.calls": ("count", lambda c, s, x, p: c["metrics.riemann_covector"]),
     "metrics.ricci.self_s": ("s", lambda c, s, x, p: s["metrics.ricci"]),
+    "metrics.ricci.total_s": ("s", lambda c, s, x, p: p["total_s"]["metrics.ricci"]),
     "antiholo.jacobian_real.calls": ("count", lambda c, s, x, p: c["antiholo.jacobian_real"]),
     "antiholo.self_s": (
         "s",
@@ -149,6 +164,20 @@ def fingerprint():
     }
 
 
+def host_reference(reps=5, n=100_000):
+    """Median time of a fixed pure-Python loop that does not touch einlocus:
+    how fast the host ran at that moment.  It is recorded next to the passes
+    so that a shift between runs can be told apart from a change in code."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(n):
+            total += i * i
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 # -- set-up ----------------------------------------------------------------------
 
 
@@ -158,23 +187,44 @@ def fresh_import():
     return importlib.import_module("einlocus")
 
 
-def set_up(workload):
+def set_up(workload, shapes):
     """Import einlocus afresh, build the bundles, warm the jet tables."""
     package = fresh_import()
     bundles = [case.build(package) for case in workload.cases]
-    for bundle in bundles:
-        for nvars, capacity in sorted(jet_space_shapes(bundle)):
-            package.jets.jet_space(nvars, capacity)
+    for nvars, capacity in shapes:
+        package.jets.jet_space(nvars, capacity)
     return package, bundles
 
 
+def discover_shapes(workload, seed):
+    """(variables, capacity) of every jet space the workload's verdicts
+    build, found by running them once, untimed and at a few samples, on a
+    throwaway import whose ``JetSpace`` records its shapes."""
+    package, bundles = set_up(workload, ())
+    shapes = set()
+    init = package.jets.JetSpace.__init__
+
+    def recording(space, nvars, capacity=package.jets.DEFAULT_ORDER):
+        shapes.add((nvars, capacity))
+        init(space, nvars, capacity)
+
+    package.jets.JetSpace.__init__ = recording
+    run_pass(package, workload, bundles, seed, DISCOVERY_SAMPLES)
+    return sorted(shapes)
+
+
 def geometry_caches(package):
-    """Every lru_cache of the metrics and locus modules: the per-point chart
-    and locus geometry caches that a verdict fills."""
+    """Every lru_cache defined in the metrics and locus modules: the
+    per-point chart and locus geometry caches that a verdict fills.  The
+    jet-space cache those modules import from ``jets`` is left warm."""
     caches = []
     for module in (package.metrics, package.locus):
         for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)) and hasattr(value, "cache_info"):
+            if (
+                callable(getattr(value, "cache_clear", None))
+                and hasattr(value, "cache_info")
+                and getattr(value, "__module__", None) == module.__name__
+            ):
                 caches.append(value)
     return caches
 
@@ -232,6 +282,13 @@ def run_pass(package, workload, bundles, seed, cap, tracer=None, reference=None)
     return records
 
 
+def report_digests(records):
+    return {
+        r["label"]: hashlib.sha256(r["report"].encode()).hexdigest() if "report" in r else None
+        for r in records
+    }
+
+
 def pass_summary(records):
     return {
         "wall_s": sum(r["wall_s"] for r in records),
@@ -242,22 +299,40 @@ def pass_summary(records):
     }
 
 
+def timed_set_ups(workload, shapes):
+    """A window of set-ups, each timed after a garbage collection, so that
+    freeing the previous import is not charged to the next set-up.
+    Returns the last one's package and bundles, and the times."""
+    times = []
+    package = bundles = None
+    while len(times) < MIN_SETUPS or (sum(times) < SETUP_WINDOW_S and len(times) < MAX_SETUPS):
+        package = bundles = None  # free the previous import before the next
+        gc.collect()
+        s0 = time.perf_counter()
+        package, bundles = set_up(workload, shapes)
+        times.append(time.perf_counter() - s0)
+    return package, bundles, times
+
+
 def timed_passes(workload, seed, seconds, cap, traced):
     """Passes, or pairs of an untraced and a traced pass, until the time is
-    spent.  Every pass runs on a set-up of its own, which is timed.
+    spent.  Every pass runs on a set-up of its own; set-ups are timed.
 
     Returns (untraced passes, traced passes with their tracers, set-up
-    times, the last set-up's package, jet spaces built inside passes)."""
-    plain, traced_passes, setup_times = [], [], []
+    times per pass, host reference times per pass, the last set-up's
+    package).  Raises BenchmarkError if a pass builds a jet table, which
+    belongs to the set-up."""
+    shapes = discover_shapes(workload, seed)
+    plain, traced_passes, setup_times, host_ref = [], [], [], []
     reference = None
-    cold_spaces = 0
     start = time.perf_counter()
     while True:
         t0 = time.perf_counter()
         for tracer in (None, Tracer()) if traced else (None,):
-            s0 = time.perf_counter()
-            package, bundles = set_up(workload)
-            setup_times.append(time.perf_counter() - s0)
+            package = bundles = None
+            package, bundles, times = timed_set_ups(workload, shapes)
+            setup_times.append(times)
+            host_ref.append(host_reference())
             spaces = package.jets.jet_space.cache_info().misses
             if tracer is None:
                 records = run_pass(package, workload, bundles, seed, cap, reference=reference)
@@ -268,13 +343,18 @@ def timed_passes(workload, seed, seconds, cap, traced):
                         package, workload, bundles, seed, cap, tracer=tracer, reference=reference
                     )
                 traced_passes.append((records, tracer))
-            cold_spaces += package.jets.jet_space.cache_info().misses - spaces
+            cold = package.jets.jet_space.cache_info().misses - spaces
+            if cold:
+                raise BenchmarkError(
+                    f"{cold} jet tables were built inside a timed pass; "
+                    f"the set-up warmed only {shapes}"
+                )
             if reference is None:
                 reference = [r.get("report") for r in records]
         last = time.perf_counter() - t0
         elapsed = time.perf_counter() - start
         if len(plain) >= (1 if traced else MIN_PASSES) and elapsed + last > seconds:
-            return plain, traced_passes, setup_times, package, cold_spaces
+            return plain, traced_passes, setup_times, host_ref, package
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -300,9 +380,10 @@ def end_to_end(workload, passes, setup_times):
     steady; the fast one comes and goes.  So each verdict is charged its
     slowest pass, which measures it at the common speed: on recorded runs
     this spread least from run to run, against means, medians and minima.
-    The exponent is taken within each pass, whose two verdicts run seconds
-    apart so that the host's speed mostly cancels, and then as a median
-    over the passes."""
+    Set-ups are read the same way: the median of each pass's set-ups, at
+    the pass where it is largest.  The exponent is taken within each pass,
+    whose two verdicts run seconds apart so that the host's speed mostly
+    cancels, and then as a median over the passes."""
     wall, cpu = slowest(passes, "wall_s"), slowest(passes, "cpu_s")
     small, big = workload.scaling_pair
     n = {case.label: case.n for case in workload.cases}
@@ -313,7 +394,7 @@ def end_to_end(workload, passes, setup_times):
     return {
         "wall_s": sum(wall.values()),
         "cpu_s": sum(cpu.values()),
-        "setup_s": median(setup_times),
+        "setup_s": max(median(times) for times in setup_times),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "scaling_exponent": median(exponents),
     }
@@ -365,6 +446,7 @@ def per_layer(plain, traced_passes, micro):
             "geometry_hits": sum(r.get("geometry_hits", 0) for r in records),
             "geometry_misses": sum(r.get("geometry_misses", 0) for r in records),
             "stage_s": {k: tracer.stage_s.get(k, 0.0) for k in STAGES},
+            "total_s": defaultdict(float, tracer.total_s),
             "overhead_frac": traced_wall / plain_wall - 1.0,
         }
         c, s, x = Counter(tracer.calls), defaultdict(float, tracer.self_s), Counter(tracer.extra)
@@ -399,9 +481,16 @@ def execute(workload_name, seed, seconds, trace, cap=10**9, write=True):
     workload = WORKLOADS[workload_name]
     machine = fingerprint()
 
-    plain, traced_passes, setup_times, package, cold_spaces = timed_passes(
+    plain, traced_passes, setup_times, host_ref, package = timed_passes(
         workload, seed, seconds, cap, traced=bool(trace)
     )
+    if trace:
+        dead = traced_passes[0][1].dead_spans()
+        if dead:
+            raise BenchmarkError(
+                f"no hook of span(s) {', '.join(dead)} exists in the package; "
+                "their layer metrics would read 0 (see HOOKS in bench/spans.py)"
+            )
     machine["numpy"] = sys.modules["numpy"].__version__
     micro = jet_microbench(package, seed) if trace else None
     all_passes = plain + [records for records, _ in traced_passes]
@@ -425,7 +514,8 @@ def execute(workload_name, seed, seconds, trace, cap=10**9, write=True):
         "trace": int(trace),
         "machine": machine,
         "setup_s": setup_times,
-        "jet_spaces_built_in_passes": cold_spaces,
+        "host_ref_s": host_ref,
+        "report_sha256": report_digests(plain[0]),
         "passes": [pass_summary(p) for p in plain],
         "traced_passes": [pass_summary(p) for p, _ in traced_passes],
         "attempted": attempted,
@@ -464,6 +554,8 @@ def print_summary(record):
                   f"  jets.mul calls {calls.get('jets.mul', 0):>9}")
     for name, m in record["metrics"].items():
         print(f"  {name:<40} {m['value']:.6g} {m['unit']}")
+    print(f"  {'host reference loop (not a metric)':<40} "
+          f"{max(record['host_ref_s']) * 1e3:.4g} ms at the slowest pass")
     print(f"  {'failed_frac':<40} {record['failed'] / record['attempted']:.6g} "
           f"({record['failed']} of {record['attempted']} verdicts)")
     for f in record["failures"]:
@@ -472,13 +564,26 @@ def print_summary(record):
         print(f"  full record: {record['path']}")
 
 
+def default_seconds():
+    """The run length named in BENCHMARK.json, or None without the file."""
+    try:
+        return float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    except (OSError, ValueError, KeyError):
+        return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument(
+        "--seconds", type=float, default=default_seconds(),
+        help="measured time per run (default: run_seconds of BENCHMARK.json)",
+    )  # fmt: skip
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    if args.seconds is None:
+        parser.error("--seconds is required when BENCHMARK.json cannot be read")
     if args.seed < 0 or args.seconds < 0:
         parser.error("--seed and --seconds must be non-negative")
     try:

@@ -13,7 +13,12 @@ same name as the running one (recursion, or a property reading a sibling
 property of its group) folds into the running span.
 
 A hook whose target does not exist in the package is skipped and listed in
-``Tracer.missing``; its metrics then read zero.
+``Tracer.missing``.  A span none of whose hooks exists is listed by
+``Tracer.dead_spans()``: its metrics would read zero, and the benchmark
+refuses to report them.
+
+Spans named in ``INCLUSIVE`` also get a total time: the duration of their
+outermost calls, child spans included.
 """
 
 from __future__ import annotations
@@ -84,6 +89,11 @@ HOOKS = (
 # Kernels called too often to keep every span; they are counted and timed.
 AGGREGATE_ONLY = frozenset({"jets.mul", "jets.deriv", "jets.compose", "jets.restrict"})
 
+# Spans whose inclusive time is kept as well as their self time.  The Ricci
+# group's log-det does its work in Jet multiplies and compositions, which
+# are spans of their own, so its self time leaves that work out.
+INCLUSIVE = frozenset({"metrics.ricci"})
+
 # The first call that ``verdict`` makes itself into each of these opens the
 # verdict stage it is mapped to; a stage lasts until the next one opens.
 STAGE_OPENERS = {
@@ -112,7 +122,9 @@ class Tracer:
         self.self_s = defaultdict(float)
         self.extra = Counter()  # counts measured inside spans
         self.stage_s = defaultdict(float)
+        self.total_s = defaultdict(float)
         self.missing = []
+        self._installed = set()
         self._stack = []  # frames: [name, start, child seconds, span index]
         self._verdict = -1
         self._stage_marks = []
@@ -142,6 +154,8 @@ class Tracer:
         duration = end - start
         self.self_s[name] += duration - child
         self.calls[name] += 1
+        if name in INCLUSIVE and all(f[0] != name for f in stack):
+            self.total_s[name] += duration
         if stack:
             stack[-1][2] += duration
         if index >= 0:
@@ -186,6 +200,10 @@ class Tracer:
         calls = {k: v - calls0.get(k, 0) for k, v in self.calls.items() if v != calls0.get(k, 0)}
         selfs = {k: v - self0.get(k, 0.0) for k, v in self.self_s.items()}
         return result, {"calls": calls, "self_s": {k: v for k, v in selfs.items() if v}}
+
+    def dead_spans(self):
+        """Span names none of whose hooks could be installed."""
+        return sorted({hook[0] for hook in HOOKS} - self._installed)
 
     # -- per-hook extras -------------------------------------------------------
 
@@ -252,6 +270,7 @@ class Tracer:
                             if value is fn:
                                 setattr(m, key, wrapped)
                                 undo.append((m, key, fn))
+                    self._installed.add(name)
                     continue
                 cls = getattr(mod, owner, None)
                 original = vars(cls).get(attr) if cls is not None else None
@@ -266,6 +285,7 @@ class Tracer:
                     continue
                 setattr(cls, attr, replacement)
                 undo.append((cls, attr, original))
+                self._installed.add(name)
             yield self
         finally:
             for target, key, original in reversed(undo):

@@ -237,15 +237,6 @@ WORKLOADS = {
 }
 
 
-def jet_space_shapes(bundle):
-    """(variables, capacity) of every jet space a verdict on this bundle builds:
-    the chart, the parameters, and the combined (parameters, chart) space at
-    order 4, and the chart and parameters again at order 1 for Jacobians."""
-    n = bundle.chart.dimension
-    m = bundle.locus.n_params
-    return {(2 * n, 4), (m, 4), (m + 2 * n, 4), (2 * n, 1), (m, 1)}
-
-
 def check(case, report):
     """Reasons the verdict is wrong; an empty list means it is correct."""
     data = report.data
