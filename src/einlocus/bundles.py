@@ -103,8 +103,8 @@ def builtin_quadric(n: int) -> ManifoldBundle:
     ambient log potential composed with the graph.  The real locus is the
     sphere patch t -> (t, sqrt(1 - |t|^2)).
     """
-    if not 1 <= n <= 3:
-        raise ValueError("quadric built-in supports 1 <= n <= 3")
+    if not 1 <= n <= 4:
+        raise ValueError("quadric built-in supports 1 <= n <= 4")
     ws = exprs.coord_names(n)
     sum_sq = _sum([("pow", w, 2) for w in ws])
     graph = ("sqrt", ("-", 1, sum_sq))
@@ -207,11 +207,11 @@ def builtin_toric_flat(n: int) -> ManifoldBundle:
 
 
 BUILTINS = {
-    "cpn": (builtin_cpn, "projective space, affine chart, real-points locus", (1, 4)),
-    "quadric": (builtin_quadric, "quadric graph patch, sphere locus", (1, 3)),
+    "cpn": (builtin_cpn, "projective space, affine chart, real-points locus", (1, 6)),
+    "quadric": (builtin_quadric, "quadric graph patch, sphere locus", (1, 4)),
     "flat-torus": (builtin_flat_torus, "flat fundamental domain, real slice", (1, 3)),
-    "toric-fs": (builtin_toric_fs, "torus chart of the log-sum potential", (1, 3)),
-    "toric-flat": (builtin_toric_flat, "torus chart of the quadratic x-potential", (1, 3)),
+    "toric-fs": (builtin_toric_fs, "torus chart of the log-sum potential", (1, 4)),
+    "toric-flat": (builtin_toric_flat, "torus chart of the quadratic x-potential", (1, 4)),
 }
 
 DEFAULT_SUITE = (

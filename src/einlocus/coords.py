@@ -98,6 +98,16 @@ def apply_J(v: RealTangent) -> RealTangent:
     return RealTangent(out, v.base)
 
 
+def wirtinger_matrix(n):
+    """The n x 2n matrix W with d/dz^j = sum_a W[j, a] d/dx^a; its complex
+    conjugate gives d/dzbar^j."""
+    W = np.zeros((n, 2 * n), dtype=complex)
+    j = np.arange(n)
+    W[j, 2 * j] = 0.5
+    W[j, 2 * j + 1] = -0.5j
+    return W
+
+
 def wirtinger_jet(jet, holo_indices=(), antiholo_indices=()):
     """Apply mixed Wirtinger derivatives to a jet over interleaved real
     variables, returning the derivative as a (lower-order) jet.

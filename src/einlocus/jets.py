@@ -67,14 +67,16 @@ class JetSpace:
         )
         # degree <= o masks, used to truncate results of each operation
         self._masks = [self.degree <= o for o in range(capacity + 1)]
+        # Exponents encoded in base (capacity+1); sums of in-range exponents
+        # never carry because the truncation bound caps every entry.
+        self._key_base = (capacity + 1) ** np.arange(nvars, dtype=np.int64)
+        self._keys = self.indices @ self._key_base
+        self._tensor_tables = {}
         self._build_mult_table()
         self._build_deriv_tables()
 
     def _build_mult_table(self):
-        # Encode exponents in base (capacity+1); products never carry because
-        # the truncation bound caps every per-variable exponent sum.
-        base = (self.capacity + 1) ** np.arange(self.nvars, dtype=np.int64)
-        keys = self.indices @ base
+        keys = self._keys
         key_to_pos = {int(k): i for i, k in enumerate(keys)}
         by_deg = [np.nonzero(self.degree == d)[0] for d in range(self.capacity + 1)]
         ia_parts, ib_parts = [], []
@@ -103,6 +105,19 @@ class JetSpace:
                 dst[i] = self.position[lowered]
                 fac[i] = alpha[v]
             self._deriv.append((src, dst, fac))
+
+    def _tensor_table(self, k):
+        """Coefficient positions and factorials alpha! of the order-k partials,
+        laid out as a full (nvars,)*k array; built once per order, vectorised."""
+        if k not in self._tensor_tables:
+            n = self.nvars
+            grid = np.indices((n,) * k, dtype=np.int64).reshape(k, -1)
+            alpha = (grid[:, :, None] == np.arange(n)).sum(axis=0)
+            order = np.argsort(self._keys)
+            hit = np.searchsorted(self._keys, alpha @ self._key_base, sorter=order)
+            pos = order[hit].reshape((n,) * k)
+            self._tensor_tables[k] = (pos, self._fact[pos])
+        return self._tensor_tables[k]
 
     # -- constructors -------------------------------------------------------
 
@@ -165,6 +180,13 @@ class Jet:
             )
         pos = self.space.position[alpha]
         return complex(self.coeffs[pos] * self.space._fact[pos])
+
+    def derivative_tensor(self, k):
+        """The symmetric tensor of all order-k partials at the base point."""
+        if not 1 <= k <= self.order:
+            raise JetOrderError(f"order-{k} partials of a jet of order {self.order}")
+        pos, fact = self.space._tensor_table(k)
+        return self.coeffs[pos] * fact
 
     def _truncated(self, coeffs, order):
         if order < 0:

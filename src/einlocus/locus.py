@@ -2,10 +2,16 @@
 
 The canonical frame at a locus point is the Gram-Schmidt orthonormalization
 (with one re-orthogonalization pass, in parameter order) of the coordinate
-basis d(param)/dt, paired with its image under J.  For derivatives along
-the locus the same orthonormalization is carried out in jet arithmetic over
-the parameters, which makes the frame a differentiable field and the
-second fundamental form h(e_a, e_b) = [nabla_{e_a} e_b]^normal exact.
+basis d(param)/dt, paired with its image under J.  The second fundamental
+form h(e_a, e_b) = [nabla_{e_a} e_b]^normal needs only the frame and its
+first derivative along the locus, so the orthonormalization is carried out
+on (value, t-derivative) pairs: first-order forward-mode differentiation,
+with the metric's t-derivative dG . T taken from the chart geometry.  No
+quantity beyond the chart's own order-4 potential jet is expanded.
+
+The full jet expansion of the potential in (parameters, chart displacement)
+survives only behind ``intrinsic_curvature``, the independent test oracle
+for the curvature of the induced metric.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .antiholo import FixedLocusParam
 from .coords import ChartPoint, RealTangent, j_matrix
-from .errors import HypothesesNotVerifiedError, RankDeficiencyError
+from .errors import HypothesesNotVerifiedError, NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import jet_space
 from .metrics import PotentialChart
@@ -69,12 +75,8 @@ class LocusPoint:
 
 
 class LocusGeometry:
-    """Jet data of a chart geometry along one locus point.
-
-    Builds the combined jet expansion of the potential in (parameters,
-    chart displacement), from which the ambient metric restricted to the
-    locus becomes a jet in the parameters alone.
-    """
+    """Frame and second fundamental form of a chart geometry at one locus
+    point, plus the jet route to the induced metric's intrinsic curvature."""
 
     def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t):
         self.chart = chart
@@ -115,18 +117,9 @@ class LocusGeometry:
 
     def _combined_potential_jet(self):
         """The potential expanded jointly in (parameters, chart displacement)."""
-        n, m = self.n, self.m
         if callable(self.chart.potential):
-            from .jets import lift_callable_to_jet
-
-            locus, potential, t0 = self.locus, self.chart.potential, self.t
-
-            def combined(vec):
-                p = locus.point(tuple(vec[:m]))
-                return potential(p.real_view + vec[m:])
-
-            base = np.concatenate([np.asarray(t0), np.zeros(2 * n)])
-            return lift_callable_to_jet(combined, base, order=4)
+            raise NonAnalyticFieldError("the joint expansion needs an expression potential")
+        n, m = self.n, self.m
         comb = jet_space(m + 2 * n, 4)
         t_env = {
             name: comb.variable(d, self.t[d])
@@ -177,8 +170,6 @@ class LocusGeometry:
 
         return self._get("G_t", build)
 
-    # -- the canonical frame as a jet field -------------------------------------
-
     def _inner(self, X, Y):
         Gj = self.metric_jets_on_locus
         dim = len(X)
@@ -189,35 +180,53 @@ class LocusGeometry:
                 acc = term if acc is None else acc + term
         return acc
 
+    # -- the canonical frame to first order along the locus ----------------------
+
     @property
     def frame_field_jets(self):
-        """Gram-Schmidt of the tangent fields, carried out on jets."""
+        """Gram-Schmidt of the tangent fields on (value, t-derivative) pairs.
+
+        Returns (E, dE) with E[a] the frame vector e_a at the base point and
+        dE[a, d] = d e_a / d t_d there.
+        """
 
         def build():
-            es = []
-            for vec in self.tangent_field_jets:
-                u = list(vec)
+            m = self.m
+            z1 = np.array([w.derivative_tensor(1) for w in self.param_jets])  # [k, d]
+            z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
+            T = np.empty((m, 2 * self.n))
+            dT = np.empty((m, m, 2 * self.n))  # dT[d, c] = d T_d / d t_c
+            T[:, 0::2], T[:, 1::2] = z1.real.T, z1.imag.T
+            dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(2, 1, 0), z2.imag.transpose(2, 1, 0)
+            G = self.geom.G
+            dG = np.einsum("eab,ce->cab", self.geom.dG, T)  # d G / d t_c
+
+            def inner(x, dx, y, dy):
+                val = x @ G @ y
+                return val, dx @ G @ y + x @ G @ dy.T + np.einsum("a,cab,b->c", x, dG, y)
+
+            E, dE = [], []
+            for u, du in zip(T, dT):
                 for _ in range(2):  # re-orthogonalization pass
-                    for e in es:
-                        c = self._inner(u, e)
-                        u = [ua - c * ea for ua, ea in zip(u, e)]
-                norm2 = self._inner(u, u)
-                if np.sqrt(max(norm2.value.real, 0.0)) < GS_RANK_TOL:
+                    for e, de in zip(E, dE):
+                        c, dc = inner(u, du, e, de)
+                        u, du = u - c * e, du - np.outer(dc, e) - c * de
+                norm2, dnorm2 = inner(u, du, u, du)
+                if np.sqrt(max(norm2, 0.0)) < GS_RANK_TOL:
                     raise RankDeficiencyError(
                         f"locus parametrization degenerate at t={self.t}"
                     )
-                inv_norm = norm2.pow(-0.5)
-                es.append([inv_norm * ua for ua in u])
-            return es
+                s = norm2 ** -0.5
+                E.append(s * u)
+                dE.append(s * du - np.outer(0.5 * s**3 * dnorm2, u))
+            return np.array(E), np.array(dE)
 
         return self._get("frame_field", build)
 
     @property
     def frame(self) -> FramePair:
         def build():
-            rows = np.array(
-                [[j.value.real for j in e] for e in self.frame_field_jets]
-            )
+            rows = self.frame_field_jets[0]
             J = j_matrix(self.n)
             return FramePair(rows, rows @ J.T, self.point)
 
@@ -238,14 +247,7 @@ class LocusGeometry:
 
     def ambient_derivative(self, a, b) -> np.ndarray:
         """Components of nabla_{e_a} e_b at the base point."""
-        coeffs = self.frame_in_param_basis[a]
-        e_b = self.frame_field_jets[b]
-        directional = np.array(
-            [
-                sum(coeffs[d] * comp.deriv(d).value.real for d in range(self.m))
-                for comp in e_b
-            ]
-        )
+        directional = self.frame_in_param_basis[a] @ self.frame_field_jets[1][b]
         gamma = self.geom.christoffel
         ea = self.frame.tangent[a]
         eb = self.frame.tangent[b]

@@ -1,10 +1,13 @@
 """Metric, curvature and Einstein diagnostics from a Kahler potential.
 
-Everything is generated from one scalar potential per chart: the Hermitian
-metric is its mixed second Wirtinger derivative, the Ricci form comes from
-the log determinant, and the curvature tensor from the standard potential
-formula.  All differentiation goes through exact jet arithmetic, so the
-fourth derivatives entering the curvature carry no step-size error.
+Everything is generated from one scalar potential per chart, lifted once
+to its order-4 jet.  The real partial tensors of orders 2, 3 and 4 are read
+straight off the jet coefficients; the metric g, its derivatives dg and ddg
+are fixed Wirtinger contractions of them, the curvature tensor follows from
+the standard potential formula, and the Ricci form is its g-trace.  The
+potential is the only thing differentiated in jet arithmetic, so the cost
+per point is polynomial in the dimension and the fourth derivatives entering
+the curvature carry no step-size error.
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -22,12 +25,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, RealTangent, j_matrix, wirtinger, wirtinger_jet
+from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_matrix
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
 from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
-# Smallest admissible ratio of metric eigenvalues; below this a point is
-# rejected as degenerate rather than failing the whole run.
+# Smallest admissible ratio of metric eigenvalues, and of the largest metric
+# eigenvalue to the norm of the potential's real Hessian; below either a
+# point is rejected as degenerate rather than failing the whole run.
 DEGENERACY_RATIO = 1e-10
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
@@ -45,16 +49,17 @@ def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
     return out
 
 
-def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER):
+def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
     """Lift a real scalar field to its jet at a point.
 
     Expression-tree fields are evaluated in exact jet arithmetic; callables
     (black boxes on the real coordinate vector) fall back to Richardson-
-    extrapolated central finite differences and lose roughly half the
-    significant digits of the exact route.
+    extrapolated central finite differences, with steps proportional to
+    ``fd_scale``, and lose roughly half the significant digits of the exact
+    route.
     """
     if callable(field):
-        return lift_callable_to_jet(field, point.real_view, order=order)
+        return lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
     env = dict(zip(exprs.coord_names(point.n), coordinate_jets(point, order)))
     jet = exprs.evaluate(field, env)
     if not isinstance(jet, Jet):
@@ -187,32 +192,41 @@ class ChartGeometry:
             self._cache[key] = builder()
         return self._cache[key]
 
-    # -- potential and metric jets -------------------------------------------
+    # -- potential and its partial tensors -------------------------------------
 
     @property
     def psi_jet(self):
-        return self._get("psi", lambda: lift_to_jet(self.chart.potential, self.point))
+        return self._get(
+            "psi",
+            lambda: lift_to_jet(self.chart.potential, self.point, fd_scale=self.chart.fd_scale),
+        )
 
-    @property
-    def g_jets(self):
+    def _partials(self, k):
+        """D_k[a1, ..., ak]: the real order-k partials of the potential."""
+        return self._get(("D", k), lambda: self.psi_jet.derivative_tensor(k).real)
+
+    def _wirtinger(self, holo):
+        """Contract axis s of D_k, k = len(holo), with d/dz (holo[s] true) or
+        d/dzbar."""
+
         def build():
-            psi = self.psi_jet
-            n = self.n
-            return [
-                [wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)
-            ]
+            W = wirtinger_matrix(self.n)
+            out = self._partials(len(holo))
+            for h in holo:  # each contraction appends its index at the end
+                out = np.tensordot(out, W if h else W.conj(), axes=([0], [1]))
+            return out
 
-        return self._get("g_jets", build)
+        return self._get(("W", holo), build)
 
     @property
     def g(self):
+        """g[j, k] = d_j dbar_k psi, the Hermitian metric."""
+
         def build():
-            n = self.n
-            g = np.array(
-                [[self.g_jets[j][k].value for k in range(n)] for j in range(n)]
-            )
+            g = self._wirtinger((True, False))
             eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            if eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
+            floor = DEGENERACY_RATIO * np.linalg.norm(self._partials(2))
+            if eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0) or eigs[-1] <= floor:
                 raise DegenerateMetricError(
                     f"metric degenerate at {self.point.holo}: eigenvalues {eigs}"
                 )
@@ -227,59 +241,22 @@ class ChartGeometry:
     @property
     def dg(self):
         """dg[i, k, l] = d_i g_{k lbar} at the point."""
-
-        def build():
-            n = self.n
-            out = np.empty((n, n, n), dtype=complex)
-            for k in range(n):
-                for l in range(n):
-                    gj = self.g_jets[k][l]
-                    for i in range(n):
-                        out[i, k, l] = wirtinger(gj, (i,), ())
-            return out
-
-        return self._get("dg", build)
+        return self._wirtinger((True, True, False))
 
     @property
     def ddg(self):
         """ddg[i, j, k, l] = d_i dbar_j g_{k lbar} at the point."""
-
-        def build():
-            n = self.n
-            out = np.empty((n, n, n, n), dtype=complex)
-            for k in range(n):
-                for l in range(n):
-                    gj = self.g_jets[k][l]
-                    for i in range(n):
-                        di = wirtinger_jet(gj, (i,), ())
-                        for j in range(n):
-                            out[i, j, k, l] = wirtinger(di, (), (j,))
-            return out
-
-        return self._get("ddg", build)
+        return self._wirtinger((True, False, True, False))
 
     # -- Ricci and curvature ---------------------------------------------------
 
     @property
-    def log_det_g_jet(self):
-        def build():
-            _ = self.g  # degeneracy check before taking the log
-            return _jet_matrix_det(self.g_jets).log()
-
-        return self._get("logdet", build)
-
-    @property
     def ricci(self):
-        """Ricci coefficients Ric_{j kbar} = -d_j dbar_k log det g."""
-
-        def build():
-            n = self.n
-            ld = self.log_det_g_jet
-            return np.array(
-                [[-wirtinger(ld, (j,), (k,)) for k in range(n)] for j in range(n)]
-            )
-
-        return self._get("ricci", build)
+        """Ricci coefficients Ric_{i jbar} = g^{lbar k} R_{i jbar k lbar}, which
+        equals -d_i dbar_j log det g."""
+        return self._get(
+            "ricci", lambda: np.einsum("lk,ijkl->ij", self.g_inv, self.curvature)
+        )
 
     @property
     def curvature(self):
@@ -303,37 +280,18 @@ class ChartGeometry:
         return self._get("G_inv", lambda: np.linalg.inv(self.G))
 
     @property
-    def G_jets(self):
-        def build():
-            n = self.n
-            out = [[None] * (2 * n) for _ in range(2 * n)]
-            for j in range(n):
-                for k in range(n):
-                    re2 = 2.0 * self.g_jets[j][k].real
-                    im2 = 2.0 * self.g_jets[j][k].imag
-                    out[2 * j][2 * k] = re2
-                    out[2 * j][2 * k + 1] = im2
-                    out[2 * j + 1][2 * k] = -1.0 * im2
-                    out[2 * j + 1][2 * k + 1] = re2
-            return out
-
-        return self._get("G_jets", build)
-
-    @property
     def dG(self):
         """dG[c, a, b] = d_c G_{ab} (real first derivatives of the real metric)."""
 
         def build():
-            n2 = 2 * self.n
-            out = np.empty((n2, n2, n2))
-            for a in range(n2):
-                for b in range(a, n2):
-                    jet = self.G_jets[a][b]
-                    for c in range(n2):
-                        val = jet.deriv(c).value.real
-                        out[c, a, b] = val
-                        out[c, b, a] = val
-            return out
+            # d_x = d_z + d_zbar and d_y = i (d_z - d_zbar) per coordinate;
+            # d_zbar^p g_{j kbar} = conj(d_p g_{k jbar}) since psi is real
+            dz = self.dg
+            dzbar = np.conj(dz).transpose(0, 2, 1)
+            d_real = np.empty((2 * self.n,) + dz.shape[1:], dtype=complex)
+            d_real[0::2] = dz + dzbar
+            d_real[1::2] = 1j * (dz - dzbar)
+            return _real_metric_matrix(d_real)
 
         return self._get("dG", build)
 
@@ -384,37 +342,16 @@ class ChartGeometry:
 
 
 def _real_metric_matrix(g):
-    n = g.shape[0]
-    G = np.empty((2 * n, 2 * n))
+    """G = 2 Re / Im blocks of g, over the last two axes."""
+    n = g.shape[-1]
+    G = np.empty(g.shape[:-2] + (2 * n, 2 * n))
     re, im = 2.0 * g.real, 2.0 * g.imag
-    G[0::2, 0::2] = re
-    G[0::2, 1::2] = im
-    G[1::2, 0::2] = -im
-    G[1::2, 1::2] = re
+    G[..., 0::2, 0::2] = re
+    G[..., 0::2, 1::2] = im
+    G[..., 1::2, 0::2] = -im
+    G[..., 1::2, 1::2] = re
     # g is Hermitian only to roundoff; make G symmetric exactly
-    return 0.5 * (G + G.T)
-
-
-def _jet_matrix_det(m):
-    """Determinant of a small matrix of jets by Laplace expansion."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-
-    def minor_det(rows, cols):
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        r = rows[0]
-        acc = None
-        for s, c in enumerate(cols):
-            rest = cols[:s] + cols[s + 1:]
-            term = m[r][c] * minor_det(rows[1:], rest)
-            if s % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
-
-    return minor_det(tuple(range(n)), tuple(range(n)))
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 @lru_cache(maxsize=4096)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from einlocus import RealTangent
+from einlocus.coords import wirtinger, wirtinger_jet
 from einlocus.sampling import sample_chart_points
 
 
@@ -15,6 +16,39 @@ def random_tangents(point, count, seed=0):
     rng = np.random.default_rng(seed)
     dim = 2 * point.n
     return [RealTangent(rng.standard_normal(dim), point) for _ in range(count)]
+
+
+def metric_jets(geom):
+    """g_{j kbar} as jets: mixed Wirtinger derivatives of the potential jet."""
+    psi, n = geom.psi_jet, geom.n
+    return [[wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)]
+
+
+def _jet_det(m):
+    """Determinant of a small matrix of jets by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = None
+    for c in range(len(m)):
+        minor = [row[:c] + row[c + 1:] for row in m[1:]]
+        term = m[0][c] * _jet_det(minor)
+        if c % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def laplace_log_det_ricci(geom):
+    """Ric_{j kbar} = -d_j dbar_k log det g, with det g expanded by Laplace
+    over metric jets: independent of the curvature tensor and its trace."""
+    log_det = _jet_det(metric_jets(geom)).log()
+    n = geom.n
+    return np.array([[-wirtinger(log_det, (j,), (k,)) for k in range(n)] for j in range(n)])
+
+
+def ricci_pairing(ric, v, w):
+    """The real Ricci tensor of Ricci coefficients: 2 Re(V^j Ric_jk conj(W^k))."""
+    return float(2.0 * np.real(v.holo_components @ ric @ np.conj(w.holo_components)))
 
 
 @pytest.fixture(scope="session")

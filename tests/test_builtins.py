@@ -29,6 +29,31 @@ def test_registry_and_ranges():
         make_builtin("nope", 2)
     with pytest.raises(ValueError):
         make_builtin("quadric", 9)
+    with pytest.raises(ValueError):
+        builtin_quadric(5)
+
+
+def _projective_constants(n):
+    return (n + 1.0, (n - 1) / 2.0, (n + 3) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "name, n, expected",
+    [
+        ("cpn", 6, _projective_constants(6)),
+        ("quadric", 4, (4.0, 3.0, 1.0)),
+        ("toric-fs", 4, _projective_constants(4)),
+        ("toric-flat", 4, (0.0, 0.0, 0.0)),
+    ],
+)
+def test_top_of_builtin_range(name, n, expected):
+    ranges = {b["name"]: b["n_range"] for b in list_builtins()}
+    assert ranges[name][1] == n
+    rep, code = run_verify(make_builtin(name, n), SamplingConfig(10, 10, seed=0))
+    assert code == 0
+    c = rep.data["constants"]
+    got = (c["lambda_est"], c["kappa_est"], c["C_est"])
+    assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_cpn_basics():

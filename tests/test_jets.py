@@ -106,6 +106,19 @@ def test_log_potential_lift_matches_symbolic_oracle():
     assert jet.partial((0, 2)) == pytest.approx(2.0)
 
 
+def test_derivative_tensor_matches_partials():
+    p = ChartPoint((0.3 - 0.2j, -0.5 + 0.1j))
+    jet = lift_to_jet(("log", ("+", 1, ("abs2", "w1"), ("pow", ("abs2", "w2"), 2))), p)
+    for k in (1, 2, 3, 4):
+        tensor = jet.derivative_tensor(k)
+        assert tensor.shape == (4,) * k
+        for axes in np.ndindex(tensor.shape):
+            alpha = np.bincount(axes, minlength=4)
+            assert tensor[axes] == jet.partial(alpha)
+    with pytest.raises(JetOrderError):
+        jet.deriv(0).derivative_tensor(4)
+
+
 def test_wirtinger_examples():
     p = ChartPoint((0.7 - 0.4j,))
     jet = lift_to_jet(("abs2", "w1"), p)

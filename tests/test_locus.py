@@ -8,6 +8,7 @@ from einlocus import (
     ChartPoint,
     FixedLocusParam,
     HypothesesNotVerifiedError,
+    NonAnalyticFieldError,
     PotentialChart,
     RankDeficiencyError,
     RealTangent,
@@ -16,6 +17,7 @@ from einlocus import (
     builtin_cpn,
     builtin_flat_torus,
     builtin_quadric,
+    builtin_toric_fs,
     lagrangian_residual,
     locus_point,
     project_tn,
@@ -25,10 +27,10 @@ from einlocus import (
     sff_max_norm,
     totally_real_residual,
 )
-from einlocus.locus import intrinsic_ricci_on_frame
+from einlocus.locus import intrinsic_ricci_on_frame, locus_geometry
 from einlocus.sampling import sample_parameters
 
-from conftest import random_tangents
+from conftest import laplace_log_det_ricci, random_tangents, ricci_pairing
 
 EUCLID1 = PotentialChart(1, ("*", 0.5, ("abs2", "w1")), ((-3.0, 3.0),) * 2, label="euclid")
 FLAT2 = PotentialChart(2, ("+", ("abs2", "w1"), ("abs2", "w2")), ((-1.0, 1.0),) * 4, label="flat-2")
@@ -88,6 +90,63 @@ def test_rank_deficient_parametrization_raises():
     )
     with pytest.raises(RankDeficiencyError):
         build_frame(FLAT2, degenerate, (0.2, 0.3))
+
+
+def jet_gram_schmidt(lg):
+    """The frame as jets in the parameters: Gram-Schmidt of the tangent field
+    jets (one re-orthogonalization pass) under the metric jets on the locus,
+    which come from the joint expansion of the potential."""
+    Gt = lg.metric_jets_on_locus
+
+    def inner(X, Y):
+        return sum(Gt[a][b] * X[a] * Y[b] for a in range(len(X)) for b in range(len(Y)))
+
+    es = []
+    for vec in lg.tangent_field_jets:
+        u = list(vec)
+        for _ in range(2):
+            for e in es:
+                c = inner(u, e)
+                u = [ua - c * ea for ua, ea in zip(u, e)]
+        inv_norm = inner(u, u).pow(-0.5)
+        es.append([inv_norm * ua for ua in u])
+    return es
+
+
+def test_first_order_frame_matches_jet_gram_schmidt():
+    for bundle in (builtin_cpn(2), builtin_quadric(2), builtin_toric_fs(2)):
+        for t in sample_parameters(bundle.locus, 3, seed=9):
+            lg = locus_geometry(bundle.chart, bundle.locus, t)
+            es = jet_gram_schmidt(lg)
+            E = np.array([[comp.value.real for comp in e] for e in es])
+            assert np.max(np.abs(lg.frame.tangent - E)) < 1e-12
+            C = lg.frame_in_param_basis
+            gamma, G = lg.geom.christoffel, lg.geom.G
+            worst = 0.0
+            for a in range(lg.m):
+                for b in range(lg.m):
+                    directional = np.array(
+                        [
+                            sum(C[a, d] * comp.deriv(d).value.real for d in range(lg.m))
+                            for comp in es[b]
+                        ]
+                    )
+                    want = directional + np.einsum("kij,i,j->k", gamma, E[a], E[b])
+                    assert np.max(np.abs(lg.ambient_derivative(a, b) - want)) < 1e-12
+                    h = want - E.T @ (E @ G @ want)
+                    worst = max(worst, float(np.sqrt(h @ G @ h)))
+            assert abs(lg.sff_max_norm - worst) < 1e-12
+
+
+def test_black_box_frame_needs_no_joint_expansion():
+    # the frame reads only the chart geometry, so a callable potential works;
+    # the joint expansion behind the intrinsic-curvature oracle refuses it
+    black_box = PotentialChart(1, lambda xy: float(xy @ xy), ((-1.0, 1.0),) * 2, label="bb")
+    lg = locus_geometry(black_box, FixedLocusParam(("t1",), ((-1.0, 1.0),)), (0.2,))
+    assert lg.frame.tangent == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
+    assert lg.sff_max_norm < 1e-6
+    with pytest.raises(NonAnalyticFieldError):
+        lg.intrinsic_curvature
 
 
 def test_totally_real_residuals():
@@ -221,3 +280,5 @@ def test_frame_trace_identity():
         for e in lp.frame.tangent_vectors() + lp.frame.normal_vectors():
             total += riemann_real(b2.chart, lp.point, e, v, w, e)
         assert total == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
+        oracle = laplace_log_det_ricci(geom)
+        assert total == pytest.approx(ricci_pairing(oracle, v, w), abs=1e-8)

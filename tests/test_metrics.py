@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from einlocus import (
+    EXIT_DEGENERATE,
+    AntiholoMap,
+    ChartGeometry,
     ChartPoint,
     DegenerateMetricError,
+    FixedLocusParam,
+    Jet,
+    ManifoldBundle,
     PotentialChart,
     RealTangent,
+    SamplingConfig,
     apply_J,
     builtin_cpn,
     christoffel_real,
@@ -19,10 +26,18 @@ from einlocus import (
     real_metric_at,
     ricci_form_at,
     riemann_real,
+    verdict,
 )
+from einlocus import jets
 from einlocus.realcurv import curvature_from_metric_jets
 
-from conftest import admitted_points, random_tangents
+from conftest import (
+    admitted_points,
+    laplace_log_det_ricci,
+    metric_jets,
+    random_tangents,
+    ricci_pairing,
+)
 
 FS1 = builtin_cpn(1).chart
 FS2 = builtin_cpn(2).chart
@@ -98,6 +113,8 @@ def test_ricci_flat_and_fs():
             ric = ricci_form_at(chart, p).matrix
             g = metric_at(chart, p).matrix
             assert np.max(np.abs(ric - expected * g)) < 1e-11
+            oracle = laplace_log_det_ricci(chart.geometry(p))
+            assert np.max(np.abs(oracle - expected * g)) < 1e-11
     assert len(admitted_points(FS1, 20, seed=3)) == 20
 
 
@@ -172,6 +189,8 @@ def test_riemann_trace_reproduces_ricci():
             for a in range(4)
         )
         assert trace == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
+        oracle = laplace_log_det_ricci(geom)
+        assert trace == pytest.approx(ricci_pairing(oracle, v, w), abs=1e-8)
 
 
 def test_first_bianchi_identity():
@@ -217,7 +236,15 @@ def test_two_pipeline_curvature_agreement():
     # potential route vs Christoffel-of-G route, both on exact jets
     for i, p in enumerate(admitted_points(FS2, 5, seed=29)):
         geom = FS2.geometry(p)
-        direct = curvature_from_metric_jets(geom.G_jets)["riemann"]
+        G_jets = [[None] * 4 for _ in range(4)]
+        for j, row in enumerate(metric_jets(geom)):
+            for k, gjk in enumerate(row):
+                re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
+                G_jets[2 * j][2 * k] = re2
+                G_jets[2 * j][2 * k + 1] = im2
+                G_jets[2 * j + 1][2 * k] = -1.0 * im2
+                G_jets[2 * j + 1][2 * k + 1] = re2
+        direct = curvature_from_metric_jets(G_jets)["riemann"]
         scale = np.max(np.abs(direct))
         for _ in range(5):
             vs = random_tangents(p, 4, seed=100 * i + _)
@@ -234,6 +261,62 @@ def test_degenerate_metric_rejected():
     bad = PotentialChart(1, ("-", 0, ("abs2", "w1")), ((-1, 1),) * 2, label="negative")
     with pytest.raises(DegenerateMetricError):
         metric_at(bad, ChartPoint((0.1,)))
+
+
+def test_vanishing_metric_is_a_degenerate_verdict():
+    # log|w|^2 is pluriharmonic: g vanishes identically while its Hessian
+    # does not, so only a floor relative to the Hessian can reject it
+    harmonic = PotentialChart(1, ("log", ("abs2", "w1")), ((-1.0, 1.0),) * 2, label="log-abs2")
+    with pytest.raises(DegenerateMetricError):
+        metric_at(harmonic, ChartPoint((0.3 - 0.2j,)))
+    bundle = ManifoldBundle(
+        chart=harmonic,
+        mapping=AntiholoMap((("conj", "w1"),), declared_involution=True),
+        locus=FixedLocusParam(("t1",), ((-1.0, 1.0),)),
+        label="log-abs2",
+    )
+    report = verdict(bundle, SamplingConfig(10, 10, seed=0))
+    assert report.exit_code == EXIT_DEGENERATE
+    counts = report.data["counts"]
+    assert counts["ambient_admitted"] == 0
+    assert counts["ambient_rejected_degenerate"] > 0
+
+
+def test_fd_scale_sets_finite_difference_step(monkeypatch):
+    steps = set()
+    fd_partial = jets._fd_partial
+
+    def recording(func, x0, alpha, h, cache):
+        steps.add(h)
+        return fd_partial(func, x0, alpha, h, cache)
+
+    monkeypatch.setattr(jets, "_fd_partial", recording)
+    for scale in (1.0, 4.0):
+        chart = PotentialChart(
+            1, lambda xy: float(np.log1p(xy @ xy)), ((-1.0, 1.0),) * 2,
+            label=f"black-box-{scale}", fd_scale=scale,
+        )
+        steps.clear()
+        ChartGeometry(chart, ChartPoint((0.3,))).psi_jet
+        h = jets.FD_STEP_FACTOR * scale
+        assert steps == {h, h / 2.0}
+
+
+def test_chart_geometry_makes_no_jet_products(monkeypatch):
+    geom = ChartGeometry(builtin_cpn(5).chart, ChartPoint((0.1, -0.2j, 0.3, 0.1 + 0.1j, -0.4)))
+    geom.psi_jet
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    for name in ("g", "dg", "ddg", "ricci", "curvature", "christoffel"):
+        getattr(geom, name)
+    assert calls == []
 
 
 def test_domain_violation_rejected():
