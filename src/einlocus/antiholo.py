@@ -67,9 +67,12 @@ def pushforward(mapping: AntiholoMap, point: ChartPoint, v: RealTangent) -> Real
     return RealTangent(D @ v.components, mapping.apply(point))
 
 
-def antiholomorphy_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
-    """Operator norm of Df J + J Df; zero iff f is anti-holomorphic at p."""
-    D = mapping.jacobian_real(point)
+def antiholomorphy_residual(mapping: AntiholoMap, point: ChartPoint, D=None) -> float:
+    """Operator norm of Df J + J Df; zero iff f is anti-holomorphic at p.
+
+    Here and below ``D`` is Df(p) when the caller already holds it.
+    """
+    D = mapping.jacobian_real(point) if D is None else D
     J = j_matrix(mapping.dimension)
     return float(np.linalg.norm(D @ J + J @ D, 2))
 
@@ -79,23 +82,23 @@ def involution_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
     return float(np.linalg.norm(q.real_view - point.real_view))
 
 
-def isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> float:
+def isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None) -> float:
     """Relative defect of (f^* G)(p) = G(p) in Frobenius norm."""
     image = mapping.apply(point)
     if not chart.admits(image):
         raise ChartDomainError(f"f({point.holo}) escapes {chart.label}")
-    D = mapping.jacobian_real(point)
+    D = mapping.jacobian_real(point) if D is None else D
     G_p = chart.geometry(point).G
     G_f = chart.geometry(image).G
     return float(np.linalg.norm(D.T @ G_f @ D - G_p) / np.linalg.norm(G_p))
 
 
-def anti_isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> float:
+def anti_isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None) -> float:
     """Relative defect of (f^* w)(p) = -w(p) for the Kahler form."""
     image = mapping.apply(point)
     if not chart.admits(image):
         raise ChartDomainError(f"f({point.holo}) escapes {chart.label}")
-    D = mapping.jacobian_real(point)
+    D = mapping.jacobian_real(point) if D is None else D
     W_p = chart.geometry(point).kahler_form
     W_f = chart.geometry(image).kahler_form
     return float(np.linalg.norm(D.T @ W_f @ D + W_p) / np.linalg.norm(W_p))

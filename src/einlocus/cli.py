@@ -17,6 +17,21 @@ from .specfile import load_spec
 from .verify import EXIT_USAGE, run_verify
 
 CHECK_EXPLANATIONS = {
+    "metric_hermitian": (
+        "||g - g^H|| / (1 + ||g||) of the complex metric at each ambient sample",
+        "the metric read off a real potential is Hermitian; a defect flags an "
+        "assembly error; reported, not gated",
+    ),
+    "real_potential": (
+        "indicator: 1 when the potential's jet has an imaginary part above 1e-8 of its size",
+        "a Kahler potential is real-valued; a complex one defines no Hermitian "
+        "metric, so the run stops at the first such point",
+    ),
+    "map_present": (
+        "indicator: 1 when the bundle declares no map",
+        "the criterion is about the fixed locus of an anti-holomorphic map; "
+        "without a map the run stops after the chart checks",
+    ),
     "antiholomorphy": (
         "operator norm of Df J + J Df",
         "a map is anti-holomorphic exactly when its differential anti-commutes "
@@ -55,6 +70,16 @@ CHECK_EXPLANATIONS = {
         "invalidate the frame construction (the singular values themselves "
         "appear under checks)",
     ),
+    "locus_rank_smallest_sv": (
+        "smallest singular value of d(param)/dt at each locus sample",
+        "the values behind the locus_rank indicator; near zero the "
+        "parametrization loses rank and the frame is undefined",
+    ),
+    "locus_present": (
+        "indicator: 1 when the bundle declares no locus parametrization",
+        "the trace operator is evaluated on a parametrized fixed locus; "
+        "without one the run stops after the ambient checks",
+    ),
     "totally_real": (
         "max_ab |G(e_a, J e_b)| plus frame rank defect",
         "the tangent space of the locus must meet its J-image orthogonally "
@@ -65,6 +90,10 @@ CHECK_EXPLANATIONS = {
         "the second fundamental form must vanish so ambient and induced "
         "curvature agree along the locus",
     ),
+    "second_fundamental_form": (
+        "max_ab ||normal part of nabla_{e_a} e_b||_G at each locus sample",
+        "the per-point values whose maximum is gated as totally_geodesic",
+    ),
     "lagrangian": (
         "max_ab |w(e_a, e_b)|",
         "the Kahler form restricts to zero on the fixed locus of an "
@@ -74,6 +103,12 @@ CHECK_EXPLANATIONS = {
         "entrywise gap between the two trace-operator evaluations",
         "the projected-curvature route and the scalar curvature-sum route "
         "compute the same operator; disagreement flags an assembly bug",
+    ),
+    "restricted_einstein_spread": (
+        "||R - kappa Id||_F / max(1, |kappa|) with R = Ric - sum_a Rm(J e_a, ., ., J e_a) "
+        "on the frame and kappa = tr R / n",
+        "the restricted-Ricci route's own Einstein test of the induced metric; "
+        "its verdict must agree with the spectral route",
     ),
     "eigenvalue_spread": (
         "(max - min eigenvalue) / max(1, |mean|) of the symmetrized operator",
@@ -168,7 +203,7 @@ def _cmd_list_builtins(_args):
 def _cmd_explain(args):
     if args.check is None:
         for name, (formula, meaning) in CHECK_EXPLANATIONS.items():
-            print(f"{name:<24} {formula}")
+            print(f"{name:<26} {formula}")
         print("\nuse `einlocus explain <check>` for details")
         return 0
     if args.check not in CHECK_EXPLANATIONS:

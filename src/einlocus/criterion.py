@@ -8,7 +8,9 @@ is tangent-valued; the locus carries an Einstein induced metric exactly
 when this operator is -C times the identity for a constant C.  Two
 independent evaluations are kept side by side: the projection route above
 and the scalar route -sum_a Rm(J e_a, e_b, e_c, J e_a); they must agree to
-tensor-assembly precision.
+tensor-assembly precision.  Both are contractions of the chart's real
+Riemann tensor at the point, built once: the frame sums over a are formed
+as 2n x 2n matrices (N^T E, N^T N) first, then contracted with the tensor.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import RealTangent, apply_J
-from .locus import LocusPoint
+from .coords import RealTangent, apply_J, j_matrix
+from .locus import LocusPoint, map_normal_projector, mixed_curvature_form
 from .metrics import PotentialChart
 
 DEFAULT_TOL_SYM = 1e-6
@@ -26,19 +28,9 @@ DEFAULT_TOL_EIG = 1e-5
 DEFAULT_TOL_CONST = 1e-5
 
 
-def _normal_projection(frame, G, v: RealTangent) -> RealTangent:
-    comps = frame.normal.T @ (frame.normal @ G @ v.components)
-    return RealTangent(comps, v.base)
-
-
-def map_normal_projector(mapping, point):
-    """The splitting projector (v - Df v) / 2 from the map differential."""
-    D = mapping.jacobian_real(point)
-
-    def project(v: RealTangent) -> RealTangent:
-        return RealTangent((v.components - D @ v.components) / 2.0, v.base)
-
-    return project
+def _frame_normal_projector(frame, G) -> np.ndarray:
+    """The G-orthogonal projector N^T N G onto the span of the normal frame."""
+    return frame.normal.T @ frame.normal @ G
 
 
 def j_normal_curvature(
@@ -53,40 +45,25 @@ def j_normal_curvature(
 
     The output is tangent to the locus (J exchanges tangent and normal on a
     totally real submanifold).  ``projector`` overrides the frame-based
-    normal projection, e.g. with :func:`map_normal_projector`.
+    normal projection matrix, e.g. with :func:`map_normal_projector`.
     """
     geom = chart.geometry(lp.point)
-    u = geom.curvature_endomorphism(apply_J(zeta), eta, rho)
-    if projector is None:
-        u_perp = _normal_projection(lp.frame, geom.G, u)
-    else:
-        u_perp = projector(u)
-    return apply_J(u_perp)
+    u = geom.curvature_endomorphism(apply_J(zeta), eta, rho).components
+    P = _frame_normal_projector(lp.frame, geom.G) if projector is None else projector
+    return apply_J(RealTangent(P @ u, lp.point))
 
 
 def mixed_curvature_trace(
     chart: PotentialChart, lp: LocusPoint, zeta: RealTangent, eta: RealTangent
 ) -> float:
     """sum_a Rm(J e_a, zeta, eta, J e_a) over the normal half of the frame."""
-    geom = chart.geometry(lp.point)
-    return float(
-        sum(geom.riemann(je, zeta, eta, je) for je in lp.frame.normal_vectors())
-    )
+    return float(zeta.components @ mixed_curvature_form(chart, lp) @ eta.components)
 
 
 def mixed_curvature_matrix(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:
     """The mixed trace evaluated on frame pairs: out[a, b] on (e_a, e_b)."""
-    geom = chart.geometry(lp.point)
-    es = lp.frame.tangent_vectors()
-    n = lp.frame.n
-    out = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = sum(
-                geom.riemann(je, es[a], es[b], je)
-                for je in lp.frame.normal_vectors()
-            )
-    return out
+    E = lp.frame.tangent
+    return E @ mixed_curvature_form(chart, lp) @ E.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +71,9 @@ class TraceOperatorAt:
     """The trace operator in the frame basis, from both evaluation routes.
 
     ``matrix``[b, a] = G(sum_c J[R(J e_c, e_a) e_c]^normal, e_b); the
-    ``cross_matrix`` is the same object assembled from curvature scalars.
-    The matrix depends on the frame only through orthogonal conjugation.
+    ``cross_matrix`` is the same object assembled from curvature scalars,
+    minus the transposed :func:`mixed_curvature_matrix`.  The matrix depends
+    on the frame only through orthogonal conjugation.
     """
 
     matrix: np.ndarray
@@ -117,19 +95,12 @@ def trace_operator_at(
     if frame is not lp.frame:
         lp = LocusPoint(lp.t, lp.point, frame, lp.jacobian, lp.chart, lp.locus)
     geom = chart.geometry(lp.point)
-    es = frame.tangent_vectors()
-    n = frame.n
-    M = np.empty((n, n))
-    for a in range(n):
-        image = np.zeros(2 * chart.dimension)
-        for c in range(n):
-            image += j_normal_curvature(
-                chart, lp, es[c], es[a], es[c], projector=projector
-            ).components
-        for b in range(n):
-            M[b, a] = float(frame.tangent[b] @ geom.G @ image)
-    cross = -mixed_curvature_matrix(chart, lp).T
-    return TraceOperatorAt(M, cross, lp)
+    E, N, G = frame.tangent, frame.normal, geom.G
+    P = _frame_normal_projector(frame, G) if projector is None else projector
+    # cov[a] = sum_c Rm(J e_c, e_a, e_c, .), contracted over the frame first
+    cov = E @ np.tensordot(N.T @ E, geom.riemann_tensor, axes=([0, 1], [0, 2]))
+    M = E @ G @ (j_matrix(chart.dimension) @ P @ geom.G_inv @ cov.T)
+    return TraceOperatorAt(M, -mixed_curvature_matrix(chart, lp).T, lp)
 
 
 @dataclass(frozen=True)

@@ -336,14 +336,17 @@ def totally_real_residual(chart: PotentialChart, lp: LocusPoint) -> float:
     return max(float(np.max(np.abs(cross))), defect)
 
 
+def map_normal_projector(mapping, point) -> np.ndarray:
+    """The splitting projector (I - Df) / 2 onto the normal space, as a matrix."""
+    D = mapping.jacobian_real(point)
+    return (np.eye(D.shape[0]) - D) / 2.0
+
+
 def project_tn(mapping, chart: PotentialChart, point: ChartPoint, v: RealTangent):
     """Split v into locus-tangent and normal parts through the map differential:
-    v_tan = (Df v + v) / 2 and v_nor = (v - Df v) / 2."""
-    D = mapping.jacobian_real(point)
-    fv = D @ v.components
-    v_tan = (fv + v.components) / 2.0
-    v_nor = (v.components - fv) / 2.0
-    return RealTangent(v_tan, point), RealTangent(v_nor, point)
+    v_nor = (I - Df) v / 2 and v_tan = v - v_nor."""
+    v_nor = map_normal_projector(mapping, point) @ v.components
+    return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
 
 
 def second_fundamental_form(chart, locus, t, a, b) -> RealTangent:
@@ -381,12 +384,15 @@ def restricted_ricci(
         raise HypothesesNotVerifiedError(
             f"second fundamental form residual {h_residual:.3g} exceeds {h_tol:.3g}"
         )
-    geom = chart.geometry(lp.point)
-    ambient = geom.ricci_real(zeta, eta)
-    mixed = 0.0
-    for je in lp.frame.normal_vectors():
-        mixed += geom.riemann(je, zeta, eta, je)
-    return float(ambient - mixed)
+    mixed = zeta.components @ mixed_curvature_form(chart, lp) @ eta.components
+    return float(chart.geometry(lp.point).ricci_real(zeta, eta) - mixed)
+
+
+def mixed_curvature_form(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:
+    """K[y, z] = sum_a Rm(J e_a, d_y, d_z, J e_a) over the normal frame, as one
+    contraction of the chart's Riemann tensor with N^T N."""
+    N = lp.frame.normal
+    return np.tensordot(N.T @ N, chart.geometry(lp.point).riemann_tensor, axes=([0, 1], [0, 3]))
 
 
 def intrinsic_ricci_on_frame(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:

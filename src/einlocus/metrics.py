@@ -5,6 +5,8 @@ to its order-4 jet.  The real partial tensors of orders 2, 3 and 4 are read
 straight off the jet coefficients; the metric g, its derivatives dg and ddg
 are fixed Wirtinger contractions of them, the curvature tensor follows from
 the standard potential formula, and the Ricci form is its g-trace.  The
+real Riemann tensor on the coordinate basis is built from the curvature
+once per point, and every real curvature value is read off it.  The
 potential is the only thing differentiated in jet arithmetic, so the cost
 per point is polynomial in the dimension and the fourth derivatives entering
 the curvature carry no step-size error.
@@ -314,10 +316,34 @@ class ChartGeometry:
 
     # -- tensor evaluation ---------------------------------------------------------
 
-    def ricci_real(self, v: RealTangent, w: RealTangent) -> float:
+    @property
+    def Ric(self):
         """The real Ricci tensor: the same 2 Re pairing that turns g into G."""
-        V, W = v.holo_components, w.holo_components
-        return float(2.0 * np.real(V @ self.ricci @ np.conj(W)))
+        return self._get("Ric", lambda: _real_metric_matrix(self.ricci))
+
+    @property
+    def riemann_tensor(self):
+        """Rm[x, y, z, w] = Rm(d_x, d_y, d_z, d_w) on the real coordinate basis:
+        the pairing of ``riemann_covector`` taken over every basis triple at
+        once.  d_x has one holomorphic component, ph[x] = 1 or i in slot
+        j[x] = x // 2, so each contraction with it is a gather and a phase."""
+
+        def build():
+            j = np.repeat(np.arange(self.n), 2)
+            ph = np.tile([1.0, 1j], self.n)
+            T = self.curvature[j][:, j] * np.multiply.outer(ph, ph.conj())[..., None, None]
+            q = T[:, :, j, :] * ph[:, None]  # q[x, y, z, l] = T[x, y, k, l] P[z, k]
+            r = np.swapaxes(T[:, :, :, j], 2, 3) * ph.conj()[:, None]  # T[x, y, k, l] conj(P[z, l])
+            Rm = np.empty((2 * self.n,) * 4)
+            Rm[..., 0::2] = 2.0 * np.real(q - r)
+            Rm[..., 1::2] = 2.0 * np.imag(q + r)
+            return Rm
+
+        return self._get("Rm", build)
+
+    def ricci_real(self, v: RealTangent, w: RealTangent) -> float:
+        """Ric(v, w), read off ``Ric``."""
+        return float(v.components @ self.Ric @ w.components)
 
     def riemann_covector(self, zeta, eta, rho):
         """Covector c with c[a] = Rm(zeta, eta, rho, basis_a)."""
@@ -333,11 +359,13 @@ class ChartGeometry:
         return c
 
     def riemann(self, zeta, eta, rho, upsilon) -> float:
-        return float(self.riemann_covector(zeta, eta, rho) @ upsilon.components)
+        vs = (zeta.components, eta.components, rho.components, upsilon.components)
+        return float(np.einsum("xyzw,x,y,z,w->", self.riemann_tensor, *vs))
 
     def curvature_endomorphism(self, zeta, eta, rho) -> RealTangent:
         """R(zeta, eta) rho with the index raised by G."""
-        c = self.riemann_covector(zeta, eta, rho)
+        vs = (zeta.components, eta.components, rho.components)
+        c = np.einsum("xyzw,x,y,z->w", self.riemann_tensor, *vs)
         return RealTangent(self.G_inv @ c, self.point)
 
 

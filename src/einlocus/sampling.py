@@ -27,23 +27,22 @@ def _first_primes(k):
     return primes
 
 
-def _radical_inverse(i, base):
-    f, r = 1.0, 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 def halton_points(dim, count, seed=0):
-    """``count`` points of the Halton sequence in [0, 1)^dim."""
-    bases = _first_primes(dim)
+    """``count`` points of the Halton sequence in [0, 1)^dim.
+
+    Each column runs the digit loop of the radical inverse over all rows at
+    once, with the same float operations per element as the scalar loop.
+    """
     start = 17 + 1009 * int(seed)
     out = np.empty((count, dim))
-    for row in range(count):
-        for d, b in enumerate(bases):
-            out[row, d] = _radical_inverse(start + row, b)
+    for d, base in enumerate(_first_primes(dim)):
+        i = np.arange(start, start + count, dtype=np.int64)
+        f, r = 1.0, np.zeros(count)
+        while np.any(i > 0):
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out[:, d] = r
     return out
 
 

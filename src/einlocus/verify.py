@@ -20,9 +20,12 @@ import numpy as np
 
 from . import __version__
 from .antiholo import (
+    anti_isometry_residual,
     antiholomorphy_residual,
     fixed_locus_residual,
     involution_residual,
+    isometry_residual,
+    potential_invariance_residual,
 )
 from .bundles import ManifoldBundle
 from .criterion import (
@@ -33,14 +36,13 @@ from .criterion import (
     spectral_test,
     trace_operator_at,
 )
-from .errors import DegenerateMetricError, RankDeficiencyError
-from .locus import (
-    lagrangian_residual,
-    locus_geometry,
-    locus_point,
-    restricted_ricci,
-    totally_real_residual,
+from .errors import (
+    ChartDomainError,
+    DegenerateMetricError,
+    NonAnalyticFieldError,
+    RankDeficiencyError,
 )
+from .locus import lagrangian_residual, locus_geometry, locus_point, totally_real_residual
 from .metrics import einstein_residual
 from .sampling import SamplingConfig, sample_chart_points, sample_parameters
 
@@ -176,7 +178,13 @@ def _hypothesis(results, name, worst, tol, skip_gate=False):
 
 
 def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -> VerificationReport:
-    """Run every check of the pipeline and aggregate a report."""
+    """Run every check of the pipeline and aggregate a report.
+
+    Never raises on numerical trouble: a potential that is not real-valued
+    fails the ``real_potential`` hypothesis (exit 3); a floating-point
+    overflow, division by zero or invalid value, or a failed linear-algebra
+    routine, ends the run as degenerate (exit 4) with a warning.
+    """
     tol = Tolerances().with_overrides(
         tuple(bundle.tolerance_overrides) + tuple(config.tolerance_overrides)
     )
@@ -218,10 +226,6 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
         "warnings": [],
         "verdict": {},
     }
-    counts = report["counts"]
-    hyp = report["hypotheses"]
-    checks = report["checks"]
-    warnings = report["warnings"]
 
     def finish(exit_code, einstein=False, by_spectrum=None, by_restricted=None, agree=None):
         report["verdict"] = {
@@ -233,6 +237,26 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
             "exit_code": exit_code,
         }
         return VerificationReport(report)
+
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _stages(bundle, config, tol, report, finish)
+    except NonAnalyticFieldError as err:
+        _hypothesis(report["hypotheses"], "real_potential", 1.0, 0.0)
+        report["warnings"].append(f"potential is not real-valued: {err}")
+        return finish(EXIT_HYPOTHESES_FAILED)
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        report["warnings"].append(f"numerical failure ({type(err).__name__}): {err}")
+        return finish(EXIT_DEGENERATE)
+
+
+def _stages(bundle, config, tol, report, finish):
+    """The five stages of ``verdict``, filling ``report`` in place."""
+    chart = bundle.chart
+    counts = report["counts"]
+    hyp = report["hypotheses"]
+    checks = report["checks"]
+    warnings = report["warnings"]
 
     # -- stage 1: chart sanity over ambient samples ------------------------------
     ambient, astats = sample_chart_points(
@@ -257,8 +281,21 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
         return finish(EXIT_HYPOTHESES_FAILED)
     mapping = bundle.mapping
 
-    # -- stage 2: map residuals ----------------------------------------------------
-    anti_res = [antiholomorphy_residual(mapping, p) for p in ambient]
+    # -- stage 2: map residuals, one Jacobian per ambient point ------------------------
+    anti_res, iso_res, antiiso_res, poti_res = [], [], [], []
+    escapes = 0
+    for p in ambient:
+        D = mapping.jacobian_real(p)
+        anti_res.append(antiholomorphy_residual(mapping, p, D))
+        try:
+            iso = isometry_residual(mapping, chart, p, D)
+            antiiso = anti_isometry_residual(mapping, chart, p, D)
+        except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
+            escapes += 1
+            continue
+        iso_res.append(iso)
+        antiiso_res.append(antiiso)
+        poti_res.append(potential_invariance_residual(mapping, chart, p))
     checks["antiholomorphy"] = _stat(anti_res)
     gates_ok = _hypothesis(hyp, "antiholomorphy", max(anti_res), tol.gate_antiholo)
 
@@ -267,30 +304,6 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
         checks["involution"] = _stat(inv_res)
         gates_ok &= _hypothesis(hyp, "involution", max(inv_res), tol.gate_involution)
 
-    iso_res, antiiso_res, poti_res = [], [], []
-    escapes = 0
-    for p in ambient:
-        try:
-            image = mapping.apply(p)
-            if not chart.admits(image):
-                escapes += 1
-                continue
-            geom_p = chart.geometry(p)
-            geom_f = chart.geometry(image)
-            D = mapping.jacobian_real(p)
-        except (DegenerateMetricError, ZeroDivisionError):
-            escapes += 1
-            continue
-        iso_res.append(
-            float(np.linalg.norm(D.T @ geom_f.G @ D - geom_p.G) / np.linalg.norm(geom_p.G))
-        )
-        W_p, W_f = geom_p.kahler_form, geom_f.kahler_form
-        antiiso_res.append(
-            float(np.linalg.norm(D.T @ W_f @ D + W_p) / np.linalg.norm(W_p))
-        )
-        poti_res.append(
-            abs(chart.potential_value(image) - chart.potential_value(p))
-        )
     counts["map_escapes"] = escapes
     checks["isometry"] = _stat(iso_res)
     checks["anti_isometry"] = _stat(antiiso_res)
@@ -380,7 +393,7 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
     c_values = []
     kappa_values = []
     restricted_spread = []
-    for lp, h_max in zip(lpoints, h_res):
+    for lp in lpoints:
         projector = map_normal_projector(mapping, lp.point)
         op = trace_operator_at(chart, lp, projector=projector)
         cross_route.append(op.route_agreement)
@@ -397,15 +410,10 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
                 "einstein": sv.einstein,
             }
         )
-        # restricted-Ricci route (the biconditional cross-check)
-        es = lp.frame.tangent_vectors()
-        nloc = lp.frame.n
-        R_res = np.empty((nloc, nloc))
-        for a in range(nloc):
-            for b in range(nloc):
-                R_res[a, b] = restricted_ricci(
-                    chart, lp, es[a], es[b], h_residual=h_max, h_tol=tol.gate_geodesic
-                )
+        # restricted-Ricci route (the biconditional cross-check), Ric minus the
+        # mixed trace -cross^T; the gates above established total geodesy
+        E, nloc = lp.frame.tangent, lp.frame.n
+        R_res = E @ chart.geometry(lp.point).Ric @ E.T + op.cross_matrix.T
         kappa_pt = float(np.trace(R_res) / nloc)
         kappa_values.append(kappa_pt)
         restricted_spread.append(

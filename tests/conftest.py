@@ -24,6 +24,20 @@ def metric_jets(geom):
     return [[wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)]
 
 
+def real_metric_jets(geom):
+    """G_ab as jets, in the interleaved real basis, from the metric jets."""
+    n = geom.n
+    G = [[None] * (2 * n) for _ in range(2 * n)]
+    for j, row in enumerate(metric_jets(geom)):
+        for k, gjk in enumerate(row):
+            re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
+            G[2 * j][2 * k] = re2
+            G[2 * j][2 * k + 1] = im2
+            G[2 * j + 1][2 * k] = -1.0 * im2
+            G[2 * j + 1][2 * k + 1] = re2
+    return G
+
+
 def _jet_det(m):
     """Determinant of a small matrix of jets by Laplace expansion."""
     if len(m) == 1:

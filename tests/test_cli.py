@@ -1,10 +1,30 @@
 """CLI: exit codes, report output, determinism."""
 
 import json
+import warnings
 
-from einlocus import builtin_cpn, save_spec
-from einlocus.cli import main
+from einlocus import (
+    AntiholoMap,
+    ManifoldBundle,
+    PotentialChart,
+    SamplingConfig,
+    builtin_cpn,
+    make_builtin,
+    save_spec,
+    verdict,
+)
+from einlocus.bundles import DEFAULT_SUITE
+from einlocus.cli import CHECK_EXPLANATIONS, main
 from einlocus.specfile import bundle_to_dict
+
+
+def _cpn1_spec_with_potential(tmp_path, potential, name):
+    data = bundle_to_dict(builtin_cpn(1))
+    data["potential"] = potential
+    data["name"] = name
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(data))
+    return spec
 
 
 def test_verify_builtin_einstein(capsys):
@@ -87,6 +107,30 @@ def test_exit_code_degenerate(tmp_path, capsys):
     assert code == 4
 
 
+def test_complex_potential_fails_a_named_hypothesis(tmp_path, capsys):
+    # I |w|^2 is not real-valued: a failed hypothesis, not a usage error
+    spec = _cpn1_spec_with_potential(tmp_path, ["*", "I", ["abs2", "w1"]], "imaginary")
+    code = main(["verify", "--manifold", str(spec), "--samples", "8", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "[FAIL] real_potential" in out
+    assert "hypotheses-failed" in out
+
+
+def test_overflowing_potential_is_degenerate(tmp_path, capsys):
+    # exp(1000 |w|^2) overflows at default samples: a degenerate run with a
+    # named warning, neither a traceback nor a flood of numpy warnings
+    spec = _cpn1_spec_with_potential(
+        tmp_path, ["exp", ["*", 1000, ["abs2", "w1"]]], "overflowing"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--manifold", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "warning: numerical failure (FloatingPointError)" in out
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert main(["verify"]) == 1  # missing --manifold
     capsys.readouterr()
@@ -115,6 +159,54 @@ def test_explain(capsys):
     out = capsys.readouterr().out
     assert "measures" in out
     assert main(["explain", "bogus"]) == 1
+
+
+def _failure_shapes():
+    """Bundles that end away from the Einstein verdict: a not-Einstein
+    product, failed ambient-Einstein and isometry gates, a missing map or
+    locus, and the two numerical stops."""
+    cpn2 = builtin_cpn(2)
+    flat = PotentialChart(
+        2,
+        ("+", ("abs2", "w1"), ("abs2", "w2"), ("*", 0.1, ("pow", ("abs2", "w1"), 2))),
+        ((-0.8, 0.8),) * 4,
+        label="perturbed-flat",
+    )
+    product = PotentialChart(
+        3,
+        (
+            "+",
+            ("*", 2, ("log", ("+", 1, ("abs2", "w1")))),
+            ("*", 3, ("log", ("+", 1, ("abs2", "w2"), ("abs2", "w3")))),
+        ),
+        ((-1.0, 1.0),) * 6,
+        label="product",
+    )
+    contracted = AntiholoMap((("*", 0.5, ("conj", "w1")), ("*", 0.5, ("conj", "w2"))))
+    cpn1 = builtin_cpn(1)
+    shapes = [
+        ManifoldBundle(product, builtin_cpn(3).mapping, builtin_cpn(3).locus, label="product"),
+        ManifoldBundle(flat, cpn2.mapping, cpn2.locus, c1_sign="zero", label="perturbed"),
+        ManifoldBundle(cpn2.chart, contracted, cpn2.locus, label="contracted"),
+        ManifoldBundle(cpn2.chart, None, cpn2.locus, label="no-map"),
+        ManifoldBundle(cpn2.chart, cpn2.mapping, None, label="no-locus"),
+    ]
+    for psi in (("*", "I", ("abs2", "w1")), ("exp", ("*", 1000, ("abs2", "w1")))):
+        chart = PotentialChart(1, psi, cpn1.chart.box, label="numeric")
+        shapes.append(ManifoldBundle(chart, cpn1.mapping, cpn1.locus, label="numeric"))
+    return shapes
+
+
+def test_explain_covers_every_report_key():
+    bundles = [make_builtin(name, n) for name, n in DEFAULT_SUITE] + _failure_shapes()
+    emitted, codes = set(), set()
+    for bundle in bundles:
+        data = verdict(bundle, SamplingConfig(8, 6, seed=1)).data
+        emitted |= set(data["checks"]) | set(data["hypotheses"])
+        codes.add(data["verdict"]["exit_code"])
+    assert codes == {0, 2, 3, 4}
+    assert {"map_present", "locus_present", "real_potential"} <= emitted
+    assert sorted(emitted - set(CHECK_EXPLANATIONS)) == []
 
 
 def test_tolerance_flags(capsys):

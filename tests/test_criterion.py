@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from einlocus import (
+    ChartGeometry,
     ChartPoint,
     PotentialChart,
+    SamplingConfig,
     builtin_cpn,
     builtin_flat_torus,
     j_normal_curvature,
@@ -13,6 +15,7 @@ from einlocus import (
     mixed_curvature_trace,
     spectral_test,
     trace_operator_at,
+    verdict,
 )
 from einlocus.criterion import map_normal_projector, mixed_curvature_matrix
 from einlocus.sampling import sample_parameters
@@ -175,3 +178,20 @@ def test_scale_covariance_of_constant():
         cs = spectral_test(trace_operator_at(scaled_chart, lps).matrix)
         assert cs.C_est == pytest.approx(c0.C_est / s, rel=1e-7)
         assert cs.einstein == c0.einstein
+
+
+def test_verdict_reads_curvature_off_one_tensor(monkeypatch):
+    # every stage-5 quantity is a contraction of the per-point Riemann
+    # tensor; the per-vector pairing stays a reference for the tests only
+    calls = []
+    per_vector = ChartGeometry.riemann_covector
+
+    def counting(self, *vectors):
+        calls.append(vectors)
+        return per_vector(self, *vectors)
+
+    monkeypatch.setattr(ChartGeometry, "riemann_covector", counting)
+    report = verdict(builtin_cpn(3), SamplingConfig(10, 10, seed=0))
+    assert report.exit_code == 0
+    assert report.data["constants"]["C_est"] == pytest.approx(3.0, abs=1e-9)
+    assert calls == []

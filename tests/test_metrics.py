@@ -22,6 +22,7 @@ from einlocus import (
     curvature_endomorphism,
     einstein_residual,
     kahler_form_at,
+    make_builtin,
     metric_at,
     real_metric_at,
     ricci_form_at,
@@ -34,8 +35,8 @@ from einlocus.realcurv import curvature_from_metric_jets
 from conftest import (
     admitted_points,
     laplace_log_det_ricci,
-    metric_jets,
     random_tangents,
+    real_metric_jets,
     ricci_pairing,
 )
 
@@ -236,15 +237,7 @@ def test_two_pipeline_curvature_agreement():
     # potential route vs Christoffel-of-G route, both on exact jets
     for i, p in enumerate(admitted_points(FS2, 5, seed=29)):
         geom = FS2.geometry(p)
-        G_jets = [[None] * 4 for _ in range(4)]
-        for j, row in enumerate(metric_jets(geom)):
-            for k, gjk in enumerate(row):
-                re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
-                G_jets[2 * j][2 * k] = re2
-                G_jets[2 * j][2 * k + 1] = im2
-                G_jets[2 * j + 1][2 * k] = -1.0 * im2
-                G_jets[2 * j + 1][2 * k + 1] = re2
-        direct = curvature_from_metric_jets(G_jets)["riemann"]
+        direct = curvature_from_metric_jets(real_metric_jets(geom))["riemann"]
         scale = np.max(np.abs(direct))
         for _ in range(5):
             vs = random_tangents(p, 4, seed=100 * i + _)
@@ -255,6 +248,37 @@ def test_two_pipeline_curvature_agreement():
             norm = max(1.0, abs(via_real))
             assert abs(via_complex - via_real) / norm < 1e-7
         assert scale > 0
+
+
+TENSOR_CHARTS = [("cpn", 2), ("quadric", 3), ("toric-fs", 2)]
+
+
+@pytest.mark.parametrize("name, n", TENSOR_CHARTS)
+def test_riemann_tensor_matches_per_vector_covector(name, n):
+    # the tensor built once per point against the per-vector complex pairing
+    chart = make_builtin(name, n).chart
+    for i, p in enumerate(admitted_points(chart, 3, seed=37)):
+        geom = chart.geometry(p)
+        for k in range(10):
+            vs = random_tangents(p, 3, seed=10 * i + k)
+            reference = geom.riemann_covector(*vs)
+            read_off = np.einsum(
+                "xyzw,x,y,z->w", geom.riemann_tensor, *[v.components for v in vs]
+            )
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(read_off - reference)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("name, n", TENSOR_CHARTS)
+def test_riemann_tensor_matches_christoffel_pipeline(name, n):
+    # potential route vs the real Christoffel route of G, entry by entry
+    chart = make_builtin(name, n).chart
+    for p in admitted_points(chart, 2, seed=41):
+        geom = chart.geometry(p)
+        direct = curvature_from_metric_jets(real_metric_jets(geom))["riemann"]
+        assert direct.shape == geom.riemann_tensor.shape == (2 * n,) * 4
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        assert np.max(np.abs(geom.riemann_tensor - direct)) < 1e-10 * scale
 
 
 def test_degenerate_metric_rejected():
