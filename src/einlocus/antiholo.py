@@ -82,30 +82,44 @@ def involution_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
     return float(np.linalg.norm(q.real_view - point.real_view))
 
 
-def isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None) -> float:
-    """Relative defect of (f^* G)(p) = G(p) in Frobenius norm."""
+def admitted_image(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> ChartPoint:
+    """f(p), or ChartDomainError if the chart does not admit it."""
     image = mapping.apply(point)
     if not chart.admits(image):
         raise ChartDomainError(f"f({point.holo}) escapes {chart.label}")
+    return image
+
+
+def isometry_residual(
+    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None, image=None
+) -> float:
+    """Relative defect of (f^* G)(p) = G(p) in Frobenius norm.
+
+    Here and below ``image`` is f(p), already admitted by the chart, when the
+    caller holds it.
+    """
+    image = admitted_image(mapping, chart, point) if image is None else image
     D = mapping.jacobian_real(point) if D is None else D
     G_p = chart.geometry(point).G
     G_f = chart.geometry(image).G
     return float(np.linalg.norm(D.T @ G_f @ D - G_p) / np.linalg.norm(G_p))
 
 
-def anti_isometry_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None) -> float:
+def anti_isometry_residual(
+    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None, image=None
+) -> float:
     """Relative defect of (f^* w)(p) = -w(p) for the Kahler form."""
-    image = mapping.apply(point)
-    if not chart.admits(image):
-        raise ChartDomainError(f"f({point.holo}) escapes {chart.label}")
+    image = admitted_image(mapping, chart, point) if image is None else image
     D = mapping.jacobian_real(point) if D is None else D
     W_p = chart.geometry(point).kahler_form
     W_f = chart.geometry(image).kahler_form
     return float(np.linalg.norm(D.T @ W_f @ D + W_p) / np.linalg.norm(W_p))
 
 
-def potential_invariance_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> float:
-    image = mapping.apply(point)
+def potential_invariance_residual(
+    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, image=None
+) -> float:
+    image = mapping.apply(point) if image is None else image
     return abs(chart.potential_value(image) - chart.potential_value(point))
 
 

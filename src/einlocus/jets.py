@@ -72,6 +72,7 @@ class JetSpace:
         self._key_base = (capacity + 1) ** np.arange(nvars, dtype=np.int64)
         self._keys = self.indices @ self._key_base
         self._tensor_tables = {}
+        self._fd_table = None
         self._build_mult_table()
         self._build_deriv_tables()
 
@@ -357,24 +358,47 @@ _CENTRAL_STENCILS = {
 }
 
 
-def _fd_partial(func, x0, alpha, h, cache):
-    """Tensor-product central-difference estimate of the alpha partial."""
-    offsets = [()]
-    weights = [1.0]
-    for v, k in enumerate(alpha):
-        offs, wts = _CENTRAL_STENCILS[k]
-        offsets = [o + (s,) for o in offsets for s in offs]
-        weights = [w * c for w in weights for c in wts]
-    total = 0.0
-    for off, w in zip(offsets, weights):
-        key = off
-        if key not in cache:
-            x = x0.copy()
-            for v, s in enumerate(off):
-                x[v] += s * h
-            cache[key] = func(x)
-        total += w * cache[key]
-    return total / h ** sum(alpha)
+def _fd_stencils(space):
+    """Every coefficient's tensor-product central-difference stencil at the
+    two Richardson steps, as one table per space: built on first use, then
+    cached on the space.
+
+    Returns ``(offsets, terms)``.  ``offsets`` holds the distinct integer
+    offset vectors (in units of the step) in first-use order.  A lift
+    evaluates them at step h and then at h/2, and sums into one vector of
+    2 * size slots: the coefficients at step h, then at h/2.  ``terms[j]``
+    is ``(slots, rows, weights)`` for the j-th stencil term (at most 16):
+    the slots whose stencil has a j-th term, the row of its value and its
+    weight.  Adding the terms up in j order sums each coefficient in the
+    order of its per-variable stencils.
+    """
+    if space._fd_table is None:
+        first_use = {}
+        rows, weights = [], []
+        for alpha in space.indices:
+            offs, wts = [()], [1.0]
+            for k in alpha:
+                o, c = _CENTRAL_STENCILS[int(k)]
+                offs = [prev + (s,) for prev in offs for s in o]
+                wts = [w * x for w in wts for x in c]
+            rows.append([first_use.setdefault(off, len(first_use)) for off in offs])
+            weights.append(wts)
+        count = len(first_use)
+        terms = []
+        for j in range(max(map(len, rows))):
+            live = np.array([p for p, r in enumerate(rows) if len(r) > j], dtype=np.int64)
+            row = np.array([rows[p][j] for p in live], dtype=np.int64)
+            weight = np.array([weights[p][j] for p in live])
+            terms.append(
+                (
+                    np.concatenate([live, live + space.size]),
+                    np.concatenate([row, row + count]),
+                    np.concatenate([weight, weight]),
+                )
+            )
+        offsets = np.array(list(first_use), dtype=float)
+        space._fd_table = (offsets, terms)
+    return space._fd_table
 
 
 def lift_callable_to_jet(func, base_real, order=DEFAULT_ORDER, scale=1.0):
@@ -382,17 +406,19 @@ def lift_callable_to_jet(func, base_real, order=DEFAULT_ORDER, scale=1.0):
     differences with one Richardson step.  Low precision compared to the
     exact lift; callers should surface that in reports.
 
-    ``func`` maps a real coordinate vector (length 2n) to a float.
+    ``func`` maps a real coordinate vector (length 2n) to a float.  It is
+    called once per distinct stencil offset at step h and once at h/2.
     """
     x0 = np.asarray(base_real, dtype=float)
     space = jet_space(len(x0), order)
+    offsets, terms = _fd_stencils(space)
     h = FD_STEP_FACTOR * max(scale, 1e-8)
-    coeffs = np.zeros(space.size, dtype=np.complex128)
-    cache_h, cache_h2 = {}, {}
-    for pos in range(space.size):
-        alpha = tuple(int(e) for e in space.indices[pos])
-        d_h = _fd_partial(func, x0, alpha, h, cache_h)
-        d_h2 = _fd_partial(func, x0, alpha, h / 2.0, cache_h2)
-        deriv = (4.0 * d_h2 - d_h) / 3.0
-        coeffs[pos] = deriv / space._fact[pos]
-    return Jet(space, coeffs, order)
+    steps = (h, h / 2.0)
+    points = np.concatenate([x0 + offsets * s for s in steps])
+    values = np.array([func(x) for x in points])
+    total = np.zeros(2 * space.size, dtype=np.result_type(values, float))
+    for slots, rows, weights in terms:
+        total[slots] += weights * values[rows]
+    powers = np.array([[s**k for k in range(order + 1)] for s in steps])
+    d_h, d_h2 = total.reshape(2, space.size) / powers[:, space.degree]
+    return Jet(space, ((4.0 * d_h2 - d_h) / 3.0 / space._fact).astype(np.complex128), order)

@@ -233,12 +233,16 @@ class LocusGeometry:
         return self._get("frame", build)
 
     @property
+    def jacobian(self):
+        """d(param)/dt at the base parameter, real 2n x m."""
+        return self._get("jacobian", lambda: self.locus.jacobian(self.t))
+
+    @property
     def frame_in_param_basis(self):
         """Coefficients c with e_a = sum_d c[a, d] T_d at the base parameter."""
 
         def build():
-            J_loc = self.locus.jacobian(self.t)
-            sol, *_ = np.linalg.lstsq(J_loc, self.frame.tangent.T, rcond=None)
+            sol, *_ = np.linalg.lstsq(self.jacobian, self.frame.tangent.T, rcond=None)
             return sol.T
 
         return self._get("frame_coeffs", build)
@@ -315,7 +319,7 @@ def locus_point(chart: PotentialChart, locus: FixedLocusParam, t) -> LocusPoint:
         t=lg.t,
         point=lg.point,
         frame=lg.frame,
-        jacobian=locus.jacobian(lg.t),
+        jacobian=lg.jacobian,
         chart=chart,
         locus=locus,
     )

@@ -226,9 +226,15 @@ class ChartGeometry:
 
         def build():
             g = self._wirtinger((True, False))
+            if not np.all(np.isfinite(g)):
+                raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
             eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
             floor = DEGENERACY_RATIO * np.linalg.norm(self._partials(2))
-            if eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0) or eigs[-1] <= floor:
+            if (
+                not np.all(np.isfinite(eigs))
+                or eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0)
+                or eigs[-1] <= floor
+            ):
                 raise DegenerateMetricError(
                     f"metric degenerate at {self.point.holo}: eigenvalues {eigs}"
                 )

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .antiholo import (
+    admitted_image,
     anti_isometry_residual,
     antiholomorphy_residual,
     fixed_locus_residual,
@@ -281,21 +282,22 @@ def _stages(bundle, config, tol, report, finish):
         return finish(EXIT_HYPOTHESES_FAILED)
     mapping = bundle.mapping
 
-    # -- stage 2: map residuals, one Jacobian per ambient point ------------------------
+    # -- stage 2: map residuals, one Jacobian and one image per ambient point ----------
     anti_res, iso_res, antiiso_res, poti_res = [], [], [], []
     escapes = 0
     for p in ambient:
         D = mapping.jacobian_real(p)
         anti_res.append(antiholomorphy_residual(mapping, p, D))
         try:
-            iso = isometry_residual(mapping, chart, p, D)
-            antiiso = anti_isometry_residual(mapping, chart, p, D)
+            image = admitted_image(mapping, chart, p)
+            iso = isometry_residual(mapping, chart, p, D, image=image)
+            antiiso = anti_isometry_residual(mapping, chart, p, D, image=image)
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             escapes += 1
             continue
         iso_res.append(iso)
         antiiso_res.append(antiiso)
-        poti_res.append(potential_invariance_residual(mapping, chart, p))
+        poti_res.append(potential_invariance_residual(mapping, chart, p, image=image))
     checks["antiholomorphy"] = _stat(anti_res)
     gates_ok = _hypothesis(hyp, "antiholomorphy", max(anti_res), tol.gate_antiholo)
 
@@ -350,8 +352,7 @@ def _stages(bundle, config, tol, report, finish):
             rejected += 1
             continue
         fixed_res.append(fixed_locus_residual(mapping, locus, t))
-        J = locus.jacobian(t)
-        sv = np.linalg.svd(J, compute_uv=False)
+        sv = np.linalg.svd(locus_geometry(chart, locus, t).jacobian, compute_uv=False)
         rank_sv.append(float(sv[-1]))
         try:
             lpoints.append(locus_point(chart, locus, t))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from einlocus import RealTangent
+from einlocus import RealTangent, jets
 from einlocus.coords import wirtinger, wirtinger_jet
 from einlocus.sampling import sample_chart_points
 
@@ -64,6 +64,43 @@ def ricci_pairing(ric, v, w):
     """The real Ricci tensor of Ricci coefficients: 2 Re(V^j Ric_jk conj(W^k))."""
     return float(2.0 * np.real(v.holo_components @ ric @ np.conj(w.holo_components)))
 
+
+
+def _fd_partial(func, x0, alpha, h, cache):
+    """Tensor-product central-difference estimate of the alpha partial."""
+    offsets = [()]
+    weights = [1.0]
+    for v, k in enumerate(alpha):
+        offs, wts = jets._CENTRAL_STENCILS[k]
+        offsets = [o + (s,) for o in offsets for s in offs]
+        weights = [w * c for w in weights for c in wts]
+    total = 0.0
+    for off, w in zip(offsets, weights):
+        key = off
+        if key not in cache:
+            x = x0.copy()
+            for v, s in enumerate(off):
+                x[v] += s * h
+            cache[key] = func(x)
+        total += w * cache[key]
+    return total / h ** sum(alpha)
+
+
+def scalar_fd_lift(func, base_real, order=jets.DEFAULT_ORDER, scale=1.0):
+    """The finite-difference lift one coefficient at a time, in scalar Python:
+    the reference the stencil-table lift must reproduce bit for bit."""
+    x0 = np.asarray(base_real, dtype=float)
+    space = jets.jet_space(len(x0), order)
+    h = jets.FD_STEP_FACTOR * max(scale, 1e-8)
+    coeffs = np.zeros(space.size, dtype=np.complex128)
+    cache_h, cache_h2 = {}, {}
+    for pos in range(space.size):
+        alpha = tuple(int(e) for e in space.indices[pos])
+        d_h = _fd_partial(func, x0, alpha, h, cache_h)
+        d_h2 = _fd_partial(func, x0, alpha, h / 2.0, cache_h2)
+        deriv = (4.0 * d_h2 - d_h) / 3.0
+        coeffs[pos] = deriv / space._fact[pos]
+    return jets.Jet(space, coeffs, order)
 
 @pytest.fixture(scope="session")
 def rng():

@@ -1,5 +1,7 @@
 """Anti-holomorphic maps: residuals, pullbacks, fixed loci."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from einlocus import (
     FixedLocusParam,
     PotentialChart,
     RealTangent,
+    SamplingConfig,
     anti_isometry_residual,
     antiholomorphy_residual,
     apply_J,
@@ -22,6 +25,7 @@ from einlocus import (
     potential_invariance_residual,
     pullback_potential,
     pushforward,
+    verdict,
 )
 from einlocus.antiholo import involution_residual, pullback_consistency_residual
 
@@ -165,3 +169,23 @@ def test_find_fixed_point_diagnostic():
     start = ChartPoint((0.4 + 0.3j,))
     found = find_fixed_point(CONJ1, start)
     assert abs(found.holo[0].imag) < 1e-10
+
+
+def test_stage_two_applies_the_map_once_per_ambient_point(monkeypatch):
+    # with no locus and no declared involution, only the stage-2 residual
+    # loop applies the map: the image is computed once and shared by the
+    # isometry, anti-isometry and potential-invariance residuals
+    cpn2 = builtin_cpn(2)
+    bundle = replace(cpn2, mapping=replace(cpn2.mapping, declared_involution=False), locus=None)
+    calls = []
+    apply = AntiholoMap.apply
+
+    def counting(self, point):
+        calls.append(point)
+        return apply(self, point)
+
+    monkeypatch.setattr(AntiholoMap, "apply", counting)
+    report = verdict(bundle, SamplingConfig(12, 12, seed=0))
+    assert not report.data["hypotheses"]["locus_present"]["passed"]
+    assert report.data["counts"]["map_escapes"] == 0
+    assert len(calls) == report.data["counts"]["ambient_admitted"] == 12

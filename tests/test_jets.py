@@ -11,6 +11,8 @@ from einlocus.coords import wirtinger
 from einlocus.jets import lift_callable_to_jet
 from einlocus.metrics import lift_to_jet
 
+from conftest import scalar_fd_lift
+
 
 # -- independent oracle: dense dict-based polynomial arithmetic -----------------
 
@@ -246,3 +248,25 @@ def test_finite_difference_fallback_accuracy():
         assert approx.partial(alpha).real == pytest.approx(
             exact.partial(alpha).real, abs=2e-3, rel=1e-3
         )
+
+
+def _recording_black_box(points):
+    def black_box(x):
+        points.append(x.tobytes())
+        return float(np.log1p(x @ x) + np.sin(x[0]) * x[-1] ** 3)
+
+    return black_box
+
+
+@pytest.mark.parametrize("n, evals", [(1, 42), (2, 274), (3, 1210)])
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_stencil_table_lift_matches_scalar_loop_bit_for_bit(n, evals, scale):
+    rng = np.random.default_rng(n)
+    for base in rng.uniform(-0.8, 0.8, size=(3, 2 * n)):
+        table_points, scalar_points = [], []
+        table = lift_callable_to_jet(_recording_black_box(table_points), base, scale=scale)
+        scalar = scalar_fd_lift(_recording_black_box(scalar_points), base, scale=scale)
+        assert table.coeffs.tobytes() == scalar.coeffs.tobytes()
+        assert table.order == scalar.order and table.space is scalar.space
+        assert len(table_points) == evals
+        assert sorted(table_points) == sorted(scalar_points)

@@ -12,6 +12,7 @@ from einlocus import (
     PotentialChart,
     RankDeficiencyError,
     RealTangent,
+    SamplingConfig,
     apply_J,
     build_frame,
     builtin_cpn,
@@ -26,7 +27,9 @@ from einlocus import (
     second_fundamental_form,
     sff_max_norm,
     totally_real_residual,
+    verdict,
 )
+from einlocus import locus as locus_module
 from einlocus.locus import intrinsic_ricci_on_frame, locus_geometry
 from einlocus.sampling import sample_parameters
 
@@ -282,3 +285,22 @@ def test_frame_trace_identity():
         assert total == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
         oracle = laplace_log_det_ricci(geom)
         assert total == pytest.approx(ricci_pairing(oracle, v, w), abs=1e-8)
+
+
+def test_one_locus_jacobian_per_locus_point(monkeypatch):
+    # the stage-4 rank test, locus_point and the frame's parameter
+    # coefficients all read the Jacobian cached on the locus geometry
+    locus_module._locus_geometry.cache_clear()
+    calls = []
+    jacobian = FixedLocusParam.jacobian
+
+    def counting(self, t):
+        calls.append(t)
+        return jacobian(self, t)
+
+    monkeypatch.setattr(FixedLocusParam, "jacobian", counting)
+    report = verdict(builtin_cpn(2), SamplingConfig(8, 8, seed=3))
+    counts = report.data["counts"]
+    assert report.exit_code == 0
+    assert counts["locus_admitted"] == 8
+    assert len(calls) == 8

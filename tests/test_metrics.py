@@ -31,6 +31,7 @@ from einlocus import (
 )
 from einlocus import jets
 from einlocus.realcurv import curvature_from_metric_jets
+from einlocus.sampling import sample_chart_points
 
 from conftest import (
     admitted_points,
@@ -306,22 +307,21 @@ def test_vanishing_metric_is_a_degenerate_verdict():
     assert counts["ambient_rejected_degenerate"] > 0
 
 
-def test_fd_scale_sets_finite_difference_step(monkeypatch):
-    steps = set()
-    fd_partial = jets._fd_partial
-
-    def recording(func, x0, alpha, h, cache):
-        steps.add(h)
-        return fd_partial(func, x0, alpha, h, cache)
-
-    monkeypatch.setattr(jets, "_fd_partial", recording)
+def test_fd_scale_sets_finite_difference_step():
     for scale in (1.0, 4.0):
+        steps = set()
+
+        def black_box(xy):
+            # at the origin the mixed-partial stencil points (+-s, +-s) sit one
+            # step s out along both axes, and no other point is on a diagonal
+            if xy[0] != 0.0 and abs(xy[0]) == abs(xy[1]):
+                steps.add(abs(xy[0]))
+            return float(np.log1p(xy @ xy))
+
         chart = PotentialChart(
-            1, lambda xy: float(np.log1p(xy @ xy)), ((-1.0, 1.0),) * 2,
-            label=f"black-box-{scale}", fd_scale=scale,
+            1, black_box, ((-1.0, 1.0),) * 2, label=f"black-box-{scale}", fd_scale=scale,
         )
-        steps.clear()
-        ChartGeometry(chart, ChartPoint((0.3,))).psi_jet
+        ChartGeometry(chart, ChartPoint((0.0,))).psi_jet
         h = jets.FD_STEP_FACTOR * scale
         assert steps == {h, h / 2.0}
 
@@ -358,3 +358,18 @@ def test_domain_violation_rejected():
     with pytest.raises(ChartDomainError):
         metric_at(fenced, ChartPoint((0.1,)))
     assert metric_at(fenced, ChartPoint((0.8,))).matrix == pytest.approx(np.eye(1))
+
+
+def test_non_finite_metric_is_degenerate():
+    # exp(1000 |w|^2) overflows over most of the box; with numpy warnings
+    # silenced the overflowed metrics are NaN, and must be rejected rather
+    # than admitted by a degeneracy test whose comparisons are all False
+    chart = PotentialChart(
+        1, ("exp", ("*", 1000, ("abs2", "w1"))), ((-1.0, 1.0),) * 2, label="exp-1000"
+    )
+    with np.errstate(all="ignore"):
+        points, stats = sample_chart_points(chart, 10, seed=0)
+        assert stats.rejected_degenerate > 0
+        assert all(np.all(np.isfinite(chart.geometry(p).g)) for p in points)
+        with pytest.raises(DegenerateMetricError, match="not finite"):
+            ChartGeometry(chart, ChartPoint((0.9 + 0.9j,))).g
