@@ -31,7 +31,6 @@ from .criterion import (
     SpectralVerdict,
     TraceOperatorAt,
     j_normal_curvature,
-    mixed_curvature_trace,
     spectral_test,
     trace_operator_at,
 )
@@ -49,33 +48,15 @@ from .errors import (
 from .jets import Jet, JetSpace, jet_space, lift_callable_to_jet
 from .locus import (
     FramePair,
-    LocusPoint,
-    build_frame,
+    LocusGeometry,
     intrinsic_ricci_on_frame,
     lagrangian_residual,
     locus_point,
     project_tn,
     restricted_ricci,
-    second_fundamental_form,
-    sff_max_norm,
     totally_real_residual,
 )
-from .metrics import (
-    ChartGeometry,
-    HermitianMetric,
-    KahlerCurvature,
-    PotentialChart,
-    christoffel_real,
-    curvature_at,
-    curvature_endomorphism,
-    einstein_residual,
-    kahler_form_at,
-    lift_to_jet,
-    metric_at,
-    real_metric_at,
-    ricci_form_at,
-    riemann_real,
-)
+from .metrics import ChartGeometry, PotentialChart, einstein_residual, lift_to_jet
 from .sampling import SamplingConfig, halton_points, sample_chart_points
 from .specfile import bundle_from_dict, bundle_to_dict, load_spec, save_spec
 from .verify import (

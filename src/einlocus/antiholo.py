@@ -19,7 +19,7 @@ from . import exprs
 from .coords import ChartPoint, RealTangent, j_matrix
 from .errors import ChartDomainError, NonAnalyticFieldError
 from .jets import jet_space
-from .metrics import PotentialChart
+from .metrics import PotentialChart, coordinate_jets
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,19 @@ class AntiholoMap:
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
         """The 2n x 2n real Jacobian Df at a point, from order-1 jets."""
-        n = self.dimension
-        space = jet_space(2 * n, 1)
-        coords = []
-        for j, z in enumerate(point.holo):
-            coords.append(space.variable(2 * j, z.real) + 1j * space.variable(2 * j + 1, z.imag))
-        env = self._env(coords)
-        D = np.empty((2 * n, 2 * n))
-        for k, comp in enumerate(self.components):
-            jet = exprs.evaluate(comp, env)
-            if not hasattr(jet, "deriv"):
-                jet = space.constant(jet)
-            for r in range(2 * n):
-                d = jet.deriv(r).value
-                D[2 * k, r] = d.real
-                D[2 * k + 1, r] = d.imag
-        return D
+        coords = coordinate_jets(point, order=1)
+        env, space = self._env(coords), coords[0].space
+        jets = [exprs.evaluate(comp, env) for comp in self.components]
+        return _real_jacobian([j if hasattr(j, "deriv") else space.constant(j) for j in jets])
+
+
+def _real_jacobian(jets) -> np.ndarray:
+    """The real Jacobian of complex-valued jets: row 2k holds the real and
+    row 2k + 1 the imaginary part of the gradient of jets[k]."""
+    grad = np.array([jet.derivative_tensor(1) for jet in jets])
+    D = np.empty((2 * grad.shape[0], grad.shape[1]))
+    D[0::2], D[1::2] = grad.real, grad.imag
+    return D
 
 
 def pushforward(mapping: AntiholoMap, point: ChartPoint, v: RealTangent) -> RealTangent:
@@ -195,15 +192,7 @@ class FixedLocusParam:
 
     def jacobian(self, t) -> np.ndarray:
         """Real 2n x m Jacobian d(param)/dt."""
-        jets = self.component_jets(t, order=1)
-        n, m = self.dimension, self.n_params
-        J = np.empty((2 * n, m))
-        for k, jet in enumerate(jets):
-            for d in range(m):
-                val = jet.deriv(d).value
-                J[2 * k, d] = val.real
-                J[2 * k + 1, d] = val.imag
-        return J
+        return _real_jacobian(self.component_jets(t, order=1))
 
     def in_box(self, t) -> bool:
         return all(lo <= x <= hi for x, (lo, hi) in zip(t, self.box))

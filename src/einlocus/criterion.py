@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import RealTangent, apply_J, j_matrix
-from .locus import LocusPoint, map_normal_projector, mixed_curvature_form
-from .metrics import PotentialChart
+from .locus import FramePair, LocusGeometry, map_normal_projector, mixed_curvature_form
+from .metrics import ChartGeometry, PotentialChart
 
 DEFAULT_TOL_SYM = 1e-6
 DEFAULT_TOL_EIG = 1e-5
@@ -35,7 +35,7 @@ def _frame_normal_projector(frame, G) -> np.ndarray:
 
 def j_normal_curvature(
     chart: PotentialChart,
-    lp: LocusPoint,
+    lp: LocusGeometry,
     zeta: RealTangent,
     eta: RealTangent,
     rho: RealTangent,
@@ -47,23 +47,17 @@ def j_normal_curvature(
     totally real submanifold).  ``projector`` overrides the frame-based
     normal projection matrix, e.g. with :func:`map_normal_projector`.
     """
-    geom = chart.geometry(lp.point)
+    geom = lp.geom
     u = geom.curvature_endomorphism(apply_J(zeta), eta, rho).components
     P = _frame_normal_projector(lp.frame, geom.G) if projector is None else projector
     return apply_J(RealTangent(P @ u, lp.point))
 
 
-def mixed_curvature_trace(
-    chart: PotentialChart, lp: LocusPoint, zeta: RealTangent, eta: RealTangent
-) -> float:
-    """sum_a Rm(J e_a, zeta, eta, J e_a) over the normal half of the frame."""
-    return float(zeta.components @ mixed_curvature_form(chart, lp) @ eta.components)
-
-
-def mixed_curvature_matrix(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:
-    """The mixed trace evaluated on frame pairs: out[a, b] on (e_a, e_b)."""
-    E = lp.frame.tangent
-    return E @ mixed_curvature_form(chart, lp) @ E.T
+def mixed_curvature_matrix(geom: ChartGeometry, frame: FramePair) -> np.ndarray:
+    """The mixed trace sum_c Rm(J e_c, e_a, e_b, J e_c) on frame pairs:
+    out[a, b] on (e_a, e_b)."""
+    E = frame.tangent
+    return E @ mixed_curvature_form(geom, frame) @ E.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +72,6 @@ class TraceOperatorAt:
 
     matrix: np.ndarray
     cross_matrix: np.ndarray
-    base: LocusPoint
 
     @property
     def route_agreement(self) -> float:
@@ -89,18 +82,18 @@ class TraceOperatorAt:
 
 
 def trace_operator_at(
-    chart: PotentialChart, lp: LocusPoint, projector=None, frame=None
+    chart: PotentialChart, lp: LocusGeometry, projector=None, frame=None
 ) -> TraceOperatorAt:
-    frame = frame if frame is not None else lp.frame
-    if frame is not lp.frame:
-        lp = LocusPoint(lp.t, lp.point, frame, lp.jacobian, lp.chart, lp.locus)
-    geom = chart.geometry(lp.point)
+    """The trace operator at a locus point, on ``frame`` (default: the
+    point's canonical frame)."""
+    frame = lp.frame if frame is None else frame
+    geom = lp.geom
     E, N, G = frame.tangent, frame.normal, geom.G
     P = _frame_normal_projector(frame, G) if projector is None else projector
     # cov[a] = sum_c Rm(J e_c, e_a, e_c, .), contracted over the frame first
     cov = E @ np.tensordot(N.T @ E, geom.riemann_tensor, axes=([0, 1], [0, 2]))
     M = E @ G @ (j_matrix(chart.dimension) @ P @ geom.G_inv @ cov.T)
-    return TraceOperatorAt(M, -mixed_curvature_matrix(chart, lp).T, lp)
+    return TraceOperatorAt(M, -mixed_curvature_matrix(geom, frame).T)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,18 @@ from functools import lru_cache
 import numpy as np
 
 from .antiholo import FixedLocusParam
-from .coords import ChartPoint, RealTangent, j_matrix
+from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_jet
 from .errors import HypothesesNotVerifiedError, NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import jet_space
-from .metrics import PotentialChart
-from .realcurv import curvature_from_metric_jets
+from .metrics import ChartGeometry, PotentialChart
+from .realcurv import curvature_from_metric_jets, real_metric_from_hermitian
 
 GS_RANK_TOL = 1e-8
+
+# Largest second fundamental form at which ``restricted_ricci`` treats the
+# locus as totally geodesic.
+GEODESIC_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +64,6 @@ class FramePair:
         stacked = np.vstack([self.tangent, self.normal])
         gram = stacked @ G @ stacked.T
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-
-
-@dataclass(frozen=True, eq=False)
-class LocusPoint:
-    """A locus parameter with its chart point, frame and parametrization data."""
-
-    t: tuple
-    point: ChartPoint
-    frame: FramePair
-    jacobian: np.ndarray
-    chart: PotentialChart
-    locus: FixedLocusParam
 
 
 class LocusGeometry:
@@ -116,20 +108,22 @@ class LocusGeometry:
         return self._get("T", build)
 
     def _combined_potential_jet(self):
-        """The potential expanded jointly in (parameters, chart displacement)."""
+        """The potential expanded jointly in (chart displacement, parameters):
+        variables 0..2n-1 are the interleaved real displacement, so Wirtinger
+        derivatives apply as on a chart jet, and the parameters follow."""
         if callable(self.chart.potential):
             raise NonAnalyticFieldError("the joint expansion needs an expression potential")
         n, m = self.n, self.m
-        comb = jet_space(m + 2 * n, 4)
+        comb = jet_space(2 * n + m, 4)
         t_env = {
-            name: comb.variable(d, self.t[d])
+            name: comb.variable(2 * n + d, self.t[d])
             for d, name in enumerate(coord_names(m, prefix="t"))
         }
         w0 = [evaluate(c, t_env) for c in self.locus.components]
         coords = []
         for j in range(n):
-            u = comb.variable(m + 2 * j)
-            v = comb.variable(m + 2 * j + 1)
+            u = comb.variable(2 * j)
+            v = comb.variable(2 * j + 1)
             base = w0[j] if hasattr(w0[j], "deriv") else comb.constant(w0[j])
             coords.append(base + u + 1j * v)
         env = dict(zip(coord_names(n), coords))
@@ -143,30 +137,13 @@ class LocusGeometry:
         def build():
             n, m = self.n, self.m
             psi = self._combined_potential_jet()
-            comb = psi.space
-
-            def dz(jet, j):
-                return (jet.deriv(m + 2 * j) - 1j * jet.deriv(m + 2 * j + 1)) * 0.5
-
-            def dzbar(jet, j):
-                return (jet.deriv(m + 2 * j) + 1j * jet.deriv(m + 2 * j + 1)) * 0.5
-
             tspace = jet_space(m, 4)
-            keep = tuple(range(self.m))
+            keep = tuple(range(2 * n, 2 * n + m))
             g_t = [
-                [dz(dzbar(psi, k), j).restrict(keep, tspace) for k in range(n)]
+                [wirtinger_jet(psi, (j,), (k,)).restrict(keep, tspace) for k in range(n)]
                 for j in range(n)
             ]
-            G = [[None] * (2 * n) for _ in range(2 * n)]
-            for j in range(n):
-                for k in range(n):
-                    re2 = 2.0 * g_t[j][k].real
-                    im2 = 2.0 * g_t[j][k].imag
-                    G[2 * j][2 * k] = re2
-                    G[2 * j][2 * k + 1] = im2
-                    G[2 * j + 1][2 * k] = -1.0 * im2
-                    G[2 * j + 1][2 * k + 1] = re2
-            return G
+            return real_metric_from_hermitian(g_t)
 
         return self._get("G_t", build)
 
@@ -192,11 +169,9 @@ class LocusGeometry:
 
         def build():
             m = self.m
-            z1 = np.array([w.derivative_tensor(1) for w in self.param_jets])  # [k, d]
             z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
-            T = np.empty((m, 2 * self.n))
+            T = self.jacobian.T
             dT = np.empty((m, m, 2 * self.n))  # dT[d, c] = d T_d / d t_c
-            T[:, 0::2], T[:, 1::2] = z1.real.T, z1.imag.T
             dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(2, 1, 0), z2.imag.transpose(2, 1, 0)
             G = self.geom.G
             dG = np.einsum("eab,ce->cab", self.geom.dG, T)  # d G / d t_c
@@ -309,30 +284,22 @@ def locus_geometry(chart, locus, t) -> LocusGeometry:
 # -- module-level operations ------------------------------------------------------
 
 
-def build_frame(chart: PotentialChart, locus: FixedLocusParam, t) -> FramePair:
-    return locus_geometry(chart, locus, t).frame
-
-
-def locus_point(chart: PotentialChart, locus: FixedLocusParam, t) -> LocusPoint:
+def locus_point(chart: PotentialChart, locus: FixedLocusParam, t) -> LocusGeometry:
+    """The cached locus geometry at t with its frame built, so that a
+    degenerate parametrization raises RankDeficiencyError here."""
     lg = locus_geometry(chart, locus, t)
-    return LocusPoint(
-        t=lg.t,
-        point=lg.point,
-        frame=lg.frame,
-        jacobian=lg.jacobian,
-        chart=chart,
-        locus=locus,
-    )
+    lg.frame
+    return lg
 
 
-def totally_real_residual(chart: PotentialChart, lp: LocusPoint) -> float:
+def totally_real_residual(chart: PotentialChart, lp: LocusGeometry) -> float:
     """Failure of the tangent space to meet its J-image orthogonally,
     combined with the rank defect of the joint 2n-frame.
 
     Zero means totally real with orthogonal splitting; a J-invariant
     tangent direction scores 1.
     """
-    G = chart.geometry(lp.point).G
+    G = lp.geom.G
     cross = lp.frame.tangent @ G @ lp.frame.normal.T
     stacked = np.vstack([lp.frame.tangent, lp.frame.normal])
     rank = np.linalg.matrix_rank(stacked, tol=1e-8)
@@ -353,60 +320,43 @@ def project_tn(mapping, chart: PotentialChart, point: ChartPoint, v: RealTangent
     return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
 
 
-def second_fundamental_form(chart, locus, t, a, b) -> RealTangent:
-    return locus_geometry(chart, locus, t).second_fundamental_form(a, b)
-
-
-def sff_max_norm(chart, locus, t) -> float:
-    return locus_geometry(chart, locus, t).sff_max_norm
-
-
-def lagrangian_residual(chart: PotentialChart, lp: LocusPoint) -> float:
-    omega = chart.geometry(lp.point).kahler_form
+def lagrangian_residual(chart: PotentialChart, lp: LocusGeometry) -> float:
+    omega = lp.geom.kahler_form
     vals = lp.frame.tangent @ omega @ lp.frame.tangent.T
     return float(np.max(np.abs(vals)))
 
 
 def restricted_ricci(
-    chart: PotentialChart,
-    lp: LocusPoint,
-    zeta: RealTangent,
-    eta: RealTangent,
-    h_residual=None,
-    h_tol=1e-6,
+    chart: PotentialChart, lp: LocusGeometry, zeta: RealTangent, eta: RealTangent
 ) -> float:
     """Ricci of the induced metric through the ambient splitting:
     Ric_g(zeta, eta) - sum_a Rm(J e_a, zeta, eta, J e_a).
 
-    Requires the locus to be totally geodesic; pass a precomputed
-    ``h_residual`` or it is measured here and enforced against ``h_tol``.
+    Requires the locus to be totally geodesic: the second fundamental form
+    is measured here and enforced against ``GEODESIC_TOL``.
     """
-    lg = locus_geometry(chart, lp.locus, lp.t)
-    if h_residual is None:
-        h_residual = lg.sff_max_norm
-    if h_residual > h_tol:
+    h = lp.sff_max_norm
+    if h > GEODESIC_TOL:
         raise HypothesesNotVerifiedError(
-            f"second fundamental form residual {h_residual:.3g} exceeds {h_tol:.3g}"
+            f"second fundamental form residual {h:.3g} exceeds {GEODESIC_TOL:.3g}"
         )
-    mixed = zeta.components @ mixed_curvature_form(chart, lp) @ eta.components
-    return float(chart.geometry(lp.point).ricci_real(zeta, eta) - mixed)
+    mixed = zeta.components @ mixed_curvature_form(lp.geom, lp.frame) @ eta.components
+    return float(lp.geom.ricci_real(zeta, eta) - mixed)
 
 
-def mixed_curvature_form(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:
+def mixed_curvature_form(geom: ChartGeometry, frame: FramePair) -> np.ndarray:
     """K[y, z] = sum_a Rm(J e_a, d_y, d_z, J e_a) over the normal frame, as one
     contraction of the chart's Riemann tensor with N^T N."""
-    N = lp.frame.normal
-    return np.tensordot(N.T @ N, chart.geometry(lp.point).riemann_tensor, axes=([0, 1], [0, 3]))
+    N = frame.normal
+    return np.tensordot(N.T @ N, geom.riemann_tensor, axes=([0, 1], [0, 3]))
 
 
-def intrinsic_ricci_on_frame(chart: PotentialChart, lp: LocusPoint) -> np.ndarray:
+def intrinsic_ricci_on_frame(chart: PotentialChart, lp: LocusGeometry) -> np.ndarray:
     """Intrinsic Ricci of the induced metric, expressed on the frame.
 
     Independent of the ambient-splitting route: the induced metric is
     differentiated in the parameters and run through the Christoffel
     pipeline, then contracted with the frame coefficients.
     """
-    lg = locus_geometry(chart, lp.locus, lp.t)
-    ric_param = lg.intrinsic_curvature["ricci"]
-    C = lg.frame_in_param_basis
-    return C @ ric_param @ C.T
+    C = lp.frame_in_param_basis
+    return C @ lp.intrinsic_curvature["ricci"] @ C.T

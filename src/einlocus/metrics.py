@@ -133,47 +133,6 @@ class PotentialChart:
         return _geometry_at(self, point)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMetric:
-    matrix: np.ndarray
-    base: ChartPoint
-
-    def hermitian_defect(self):
-        m = self.matrix
-        return float(np.linalg.norm(m - m.conj().T) / (1.0 + np.linalg.norm(m)))
-
-
-@dataclass(frozen=True, eq=False)
-class RealMetricAt:
-    matrix: np.ndarray
-    base: ChartPoint
-
-
-@dataclass(frozen=True, eq=False)
-class KahlerCurvature:
-    """Complex curvature coefficients R[i, j, k, l] of type (i, jbar, k, lbar)."""
-
-    tensor: np.ndarray
-    base: ChartPoint
-
-    def hermitian_defect(self):
-        R = self.tensor
-        return float(np.max(np.abs(np.conj(R) - R.transpose(1, 0, 3, 2))))
-
-    def kahler_defect(self):
-        R = self.tensor
-        return float(np.max(np.abs(R - R.transpose(2, 1, 0, 3))))
-
-
-@dataclass(frozen=True, eq=False)
-class KahlerForm:
-    matrix: np.ndarray
-    base: ChartPoint
-
-    def __call__(self, v: RealTangent, w: RealTangent) -> float:
-        return float(v.components @ self.matrix @ w.components)
-
-
 class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
@@ -391,41 +350,6 @@ def _real_metric_matrix(g):
 @lru_cache(maxsize=4096)
 def _geometry_at(chart, point):
     return ChartGeometry(chart, point)
-
-
-# -- module-level operations (thin wrappers over the geometry cache) -------------
-
-
-def metric_at(chart, point) -> HermitianMetric:
-    return HermitianMetric(chart.geometry(point).g, point)
-
-
-def real_metric_at(chart, point) -> RealMetricAt:
-    return RealMetricAt(chart.geometry(point).G, point)
-
-
-def kahler_form_at(chart, point) -> KahlerForm:
-    return KahlerForm(chart.geometry(point).kahler_form, point)
-
-
-def ricci_form_at(chart, point) -> HermitianMetric:
-    return HermitianMetric(chart.geometry(point).ricci, point)
-
-
-def curvature_at(chart, point) -> KahlerCurvature:
-    return KahlerCurvature(chart.geometry(point).curvature, point)
-
-
-def christoffel_real(chart, point):
-    return chart.geometry(point).christoffel
-
-
-def riemann_real(chart, point, zeta, eta, rho, upsilon) -> float:
-    return chart.geometry(point).riemann(zeta, eta, rho, upsilon)
-
-
-def curvature_endomorphism(chart, point, zeta, eta, rho) -> RealTangent:
-    return chart.geometry(point).curvature_endomorphism(zeta, eta, rho)
 
 
 # Entries smaller than this fraction of the metric norm are too noisy for

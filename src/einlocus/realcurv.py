@@ -15,6 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def real_metric_from_hermitian(g_jets):
+    """G = 2 Re / Im blocks of a Hermitian metric g given as a matrix of jets,
+    in the interleaved real basis: the jet form of G(v, w) = 2 Re(g V conj(W))."""
+    n = len(g_jets)
+    G = [[None] * (2 * n) for _ in range(2 * n)]
+    for j, row in enumerate(g_jets):
+        for k, gjk in enumerate(row):
+            re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
+            G[2 * j][2 * k] = re2
+            G[2 * j][2 * k + 1] = im2
+            G[2 * j + 1][2 * k] = -1.0 * im2
+            G[2 * j + 1][2 * k + 1] = re2
+    return G
+
+
 def jet_matrix_mul(A, B):
     m, k, n = len(A), len(B), len(B[0])
     out = [[None] * n for _ in range(m)]

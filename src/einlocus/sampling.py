@@ -16,6 +16,9 @@ from .errors import DegenerateMetricError
 
 DEFAULT_MARGIN = 0.05
 
+# Candidates tried per requested chart point before sampling gives up.
+MAX_CANDIDATE_FACTOR = 40
+
 
 def _first_primes(k):
     primes = []
@@ -74,16 +77,17 @@ class SampleStats:
     rejected_degenerate: int = 0
 
 
-def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN, max_factor=40):
+def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
     """Admitted chart points plus rejection statistics.
 
     Points outside the domain predicate or with a degenerate metric are
     skipped and counted; the stream is extended until ``count`` admitted
-    points are found or ``max_factor * count`` candidates were tried.
+    points are found or ``MAX_CANDIDATE_FACTOR * count`` candidates were
+    tried.
     """
     stats = SampleStats(requested=count)
     accepted = []
-    budget = max_factor * count
+    budget = MAX_CANDIDATE_FACTOR * count
     raw = box_points(chart.box, budget, seed=seed, margin=margin)
     for row in raw:
         if len(accepted) >= count:

@@ -377,7 +377,7 @@ def _stages(bundle, config, tol, report, finish):
     checks["totally_real"] = _stat(treal)
     gates_ok &= _hypothesis(hyp, "totally_real", max(treal), tol.gate_totally_real)
 
-    h_res = [locus_geometry(chart, lp.locus, lp.t).sff_max_norm for lp in lpoints]
+    h_res = [lp.sff_max_norm for lp in lpoints]
     checks["second_fundamental_form"] = _stat(h_res)
     gates_ok &= _hypothesis(hyp, "totally_geodesic", max(h_res), tol.gate_geodesic)
 
@@ -414,7 +414,7 @@ def _stages(bundle, config, tol, report, finish):
         # restricted-Ricci route (the biconditional cross-check), Ric minus the
         # mixed trace -cross^T; the gates above established total geodesy
         E, nloc = lp.frame.tangent, lp.frame.n
-        R_res = E @ chart.geometry(lp.point).Ric @ E.T + op.cross_matrix.T
+        R_res = E @ lp.geom.Ric @ E.T + op.cross_matrix.T
         kappa_pt = float(np.trace(R_res) / nloc)
         kappa_values.append(kappa_pt)
         restricted_spread.append(

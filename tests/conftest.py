@@ -3,6 +3,7 @@ import pytest
 
 from einlocus import RealTangent, jets
 from einlocus.coords import wirtinger, wirtinger_jet
+from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
 
@@ -26,16 +27,7 @@ def metric_jets(geom):
 
 def real_metric_jets(geom):
     """G_ab as jets, in the interleaved real basis, from the metric jets."""
-    n = geom.n
-    G = [[None] * (2 * n) for _ in range(2 * n)]
-    for j, row in enumerate(metric_jets(geom)):
-        for k, gjk in enumerate(row):
-            re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
-            G[2 * j][2 * k] = re2
-            G[2 * j][2 * k + 1] = im2
-            G[2 * j + 1][2 * k] = -1.0 * im2
-            G[2 * j + 1][2 * k + 1] = re2
-    return G
+    return real_metric_from_hermitian(metric_jets(geom))
 
 
 def _jet_det(m):

@@ -17,21 +17,18 @@ from einlocus import (
     apply_J,
     builtin_cpn,
     builtin_flat_torus,
-    curvature_endomorphism,
     einstein_residual,
     locus_point,
     make_builtin,
     project_tn,
     pullback_potential,
-    riemann_real,
     run_verify,
-    sff_max_norm,
     spectral_test,
     trace_operator_at,
 )
 from einlocus.bundles import DEFAULT_SUITE, ManifoldBundle, _conjugation, _real_slice
 from einlocus.criterion import map_normal_projector
-from einlocus.locus import FixedLocusParam
+from einlocus.locus import FixedLocusParam, locus_geometry
 from einlocus.sampling import SamplingConfig, sample_chart_points, sample_parameters
 
 from conftest import admitted_points, random_tangents
@@ -83,12 +80,12 @@ def test_criterion_03_totally_geodesic_loci():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         for t in sample_parameters(bundle.locus, 8, seed=103):
-            worst_rp = max(worst_rp, sff_max_norm(bundle.chart, bundle.locus, t))
+            worst_rp = max(worst_rp, locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm)
     worst_q = 0.0
     for n in (1, 2, 3):
         bundle = make_builtin("quadric", n)
         for t in sample_parameters(bundle.locus, 8, seed=104):
-            worst_q = max(worst_q, sff_max_norm(bundle.chart, bundle.locus, t))
+            worst_q = max(worst_q, locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm)
     euclid = PotentialChart(1, ("*", 0.5, ("abs2", "w1")), ((-3.0, 3.0),) * 2, label="euclid")
     circle_ok = True
     circle_vals = []
@@ -96,7 +93,7 @@ def test_criterion_03_totally_geodesic_loci():
         circle = FixedLocusParam(
             (("*", r, ("exp", ("*", "I", "t1"))),), ((-0.7, 0.7),), label=f"circle-{r}"
         )
-        h = sff_max_norm(euclid, circle, (0.2,))
+        h = locus_geometry(euclid, circle, (0.2,)).sff_max_norm
         circle_vals.append(f"r={r}: {h:.4f}")
         circle_ok &= abs(h - 1.0 / r) <= 0.05 / r
     ok = worst_rp < 1e-7 and worst_q < 1e-6 and circle_ok
@@ -207,14 +204,11 @@ def test_criterion_08_commutation_and_bianchi():
     while count < 1000:
         p = pts[count % len(pts)]
         z, e, r, u = random_tangents(p, 4, seed=int(rng.integers(1 << 30)))
-        lhs = curvature_endomorphism(chart, p, z, e, apply_J(r)).components
-        rhs = apply_J(curvature_endomorphism(chart, p, z, e, r)).components
+        geom = chart.geometry(p)
+        lhs = geom.curvature_endomorphism(z, e, apply_J(r)).components
+        rhs = apply_J(geom.curvature_endomorphism(z, e, r)).components
         worst_comm = max(worst_comm, float(np.linalg.norm(lhs - rhs)))
-        b = (
-            riemann_real(chart, p, z, e, r, u)
-            + riemann_real(chart, p, e, r, z, u)
-            + riemann_real(chart, p, r, z, e, u)
-        )
+        b = geom.riemann(z, e, r, u) + geom.riemann(e, r, z, u) + geom.riemann(r, z, e, u)
         worst_bianchi = max(worst_bianchi, abs(b))
         count += 1
     ok = worst_comm < 1e-9 and worst_bianchi < 1e-9

@@ -21,7 +21,6 @@ from einlocus import (
     find_fixed_point,
     fixed_locus_residual,
     isometry_residual,
-    metric_at,
     potential_invariance_residual,
     pullback_potential,
     pushforward,
@@ -118,15 +117,13 @@ def test_pullback_potential_flat_scaling():
     double = AntiholoMap((("*", 2, ("conj", "w1")),), label="2conj")
     pulled = pullback_potential(double, FLAT1)
     p = ChartPoint((0.3 + 0.1j,))
-    assert metric_at(pulled, p).matrix == pytest.approx(4.0 * np.eye(1))
+    assert pulled.geometry(p).g == pytest.approx(4.0 * np.eye(1))
 
 
 def test_pullback_potential_conjugation_identity():
     pulled = pullback_potential(CONJ2, FS2)
     for p in admitted_points(FS2, 5, seed=7):
-        assert metric_at(pulled, p).matrix == pytest.approx(
-            metric_at(FS2, p).matrix, abs=1e-13
-        )
+        assert pulled.geometry(p).g == pytest.approx(FS2.geometry(p).g, abs=1e-13)
 
 
 def test_pullback_preserves_einstein_constant():

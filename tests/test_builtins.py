@@ -13,7 +13,6 @@ from einlocus import (
     einstein_residual,
     list_builtins,
     make_builtin,
-    metric_at,
     run_verify,
 )
 from einlocus.bundles import DEFAULT_SUITE
@@ -58,7 +57,7 @@ def test_top_of_builtin_range(name, n, expected):
 
 def test_cpn_basics():
     b = builtin_cpn(1)
-    assert metric_at(b.chart, ChartPoint((0.0,))).matrix == pytest.approx(np.eye(1))
+    assert b.chart.geometry(ChartPoint((0.0,))).g == pytest.approx(np.eye(1))
     b2 = builtin_cpn(2)
     lam, res = einstein_residual(b2.chart, admitted_points(b2.chart, 20, seed=1))
     assert lam == pytest.approx(3.0, abs=1e-9)
@@ -84,7 +83,7 @@ def test_quadric_metric_positive_definite():
     pts, stats = sample_chart_points(q.chart, 50, seed=3)
     assert len(pts) == 50
     for p in pts:
-        eigs = np.linalg.eigvalsh(metric_at(q.chart, p).matrix)
+        eigs = np.linalg.eigvalsh(q.chart.geometry(p).g)
         assert eigs[0] > 0
 
 
@@ -110,8 +109,8 @@ def test_toric_fs_reproduces_projective_metric():
     toric = builtin_toric_fs(2)
     fs = builtin_cpn(2)
     for p in admitted_points(toric.chart, 10, seed=5):
-        gt = metric_at(toric.chart, p).matrix
-        gf = metric_at(fs.chart, p).matrix
+        gt = toric.chart.geometry(p).g
+        gf = fs.chart.geometry(p).g
         assert np.max(np.abs(gt - gf)) < 1e-10
 
 
@@ -120,7 +119,7 @@ def test_toric_flat_matches_hand_formula():
     for p in admitted_points(toric.chart, 8, seed=6):
         z = np.array(p.holo)
         want = np.diag(1.0 / (np.abs(z) ** 2)).astype(complex)
-        got = metric_at(toric.chart, p).matrix
+        got = toric.chart.geometry(p).g
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -168,7 +167,7 @@ def test_every_builtin_passes_gates_and_is_einstein():
 
 
 def test_curvature_j_commutation_on_every_builtin():
-    from einlocus import apply_J, curvature_endomorphism
+    from einlocus import apply_J
 
     from conftest import random_tangents
 
@@ -176,8 +175,9 @@ def test_curvature_j_commutation_on_every_builtin():
         bundle = make_builtin(name, n)
         for i, p in enumerate(admitted_points(bundle.chart, 5, seed=14)):
             z, e, r = random_tangents(p, 3, seed=i)
-            lhs = curvature_endomorphism(bundle.chart, p, z, e, apply_J(r)).components
-            rhs = apply_J(curvature_endomorphism(bundle.chart, p, z, e, r)).components
+            geom = bundle.chart.geometry(p)
+            lhs = geom.curvature_endomorphism(z, e, apply_J(r)).components
+            rhs = apply_J(geom.curvature_endomorphism(z, e, r)).components
             assert np.linalg.norm(lhs - rhs) < 1e-9, bundle.label
 
 

@@ -12,12 +12,12 @@ from einlocus import (
     builtin_flat_torus,
     j_normal_curvature,
     locus_point,
-    mixed_curvature_trace,
     spectral_test,
     trace_operator_at,
     verdict,
 )
 from einlocus.criterion import map_normal_projector, mixed_curvature_matrix
+from einlocus.locus import mixed_curvature_form
 from einlocus.sampling import sample_parameters
 
 
@@ -104,11 +104,12 @@ def test_mixed_trace_symmetry_and_route_sign():
     for t in sample_parameters(b.locus, 4, seed=4):
         lp = locus_point(b.chart, b.locus, t)
         es = lp.frame.tangent_vectors()
-        m01 = mixed_curvature_trace(b.chart, lp, es[0], es[1])
-        m10 = mixed_curvature_trace(b.chart, lp, es[1], es[0])
+        K = mixed_curvature_form(lp.geom, lp.frame)
+        m01 = float(es[0].components @ K @ es[1].components)
+        m10 = float(es[1].components @ K @ es[0].components)
         assert m01 == pytest.approx(m10, abs=1e-9)
         op = trace_operator_at(b.chart, lp)
-        M = mixed_curvature_matrix(b.chart, lp)
+        M = mixed_curvature_matrix(lp.geom, lp.frame)
         assert np.max(np.abs(op.matrix + M.T)) < 1e-8
 
 
@@ -120,12 +121,13 @@ def test_mixed_trace_per_direction_structure():
     je1 = lp.frame.normal_vectors()[0]
     geom = b1.chart.geometry(lp.point)
     single = geom.riemann(je1, e1, e1, je1)
-    assert single == pytest.approx(mixed_curvature_trace(b1.chart, lp, e1, e1))
+    K = mixed_curvature_form(lp.geom, lp.frame)
+    assert single == pytest.approx(float(e1.components @ K @ e1.components))
     # higher dimensions: the summed trace is proportional to the metric on
     # the frame even though individual summands are not
     b2 = builtin_cpn(2)
     lp2 = locus_point(b2.chart, b2.locus, (0.3, -0.1))
-    M = mixed_curvature_matrix(b2.chart, lp2)
+    M = mixed_curvature_matrix(lp2.geom, lp2.frame)
     c = M[0, 0]
     assert M == pytest.approx(c * np.eye(2), abs=1e-9)
 

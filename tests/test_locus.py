@@ -14,7 +14,6 @@ from einlocus import (
     RealTangent,
     SamplingConfig,
     apply_J,
-    build_frame,
     builtin_cpn,
     builtin_flat_torus,
     builtin_quadric,
@@ -23,9 +22,6 @@ from einlocus import (
     locus_point,
     project_tn,
     restricted_ricci,
-    riemann_real,
-    second_fundamental_form,
-    sff_max_norm,
     totally_real_residual,
     verdict,
 )
@@ -60,7 +56,7 @@ def test_frame_orthonormality_across_builtins():
     for bundle in (builtin_cpn(1), builtin_cpn(2), builtin_quadric(2), builtin_flat_torus(2)):
         chart, locus = bundle.chart, bundle.locus
         for t in sample_parameters(locus, 50, seed=1):
-            frame = build_frame(chart, locus, t)
+            frame = locus_geometry(chart, locus, t).frame
             G = chart.geometry(frame.base).G
             assert frame.orthonormality_defect(G) < 1e-10
             # normal half is J of the tangent half, exactly
@@ -72,7 +68,7 @@ def test_frame_orthonormality_across_builtins():
 def test_rp1_frame_is_normalized_x_direction():
     chart = builtin_cpn(1).chart
     locus = builtin_cpn(1).locus
-    frame = build_frame(chart, locus, (0.4,))
+    frame = locus_geometry(chart, locus, (0.4,)).frame
     G = chart.geometry(frame.base).G
     expected = np.array([1.0, 0.0]) / np.sqrt(G[0, 0])
     assert frame.tangent[0] == pytest.approx(expected)
@@ -80,7 +76,7 @@ def test_rp1_frame_is_normalized_x_direction():
 
 def test_flat_slice_frame_is_rescaled_basis():
     bundle = builtin_flat_torus(2)
-    frame = build_frame(bundle.chart, bundle.locus, (0.1, -0.2))
+    frame = locus_geometry(bundle.chart, bundle.locus, (0.1, -0.2)).frame
     # G = 2 Id, so the frame is the x-basis divided by sqrt(2)
     want = np.zeros((2, 4))
     want[0, 0] = want[1, 2] = 1.0 / np.sqrt(2.0)
@@ -92,7 +88,20 @@ def test_rank_deficient_parametrization_raises():
         components=("t1", "t1"), box=((-1.0, 1.0),) * 2, label="collapsed"
     )
     with pytest.raises(RankDeficiencyError):
-        build_frame(FLAT2, degenerate, (0.2, 0.3))
+        locus_geometry(FLAT2, degenerate, (0.2, 0.3)).frame
+    # locus_point builds the frame, so the verdict's stage 4 sees the error
+    with pytest.raises(RankDeficiencyError):
+        locus_point(FLAT2, degenerate, (0.25, 0.35))
+
+
+def test_locus_point_is_the_cached_locus_geometry():
+    # one object per locus point: locus_point builds the frame on the cached
+    # geometry and returns that very object
+    bundle = builtin_cpn(2)
+    t = (0.25, -0.4)
+    lp = locus_point(bundle.chart, bundle.locus, t)
+    assert lp is locus_geometry(bundle.chart, bundle.locus, t)
+    assert lp is locus_module._locus_geometry(bundle.chart, bundle.locus, t)
 
 
 def jet_gram_schmidt(lg):
@@ -201,27 +210,27 @@ def test_second_fundamental_form_vanishes_on_real_forms():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         for t in sample_parameters(bundle.locus, 6, seed=4):
-            assert sff_max_norm(bundle.chart, bundle.locus, t) < 1e-8
+            assert locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm < 1e-8
     for n in (1, 2):
         q = builtin_quadric(n)
         for t in sample_parameters(q.locus, 6, seed=5):
-            assert sff_max_norm(q.chart, q.locus, t) < 1e-7
+            assert locus_geometry(q.chart, q.locus, t).sff_max_norm < 1e-7
 
 
 def test_second_fundamental_form_symmetry():
     q = builtin_quadric(2)
-    lp_t = (0.21, -0.17)
+    lg = locus_geometry(q.chart, q.locus, (0.21, -0.17))
     for a in range(2):
         for b in range(2):
-            hab = second_fundamental_form(q.chart, q.locus, lp_t, a, b).components
-            hba = second_fundamental_form(q.chart, q.locus, lp_t, b, a).components
+            hab = lg.second_fundamental_form(a, b).components
+            hba = lg.second_fundamental_form(b, a).components
             assert np.max(np.abs(hab - hba)) < 1e-9
 
 
 def test_circle_control_recovers_classical_curvature():
     # euclidean plane: a circle of radius r has curvature 1/r
     for r in (0.5, 1.0, 2.0):
-        h = sff_max_norm(EUCLID1, circle_locus(r), (0.15,))
+        h = locus_geometry(EUCLID1, circle_locus(r), (0.15,)).sff_max_norm
         assert h == pytest.approx(1.0 / r, rel=0.05)
 
 
@@ -281,7 +290,7 @@ def test_frame_trace_identity():
         v, w = random_tangents(lp.point, 2, seed=i)
         total = 0.0
         for e in lp.frame.tangent_vectors() + lp.frame.normal_vectors():
-            total += riemann_real(b2.chart, lp.point, e, v, w, e)
+            total += geom.riemann(e, v, w, e)
         assert total == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
         oracle = laplace_log_det_ricci(geom)
         assert total == pytest.approx(ricci_pairing(oracle, v, w), abs=1e-8)

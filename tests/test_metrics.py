@@ -17,16 +17,8 @@ from einlocus import (
     SamplingConfig,
     apply_J,
     builtin_cpn,
-    christoffel_real,
-    curvature_at,
-    curvature_endomorphism,
     einstein_residual,
-    kahler_form_at,
     make_builtin,
-    metric_at,
-    real_metric_at,
-    ricci_form_at,
-    riemann_real,
     verdict,
 )
 from einlocus import jets
@@ -56,30 +48,26 @@ def fs_metric_formula(w):
 
 
 def test_fs_metric_values():
-    assert metric_at(FS1, ChartPoint((0.0,))).matrix == pytest.approx(np.array([[1.0]]))
-    assert metric_at(FS1, ChartPoint((1.0,))).matrix == pytest.approx(np.array([[0.25]]))
+    assert FS1.geometry(ChartPoint((0.0,))).g == pytest.approx(np.array([[1.0]]))
+    assert FS1.geometry(ChartPoint((1.0,))).g == pytest.approx(np.array([[0.25]]))
     for w in [(0.3 + 0.4j,), (0.9 - 0.2j,)]:
-        got = metric_at(FS1, ChartPoint(w)).matrix
+        got = FS1.geometry(ChartPoint(w)).g
         assert got == pytest.approx(fs_metric_formula(w), abs=1e-13)
     w2 = (0.2 - 0.7j, -0.4 + 0.1j)
-    assert metric_at(FS2, ChartPoint(w2)).matrix == pytest.approx(
-        fs_metric_formula(w2), abs=1e-13
-    )
+    assert FS2.geometry(ChartPoint(w2)).g == pytest.approx(fs_metric_formula(w2), abs=1e-13)
 
 
 def test_flat_metric_is_identity():
     for p in admitted_points(FLAT2, 5):
-        assert metric_at(FLAT2, p).matrix == pytest.approx(np.eye(2))
+        assert FLAT2.geometry(p).g == pytest.approx(np.eye(2))
 
 
 def test_real_metric_normalization_and_j_invariance():
     flat1 = PotentialChart(1, ("abs2", "w1"), ((-1, 1),) * 2, label="flat-1")
-    assert real_metric_at(flat1, ChartPoint((0.1 + 0.2j,))).matrix == pytest.approx(
-        2.0 * np.eye(2)
-    )
-    assert real_metric_at(FS1, ChartPoint((0.0,))).matrix == pytest.approx(2.0 * np.eye(2))
+    assert flat1.geometry(ChartPoint((0.1 + 0.2j,))).G == pytest.approx(2.0 * np.eye(2))
+    assert FS1.geometry(ChartPoint((0.0,))).G == pytest.approx(2.0 * np.eye(2))
     for i, p in enumerate(admitted_points(FS2, 6)):
-        G = real_metric_at(FS2, p).matrix
+        G = FS2.geometry(p).G
         assert np.linalg.norm(G - G.T) < 1e-12
         assert np.min(np.linalg.eigvalsh(G)) > 0
         for v in random_tangents(p, 3, seed=i):
@@ -92,13 +80,17 @@ def test_real_metric_normalization_and_j_invariance():
 def test_kahler_form():
     flat1 = PotentialChart(1, ("abs2", "w1"), ((-1, 1),) * 2, label="flat-1")
     p = ChartPoint((0.2 - 0.1j,))
-    omega = kahler_form_at(flat1, p)
+
+    def pairing(W):
+        return lambda v, w: float(v.components @ W @ w.components)
+
+    omega = pairing(flat1.geometry(p).kahler_form)
     dx = RealTangent(np.array([1.0, 0.0]), p)
     dy = RealTangent(np.array([0.0, 1.0]), p)
     assert omega(dx, dy) == pytest.approx(2.0)
     assert omega(dx, dx) == 0.0
     for i, p in enumerate(admitted_points(FS2, 4)):
-        omega = kahler_form_at(FS2, p)
+        omega = pairing(FS2.geometry(p).kahler_form)
         for v, w in zip(random_tangents(p, 3, seed=i), random_tangents(p, 3, seed=i + 50)):
             assert omega(v, v) == pytest.approx(0.0, abs=1e-14)
             assert omega(v, w) == pytest.approx(-omega(w, v), abs=1e-13)
@@ -107,15 +99,15 @@ def test_kahler_form():
 
 def test_ricci_flat_and_fs():
     for p in admitted_points(FLAT2, 4):
-        assert np.max(np.abs(ricci_form_at(FLAT2, p).matrix)) < 1e-14
+        assert np.max(np.abs(FLAT2.geometry(p).ricci)) < 1e-14
     # constant Ricci/metric ratio over >= 20 points for each dimension
     for chart, expected in [(FS1, 2.0), (FS2, 3.0), (builtin_cpn(3).chart, 4.0)]:
         pts = admitted_points(chart, 20, seed=3)
         for p in pts:
-            ric = ricci_form_at(chart, p).matrix
-            g = metric_at(chart, p).matrix
+            geom = chart.geometry(p)
+            ric, g = geom.ricci, geom.g
             assert np.max(np.abs(ric - expected * g)) < 1e-11
-            oracle = laplace_log_det_ricci(chart.geometry(p))
+            oracle = laplace_log_det_ricci(geom)
             assert np.max(np.abs(oracle - expected * g)) < 1e-11
     assert len(admitted_points(FS1, 20, seed=3)) == 20
 
@@ -145,11 +137,12 @@ def test_einstein_residual_needs_two_points():
 
 def test_curvature_flat_and_symmetries():
     for p in admitted_points(FLAT2, 3):
-        assert np.max(np.abs(curvature_at(FLAT2, p).tensor)) < 1e-14
+        assert np.max(np.abs(FLAT2.geometry(p).curvature)) < 1e-14
     for p in admitted_points(FS2, 8, seed=5):
-        K = curvature_at(FS2, p)
-        assert K.hermitian_defect() < 1e-10
-        assert K.kahler_defect() < 1e-10
+        R = FS2.geometry(p).curvature
+        # conj(R_{i jbar k lbar}) = R_{j ibar l kbar}, and R_{i jbar k lbar} = R_{k jbar i lbar}
+        assert np.max(np.abs(np.conj(R) - R.transpose(1, 0, 3, 2))) < 1e-10
+        assert np.max(np.abs(R - R.transpose(2, 1, 0, 3))) < 1e-10
 
 
 def test_curvature_fs_cp1_constant_sectional():
@@ -170,13 +163,14 @@ def test_curvature_fs_cp1_constant_sectional():
 def test_riemann_real_antisymmetry_and_flatness():
     p = admitted_points(FS2, 1, seed=11)[0]
     vs = random_tangents(p, 4, seed=11)
-    a = riemann_real(FS2, p, *vs)
-    b = riemann_real(FS2, p, vs[1], vs[0], vs[2], vs[3])
+    geom = FS2.geometry(p)
+    a = geom.riemann(*vs)
+    b = geom.riemann(vs[1], vs[0], vs[2], vs[3])
     assert a == pytest.approx(-b, abs=1e-10)
-    c = riemann_real(FS2, p, vs[0], vs[1], vs[3], vs[2])
+    c = geom.riemann(vs[0], vs[1], vs[3], vs[2])
     assert a == pytest.approx(-c, abs=1e-10)
     pf = admitted_points(FLAT2, 1)[0]
-    assert riemann_real(FLAT2, pf, *random_tangents(pf, 4)) == 0.0
+    assert FLAT2.geometry(pf).riemann(*random_tangents(pf, 4)) == 0.0
 
 
 def test_riemann_trace_reproduces_ricci():
@@ -185,9 +179,7 @@ def test_riemann_trace_reproduces_ricci():
         frame = np.linalg.cholesky(np.linalg.inv(geom.G))
         v, w = random_tangents(p, 2, seed=i)
         trace = sum(
-            riemann_real(
-                FS2, p, RealTangent(frame[:, a], p), v, w, RealTangent(frame[:, a], p)
-            )
+            geom.riemann(RealTangent(frame[:, a], p), v, w, RealTangent(frame[:, a], p))
             for a in range(4)
         )
         assert trace == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
@@ -198,36 +190,33 @@ def test_riemann_trace_reproduces_ricci():
 def test_first_bianchi_identity():
     for i, p in enumerate(admitted_points(FS2, 5, seed=17)):
         z, e, r, u = random_tangents(p, 4, seed=i + 3)
-        total = (
-            riemann_real(FS2, p, z, e, r, u)
-            + riemann_real(FS2, p, e, r, z, u)
-            + riemann_real(FS2, p, r, z, e, u)
-        )
+        geom = FS2.geometry(p)
+        total = geom.riemann(z, e, r, u) + geom.riemann(e, r, z, u) + geom.riemann(r, z, e, u)
         assert abs(total) < 1e-9
 
 
 def test_curvature_endomorphism_j_commutation_and_pairing():
     for i, p in enumerate(admitted_points(FS2, 6, seed=19)):
         z, e, r, u = random_tangents(p, 4, seed=i + 9)
-        lhs = curvature_endomorphism(FS2, p, z, e, apply_J(r)).components
-        rhs = apply_J(curvature_endomorphism(FS2, p, z, e, r)).components
+        geom = FS2.geometry(p)
+        lhs = geom.curvature_endomorphism(z, e, apply_J(r)).components
+        rhs = apply_J(geom.curvature_endomorphism(z, e, r)).components
         assert np.linalg.norm(lhs - rhs) < 1e-9
-        G = FS2.geometry(p).G
-        paired = float(curvature_endomorphism(FS2, p, z, e, r).components @ G @ u.components)
-        assert paired == pytest.approx(riemann_real(FS2, p, z, e, r, u), abs=1e-10)
+        paired = float(geom.curvature_endomorphism(z, e, r).components @ geom.G @ u.components)
+        assert paired == pytest.approx(geom.riemann(z, e, r, u), abs=1e-10)
     pf = admitted_points(FLAT2, 1)[0]
-    zero = curvature_endomorphism(FLAT2, pf, *random_tangents(pf, 3))
+    zero = FLAT2.geometry(pf).curvature_endomorphism(*random_tangents(pf, 3))
     assert np.max(np.abs(zero.components)) < 1e-14
 
 
 def test_christoffel_symmetry_flatness_compatibility():
     pf = admitted_points(FLAT2, 1)[0]
-    assert np.max(np.abs(christoffel_real(FLAT2, pf))) < 1e-14
+    assert np.max(np.abs(FLAT2.geometry(pf).christoffel)) < 1e-14
     for p in admitted_points(FS2, 4, seed=23):
-        gamma = christoffel_real(FS2, p)
+        geom = FS2.geometry(p)
+        gamma = geom.christoffel
         # torsion-free symmetry holds bit for bit
         assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
-        geom = FS2.geometry(p)
         dG, G = geom.dG, geom.G
         # metric compatibility: d_c G_ab = Gamma^e_ca G_eb + Gamma^e_cb G_ae
         recon = np.einsum("eca,eb->cab", gamma, G) + np.einsum("ecb,ae->cab", gamma, G)
@@ -285,7 +274,7 @@ def test_riemann_tensor_matches_christoffel_pipeline(name, n):
 def test_degenerate_metric_rejected():
     bad = PotentialChart(1, ("-", 0, ("abs2", "w1")), ((-1, 1),) * 2, label="negative")
     with pytest.raises(DegenerateMetricError):
-        metric_at(bad, ChartPoint((0.1,)))
+        bad.geometry(ChartPoint((0.1,))).g
 
 
 def test_vanishing_metric_is_a_degenerate_verdict():
@@ -293,7 +282,7 @@ def test_vanishing_metric_is_a_degenerate_verdict():
     # does not, so only a floor relative to the Hessian can reject it
     harmonic = PotentialChart(1, ("log", ("abs2", "w1")), ((-1.0, 1.0),) * 2, label="log-abs2")
     with pytest.raises(DegenerateMetricError):
-        metric_at(harmonic, ChartPoint((0.3 - 0.2j,)))
+        harmonic.geometry(ChartPoint((0.3 - 0.2j,))).g
     bundle = ManifoldBundle(
         chart=harmonic,
         mapping=AntiholoMap((("conj", "w1"),), declared_involution=True),
@@ -347,7 +336,7 @@ def test_domain_violation_rejected():
     from einlocus import ChartDomainError
 
     with pytest.raises(ChartDomainError):
-        metric_at(FLAT2, ChartPoint((5.0, 0.0)))  # outside the box
+        FLAT2.geometry(ChartPoint((5.0, 0.0))).g  # outside the box
     fenced = PotentialChart(
         1,
         ("abs2", "w1"),
@@ -356,8 +345,8 @@ def test_domain_violation_rejected():
         label="fenced",
     )
     with pytest.raises(ChartDomainError):
-        metric_at(fenced, ChartPoint((0.1,)))
-    assert metric_at(fenced, ChartPoint((0.8,))).matrix == pytest.approx(np.eye(1))
+        fenced.geometry(ChartPoint((0.1,))).g
+    assert fenced.geometry(ChartPoint((0.8,))).g == pytest.approx(np.eye(1))
 
 
 def test_non_finite_metric_is_degenerate():
