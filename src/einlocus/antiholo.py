@@ -198,9 +198,9 @@ class FixedLocusParam:
         return all(lo <= x <= hi for x, (lo, hi) in zip(t, self.box))
 
 
-def fixed_locus_residual(mapping: AntiholoMap, locus: FixedLocusParam, t) -> float:
-    p = locus.point(t)
-    return float(np.linalg.norm(mapping.apply(p).real_view - p.real_view))
+def fixed_locus_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
+    """|f(p) - p| at a point p of the locus."""
+    return float(np.linalg.norm(mapping.apply(point).real_view - point.real_view))
 
 
 def find_fixed_point(mapping: AntiholoMap, start: ChartPoint, steps=25, tol=1e-12):

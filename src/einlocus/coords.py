@@ -108,6 +108,31 @@ def wirtinger_matrix(n):
     return W
 
 
+def wirtinger_table(space, holo):
+    """Read-off table of the mixed Wirtinger partials of a chart jet.
+
+    ``space`` holds jets over the interleaved real variables of n complex
+    coordinates.  Slot s of the pattern ``holo`` is d/dz (True) or d/dzbar
+    (False).  Each slot's Wirtinger derivative touches only the two real
+    variables of its coordinate, so the partial at (j_1, ..., j_k) is a sum
+    of 2^k coefficients: returns ``(pos, weight)``, each (n^k, 2^k), with
+    weight = alpha! times the product over slots of the ``wirtinger_matrix``
+    entries (1/2 and -i/2, conjugated for d/dzbar).  Built once per pattern
+    and cached on the space.
+    """
+    table = space._wirtinger_tables.get(holo)
+    if table is None:
+        k, n = len(holo), space.nvars // 2
+        j = np.indices((n,) * k, dtype=np.int64).reshape(k, -1, 1)
+        bits = np.indices((2,) * k, dtype=np.int64).reshape(k, 1, -1)
+        pos = space._monomial_positions(2 * j + bits)
+        w = wirtinger_matrix(1)[0]  # d/dz on (x, y)
+        slots = np.array([w if h else w.conj() for h in holo])
+        phase = np.prod(slots[np.arange(k)[:, None], bits[:, 0, :]], axis=0)
+        table = space._wirtinger_tables[holo] = (pos, space._fact[pos] * phase)
+    return table
+
+
 def wirtinger_jet(jet, holo_indices=(), antiholo_indices=()):
     """Apply mixed Wirtinger derivatives to a jet over interleaved real
     variables, returning the derivative as a (lower-order) jet.

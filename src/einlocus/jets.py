@@ -10,6 +10,17 @@ exact polynomial operations, so no step-size error enters anywhere.
 Each jet carries an ``order`` <= capacity up to which its coefficients are
 guaranteed: differentiating costs one order, multiplying takes the minimum
 of the factors.  Coefficients above ``order`` are kept identically zero.
+
+Each jet also carries a ``degree`` <= order: a bound on the highest total
+degree whose coefficient may be nonzero.  Order says how far a jet is
+known, degree how far it can reach: a coordinate has degree 1 at every
+order, a constant degree 0, a sum takes the larger and a product the sum
+of its operands' degrees (capped at the order), and a derivative one less
+(never below 0).  The multiplication table is laid out in blocks by the
+degree pair (d1, d2) of its operand coefficients, and a product runs only
+the blocks its operands' degrees can reach, so the polynomial stages of a
+lift never multiply the exact zeros above their degree.  A jet built
+directly from coefficients is dense: degree = order.
 """
 
 from __future__ import annotations
@@ -72,6 +83,8 @@ class JetSpace:
         self._key_base = (capacity + 1) ** np.arange(nvars, dtype=np.int64)
         self._keys = self.indices @ self._key_base
         self._tensor_tables = {}
+        self._wirtinger_tables = {}
+        self._mul_selections = {}
         self._fd_table = None
         self._build_mult_table()
         self._build_deriv_tables()
@@ -81,11 +94,17 @@ class JetSpace:
         key_to_pos = {int(k): i for i, k in enumerate(keys)}
         by_deg = [np.nonzero(self.degree == d)[0] for d in range(self.capacity + 1)]
         ia_parts, ib_parts = [], []
+        # (d1, d2) -> the table slice of the block whose operand coefficients
+        # have degrees d1 and d2
+        self._mul_blocks = {}
+        start = 0
         for d1 in range(self.capacity + 1):
             for d2 in range(self.capacity + 1 - d1):
                 a, b = by_deg[d1], by_deg[d2]
                 ia_parts.append(np.repeat(a, len(b)))
                 ib_parts.append(np.tile(b, len(a)))
+                self._mul_blocks[d1, d2] = (start, start + len(ia_parts[-1]))
+                start += len(ia_parts[-1])
         ia = np.concatenate(ia_parts)
         ib = np.concatenate(ib_parts)
         out_keys = keys[ia] + keys[ib]
@@ -93,6 +112,26 @@ class JetSpace:
             (key_to_pos[int(k)] for k in out_keys), dtype=np.int64, count=len(out_keys)
         )
         self._mul_ia, self._mul_ib, self._mul_iout = ia, ib, iout
+
+    def _mul_selection(self, da, db, order):
+        """The multiplication table restricted to the blocks (d1, d2) with
+        d1 <= da, d2 <= db and d1 + d2 <= order, in table order; built on
+        first use per (da, db, order).  The full table is the selection
+        (capacity, capacity, capacity)."""
+        key = (da, db, order)
+        if key not in self._mul_selections:
+            rows = np.concatenate(
+                [
+                    np.arange(lo, hi)
+                    for (d1, d2), (lo, hi) in self._mul_blocks.items()
+                    if d1 <= da and d2 <= db and d1 + d2 <= order
+                ]
+            )
+            table = (self._mul_ia, self._mul_ib, self._mul_iout)
+            if len(rows) < len(self._mul_ia):  # the full table is not copied
+                table = tuple(t[rows] for t in table)
+            self._mul_selections[key] = table
+        return self._mul_selections[key]
 
     def _build_deriv_tables(self):
         self._deriv = []
@@ -107,16 +146,21 @@ class JetSpace:
                 fac[i] = alpha[v]
             self._deriv.append((src, dst, fac))
 
+    def _monomial_positions(self, grid):
+        """Coefficient positions of the monomials x_{grid[0]} ... x_{grid[k-1]}:
+        ``grid`` holds k variable indices along its first axis, and the
+        result has the shape of its other axes."""
+        order = np.argsort(self._keys)
+        hit = np.searchsorted(self._keys, self._key_base[grid].sum(axis=0), sorter=order)
+        return order[hit]
+
     def _tensor_table(self, k):
         """Coefficient positions and factorials alpha! of the order-k partials,
         laid out as a full (nvars,)*k array; built once per order, vectorised."""
         if k not in self._tensor_tables:
             n = self.nvars
             grid = np.indices((n,) * k, dtype=np.int64).reshape(k, -1)
-            alpha = (grid[:, :, None] == np.arange(n)).sum(axis=0)
-            order = np.argsort(self._keys)
-            hit = np.searchsorted(self._keys, alpha @ self._key_base, sorter=order)
-            pos = order[hit].reshape((n,) * k)
+            pos = self._monomial_positions(grid).reshape((n,) * k)
             self._tensor_tables[k] = (pos, self._fact[pos])
         return self._tensor_tables[k]
 
@@ -125,7 +169,7 @@ class JetSpace:
     def constant(self, value):
         coeffs = np.zeros(self.size, dtype=np.complex128)
         coeffs[0] = value
-        return Jet(self, coeffs, self.capacity)
+        return Jet(self, coeffs, self.capacity, 0)
 
     def variable(self, v, base_value=0.0):
         """The coordinate function x_v expanded around base_value."""
@@ -133,7 +177,7 @@ class JetSpace:
         coeffs[0] = base_value
         unit = (0,) * v + (1,) + (0,) * (self.nvars - v - 1)
         coeffs[self.position[unit]] = 1.0
-        return Jet(self, coeffs, self.capacity)
+        return Jet(self, coeffs, self.capacity, 1)
 
     def from_coefficients(self, mapping, order=None):
         """Build a jet from {multi-index tuple: coefficient}."""
@@ -156,14 +200,18 @@ def jet_space(nvars, capacity=DEFAULT_ORDER):
 
 
 class Jet:
-    """A truncated Taylor polynomial; immutable by convention."""
+    """A truncated Taylor polynomial; immutable by convention.
 
-    __slots__ = ("space", "coeffs", "order")
+    ``degree`` (default ``order``) bounds the total degree of its nonzero
+    coefficients; see the module docstring."""
 
-    def __init__(self, space, coeffs, order):
+    __slots__ = ("space", "coeffs", "order", "degree")
+
+    def __init__(self, space, coeffs, order, degree=None):
         self.space = space
         self.coeffs = coeffs
         self.order = order
+        self.degree = order if degree is None else degree
 
     # -- basic queries -------------------------------------------------------
 
@@ -189,25 +237,32 @@ class Jet:
         pos, fact = self.space._tensor_table(k)
         return self.coeffs[pos] * fact
 
-    def _truncated(self, coeffs, order):
+    def _truncated(self, coeffs, order, degree):
+        """A jet of ``order`` from coefficients of degree <= ``degree``: the
+        coefficients above the order are zeroed only when the degree
+        reaches past it."""
         if order < 0:
             raise JetOrderError("jet differentiated below order 0")
-        return Jet(self.space, coeffs * self.space._masks[order], order)
+        if degree > order:
+            coeffs = coeffs * self.space._masks[order]
+            degree = order
+        return Jet(self.space, coeffs, order, degree)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
             order = min(self.order, other.order)
-            return self._truncated(self.coeffs + other.coeffs, order)
+            degree = max(self.degree, other.degree)
+            return self._truncated(self.coeffs + other.coeffs, order, degree)
         coeffs = self.coeffs.copy()
         coeffs[0] += other
-        return Jet(self.space, coeffs, self.order)
+        return Jet(self.space, coeffs, self.order, self.degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order)
+        return Jet(self.space, -self.coeffs, self.order, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -217,34 +272,36 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.coeffs * other, self.order)
+            return Jet(self.space, self.coeffs * other, self.order, self.degree)
         sp = self.space
         order = min(self.order, other.order)
+        da, db = min(self.degree, order), min(other.degree, order)
+        ia, ib, iout = sp._mul_selection(da, db, order)
         prod = np.zeros(sp.size, dtype=np.complex128)
-        np.add.at(prod, sp._mul_iout, self.coeffs[sp._mul_ia] * other.coeffs[sp._mul_ib])
-        return self._truncated(prod, order)
+        np.add.at(prod, iout, self.coeffs[ia] * other.coeffs[ib])
+        return Jet(sp, prod, order, min(da + db, order))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.space, self.coeffs / other, self.order)
+        return Jet(self.space, self.coeffs / other, self.order, self.degree)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def conjugate(self):
         # The variables are real, so conjugation acts on coefficients only.
-        return Jet(self.space, np.conj(self.coeffs), self.order)
+        return Jet(self.space, np.conj(self.coeffs), self.order, self.degree)
 
     @property
     def real(self):
-        return Jet(self.space, self.coeffs.real.astype(np.complex128), self.order)
+        return Jet(self.space, self.coeffs.real.astype(np.complex128), self.order, self.degree)
 
     @property
     def imag(self):
-        return Jet(self.space, self.coeffs.imag.astype(np.complex128), self.order)
+        return Jet(self.space, self.coeffs.imag.astype(np.complex128), self.order, self.degree)
 
     # -- calculus ------------------------------------------------------------
 
@@ -253,18 +310,18 @@ class Jet:
         src, dst, fac = self.space._deriv[v]
         out = np.zeros(self.space.size, dtype=np.complex128)
         out[dst] = self.coeffs[src] * fac
-        return self._truncated(out, self.order - 1)
+        return self._truncated(out, self.order - 1, max(self.degree - 1, 0))
 
     def compose_analytic(self, taylor_coeffs):
         """Compose with a scalar analytic function given by its own Taylor
         coefficients c_k = g^(k)(value)/k! around this jet's constant term."""
         h = self.coeffs.copy()
         h[0] = 0.0
-        hjet = Jet(self.space, h, self.order)
+        hjet = Jet(self.space, h, self.order, self.degree)
         acc = self.space.constant(taylor_coeffs[self.order])
         for k in range(self.order - 1, -1, -1):
             acc = acc * hjet + taylor_coeffs[k]
-        return Jet(acc.space, acc.coeffs, self.order)
+        return Jet(acc.space, acc.coeffs, self.order, min(acc.degree, self.order))
 
     def reciprocal(self):
         u0 = self.value

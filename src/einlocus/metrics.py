@@ -1,10 +1,13 @@
 """Metric, curvature and Einstein diagnostics from a Kahler potential.
 
 Everything is generated from one scalar potential per chart, lifted once
-to its order-4 jet.  The real partial tensors of orders 2, 3 and 4 are read
-straight off the jet coefficients; the metric g, its derivatives dg and ddg
-are fixed Wirtinger contractions of them, the curvature tensor follows from
-the standard potential formula, and the Ricci form is its g-trace.  The
+to its order-4 jet.  The metric g and its derivatives dg and ddg are mixed
+Wirtinger partials of the potential, read straight off the jet
+coefficients: a read-off table per Wirtinger pattern (``coords.
+wirtinger_table``, cached on the jet space) holds the 2^k coefficient
+positions and complex weights of every entry, so each is one gather and
+one weighted sum.  The curvature tensor follows from the standard
+potential formula, and the Ricci form is its g-trace.  The
 real Riemann tensor on the coordinate basis is built from the curvature
 once per point, and every real curvature value is read off it.  The
 potential is the only thing differentiated in jet arithmetic, so the cost
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_matrix
+from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_table
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
 from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
@@ -40,15 +43,17 @@ ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
 
 def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
-    """Jets of the holomorphic coordinates z^j = x^j + i y^j around a point."""
+    """Jets of the holomorphic coordinates z^j = x^j + i y^j around a point,
+    each of degree 1, filled in one (n, size) array."""
     n = point.n
     space = jet_space(2 * n, order)
-    out = []
-    for j, z in enumerate(point.holo):
-        xj = space.variable(2 * j, z.real)
-        yj = space.variable(2 * j + 1, z.imag)
-        out.append(xj + 1j * yj)
-    return out
+    units = [space.position[(0,) * v + (1,) + (0,) * (2 * n - v - 1)] for v in range(2 * n)]
+    coeffs = np.zeros((n, space.size), dtype=np.complex128)
+    rows = np.arange(n)
+    coeffs[:, 0] = point.holo
+    coeffs[rows, units[0::2]] = 1.0
+    coeffs[rows, units[1::2]] = 1j
+    return [Jet(space, c, order, 1) for c in coeffs]
 
 
 def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
@@ -162,20 +167,16 @@ class ChartGeometry:
             lambda: lift_to_jet(self.chart.potential, self.point, fd_scale=self.chart.fd_scale),
         )
 
-    def _partials(self, k):
-        """D_k[a1, ..., ak]: the real order-k partials of the potential."""
-        return self._get(("D", k), lambda: self.psi_jet.derivative_tensor(k).real)
-
     def _wirtinger(self, holo):
-        """Contract axis s of D_k, k = len(holo), with d/dz (holo[s] true) or
-        d/dzbar."""
+        """The order-k partial of the potential, k = len(holo), with slot s a
+        d/dz (holo[s] true) or a d/dzbar: one gather from the coefficients
+        and one weighted sum, through the space's read-off table."""
 
         def build():
-            W = wirtinger_matrix(self.n)
-            out = self._partials(len(holo))
-            for h in holo:  # each contraction appends its index at the end
-                out = np.tensordot(out, W if h else W.conj(), axes=([0], [1]))
-            return out
+            psi = self.psi_jet
+            pos, weight = wirtinger_table(psi.space, holo)
+            out = (psi.coeffs.real[pos] * weight).sum(axis=-1)
+            return out.reshape((self.n,) * len(holo))
 
         return self._get(("W", holo), build)
 
@@ -188,7 +189,8 @@ class ChartGeometry:
             if not np.all(np.isfinite(g)):
                 raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
             eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            floor = DEGENERACY_RATIO * np.linalg.norm(self._partials(2))
+            hessian = self.psi_jet.derivative_tensor(2).real
+            floor = DEGENERACY_RATIO * np.linalg.norm(hessian)
             if (
                 not np.all(np.isfinite(eigs))
                 or eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0)

@@ -343,16 +343,13 @@ def _stages(bundle, config, tol, report, finish):
     fixed_res, rank_sv = [], []
     for t in params:
         try:
-            p = locus.point(t)
-            if not chart.admits(p):
-                rejected += 1
-                continue
-            chart.geometry(p).g
-        except (DegenerateMetricError, ZeroDivisionError):
+            lg = locus_geometry(chart, locus, t)  # evaluates the parametrization, once
+            lg.geom.g
+        except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             rejected += 1
             continue
-        fixed_res.append(fixed_locus_residual(mapping, locus, t))
-        sv = np.linalg.svd(locus_geometry(chart, locus, t).jacobian, compute_uv=False)
+        fixed_res.append(fixed_locus_residual(mapping, lg.point))
+        sv = np.linalg.svd(lg.jacobian, compute_uv=False)
         rank_sv.append(float(sv[-1]))
         try:
             lpoints.append(locus_point(chart, locus, t))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from einlocus import RealTangent, jets
-from einlocus.coords import wirtinger, wirtinger_jet
+from einlocus.coords import wirtinger, wirtinger_jet, wirtinger_matrix
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
@@ -28,6 +28,17 @@ def metric_jets(geom):
 def real_metric_jets(geom):
     """G_ab as jets, in the interleaved real basis, from the metric jets."""
     return real_metric_from_hermitian(metric_jets(geom))
+
+
+def tensordot_wirtinger(geom, holo):
+    """The order-k Wirtinger partial of the potential, k = len(holo), as k
+    contractions of the real partial tensor D_k with the Wirtinger matrix:
+    the reference for the read-off tables."""
+    W = wirtinger_matrix(geom.n)
+    out = geom.psi_jet.derivative_tensor(len(holo)).real
+    for h in holo:  # each contraction appends its index at the end
+        out = np.tensordot(out, W if h else W.conj(), axes=([0], [1]))
+    return out
 
 
 def _jet_det(m):

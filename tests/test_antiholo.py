@@ -146,12 +146,12 @@ def test_pullback_internal_consistency():
 def test_fixed_locus_residuals():
     b = builtin_cpn(3)
     for t in [(0.1, -0.5, 0.7), (0.0, 0.0, 0.0)]:
-        assert fixed_locus_residual(b.mapping, b.locus, t) == 0.0
+        assert fixed_locus_residual(b.mapping, b.locus.point(t)) == 0.0
     eps = 1e-3
     offset = FixedLocusParam(
         components=(("+", "t1", ("*", eps, "I")),), box=((-1.0, 1.0),), label="offset"
     )
-    got = fixed_locus_residual(CONJ1, offset, (0.3,))
+    got = fixed_locus_residual(CONJ1, offset.point((0.3,)))
     assert eps <= got <= 3 * eps  # construction: the gap is 2 eps
 
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from einlocus import ChartPoint, Jet, JetOrderError, RealTangent, apply_J, jet_space
 from einlocus.coords import wirtinger
+from einlocus.exprs import coord_names, evaluate, free_identifiers
 from einlocus.jets import lift_callable_to_jet
-from einlocus.metrics import lift_to_jet
+from einlocus.metrics import coordinate_jets, lift_to_jet
 
 from conftest import scalar_fd_lift
+from test_fuzz import expression_trees
 
 
 # -- independent oracle: dense dict-based polynomial arithmetic -----------------
@@ -270,3 +272,90 @@ def test_stencil_table_lift_matches_scalar_loop_bit_for_bit(n, evals, scale):
         assert table.order == scalar.order and table.space is scalar.space
         assert len(table_points) == evals
         assert sorted(table_points) == sorted(scalar_points)
+
+
+# -- degree: the bound on nonzero coefficients -------------------------------------
+
+
+def full_table_product(a, b):
+    """The product over the whole multiplication table, truncated at the
+    common order: the reference for the degree-selected product."""
+    space = a.space
+    prod = np.zeros(space.size, dtype=np.complex128)
+    np.add.at(prod, space._mul_iout, a.coeffs[space._mul_ia] * b.coeffs[space._mul_ib])
+    return prod * space._masks[min(a.order, b.order)]
+
+
+def random_jet(space, degree, order, rng):
+    coeffs = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+    return Jet(space, np.where(space.degree <= degree, coeffs, 0.0), order, degree)
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6, 12])
+def test_degree_selected_product_equals_full_table(nvars):
+    space = jet_space(nvars)
+    rng = np.random.default_rng(nvars)
+    for order in (space.capacity, 2):
+        for da in range(order + 1):
+            for db in range(order + 1):
+                a, b = random_jet(space, da, order, rng), random_jet(space, db, space.capacity, rng)
+                prod = a * b
+                assert np.array_equal(prod.coeffs, full_table_product(a, b)), (order, da, db)
+                assert (prod.order, prod.degree) == (order, min(da + db, order))
+
+
+def assert_degree_honest(jet):
+    assert 0 <= jet.degree <= jet.order
+    assert np.all(jet.coeffs[jet.space.degree > jet.degree] == 0)
+
+
+def test_degree_rules_of_constructors_and_operations():
+    space = jet_space(3)
+    c, x, y = space.constant(2.5), space.variable(0, 0.3), space.variable(1, -0.2)
+    assert (c.degree, x.degree) == (0, 1)
+    assert Jet(space, np.ones(space.size, dtype=complex), 3).degree == 3  # dense by default
+    assert (x + c).degree == 1 and (x * y).degree == 2 and (x * y * x).degree == 3
+    assert (x * 2.0).degree == (-x).degree == (x / 3.0).degree == (x + 1.0).degree == 1
+    assert x.conjugate().degree == x.real.degree == x.imag.degree == 1
+    assert (x * x * x * x * x).degree == space.capacity
+    # deriv costs one degree, never going below 0
+    for jet in (c, c.deriv(1), x.deriv(2), (x * y).deriv(0), (x * y).deriv(2)):
+        assert_degree_honest(jet)
+    assert (c.deriv(0).degree, c.deriv(0).order) == (0, space.capacity - 1)
+    assert not np.any(c.deriv(0).coeffs)
+    assert (x.deriv(0).degree, (x * y).deriv(0).degree, (x * y).deriv(2).degree) == (0, 1, 1)
+    # analytic compositions take the Horner accumulator's degree
+    assert c.log().degree == c.exp().degree == c.pow(-1.5).degree == 0
+    assert x.exp().degree == space.capacity
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda n: st.tuples(st.just(n), expression_trees(n).filter(free_identifiers))
+    )
+)
+def test_jet_degree_is_honest_on_grammar_trees(case):
+    n, tree = case
+    point = ChartPoint((0.3 + 0.2j, -0.4 + 0.1j)[:n])
+    env = dict(zip(coord_names(n), coordinate_jets(point)))
+    try:
+        # as in a verdict, a non-finite value raises instead of spreading
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            jet = evaluate(tree, env)
+    except ArithmeticError:
+        return
+    assert_degree_honest(jet)
+    for v in range(2 * n):
+        assert_degree_honest(jet.deriv(v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coordinate_jets_match_variable_sums_bit_for_bit(n):
+    point = ChartPoint((0.3 - 0.7j, -1.25 + 0.5j, 2.0 - 0.0625j)[:n])
+    space = jet_space(2 * n)
+    for j, jet in enumerate(coordinate_jets(point)):
+        z = point.holo[j]
+        ref = space.variable(2 * j, z.real) + 1j * space.variable(2 * j + 1, z.imag)
+        assert jet.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert (jet.order, jet.degree) == (space.capacity, 1)

@@ -313,3 +313,21 @@ def test_one_locus_jacobian_per_locus_point(monkeypatch):
     assert report.exit_code == 0
     assert counts["locus_admitted"] == 8
     assert len(calls) == 8
+
+
+def test_stage_four_evaluates_each_parameter_once(monkeypatch):
+    # admission, the fixed-locus residual and the locus geometry share the
+    # point the locus geometry evaluates
+    locus_module._locus_geometry.cache_clear()
+    calls = []
+    point = FixedLocusParam.point
+
+    def counting(self, t):
+        calls.append(tuple(t))
+        return point(self, t)
+
+    monkeypatch.setattr(FixedLocusParam, "point", counting)
+    report = verdict(builtin_cpn(2), SamplingConfig(10, 10))
+    assert report.exit_code == 0
+    assert report.data["counts"]["locus_requested"] == 10
+    assert len(calls) == len(set(calls)) == 10

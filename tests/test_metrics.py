@@ -22,6 +22,7 @@ from einlocus import (
     verdict,
 )
 from einlocus import jets
+from einlocus.bundles import BUILTINS
 from einlocus.realcurv import curvature_from_metric_jets
 from einlocus.sampling import sample_chart_points
 
@@ -31,6 +32,7 @@ from conftest import (
     random_tangents,
     real_metric_jets,
     ricci_pairing,
+    tensordot_wirtinger,
 )
 
 FS1 = builtin_cpn(1).chart
@@ -362,3 +364,36 @@ def test_non_finite_metric_is_degenerate():
         assert all(np.all(np.isfinite(chart.geometry(p).g)) for p in points)
         with pytest.raises(DegenerateMetricError, match="not finite"):
             ChartGeometry(chart, ChartPoint((0.9 + 0.9j,))).g
+
+
+WIRTINGER_PATTERNS = ((True, False), (True, True, False), (True, False, True, False))
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("cpn", "quadric", "toric-fs") for n in range(1, BUILTINS[name][2][1] + 1)],
+)
+def test_wirtinger_tables_match_tensordot_oracle(name, n):
+    chart = make_builtin(name, n).chart
+    for p in admitted_points(chart, 2, seed=n):
+        geom = chart.geometry(p)
+        for holo, got in zip(WIRTINGER_PATTERNS, (geom.g, geom.dg, geom.ddg)):
+            want = tensordot_wirtinger(geom, holo)
+            assert got.shape == want.shape == (n,) * len(holo)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, n, holo)
+
+
+def test_chart_tensors_make_no_tensordot_call(monkeypatch):
+    geom = ChartGeometry(builtin_cpn(5).chart, ChartPoint((0.1, -0.2j, 0.3, 0.1 + 0.1j, -0.4)))
+    geom.psi_jet
+    calls = []
+    tensordot = np.tensordot
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counting)
+    for name in ("g", "dg", "ddg"):
+        getattr(geom, name)
+    assert calls == []
