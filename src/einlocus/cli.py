@@ -23,7 +23,8 @@ CHECK_EXPLANATIONS = {
         "assembly error; reported, not gated",
     ),
     "real_potential": (
-        "indicator: 1 when the potential's jet has an imaginary part above 1e-8 of its size",
+        "indicator: 1 when the potential's jet in (z, zbar) is not Hermitian: some "
+        "|c(alpha, beta) - conj c(beta, alpha)| above 1e-8 (1 + its largest |c|)",
         "a Kahler potential is real-valued; a complex one defines no Hermitian "
         "metric, so the run stops at the first such point",
     ),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coords import RealTangent, apply_J, j_matrix
 from .locus import FramePair, LocusGeometry, map_normal_projector, mixed_curvature_form
-from .metrics import ChartGeometry, PotentialChart
+from .metrics import ChartGeometry
 
 DEFAULT_TOL_SYM = 1e-6
 DEFAULT_TOL_EIG = 1e-5
@@ -34,7 +34,6 @@ def _frame_normal_projector(frame, G) -> np.ndarray:
 
 
 def j_normal_curvature(
-    chart: PotentialChart,
     lp: LocusGeometry,
     zeta: RealTangent,
     eta: RealTangent,
@@ -81,9 +80,7 @@ class TraceOperatorAt:
         )
 
 
-def trace_operator_at(
-    chart: PotentialChart, lp: LocusGeometry, projector=None, frame=None
-) -> TraceOperatorAt:
+def trace_operator_at(lp: LocusGeometry, projector=None, frame=None) -> TraceOperatorAt:
     """The trace operator at a locus point, on ``frame`` (default: the
     point's canonical frame)."""
     frame = lp.frame if frame is None else frame
@@ -92,7 +89,7 @@ def trace_operator_at(
     P = _frame_normal_projector(frame, G) if projector is None else projector
     # cov[a] = sum_c Rm(J e_c, e_a, e_c, .), contracted over the frame first
     cov = E @ np.tensordot(N.T @ E, geom.riemann_tensor, axes=([0, 1], [0, 2]))
-    M = E @ G @ (j_matrix(chart.dimension) @ P @ geom.G_inv @ cov.T)
+    M = E @ G @ (j_matrix(lp.n) @ P @ geom.G_inv @ cov.T)
     return TraceOperatorAt(M, -mixed_curvature_matrix(geom, frame).T)
 
 

@@ -21,6 +21,20 @@ degree pair (d1, d2) of its operand coefficients, and a product runs only
 the blocks its operands' degrees can reach, so the polynomial stages of a
 lift never multiply the exact zeros above their degree.  A jet built
 directly from coefficients is dense: degree = order.
+
+A jet over 2n variables can also be a jet over the Wirtinger variables
+(z_1, zbar_1, ..., z_n, zbar_n), interleaved like the real ones; its
+``wirtinger`` marker says so, and is carried through every operation like
+the degree.  Its coefficient of (alpha, beta), the exponents of z and of
+zbar, is d^alpha dbar^beta f / (alpha! beta!).  Such a jet keeps only the
+index set {|alpha| <= 2, |beta| <= 2} (``WIRTINGER_BIDEGREE``), which is
+all that a metric, its derivatives and its curvature read off a potential
+(R = -d dbar g + g^-1 dg dbar g).  The set is closed under the truncated
+product, so the coefficients it keeps are exact: a product runs only the
+table terms whose result lies in the set, beside the degree blocks above.
+Conjugation swaps the z and zbar exponents and conjugates the coefficient,
+so the real part is (f + conj f) / 2.  The same space carries jets over
+real variables too; the two kinds do not mix, constants excepted.
 """
 
 from __future__ import annotations
@@ -33,6 +47,9 @@ import numpy as np
 from .errors import JetOrderError
 
 DEFAULT_ORDER = 4
+
+# Largest holomorphic and largest antiholomorphic degree a Wirtinger jet keeps.
+WIRTINGER_BIDEGREE = 2
 
 
 def _multi_indices(nvars, order):
@@ -85,6 +102,7 @@ class JetSpace:
         self._tensor_tables = {}
         self._wirtinger_tables = {}
         self._mul_selections = {}
+        self._wirtinger_set = None
         self._fd_table = None
         self._build_mult_table()
         self._build_deriv_tables()
@@ -113,12 +131,13 @@ class JetSpace:
         )
         self._mul_ia, self._mul_ib, self._mul_iout = ia, ib, iout
 
-    def _mul_selection(self, da, db, order):
+    def _mul_selection(self, da, db, order, wirtinger=False):
         """The multiplication table restricted to the blocks (d1, d2) with
-        d1 <= da, d2 <= db and d1 + d2 <= order, in table order; built on
-        first use per (da, db, order).  The full table is the selection
-        (capacity, capacity, capacity)."""
-        key = (da, db, order)
+        d1 <= da, d2 <= db and d1 + d2 <= order, in table order, and for
+        Wirtinger jets to the terms whose result lies in the kept bidegree
+        set; built on first use per key.  The full table is the selection
+        (capacity, capacity, capacity, False)."""
+        key = (da, db, order, wirtinger)
         if key not in self._mul_selections:
             rows = np.concatenate(
                 [
@@ -127,6 +146,8 @@ class JetSpace:
                     if d1 <= da and d2 <= db and d1 + d2 <= order
                 ]
             )
+            if wirtinger:
+                rows = rows[self._wirtinger_layout()[0][self._mul_iout[rows]]]
             table = (self._mul_ia, self._mul_ib, self._mul_iout)
             if len(rows) < len(self._mul_ia):  # the full table is not copied
                 table = tuple(t[rows] for t in table)
@@ -146,13 +167,28 @@ class JetSpace:
                 fac[i] = alpha[v]
             self._deriv.append((src, dst, fac))
 
+    def _wirtinger_layout(self):
+        """For jets over (z_1, zbar_1, ..., z_n, zbar_n): the mask of the kept
+        index set, and the position of every index with its z and zbar
+        exponents swapped.  Built on first use."""
+        if self._wirtinger_set is None:
+            hol, anti = self.indices[:, 0::2].sum(axis=1), self.indices[:, 1::2].sum(axis=1)
+            kept = (hol <= WIRTINGER_BIDEGREE) & (anti <= WIRTINGER_BIDEGREE)
+            swapped = self.indices.reshape(self.size, -1, 2)[:, :, ::-1]
+            swap = self._positions(swapped.reshape(self.size, -1) @ self._key_base)
+            self._wirtinger_set = (kept, swap)
+        return self._wirtinger_set
+
+    def _positions(self, keys):
+        """Coefficient positions of exponent keys (any shape)."""
+        order = np.argsort(self._keys)
+        return order[np.searchsorted(self._keys, keys, sorter=order)]
+
     def _monomial_positions(self, grid):
         """Coefficient positions of the monomials x_{grid[0]} ... x_{grid[k-1]}:
         ``grid`` holds k variable indices along its first axis, and the
         result has the shape of its other axes."""
-        order = np.argsort(self._keys)
-        hit = np.searchsorted(self._keys, self._key_base[grid].sum(axis=0), sorter=order)
-        return order[hit]
+        return self._positions(self._key_base[grid].sum(axis=0))
 
     def _tensor_table(self, k):
         """Coefficient positions and factorials alpha! of the order-k partials,
@@ -203,15 +239,17 @@ class Jet:
     """A truncated Taylor polynomial; immutable by convention.
 
     ``degree`` (default ``order``) bounds the total degree of its nonzero
-    coefficients; see the module docstring."""
+    coefficients, and ``wirtinger`` marks a jet over (z, zbar) rather than
+    over real variables; see the module docstring."""
 
-    __slots__ = ("space", "coeffs", "order", "degree")
+    __slots__ = ("space", "coeffs", "order", "degree", "wirtinger")
 
-    def __init__(self, space, coeffs, order, degree=None):
+    def __init__(self, space, coeffs, order, degree=None, wirtinger=False):
         self.space = space
         self.coeffs = coeffs
         self.order = order
         self.degree = order if degree is None else degree
+        self.wirtinger = wirtinger
 
     # -- basic queries -------------------------------------------------------
 
@@ -228,16 +266,19 @@ class Jet:
                 f"partial of total order {sum(alpha)} exceeds jet order {self.order}"
             )
         pos = self.space.position[alpha]
+        if self.wirtinger and not self.space._wirtinger_layout()[0][pos]:
+            raise JetOrderError(f"partial {alpha} lies outside the kept bidegree set")
         return complex(self.coeffs[pos] * self.space._fact[pos])
 
     def derivative_tensor(self, k):
         """The symmetric tensor of all order-k partials at the base point."""
-        if not 1 <= k <= self.order:
+        top = min(self.order, WIRTINGER_BIDEGREE) if self.wirtinger else self.order
+        if not 1 <= k <= top:
             raise JetOrderError(f"order-{k} partials of a jet of order {self.order}")
         pos, fact = self.space._tensor_table(k)
         return self.coeffs[pos] * fact
 
-    def _truncated(self, coeffs, order, degree):
+    def _truncated(self, coeffs, order, degree, wirtinger):
         """A jet of ``order`` from coefficients of degree <= ``degree``: the
         coefficients above the order are zeroed only when the degree
         reaches past it."""
@@ -246,7 +287,16 @@ class Jet:
         if degree > order:
             coeffs = coeffs * self.space._masks[order]
             degree = order
-        return Jet(self.space, coeffs, order, degree)
+        return Jet(self.space, coeffs, order, degree, wirtinger)
+
+    def _variables(self, other):
+        """Whether the result of an operation with ``other`` is over (z, zbar):
+        jets over real variables and over (z, zbar) meet only as constants."""
+        if self.wirtinger is other.wirtinger:
+            return self.wirtinger
+        if self.degree and other.degree:
+            raise ValueError("jets over real variables and over (z, zbar) do not mix")
+        return True
 
     # -- ring operations -----------------------------------------------------
 
@@ -254,15 +304,17 @@ class Jet:
         if isinstance(other, Jet):
             order = min(self.order, other.order)
             degree = max(self.degree, other.degree)
-            return self._truncated(self.coeffs + other.coeffs, order, degree)
+            return self._truncated(
+                self.coeffs + other.coeffs, order, degree, self._variables(other)
+            )
         coeffs = self.coeffs.copy()
         coeffs[0] += other
-        return Jet(self.space, coeffs, self.order, self.degree)
+        return Jet(self.space, coeffs, self.order, self.degree, self.wirtinger)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order, self.degree)
+        return Jet(self.space, -self.coeffs, self.order, self.degree, self.wirtinger)
 
     def __sub__(self, other):
         return self + (-other)
@@ -272,56 +324,69 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.coeffs * other, self.order, self.degree)
+            return Jet(self.space, self.coeffs * other, self.order, self.degree, self.wirtinger)
         sp = self.space
         order = min(self.order, other.order)
         da, db = min(self.degree, order), min(other.degree, order)
-        ia, ib, iout = sp._mul_selection(da, db, order)
+        wirtinger = self._variables(other)
+        ia, ib, iout = sp._mul_selection(da, db, order, wirtinger)
         prod = np.zeros(sp.size, dtype=np.complex128)
         np.add.at(prod, iout, self.coeffs[ia] * other.coeffs[ib])
-        return Jet(sp, prod, order, min(da + db, order))
+        return Jet(sp, prod, order, min(da + db, order), wirtinger)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.space, self.coeffs / other, self.order, self.degree)
+        return Jet(self.space, self.coeffs / other, self.order, self.degree, self.wirtinger)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def conjugate(self):
-        # The variables are real, so conjugation acts on coefficients only.
-        return Jet(self.space, np.conj(self.coeffs), self.order, self.degree)
+        """Over real variables conjugation acts on the coefficients only; over
+        (z, zbar) it also swaps the z and zbar exponents."""
+        coeffs = self.coeffs[self.space._wirtinger_layout()[1]] if self.wirtinger else self.coeffs
+        return Jet(self.space, np.conj(coeffs), self.order, self.degree, self.wirtinger)
 
     @property
     def real(self):
+        if self.wirtinger:
+            coeffs = 0.5 * (self.coeffs + self.conjugate().coeffs)
+            return Jet(self.space, coeffs, self.order, self.degree, True)
         return Jet(self.space, self.coeffs.real.astype(np.complex128), self.order, self.degree)
 
     @property
     def imag(self):
+        if self.wirtinger:
+            coeffs = -0.5j * (self.coeffs - self.conjugate().coeffs)
+            return Jet(self.space, coeffs, self.order, self.degree, True)
         return Jet(self.space, self.coeffs.imag.astype(np.complex128), self.order, self.degree)
 
     # -- calculus ------------------------------------------------------------
 
     def deriv(self, v):
-        """Partial derivative with respect to variable v; costs one order."""
+        """Partial derivative with respect to variable v; costs one order.
+        A (z, zbar) jet is read off, never differentiated: its kept set does
+        not hold the coefficients a derivative would need."""
+        if self.wirtinger:
+            raise JetOrderError("a jet over (z, zbar) cannot be differentiated exactly")
         src, dst, fac = self.space._deriv[v]
         out = np.zeros(self.space.size, dtype=np.complex128)
         out[dst] = self.coeffs[src] * fac
-        return self._truncated(out, self.order - 1, max(self.degree - 1, 0))
+        return self._truncated(out, self.order - 1, max(self.degree - 1, 0), False)
 
     def compose_analytic(self, taylor_coeffs):
         """Compose with a scalar analytic function given by its own Taylor
         coefficients c_k = g^(k)(value)/k! around this jet's constant term."""
         h = self.coeffs.copy()
         h[0] = 0.0
-        hjet = Jet(self.space, h, self.order, self.degree)
+        hjet = Jet(self.space, h, self.order, self.degree, self.wirtinger)
         acc = self.space.constant(taylor_coeffs[self.order])
         for k in range(self.order - 1, -1, -1):
             acc = acc * hjet + taylor_coeffs[k]
-        return Jet(acc.space, acc.coeffs, self.order, min(acc.degree, self.order))
+        return Jet(acc.space, acc.coeffs, self.order, min(acc.degree, self.order), self.wirtinger)
 
     def reciprocal(self):
         u0 = self.value
@@ -363,7 +428,7 @@ class Jet:
         if p < 0:
             return self.reciprocal()._int_pow(-p)
         acc = self.space.constant(1.0)
-        acc.order = self.order
+        acc.order, acc.wirtinger = self.order, self.wirtinger
         base = self
         while p:
             if p & 1:

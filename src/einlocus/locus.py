@@ -1,13 +1,14 @@
 """Frames, projections and curvature restricted to a parametrized locus.
 
 The canonical frame at a locus point is the Gram-Schmidt orthonormalization
-(with one re-orthogonalization pass, in parameter order) of the coordinate
-basis d(param)/dt, paired with its image under J.  The second fundamental
+(in parameter order) of the coordinate basis T = d(param)/dt, paired with
+its image under J.  It is taken in closed form: with L L^T = T G T^T the
+Cholesky factorization, the frame is E = L^-1 T.  The second fundamental
 form h(e_a, e_b) = [nabla_{e_a} e_b]^normal needs only the frame and its
-first derivative along the locus, so the orthonormalization is carried out
-on (value, t-derivative) pairs: first-order forward-mode differentiation,
-with the metric's t-derivative dG . T taken from the chart geometry.  No
-quantity beyond the chart's own order-4 potential jet is expanded.
+first derivative along the locus, which follows from the derivative of the
+factorization (see ``frame_field_jets``), with the metric's t-derivative
+dG . T taken from the chart geometry; h is one contraction over all frame
+pairs.  No quantity beyond the chart's own potential jet is expanded.
 
 The full jet expansion of the potential in (parameters, chart displacement)
 survives only behind ``intrinsic_curvature``, the independent test oracle
@@ -160,41 +161,52 @@ class LocusGeometry:
     # -- the canonical frame to first order along the locus ----------------------
 
     @property
+    def frame_in_param_basis(self):
+        """Coefficients C with e_a = sum_d C[a, d] T_d at the base parameter.
+
+        Gram-Schmidt of the tangent fields T_d in parameter order, in closed
+        form: C = L^-1 with L L^T = T G T^T the Cholesky factorization.  A
+        failed factorization, or a diagonal entry of L (the length left after
+        projecting out the earlier fields) below ``GS_RANK_TOL``, is a rank
+        deficiency.
+        """
+
+        def build():
+            T = self.jacobian.T
+            try:
+                L = np.linalg.cholesky(T @ self.geom.G @ T.T)
+                full_rank = L.diagonal().min() >= GS_RANK_TOL
+            except np.linalg.LinAlgError:
+                full_rank = False
+            if not full_rank:
+                raise RankDeficiencyError(f"locus parametrization degenerate at t={self.t}")
+            return np.linalg.inv(L)
+
+        return self._get("frame_coeffs", build)
+
+    @property
     def frame_field_jets(self):
-        """Gram-Schmidt of the tangent fields on (value, t-derivative) pairs.
+        """The frame E = C T and its first derivative along the locus.
 
         Returns (E, dE) with E[a] the frame vector e_a at the base point and
-        dE[a, d] = d e_a / d t_d there.
+        dE[a, c] = d e_a / d t_c there.  With H = T G T^T = L L^T, the
+        derivative of L^-1 is -X L^-1 where X = L^-1 dL is the lower triangle
+        of L^-1 dH L^-T with its diagonal halved, so dE_c = C dT_c - X_c E.
         """
 
         def build():
             m = self.m
             z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
-            T = self.jacobian.T
-            dT = np.empty((m, m, 2 * self.n))  # dT[d, c] = d T_d / d t_c
-            dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(2, 1, 0), z2.imag.transpose(2, 1, 0)
-            G = self.geom.G
-            dG = np.einsum("eab,ce->cab", self.geom.dG, T)  # d G / d t_c
-
-            def inner(x, dx, y, dy):
-                val = x @ G @ y
-                return val, dx @ G @ y + x @ G @ dy.T + np.einsum("a,cab,b->c", x, dG, y)
-
-            E, dE = [], []
-            for u, du in zip(T, dT):
-                for _ in range(2):  # re-orthogonalization pass
-                    for e, de in zip(E, dE):
-                        c, dc = inner(u, du, e, de)
-                        u, du = u - c * e, du - np.outer(dc, e) - c * de
-                norm2, dnorm2 = inner(u, du, u, du)
-                if np.sqrt(max(norm2, 0.0)) < GS_RANK_TOL:
-                    raise RankDeficiencyError(
-                        f"locus parametrization degenerate at t={self.t}"
-                    )
-                s = norm2 ** -0.5
-                E.append(s * u)
-                dE.append(s * du - np.outer(0.5 * s**3 * dnorm2, u))
-            return np.array(E), np.array(dE)
+            T, C = self.jacobian.T, self.frame_in_param_basis
+            dT = np.empty((m, m, 2 * self.n))  # dT[c, d] = d T_d / d t_c
+            dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(1, 2, 0), z2.imag.transpose(1, 2, 0)
+            E, dim = C @ T, 2 * self.n
+            A = dT @ (self.geom.G @ T.T)  # A[c, d, f] = G(d T_d / d t_c, T_f)
+            dG = (T @ self.geom.dG.reshape(dim, -1)).reshape(m, dim, dim)  # d G / d t_c
+            K = C @ (A + A.transpose(0, 2, 1) + T @ dG @ T.T) @ C.T  # L^-1 dH_c L^-T
+            row = np.arange(m)
+            X = K * ((row[:, None] > row) + 0.5 * (row[:, None] == row))
+            return E, (C @ dT - X @ E).transpose(1, 0, 2)
 
         return self._get("frame_field", build)
 
@@ -212,43 +224,42 @@ class LocusGeometry:
         """d(param)/dt at the base parameter, real 2n x m."""
         return self._get("jacobian", lambda: self.locus.jacobian(self.t))
 
-    @property
-    def frame_in_param_basis(self):
-        """Coefficients c with e_a = sum_d c[a, d] T_d at the base parameter."""
+    # -- second fundamental form -------------------------------------------------
+
+    def _ambient_derivatives(self):
+        """nabla[a, b] = components of nabla_{e_a} e_b at the base point, for
+        every frame pair: the derivative of e_b along e_a plus Gamma(e_a, e_b)."""
 
         def build():
-            sol, *_ = np.linalg.lstsq(self.jacobian, self.frame.tangent.T, rcond=None)
-            return sol.T
+            E, dE = self.frame_field_jets
+            directional = (self.frame_in_param_basis @ dE).transpose(1, 0, 2)
+            return directional + (E @ self.geom.christoffel @ E.T).transpose(1, 2, 0)
 
-        return self._get("frame_coeffs", build)
+        return self._get("nabla", build)
 
-    # -- second fundamental form -------------------------------------------------
+    def _second_fundamental_forms(self):
+        """h[a, b], the normal part of nabla[a, b], for every frame pair."""
+
+        def build():
+            nabla, E = self._ambient_derivatives(), self.frame.tangent
+            return nabla - (nabla @ self.geom.G @ E.T) @ E
+
+        return self._get("sff", build)
 
     def ambient_derivative(self, a, b) -> np.ndarray:
         """Components of nabla_{e_a} e_b at the base point."""
-        directional = self.frame_in_param_basis[a] @ self.frame_field_jets[1][b]
-        gamma = self.geom.christoffel
-        ea = self.frame.tangent[a]
-        eb = self.frame.tangent[b]
-        return directional + np.einsum("kij,i,j->k", gamma, ea, eb)
+        return self._ambient_derivatives()[a, b]
 
     def second_fundamental_form(self, a, b) -> RealTangent:
-        w = self.ambient_derivative(a, b)
-        G = self.geom.G
-        tan = self.frame.tangent
-        w_tan = tan.T @ (tan @ G @ w)
-        return RealTangent(w - w_tan, self.point)
+        return RealTangent(self._second_fundamental_forms()[a, b], self.point)
 
     @property
     def sff_max_norm(self):
+        """The largest G-norm of h over all frame pairs."""
+
         def build():
-            G = self.geom.G
-            worst = 0.0
-            for a in range(self.frame.n):
-                for b in range(a, self.frame.n):
-                    h = self.second_fundamental_form(a, b).components
-                    worst = max(worst, float(np.sqrt(h @ G @ h)))
-            return worst
+            h = self._second_fundamental_forms()
+            return float(np.sqrt(((h @ self.geom.G) * h).sum(axis=-1).max()))
 
         return self._get("h_max", build)
 
@@ -292,7 +303,7 @@ def locus_point(chart: PotentialChart, locus: FixedLocusParam, t) -> LocusGeomet
     return lg
 
 
-def totally_real_residual(chart: PotentialChart, lp: LocusGeometry) -> float:
+def totally_real_residual(lp: LocusGeometry) -> float:
     """Failure of the tangent space to meet its J-image orthogonally,
     combined with the rank defect of the joint 2n-frame.
 
@@ -320,15 +331,13 @@ def project_tn(mapping, chart: PotentialChart, point: ChartPoint, v: RealTangent
     return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
 
 
-def lagrangian_residual(chart: PotentialChart, lp: LocusGeometry) -> float:
+def lagrangian_residual(lp: LocusGeometry) -> float:
     omega = lp.geom.kahler_form
     vals = lp.frame.tangent @ omega @ lp.frame.tangent.T
     return float(np.max(np.abs(vals)))
 
 
-def restricted_ricci(
-    chart: PotentialChart, lp: LocusGeometry, zeta: RealTangent, eta: RealTangent
-) -> float:
+def restricted_ricci(lp: LocusGeometry, zeta: RealTangent, eta: RealTangent) -> float:
     """Ricci of the induced metric through the ambient splitting:
     Ric_g(zeta, eta) - sum_a Rm(J e_a, zeta, eta, J e_a).
 
@@ -351,7 +360,7 @@ def mixed_curvature_form(geom: ChartGeometry, frame: FramePair) -> np.ndarray:
     return np.tensordot(N.T @ N, geom.riemann_tensor, axes=([0, 1], [0, 3]))
 
 
-def intrinsic_ricci_on_frame(chart: PotentialChart, lp: LocusGeometry) -> np.ndarray:
+def intrinsic_ricci_on_frame(lp: LocusGeometry) -> np.ndarray:
     """Intrinsic Ricci of the induced metric, expressed on the frame.
 
     Independent of the ambient-splitting route: the induced metric is

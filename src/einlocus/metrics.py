@@ -1,18 +1,21 @@
 """Metric, curvature and Einstein diagnostics from a Kahler potential.
 
 Everything is generated from one scalar potential per chart, lifted once
-to its order-4 jet.  The metric g and its derivatives dg and ddg are mixed
-Wirtinger partials of the potential, read straight off the jet
-coefficients: a read-off table per Wirtinger pattern (``coords.
-wirtinger_table``, cached on the jet space) holds the 2^k coefficient
-positions and complex weights of every entry, so each is one gather and
-one weighted sum.  The curvature tensor follows from the standard
-potential formula, and the Ricci form is its g-trace.  The
-real Riemann tensor on the coordinate basis is built from the curvature
-once per point, and every real curvature value is read off it.  The
-potential is the only thing differentiated in jet arithmetic, so the cost
-per point is polynomial in the dimension and the fourth derivatives entering
-the curvature carry no step-size error.
+to its jet over the Wirtinger variables (z, zbar), truncated at bidegree
+(2, 2): the coefficient of z^alpha zbar^beta is d^alpha dbar^beta psi /
+(alpha! beta!), and the curvature formula reads no other partial.  The
+metric g, its derivatives dg and ddg, and the holomorphic Hessian d d psi
+are then plain gathers of coefficient times alpha! beta! (``coords.
+wirtinger_table``, cached on the jet space).  The curvature tensor follows
+from the standard potential formula, and the Ricci form is its g-trace.
+The real Riemann tensor on the coordinate basis is built from the
+curvature once per point, and every real curvature value is read off it.
+The potential is the only thing expanded in jet arithmetic, so the cost
+per point is polynomial in the dimension and the fourth derivatives
+entering the curvature carry no step-size error.  A black-box potential
+is lifted over the real variables by finite differences and converted
+once (``coords.real_to_wirtinger``), so every chart quantity has one
+read-off route.
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -30,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_table
+from .coords import ChartPoint, RealTangent, j_matrix, real_to_wirtinger, wirtinger_table
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
 from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
@@ -44,7 +47,8 @@ ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
 def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
     """Jets of the holomorphic coordinates z^j = x^j + i y^j around a point,
-    each of degree 1, filled in one (n, size) array."""
+    over the interleaved real variables, each of degree 1, filled in one
+    (n, size) array."""
     n = point.n
     space = jet_space(2 * n, order)
     units = [space.position[(0,) * v + (1,) + (0,) * (2 * n - v - 1)] for v in range(2 * n)]
@@ -57,25 +61,34 @@ def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
 
 
 def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
-    """Lift a real scalar field to its jet at a point.
+    """Lift a real scalar field to its jet over (z, zbar) at a point.
 
-    Expression-tree fields are evaluated in exact jet arithmetic; callables
-    (black boxes on the real coordinate vector) fall back to Richardson-
-    extrapolated central finite differences, with steps proportional to
-    ``fd_scale``, and lose roughly half the significant digits of the exact
+    Expression-tree fields are evaluated in exact jet arithmetic on the
+    coordinate jets z^j (variable 2j); their conjugates come from
+    ``Jet.conjugate``.  A field whose jet is not Hermitian, max |c_(alpha,
+    beta) - conj c_(beta, alpha)| above 1e-8 of its size, is not real-valued.
+    Callables (black boxes on the real coordinate vector) fall back to
+    Richardson-extrapolated central finite differences over the real
+    variables, with steps proportional to ``fd_scale``, converted once to
+    (z, zbar); they lose roughly half the significant digits of the exact
     route.
     """
     if callable(field):
-        return lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
-    env = dict(zip(exprs.coord_names(point.n), coordinate_jets(point, order)))
-    jet = exprs.evaluate(field, env)
+        real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
+        return real_to_wirtinger(real)
+    space = jet_space(2 * point.n, order)
+    coords = [
+        Jet(space, space.variable(2 * j, z).coeffs, order, 1, wirtinger=True)
+        for j, z in enumerate(point.holo)
+    ]
+    jet = exprs.evaluate(field, dict(zip(exprs.coord_names(point.n), coords)))
     if not isinstance(jet, Jet):
-        jet = jet_space(2 * point.n, order).constant(jet)
-    dust = float(np.max(np.abs(jet.coeffs.imag)))
-    scale = 1.0 + float(np.max(np.abs(jet.coeffs.real)))
+        jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
+    dust = float(np.abs(jet.coeffs - jet.conjugate().coeffs).max())
+    scale = 1.0 + float(np.abs(jet.coeffs).max())
     if dust > 1e-8 * scale:
         raise NonAnalyticFieldError(
-            f"field is not real-valued at {point.holo}: imaginary size {dust:.3g}"
+            f"field is not real-valued at {point.holo}: Hermitian defect {dust:.3g}"
         )
     return jet.real
 
@@ -169,14 +182,13 @@ class ChartGeometry:
 
     def _wirtinger(self, holo):
         """The order-k partial of the potential, k = len(holo), with slot s a
-        d/dz (holo[s] true) or a d/dzbar: one gather from the coefficients
-        and one weighted sum, through the space's read-off table."""
+        d/dz (holo[s] true) or a d/dzbar: one gather of coefficient times
+        alpha! beta!, through the space's read-off table."""
 
         def build():
             psi = self.psi_jet
-            pos, weight = wirtinger_table(psi.space, holo)
-            out = (psi.coeffs.real[pos] * weight).sum(axis=-1)
-            return out.reshape((self.n,) * len(holo))
+            pos, fact = wirtinger_table(psi.space, holo)
+            return psi.coeffs[pos] * fact
 
         return self._get(("W", holo), build)
 
@@ -189,8 +201,10 @@ class ChartGeometry:
             if not np.all(np.isfinite(g)):
                 raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
             eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            hessian = self.psi_jet.derivative_tensor(2).real
-            floor = DEGENERACY_RATIO * np.linalg.norm(hessian)
+            # the real Hessian of psi has Frobenius norm 2 sqrt(2 (|d d psi|^2 + |g|^2))
+            hol = self._wirtinger((True, True))
+            hessian = 2.0 * np.sqrt(2.0 * (np.vdot(hol, hol).real + np.vdot(g, g).real))
+            floor = DEGENERACY_RATIO * hessian
             if (
                 not np.all(np.isfinite(eigs))
                 or eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0)

@@ -370,7 +370,7 @@ def _stages(bundle, config, tol, report, finish):
         hyp, "locus_rank", 0.0 if min(rank_sv) > 1e-8 else 1.0, 0.5
     )
 
-    treal = [totally_real_residual(chart, lp) for lp in lpoints]
+    treal = [totally_real_residual(lp) for lp in lpoints]
     checks["totally_real"] = _stat(treal)
     gates_ok &= _hypothesis(hyp, "totally_real", max(treal), tol.gate_totally_real)
 
@@ -378,7 +378,7 @@ def _stages(bundle, config, tol, report, finish):
     checks["second_fundamental_form"] = _stat(h_res)
     gates_ok &= _hypothesis(hyp, "totally_geodesic", max(h_res), tol.gate_geodesic)
 
-    lag = [lagrangian_residual(chart, lp) for lp in lpoints]
+    lag = [lagrangian_residual(lp) for lp in lpoints]
     checks["lagrangian"] = _stat(lag)
     _hypothesis(hyp, "lagrangian", max(lag), tol.report_lagrangian, skip_gate=True)
 
@@ -393,7 +393,7 @@ def _stages(bundle, config, tol, report, finish):
     restricted_spread = []
     for lp in lpoints:
         projector = map_normal_projector(mapping, lp.point)
-        op = trace_operator_at(chart, lp, projector=projector)
+        op = trace_operator_at(lp, projector=projector)
         cross_route.append(op.route_agreement)
         sv = spectral_test(op.matrix, tol_sym=tol.tol_sym, tol_eig=tol.tol_eig)
         point_verdicts.append(sv)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from einlocus import RealTangent, jets
+from einlocus import RealTangent, exprs, jets
 from einlocus.coords import wirtinger, wirtinger_jet, wirtinger_matrix
+from einlocus.errors import NonAnalyticFieldError
+from einlocus.metrics import coordinate_jets
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
@@ -19,9 +21,35 @@ def random_tangents(point, count, seed=0):
     return [RealTangent(rng.standard_normal(dim), point) for _ in range(count)]
 
 
+def real_lift(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
+    """The potential's jet over the interleaved real variables, to total
+    degree ``order``: the exact lift on x + iy coordinate jets, or the
+    finite-difference lift of a callable.  The reference for the (z, zbar)
+    lift and its read-off tables."""
+    if callable(field):
+        return jets.lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
+    env = dict(zip(exprs.coord_names(point.n), coordinate_jets(point, order)))
+    jet = exprs.evaluate(field, env)
+    if not isinstance(jet, jets.Jet):
+        jet = jets.jet_space(2 * point.n, order).constant(jet)
+    dust = float(np.max(np.abs(jet.coeffs.imag)))
+    scale = 1.0 + float(np.max(np.abs(jet.coeffs.real)))
+    if dust > 1e-8 * scale:
+        raise NonAnalyticFieldError(
+            f"field is not real-valued at {point.holo}: imaginary size {dust:.3g}"
+        )
+    return jet.real
+
+
+def real_psi_jet(geom):
+    """The real-variable oracle jet of a chart geometry's potential."""
+    return real_lift(geom.chart.potential, geom.point, fd_scale=geom.chart.fd_scale)
+
+
 def metric_jets(geom):
-    """g_{j kbar} as jets: mixed Wirtinger derivatives of the potential jet."""
-    psi, n = geom.psi_jet, geom.n
+    """g_{j kbar} as jets: mixed Wirtinger derivatives of the real-variable
+    potential jet."""
+    psi, n = real_psi_jet(geom), geom.n
     return [[wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)]
 
 
@@ -35,7 +63,7 @@ def tensordot_wirtinger(geom, holo):
     contractions of the real partial tensor D_k with the Wirtinger matrix:
     the reference for the read-off tables."""
     W = wirtinger_matrix(geom.n)
-    out = geom.psi_jet.derivative_tensor(len(holo)).real
+    out = real_psi_jet(geom).derivative_tensor(len(holo)).real
     for h in holo:  # each contraction appends its index at the end
         out = np.tensordot(out, W if h else W.conj(), axes=([0], [1]))
     return out

@@ -139,7 +139,7 @@ def test_criterion_05_trace_operator_routes_agree():
         for t in sample_parameters(bundle.locus, 4, seed=106):
             lp = locus_point(bundle.chart, bundle.locus, t)
             op = trace_operator_at(
-                bundle.chart, lp, projector=map_normal_projector(bundle.mapping, lp.point)
+                lp, projector=map_normal_projector(bundle.mapping, lp.point)
             )
             worst = max(worst, float(np.max(np.abs(op.matrix - op.cross_matrix))))
     ok = worst < 1e-8

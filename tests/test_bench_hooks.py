@@ -3,6 +3,7 @@ package.  A refactor that deletes or renames a hooked name leaves its span
 without a hook: traced benchmark runs then refuse to report, while untraced
 runs and every other test stay green.  This guards the hook table here."""
 
+import inspect
 import math
 import pathlib
 import types
@@ -10,7 +11,7 @@ import types
 import numpy as np
 
 import einlocus
-from einlocus import jets
+from einlocus import ManifoldBundle, PotentialChart, SamplingConfig, builtin_cpn, jets, verdict
 
 SPANS_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -55,3 +56,40 @@ def test_bench_jet_contract():
         for d2 in range(space.capacity + 1 - d1)
     )
     assert len(getattr(space, "_mul_ia", ())) == full
+
+
+def test_verdicts_build_jet_spaces_only_through_the_cache(monkeypatch):
+    # bench/run.py finds the jet spaces a workload needs by wrapping
+    # JetSpace.__init__(space, nvars, capacity), builds them through jet_space
+    # in its set-up, and refuses (exit 2) a timed pass that misses that cache.
+    # So every space a verdict uses must come from jet_space, with that
+    # signature, and a repeated verdict must build none.
+    params = list(inspect.signature(jets.JetSpace.__init__).parameters.values())
+    assert [p.name for p in params] == ["self", "nvars", "capacity"]
+    assert params[2].default == jets.DEFAULT_ORDER
+    built = []
+    init = jets.JetSpace.__init__
+
+    def recording(space, nvars, capacity=jets.DEFAULT_ORDER):
+        built.append((nvars, capacity))
+        init(space, nvars, capacity)
+
+    monkeypatch.setattr(jets.JetSpace, "__init__", recording)
+    cpn2 = builtin_cpn(2)
+    black_box = ManifoldBundle(
+        chart=PotentialChart(2, lambda xy: float(np.log1p(xy @ xy)), cpn2.chart.box, label="bb"),
+        mapping=cpn2.mapping,
+        locus=cpn2.locus,
+        label="black-box-cpn-2",
+    )
+    for bundle in (builtin_cpn(3), black_box):
+        reports = []
+        for _ in range(2):
+            einlocus.metrics._geometry_at.cache_clear()
+            einlocus.locus._locus_geometry.cache_clear()
+            misses, count = jets.jet_space.cache_info().misses, len(built)
+            reports.append(verdict(bundle, SamplingConfig(4, 4, seed=0)).to_json())
+            assert len(built) - count == jets.jet_space.cache_info().misses - misses
+        assert len(built) == count, built[count:]
+        assert reports[0] == reports[1]
+

@@ -24,10 +24,10 @@ from einlocus.sampling import sample_parameters
 def test_flat_trace_operator_vanishes():
     b = builtin_flat_torus(2)
     lp = locus_point(b.chart, b.locus, (0.1, -0.2))
-    op = trace_operator_at(b.chart, lp)
+    op = trace_operator_at(lp)
     assert np.max(np.abs(op.matrix)) < 1e-13
     es = lp.frame.tangent_vectors()
-    out = j_normal_curvature(b.chart, lp, es[0], es[1], es[0])
+    out = j_normal_curvature(lp, es[0], es[1], es[0])
     assert np.max(np.abs(out.components)) < 1e-13
 
 
@@ -39,7 +39,7 @@ def test_output_is_tangent_to_locus():
         es = lp.frame.tangent_vectors()
         for zeta in es:
             for eta in es:
-                out = j_normal_curvature(b.chart, lp, zeta, eta, zeta)
+                out = j_normal_curvature(lp, zeta, eta, zeta)
                 for je in lp.frame.normal_vectors():
                     assert abs(out.components @ G @ je.components) < 1e-9
 
@@ -48,9 +48,9 @@ def test_dimension_one_trace_matches_single_component():
     b = builtin_cpn(1)
     lp = locus_point(b.chart, b.locus, (0.35,))
     e1 = lp.frame.tangent_vectors()[0]
-    op = trace_operator_at(b.chart, lp)
+    op = trace_operator_at(lp)
     sv = spectral_test(op.matrix)
-    out = j_normal_curvature(b.chart, lp, e1, e1, e1)
+    out = j_normal_curvature(lp, e1, e1, e1)
     G = b.chart.geometry(lp.point).G
     # the operator sends e1 to -C e1
     assert float(out.components @ G @ e1.components) == pytest.approx(-sv.C_est, abs=1e-10)
@@ -60,10 +60,10 @@ def test_two_routes_agree_and_projectors_match():
     for bundle in (builtin_cpn(2), builtin_quadric_2()):
         for t in sample_parameters(bundle.locus, 5, seed=2):
             lp = locus_point(bundle.chart, bundle.locus, t)
-            frame_route = trace_operator_at(bundle.chart, lp)
+            frame_route = trace_operator_at(lp)
             assert frame_route.route_agreement < 1e-8
             map_route = trace_operator_at(
-                bundle.chart, lp, projector=map_normal_projector(bundle.mapping, lp.point)
+                lp, projector=map_normal_projector(bundle.mapping, lp.point)
             )
             assert np.max(np.abs(map_route.matrix - frame_route.matrix)) < 1e-9
 
@@ -77,12 +77,12 @@ def builtin_quadric_2():
 def test_frame_rotation_conjugates_operator():
     b = builtin_cpn(2)
     lp = locus_point(b.chart, b.locus, (0.3, 0.2))
-    op = trace_operator_at(b.chart, lp)
+    op = trace_operator_at(lp)
     rng = np.random.default_rng(7)
     for _ in range(5):
         A = rng.standard_normal((2, 2))
         Q, _ = np.linalg.qr(A)
-        rotated = trace_operator_at(b.chart, lp, frame=lp.frame.rotated(Q))
+        rotated = trace_operator_at(lp, frame=lp.frame.rotated(Q))
         assert np.max(np.abs(rotated.matrix - Q.T @ op.matrix @ Q)) < 1e-9
 
 
@@ -91,7 +91,7 @@ def test_real_form_of_cp2_constant_operator():
     values = []
     for t in sample_parameters(b.locus, 50, seed=3):
         lp = locus_point(b.chart, b.locus, t)
-        op = trace_operator_at(b.chart, lp)
+        op = trace_operator_at(lp)
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.max(np.abs(off)) < 1e-9
         values.extend(np.diag(op.matrix).tolist())
@@ -108,7 +108,7 @@ def test_mixed_trace_symmetry_and_route_sign():
         m01 = float(es[0].components @ K @ es[1].components)
         m10 = float(es[1].components @ K @ es[0].components)
         assert m01 == pytest.approx(m10, abs=1e-9)
-        op = trace_operator_at(b.chart, lp)
+        op = trace_operator_at(lp)
         M = mixed_curvature_matrix(lp.geom, lp.frame)
         assert np.max(np.abs(op.matrix + M.T)) < 1e-8
 
@@ -153,11 +153,11 @@ def test_verdict_frame_independence():
     rng = np.random.default_rng(31)
     for t in sample_parameters(b.locus, 3, seed=9):
         lp = locus_point(b.chart, b.locus, t)
-        base = spectral_test(trace_operator_at(b.chart, lp).matrix)
+        base = spectral_test(trace_operator_at(lp).matrix)
         for _ in range(10):
             Q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
             rotated = spectral_test(
-                trace_operator_at(b.chart, lp, frame=lp.frame.rotated(Q)).matrix
+                trace_operator_at(lp, frame=lp.frame.rotated(Q)).matrix
             )
             assert rotated.einstein == base.einstein
             assert rotated.C_est == pytest.approx(base.C_est, abs=1e-9)
@@ -176,8 +176,8 @@ def test_scale_covariance_of_constant():
         t = (0.25, -0.35)
         lp0 = locus_point(base.chart, base.locus, t)
         lps = locus_point(scaled_chart, base.locus, t)
-        c0 = spectral_test(trace_operator_at(base.chart, lp0).matrix)
-        cs = spectral_test(trace_operator_at(scaled_chart, lps).matrix)
+        c0 = spectral_test(trace_operator_at(lp0).matrix)
+        cs = spectral_test(trace_operator_at(lps).matrix)
         assert cs.C_est == pytest.approx(c0.C_est / s, rel=1e-7)
         assert cs.einstein == c0.einstein
 

@@ -10,9 +10,10 @@ from einlocus import ChartPoint, Jet, JetOrderError, RealTangent, apply_J, jet_s
 from einlocus.coords import wirtinger
 from einlocus.exprs import coord_names, evaluate, free_identifiers
 from einlocus.jets import lift_callable_to_jet
+from einlocus.jets import WIRTINGER_BIDEGREE
 from einlocus.metrics import coordinate_jets, lift_to_jet
 
-from conftest import scalar_fd_lift
+from conftest import real_lift, scalar_fd_lift
 from test_fuzz import expression_trees
 
 
@@ -75,7 +76,7 @@ def test_jet_product_matches_polynomial_oracle(pa, pb, pc):
 
 def test_exact_quadratic_lift():
     # |w|^2 at w = 1: second partials are 2, 0, 2 in (x, y)
-    jet = lift_to_jet(("abs2", "w1"), ChartPoint((1.0 + 0.0j,)))
+    jet = real_lift(("abs2", "w1"), ChartPoint((1.0 + 0.0j,)))
     assert jet.partial((2, 0)) == pytest.approx(2.0)
     assert jet.partial((1, 1)) == pytest.approx(0.0)
     assert jet.partial((0, 2)) == pytest.approx(2.0)
@@ -98,7 +99,7 @@ def _sym_partial(i, j):
 
 
 def test_log_potential_lift_matches_symbolic_oracle():
-    jet = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
+    jet = real_lift(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
     for i in range(5):
         for j in range(5 - i):
             expected = _sym_partial(i, j)
@@ -112,7 +113,7 @@ def test_log_potential_lift_matches_symbolic_oracle():
 
 def test_derivative_tensor_matches_partials():
     p = ChartPoint((0.3 - 0.2j, -0.5 + 0.1j))
-    jet = lift_to_jet(("log", ("+", 1, ("abs2", "w1"), ("pow", ("abs2", "w2"), 2))), p)
+    jet = real_lift(("log", ("+", 1, ("abs2", "w1"), ("pow", ("abs2", "w2"), 2))), p)
     for k in (1, 2, 3, 4):
         tensor = jet.derivative_tensor(k)
         assert tensor.shape == (4,) * k
@@ -125,10 +126,10 @@ def test_derivative_tensor_matches_partials():
 
 def test_wirtinger_examples():
     p = ChartPoint((0.7 - 0.4j,))
-    jet = lift_to_jet(("abs2", "w1"), p)
+    jet = real_lift(("abs2", "w1"), p)
     assert wirtinger(jet, (0,), (0,)) == pytest.approx(1.0)
     # log potential at the origin; oracle value d/dw d/dwbar = 1
-    jet0 = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
+    jet0 = real_lift(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
     assert wirtinger(jet0, (0,), (0,)) == pytest.approx(1.0, abs=1e-13)
     sym = 0.25 * (_sym_partial(2, 0) + _sym_partial(0, 2))
     assert wirtinger(jet0, (0,), (0,)) == pytest.approx(sym, abs=1e-13)
@@ -158,7 +159,7 @@ def test_wirtinger_holomorphic_monomials(power, re, im):
 
 
 def test_wirtinger_order_overflow():
-    jet = lift_to_jet(("abs2", "w1"), ChartPoint((0.0,)))
+    jet = real_lift(("abs2", "w1"), ChartPoint((0.0,)))
     with pytest.raises(JetOrderError):
         wirtinger(jet, (0, 0, 0), (0, 0))
 
@@ -239,7 +240,7 @@ def test_finite_difference_fallback_accuracy():
     def black_box(xy):
         return float(np.log(1.0 + xy[0] ** 2 + xy[1] ** 2))
 
-    exact = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.4 - 0.3j,)))
+    exact = real_lift(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.4 - 0.3j,)))
     approx = lift_callable_to_jet(black_box, np.array([0.4, -0.3]))
     # second derivatives keep ~10 digits, fourth keep ~4: flagged low-precision
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
@@ -359,3 +360,87 @@ def test_coordinate_jets_match_variable_sums_bit_for_bit(n):
         ref = space.variable(2 * j, z.real) + 1j * space.variable(2 * j + 1, z.imag)
         assert jet.coeffs.tobytes() == ref.coeffs.tobytes()
         assert (jet.order, jet.degree) == (space.capacity, 1)
+
+
+# -- jets over (z, zbar), truncated at bidegree (2, 2) ----------------------------------
+
+
+def random_wirtinger_jet(space, degree, rng):
+    kept = space._wirtinger_layout()[0] & (space.degree <= degree)
+    coeffs = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+    return Jet(space, np.where(kept, coeffs, 0.0), space.capacity, degree, wirtinger=True)
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6, 12])
+def test_wirtinger_product_is_the_full_product_on_the_kept_set(nvars):
+    # a kept coefficient's factors are kept too, so the selected terms add up,
+    # in table order, to exactly the full product there
+    space = jet_space(nvars)
+    kept = space._wirtinger_layout()[0]
+    rng = np.random.default_rng(nvars)
+    for da in range(space.capacity + 1):
+        for db in range(space.capacity + 1):
+            a, b = random_wirtinger_jet(space, da, rng), random_wirtinger_jet(space, db, rng)
+            prod = a * b
+            assert prod.wirtinger
+            assert np.array_equal(prod.coeffs, np.where(kept, full_table_product(a, b), 0.0))
+
+
+def test_kept_bidegree_set_sizes():
+    # (n + 2 choose 2)^2 coefficients, against (2n + 4 choose 4) at total degree 4
+    for n, want in zip(range(1, 7), (9, 36, 100, 225, 441, 784)):
+        space = jet_space(2 * n)
+        kept = space._wirtinger_layout()[0]
+        assert int(kept.sum()) == want
+        hol, anti = space.indices[:, 0::2].sum(axis=1), space.indices[:, 1::2].sum(axis=1)
+        assert np.array_equal(kept, (hol <= WIRTINGER_BIDEGREE) & (anti <= WIRTINGER_BIDEGREE))
+
+
+def test_wirtinger_conjugation_swaps_exponents():
+    space = jet_space(4)
+    f = random_wirtinger_jet(space, space.capacity, np.random.default_rng(3))
+    g = f.conjugate()
+    for pos, (a1, b1, a2, b2) in enumerate(space.indices):
+        assert g.coeffs[space.position[(b1, a1, b2, a2)]] == np.conj(f.coeffs[pos])
+    assert np.array_equal(g.conjugate().coeffs, f.coeffs)
+    assert (g.wirtinger, g.degree) == (True, f.degree)
+    # the conjugate of z_1 is zbar_1, and the real part is a Hermitian jet
+    z = Jet(space, space.variable(0, 0.3 - 0.5j).coeffs, space.capacity, 1, wirtinger=True)
+    assert np.array_equal(z.conjugate().coeffs, space.variable(1, 0.3 + 0.5j).coeffs)
+    re = f.real
+    assert np.array_equal(re.conjugate().coeffs, re.coeffs)
+    assert np.max(np.abs((f.real + 1j * f.imag - f).coeffs)) < 1e-15
+
+
+def test_wirtinger_jets_mix_only_with_constants():
+    space = jet_space(2)
+    z = Jet(space, space.variable(0, 0.4).coeffs, space.capacity, 1, wirtinger=True)
+    assert (space.constant(2.0) * z).wirtinger and (z + space.constant(1.0)).wirtinger
+    with pytest.raises(ValueError):
+        z * space.variable(1)
+    with pytest.raises(ValueError):
+        space.variable(1) + z
+
+
+def test_wirtinger_lift_reads_mixed_partials():
+    # |w|^2 around z0: |z0|^2 + conj(z0) z + z0 zbar + z zbar
+    z0 = 0.7 - 0.4j
+    jet = lift_to_jet(("abs2", "w1"), ChartPoint((z0,)))
+    assert jet.wirtinger
+    assert jet.partial((0, 0)) == pytest.approx(abs(z0) ** 2)
+    assert jet.partial((1, 0)) == pytest.approx(np.conj(z0))
+    assert jet.partial((0, 1)) == pytest.approx(z0)
+    assert jet.partial((1, 1)) == 1.0
+    assert jet.partial((2, 0)) == jet.partial((2, 2)) == 0.0
+    # only the kept set is known: no (3, 0) partial, no third-order tensor,
+    # no derivative
+    with pytest.raises(JetOrderError):
+        jet.partial((3, 0))
+    with pytest.raises(JetOrderError):
+        jet.derivative_tensor(3)
+    with pytest.raises(JetOrderError):
+        jet.deriv(0)
+    # the log potential at the origin: d dbar psi = 1, d^2 dbar^2 psi = -2
+    jet0 = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
+    assert jet0.partial((1, 1)) == pytest.approx(1.0, abs=1e-15)
+    assert jet0.partial((2, 2)) == pytest.approx(-2.0, abs=1e-14)

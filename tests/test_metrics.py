@@ -21,8 +21,11 @@ from einlocus import (
     make_builtin,
     verdict,
 )
-from einlocus import jets
+from einlocus import exprs, jets
 from einlocus.bundles import BUILTINS
+from einlocus.coords import real_to_wirtinger
+from einlocus.errors import NonAnalyticFieldError
+from einlocus.metrics import lift_to_jet
 from einlocus.realcurv import curvature_from_metric_jets
 from einlocus.sampling import sample_chart_points
 
@@ -31,6 +34,7 @@ from conftest import (
     laplace_log_det_ricci,
     random_tangents,
     real_metric_jets,
+    real_psi_jet,
     ricci_pairing,
     tensordot_wirtinger,
 )
@@ -366,21 +370,84 @@ def test_non_finite_metric_is_degenerate():
             ChartGeometry(chart, ChartPoint((0.9 + 0.9j,))).g
 
 
-WIRTINGER_PATTERNS = ((True, False), (True, True, False), (True, False, True, False))
+WIRTINGER_PATTERNS = ((True, False), (True, True, False), (True, False, True, False), (True, True))
+
+EVERY_BUILTIN = [
+    (name, n) for name, (_, _, (lo, hi)) in BUILTINS.items() for n in range(lo, hi + 1)
+]
 
 
-@pytest.mark.parametrize(
-    "name, n",
-    [(name, n) for name in ("cpn", "quadric", "toric-fs") for n in range(1, BUILTINS[name][2][1] + 1)],
-)
+def oracle_geometry(chart, point):
+    """A fresh chart geometry whose potential jet is the real-variable
+    oracle jet, converted to (z, zbar)."""
+    geom = ChartGeometry(chart, point)
+    geom._cache["psi"] = real_to_wirtinger(real_psi_jet(geom))
+    return geom
+
+
+@pytest.mark.parametrize("name, n", EVERY_BUILTIN)
 def test_wirtinger_tables_match_tensordot_oracle(name, n):
+    # the read-off gathers, on the oracle jet converted to (z, zbar), against
+    # k contractions of its real partial tensors with the Wirtinger matrix
     chart = make_builtin(name, n).chart
     for p in admitted_points(chart, 2, seed=n):
-        geom = chart.geometry(p)
-        for holo, got in zip(WIRTINGER_PATTERNS, (geom.g, geom.dg, geom.ddg)):
+        geom = oracle_geometry(chart, p)
+        hessian = geom._wirtinger((True, True))
+        for holo, got in zip(WIRTINGER_PATTERNS, (geom.g, geom.dg, geom.ddg, hessian)):
             want = tensordot_wirtinger(geom, holo)
             assert got.shape == want.shape == (n,) * len(holo)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, n, holo)
+
+
+@pytest.mark.parametrize("name, n", EVERY_BUILTIN)
+def test_wirtinger_lift_matches_real_oracle(name, n):
+    # two exact routes to the same coefficients, rounded differently: the
+    # (z, zbar) lift and the real-variable lift converted to (z, zbar)
+    chart = make_builtin(name, n).chart
+    for p in admitted_points(chart, 2, seed=n):
+        geom = chart.geometry(p)
+        want = real_to_wirtinger(real_psi_jet(geom)).coeffs
+        got = geom.psi_jet.coeffs
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, n)
+        # every built-in passes the dust test far inside its 1e-8 threshold
+        space = geom.psi_jet.space
+        coords = [
+            Jet(space, space.variable(2 * j, z).coeffs, space.capacity, 1, wirtinger=True)
+            for j, z in enumerate(p.holo)
+        ]
+        raw = exprs.evaluate(chart.potential, dict(zip(exprs.coord_names(n), coords)))
+        defect = np.max(np.abs(raw.coeffs - raw.conjugate().coeffs))
+        assert defect <= 1e-13 * (1.0 + np.max(np.abs(raw.coeffs))), (name, n, defect)
+
+
+@pytest.mark.parametrize(
+    "name, n", [("cpn", 3), ("quadric", 2), ("toric-fs", 2), ("toric-flat", 3)]
+)
+def test_real_hessian_norm_from_wirtinger_partials(name, n):
+    # |Hess_R psi|_F = 2 sqrt(2 (|d d psi|^2 + |g|^2)), the degeneracy floor's scale
+    chart = make_builtin(name, n).chart
+    for p in admitted_points(chart, 3, seed=5):
+        geom = chart.geometry(p)
+        hol, g = geom._wirtinger((True, True)), geom.g
+        got = 2.0 * np.sqrt(2.0 * (np.linalg.norm(hol) ** 2 + np.linalg.norm(g) ** 2))
+        want = np.linalg.norm(real_psi_jet(geom).derivative_tensor(2).real)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_dust_test_rejects_non_real_potentials():
+    point = ChartPoint((0.3 - 0.2j,))
+    for potential in (
+        ("*", "I", ("abs2", "w1")),  # imaginary at every bidegree it touches
+        ("+", ("abs2", "w1"), ("*", "I", ("re", ("pow", "w1", 2)))),  # only (2, 0) and (0, 2)
+        ("+", ("abs2", "w1"), ("*", 1e-6, "I")),  # a small imaginary constant
+    ):
+        with pytest.raises(NonAnalyticFieldError):
+            lift_to_jet(potential, point)
+    # the imaginary unit cancels in a real field
+    real = ("+", ("abs2", "w1"), ("*", "I", ("-", "w1", ("conj", "w1"))))
+    jet = lift_to_jet(real, point)
+    assert np.array_equal(jet.conjugate().coeffs, jet.coeffs)
+    assert jet.value == pytest.approx(abs(0.3 - 0.2j) ** 2 + 0.4)
 
 
 def test_chart_tensors_make_no_tensordot_call(monkeypatch):
