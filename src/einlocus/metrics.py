@@ -73,9 +73,17 @@ def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_s
     (z, zbar); they lose roughly half the significant digits of the exact
     route.
     """
+    return _hermitian_lift(field, point, order, fd_scale)[0]
+
+
+def _hermitian_lift(field, point, order, fd_scale):
+    """The jet of ``lift_to_jet`` and the relative Hermitian defect of the
+    field's jet before its real part is taken, max |c_(alpha, beta) - conj
+    c_(beta, alpha)| / (1 + max |c|): 0 for a callable, whose conversion to
+    (z, zbar) is Hermitian exactly."""
     if callable(field):
         real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
-        return real_to_wirtinger(real)
+        return real_to_wirtinger(real), 0.0
     space = jet_space(2 * point.n, order)
     coords = [
         Jet(space, space.variable(2 * j, z).coeffs, order, 1, wirtinger=True)
@@ -90,7 +98,7 @@ def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_s
         raise NonAnalyticFieldError(
             f"field is not real-valued at {point.holo}: Hermitian defect {dust:.3g}"
         )
-    return jet.real
+    return jet.real, dust / scale
 
 
 @dataclass(frozen=True)
@@ -175,10 +183,18 @@ class ChartGeometry:
 
     @property
     def psi_jet(self):
-        return self._get(
-            "psi",
-            lambda: lift_to_jet(self.chart.potential, self.point, fd_scale=self.chart.fd_scale),
-        )
+        if "psi" not in self._cache:
+            self._cache["psi"], self._cache["hermitian_defect"] = _hermitian_lift(
+                self.chart.potential, self.point, DEFAULT_ORDER, self.chart.fd_scale
+            )
+        return self._cache["psi"]
+
+    @property
+    def hermitian_defect(self):
+        """How far the potential's jet in (z, zbar) was from Hermitian before
+        its real part was taken, relative to its size (see ``lift_to_jet``)."""
+        self.psi_jet
+        return self._cache["hermitian_defect"]
 
     def _wirtinger(self, holo):
         """The order-k partial of the potential, k = len(holo), with slot s a

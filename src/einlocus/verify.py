@@ -271,11 +271,7 @@ def _stages(bundle, config, tol, report, finish):
         warnings.append("fewer than 2 admissible ambient points")
         return finish(EXIT_DEGENERATE)
 
-    hermit = [chart.geometry(p).g for p in ambient]
-    herm_res = [
-        float(np.linalg.norm(g - g.conj().T) / (1.0 + np.linalg.norm(g))) for g in hermit
-    ]
-    checks["metric_hermitian"] = _stat(herm_res)
+    checks["metric_hermitian"] = _stat([chart.geometry(p).hermitian_defect for p in ambient])
 
     if bundle.mapping is None:
         _hypothesis(hyp, "map_present", 1.0, 0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,63 @@ def scalar_fd_lift(func, base_real, order=jets.DEFAULT_ORDER, scale=1.0):
         deriv = (4.0 * d_h2 - d_h) / 3.0
         coeffs[pos] = deriv / space._fact[pos]
     return jets.Jet(space, coeffs, order)
+
+
+def loop_jet_tables(nvars, capacity):
+    """The tables of ``JetSpace(nvars, capacity)`` built one entry at a time
+    in Python, keyed by attribute name: the reference the array-built
+    space must reproduce exactly, in order and dtype."""
+    by_degree = [[(0,) * nvars]]
+    for _ in range(capacity):
+        seen, nxt = set(), []
+        for idx in by_degree[-1]:
+            for v in range(nvars):
+                bumped = idx[:v] + (idx[v] + 1,) + idx[v + 1:]
+                if bumped not in seen:
+                    seen.add(bumped)
+                    nxt.append(bumped)
+        by_degree.append(sorted(nxt))
+    idx = [alpha for group in by_degree for alpha in group]
+    position = {alpha: i for i, alpha in enumerate(idx)}
+    keys = [sum(e * (capacity + 1) ** v for v, e in enumerate(alpha)) for alpha in idx]
+    key_to_pos = {k: i for i, k in enumerate(keys)}
+    by_deg = [[i for i, alpha in enumerate(idx) if sum(alpha) == d] for d in range(capacity + 1)]
+    blocks, ia, ib = {}, [], []
+    for d1 in range(capacity + 1):
+        for d2 in range(capacity + 1 - d1):
+            start = len(ia)
+            for a in by_deg[d1]:
+                for b in by_deg[d2]:
+                    ia.append(a)
+                    ib.append(b)
+            blocks[d1, d2] = (start, len(ia))
+    deriv = []
+    for v in range(nvars):
+        src = [i for i, alpha in enumerate(idx) if alpha[v] > 0]
+        dst = [position[idx[s][:v] + (idx[s][v] - 1,) + idx[s][v + 1:]] for s in src]
+        deriv.append(
+            (
+                np.array(src, dtype=np.int64),
+                np.array(dst, dtype=np.int64),
+                np.array([idx[s][v] for s in src], dtype=np.float64),
+            )
+        )
+    return {
+        "indices": np.array(idx, dtype=np.int64),
+        "position": position,
+        "_fact": np.array(
+            [math.prod(math.factorial(e) for e in alpha) for alpha in idx], dtype=np.float64
+        ),
+        "_keys": np.array(keys, dtype=np.int64),
+        "_mul_blocks": blocks,
+        "_mul_ia": np.array(ia, dtype=np.int64),
+        "_mul_ib": np.array(ib, dtype=np.int64),
+        "_mul_iout": np.array(
+            [key_to_pos[keys[a] + keys[b]] for a, b in zip(ia, ib)], dtype=np.int64
+        ),
+        "_deriv": deriv,
+    }
+
 
 @pytest.fixture(scope="session")
 def rng():

@@ -29,6 +29,8 @@ def test_registry_and_ranges():
     with pytest.raises(ValueError):
         make_builtin("quadric", 9)
     with pytest.raises(ValueError):
+        make_builtin("cpn", 9)
+    with pytest.raises(ValueError):
         builtin_quadric(5)
 
 
@@ -39,7 +41,7 @@ def _projective_constants(n):
 @pytest.mark.parametrize(
     "name, n, expected",
     [
-        ("cpn", 6, _projective_constants(6)),
+        ("cpn", 8, _projective_constants(8)),
         ("quadric", 4, (4.0, 3.0, 1.0)),
         ("toric-fs", 4, _projective_constants(4)),
         ("toric-flat", 4, (0.0, 0.0, 0.0)),

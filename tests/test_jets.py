@@ -10,10 +10,10 @@ from einlocus import ChartPoint, Jet, JetOrderError, RealTangent, apply_J, jet_s
 from einlocus.coords import wirtinger
 from einlocus.exprs import coord_names, evaluate, free_identifiers
 from einlocus.jets import lift_callable_to_jet
-from einlocus.jets import WIRTINGER_BIDEGREE
+from einlocus.jets import WIRTINGER_BIDEGREE, JetSpace
 from einlocus.metrics import coordinate_jets, lift_to_jet
 
-from conftest import real_lift, scalar_fd_lift
+from conftest import loop_jet_tables, real_lift, scalar_fd_lift
 from test_fuzz import expression_trees
 
 
@@ -273,6 +273,30 @@ def test_stencil_table_lift_matches_scalar_loop_bit_for_bit(n, evals, scale):
         assert table.order == scalar.order and table.space is scalar.space
         assert len(table_points) == evals
         assert sorted(table_points) == sorted(scalar_points)
+
+
+# -- the tables of a space -----------------------------------------------------------
+
+
+def assert_same_array(got, want, name):
+    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 4])
+@pytest.mark.parametrize("nvars", list(range(1, 13)) + [16])
+def test_jet_tables_match_loop_oracle(nvars, capacity):
+    # every table, built from whole arrays, equals the one built an entry at a
+    # time: same entries, same order, same dtype
+    space, want = JetSpace(nvars, capacity), loop_jet_tables(nvars, capacity)
+    for name in ("indices", "_fact", "_keys", "_mul_ia", "_mul_ib", "_mul_iout"):
+        assert_same_array(getattr(space, name), want[name], name)
+    assert list(space.position.items()) == list(want["position"].items())
+    assert all(type(e) is int for alpha in space.position for e in alpha)
+    assert list(space._mul_blocks.items()) == list(want["_mul_blocks"].items())
+    assert len(space._deriv) == nvars
+    for v, (got, ref) in enumerate(zip(space._deriv, want["_deriv"])):
+        for part, g, r in zip(("src", "dst", "fac"), got, ref):
+            assert_same_array(g, r, (v, part))
 
 
 # -- degree: the bound on nonzero coefficients -------------------------------------

@@ -450,6 +450,34 @@ def test_dust_test_rejects_non_real_potentials():
     assert jet.value == pytest.approx(abs(0.3 - 0.2j) ** 2 + 0.4)
 
 
+def test_metric_hermitian_reports_the_lift_defect():
+    # an imaginary part 1e-12 |w1|^2 is far below the real_potential gate, and
+    # the metric drops it; the check reports it, and 0 for a black box
+    cpn1 = builtin_cpn(1)
+    potential = ("+", cpn1.chart.potential, ("*", 1e-12, "I", ("abs2", "w1")))
+    perturbed = ManifoldBundle(
+        chart=PotentialChart(1, potential, cpn1.chart.box, label="cpn-1-imaginary"),
+        mapping=cpn1.mapping,
+        locus=cpn1.locus,
+        label="cpn-1-imaginary",
+    )
+    report = verdict(perturbed, SamplingConfig(10, 10, seed=0))
+    assert report.exit_code == 0
+    check = report.data["checks"]["metric_hermitian"]
+    assert check["count"] == 10
+    assert 5e-13 <= check["min"] and check["max"] <= 5e-12
+    exact = verdict(cpn1, SamplingConfig(10, 10, seed=0)).data["checks"]["metric_hermitian"]
+    assert exact["max"] <= 1e-15
+    black_box = ManifoldBundle(
+        chart=PotentialChart(1, lambda xy: float(np.log1p(xy @ xy)), cpn1.chart.box, label="bb"),
+        mapping=cpn1.mapping,
+        locus=cpn1.locus,
+        label="black-box-cpn-1",
+    )
+    checks = verdict(black_box, SamplingConfig(4, 4, seed=0)).data["checks"]
+    assert checks["metric_hermitian"]["max"] == 0.0
+
+
 def test_chart_tensors_make_no_tensordot_call(monkeypatch):
     geom = ChartGeometry(builtin_cpn(5).chart, ChartPoint((0.1, -0.2j, 0.3, 0.1 + 0.1j, -0.4)))
     geom.psi_jet
