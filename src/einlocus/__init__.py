@@ -8,12 +8,10 @@ from .antiholo import (
     FixedLocusParam,
     anti_isometry_residual,
     antiholomorphy_residual,
-    find_fixed_point,
     fixed_locus_residual,
     isometry_residual,
     potential_invariance_residual,
     pullback_potential,
-    pushforward,
 )
 from .bundles import (
     ManifoldBundle,
@@ -30,7 +28,6 @@ from .coords import ChartPoint, RealTangent, apply_J, j_matrix, wirtinger
 from .criterion import (
     SpectralVerdict,
     TraceOperatorAt,
-    j_normal_curvature,
     spectral_test,
     trace_operator_at,
 )
@@ -38,7 +35,6 @@ from .errors import (
     ChartDomainError,
     DegenerateMetricError,
     EinlocusError,
-    HypothesesNotVerifiedError,
     JetOrderError,
     NonAnalyticFieldError,
     RankDeficiencyError,
@@ -52,7 +48,6 @@ from .locus import (
     intrinsic_ricci_on_frame,
     lagrangian_residual,
     locus_point,
-    project_tn,
     restricted_ricci,
     totally_real_residual,
 )

@@ -5,8 +5,7 @@ differential data comes from jet evaluation, so residuals like
 ||Df J + J Df|| measure the map itself, not a finite-difference artifact.
 
 Fixed loci are supplied as explicit parametrizations (component expressions
-in parameters t1..tn); a Newton-based fixed-point search is provided only
-as a diagnostic helper.
+in parameters t1..tn).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, RealTangent, j_matrix
+from .coords import ChartPoint, j_matrix
 from .errors import ChartDomainError, NonAnalyticFieldError
 from .jets import jet_space
 from .metrics import PotentialChart, coordinate_jets
@@ -56,12 +55,6 @@ def _real_jacobian(jets) -> np.ndarray:
     D = np.empty((2 * grad.shape[0], grad.shape[1]))
     D[0::2], D[1::2] = grad.real, grad.imag
     return D
-
-
-def pushforward(mapping: AntiholoMap, point: ChartPoint, v: RealTangent) -> RealTangent:
-    """Df(p) v, based at f(p)."""
-    D = mapping.jacobian_real(point)
-    return RealTangent(D @ v.components, mapping.apply(point))
 
 
 def antiholomorphy_residual(mapping: AntiholoMap, point: ChartPoint, D=None) -> float:
@@ -201,22 +194,3 @@ class FixedLocusParam:
 def fixed_locus_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
     """|f(p) - p| at a point p of the locus."""
     return float(np.linalg.norm(mapping.apply(point).real_view - point.real_view))
-
-
-def find_fixed_point(mapping: AntiholoMap, start: ChartPoint, steps=25, tol=1e-12):
-    """Diagnostic Newton search for a fixed point of f near ``start``.
-
-    Basin behavior is untamed; verification workflows should use declared
-    parametrizations instead.
-    """
-    x = start.real_view.copy()
-    n2 = x.size
-    for _ in range(steps):
-        p = ChartPoint.from_real(x)
-        r = mapping.apply(p).real_view - x
-        if np.linalg.norm(r) < tol:
-            return p
-        A = mapping.jacobian_real(p) - np.eye(n2)
-        step, *_ = np.linalg.lstsq(A, -r, rcond=None)
-        x = x + step
-    return ChartPoint.from_real(x)

@@ -159,11 +159,6 @@ def _resolve_bundle(args):
 
 
 def _cmd_verify(args):
-    try:
-        bundle = _resolve_bundle(args)
-    except (SpecFormatError, KeyError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     overrides = []
     if args.tol_eig is not None:
         overrides.append(("tol_eig", args.tol_eig))
@@ -171,12 +166,17 @@ def _cmd_verify(args):
         overrides.append(("tol_sym", args.tol_sym))
     if args.tol_const is not None:
         overrides.append(("tol_const", args.tol_const))
-    config = SamplingConfig(
-        ambient_samples=args.samples,
-        locus_samples=args.samples,
-        seed=args.seed,
-        tolerance_overrides=tuple(overrides),
-    )
+    try:
+        bundle = _resolve_bundle(args)
+        config = SamplingConfig(
+            ambient_samples=args.samples,
+            locus_samples=args.samples,
+            seed=args.seed,
+            tolerance_overrides=tuple(overrides),
+        )
+    except (SpecFormatError, KeyError, ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report, code = run_verify(bundle, config)
     except EinlocusError as err:

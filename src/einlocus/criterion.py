@@ -19,44 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import RealTangent, apply_J, j_matrix
-from .locus import FramePair, LocusGeometry, map_normal_projector, mixed_curvature_form
-from .metrics import ChartGeometry
+from .coords import j_matrix
+# map_normal_projector is re-exported: stage 5 and the bench hooks read it here
+from .locus import LocusGeometry, map_normal_projector  # noqa: F401
 
 DEFAULT_TOL_SYM = 1e-6
 DEFAULT_TOL_EIG = 1e-5
 DEFAULT_TOL_CONST = 1e-5
-
-
-def _frame_normal_projector(frame, G) -> np.ndarray:
-    """The G-orthogonal projector N^T N G onto the span of the normal frame."""
-    return frame.normal.T @ frame.normal @ G
-
-
-def j_normal_curvature(
-    lp: LocusGeometry,
-    zeta: RealTangent,
-    eta: RealTangent,
-    rho: RealTangent,
-    projector=None,
-) -> RealTangent:
-    """J applied to the normal part of R(J zeta, eta) rho.
-
-    The output is tangent to the locus (J exchanges tangent and normal on a
-    totally real submanifold).  ``projector`` overrides the frame-based
-    normal projection matrix, e.g. with :func:`map_normal_projector`.
-    """
-    geom = lp.geom
-    u = geom.curvature_endomorphism(apply_J(zeta), eta, rho).components
-    P = _frame_normal_projector(lp.frame, geom.G) if projector is None else projector
-    return apply_J(RealTangent(P @ u, lp.point))
-
-
-def mixed_curvature_matrix(geom: ChartGeometry, frame: FramePair) -> np.ndarray:
-    """The mixed trace sum_c Rm(J e_c, e_a, e_b, J e_c) on frame pairs:
-    out[a, b] on (e_a, e_b)."""
-    E = frame.tangent
-    return E @ mixed_curvature_form(geom, frame) @ E.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +34,8 @@ class TraceOperatorAt:
 
     ``matrix``[b, a] = G(sum_c J[R(J e_c, e_a) e_c]^normal, e_b); the
     ``cross_matrix`` is the same object assembled from curvature scalars,
-    minus the transposed :func:`mixed_curvature_matrix`.  The matrix depends
-    on the frame only through orthogonal conjugation.
+    minus the transposed ``LocusGeometry.mixed_curvature``.  The matrix
+    depends on the frame only through orthogonal conjugation.
     """
 
     matrix: np.ndarray
@@ -80,17 +49,14 @@ class TraceOperatorAt:
         )
 
 
-def trace_operator_at(lp: LocusGeometry, projector=None, frame=None) -> TraceOperatorAt:
-    """The trace operator at a locus point, on ``frame`` (default: the
-    point's canonical frame)."""
-    frame = lp.frame if frame is None else frame
-    geom = lp.geom
-    E, N, G = frame.tangent, frame.normal, geom.G
-    P = _frame_normal_projector(frame, G) if projector is None else projector
+def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
+    """The trace operator at a locus point on its frame, with ``projector``
+    the normal projector, e.g. :func:`map_normal_projector`."""
+    geom, E, N = lp.geom, lp.frame.tangent, lp.frame.normal
     # cov[a] = sum_c Rm(J e_c, e_a, e_c, .), contracted over the frame first
     cov = E @ np.tensordot(N.T @ E, geom.riemann_tensor, axes=([0, 1], [0, 2]))
-    M = E @ G @ (j_matrix(lp.n) @ P @ geom.G_inv @ cov.T)
-    return TraceOperatorAt(M, -mixed_curvature_matrix(geom, frame).T)
+    M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.T)
+    return TraceOperatorAt(M, -lp.mixed_curvature.T)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class RankDeficiencyError(EinlocusError):
     """A locus parametrization is rank-deficient at the requested parameter."""
 
 
-class HypothesesNotVerifiedError(EinlocusError):
-    """A computation requiring verified hypotheses was invoked without them."""
-
-
 class SpecFormatError(EinlocusError):
     """A manifold spec file is malformed or uses an unsupported schema."""
 

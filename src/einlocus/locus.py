@@ -24,17 +24,13 @@ import numpy as np
 
 from .antiholo import FixedLocusParam
 from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_jet
-from .errors import HypothesesNotVerifiedError, NonAnalyticFieldError, RankDeficiencyError
+from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import jet_space
-from .metrics import ChartGeometry, PotentialChart
+from .metrics import PotentialChart
 from .realcurv import curvature_from_metric_jets, real_metric_from_hermitian
 
 GS_RANK_TOL = 1e-8
-
-# Largest second fundamental form at which ``restricted_ricci`` treats the
-# locus as totally geodesic.
-GEODESIC_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +259,21 @@ class LocusGeometry:
 
         return self._get("h_max", build)
 
+    # -- curvature on the frame --------------------------------------------------
+
+    @property
+    def mixed_curvature(self):
+        """The mixed trace out[a, b] = sum_c Rm(J e_c, e_a, e_b, J e_c) on frame
+        pairs: E K_2 E^T with K_2 one contraction of the chart's Riemann tensor
+        with N^T N."""
+
+        def build():
+            E, N = self.frame.tangent, self.frame.normal
+            K = np.tensordot(N.T @ N, self.geom.riemann_tensor, axes=([0, 1], [0, 3]))
+            return E @ K @ E.T
+
+        return self._get("mixed", build)
+
     # -- induced metric and its intrinsic curvature --------------------------------
 
     @property
@@ -324,40 +335,20 @@ def map_normal_projector(mapping, point) -> np.ndarray:
     return (np.eye(D.shape[0]) - D) / 2.0
 
 
-def project_tn(mapping, chart: PotentialChart, point: ChartPoint, v: RealTangent):
-    """Split v into locus-tangent and normal parts through the map differential:
-    v_nor = (I - Df) v / 2 and v_tan = v - v_nor."""
-    v_nor = map_normal_projector(mapping, point) @ v.components
-    return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
-
-
 def lagrangian_residual(lp: LocusGeometry) -> float:
     omega = lp.geom.kahler_form
     vals = lp.frame.tangent @ omega @ lp.frame.tangent.T
     return float(np.max(np.abs(vals)))
 
 
-def restricted_ricci(lp: LocusGeometry, zeta: RealTangent, eta: RealTangent) -> float:
-    """Ricci of the induced metric through the ambient splitting:
-    Ric_g(zeta, eta) - sum_a Rm(J e_a, zeta, eta, J e_a).
-
-    Requires the locus to be totally geodesic: the second fundamental form
-    is measured here and enforced against ``GEODESIC_TOL``.
+def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
+    """Ricci of the induced metric on frame pairs through the ambient
+    splitting, Ric(e_a, e_b) - sum_c Rm(J e_c, e_a, e_b, J e_c): the Gauss
+    equation on a totally geodesic locus.  It holds only where the second
+    fundamental form vanishes, which ``verdict`` gates before it reads this.
     """
-    h = lp.sff_max_norm
-    if h > GEODESIC_TOL:
-        raise HypothesesNotVerifiedError(
-            f"second fundamental form residual {h:.3g} exceeds {GEODESIC_TOL:.3g}"
-        )
-    mixed = zeta.components @ mixed_curvature_form(lp.geom, lp.frame) @ eta.components
-    return float(lp.geom.ricci_real(zeta, eta) - mixed)
-
-
-def mixed_curvature_form(geom: ChartGeometry, frame: FramePair) -> np.ndarray:
-    """K[y, z] = sum_a Rm(J e_a, d_y, d_z, J e_a) over the normal frame, as one
-    contraction of the chart's Riemann tensor with N^T N."""
-    N = frame.normal
-    return np.tensordot(N.T @ N, geom.riemann_tensor, axes=([0, 1], [0, 3]))
+    E = lp.frame.tangent
+    return E @ lp.geom.Ric @ E.T - lp.mixed_curvature
 
 
 def intrinsic_ricci_on_frame(lp: LocusGeometry) -> np.ndarray:

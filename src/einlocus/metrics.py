@@ -51,7 +51,7 @@ def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
     (n, size) array."""
     n = point.n
     space = jet_space(2 * n, order)
-    units = [space.position[(0,) * v + (1,) + (0,) * (2 * n - v - 1)] for v in range(2 * n)]
+    units = space._tensor_table(1)[0]
     coeffs = np.zeros((n, space.size), dtype=np.complex128)
     rows = np.arange(n)
     coeffs[:, 0] = point.holo

@@ -68,6 +68,13 @@ class SamplingConfig:
     margin: float = DEFAULT_MARGIN
     tolerance_overrides: tuple = ()
 
+    def __post_init__(self):
+        # a negative seed would start the Halton stream below zero, where
+        # every point is the box's lower corner
+        for name in ("ambient_samples", "locus_samples", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 @dataclass
 class SampleStats:

@@ -8,12 +8,14 @@ primitive grammar (identifiers, + - * / pow log exp sqrt abs2 conj re im).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from . import exprs
 from .antiholo import AntiholoMap, FixedLocusParam
 from .bundles import ManifoldBundle
 from .errors import SpecFormatError
 from .metrics import PotentialChart
+from .verify import Tolerances
 
 SCHEMA_VERSION = 1
 
@@ -144,11 +146,13 @@ def bundle_from_dict(data: dict) -> ManifoldBundle:
     )
     tol = data.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
+    known = {f.name for f in fields(Tolerances)}
     for k, v in tol.items():
         _require(
             isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool),
             "tolerance overrides must map names to numbers",
         )
+        _require(k in known, f"unknown tolerance {k!r}")
     return ManifoldBundle(
         chart=chart,
         mapping=mapping,

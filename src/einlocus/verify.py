@@ -43,7 +43,13 @@ from .errors import (
     NonAnalyticFieldError,
     RankDeficiencyError,
 )
-from .locus import lagrangian_residual, locus_geometry, locus_point, totally_real_residual
+from .locus import (
+    lagrangian_residual,
+    locus_geometry,
+    locus_point,
+    restricted_ricci,
+    totally_real_residual,
+)
 from .metrics import einstein_residual
 from .sampling import SamplingConfig, sample_chart_points, sample_parameters
 
@@ -388,8 +394,7 @@ def _stages(bundle, config, tol, report, finish):
     kappa_values = []
     restricted_spread = []
     for lp in lpoints:
-        projector = map_normal_projector(mapping, lp.point)
-        op = trace_operator_at(lp, projector=projector)
+        op = trace_operator_at(lp, map_normal_projector(mapping, lp.point))
         cross_route.append(op.route_agreement)
         sv = spectral_test(op.matrix, tol_sym=tol.tol_sym, tol_eig=tol.tol_eig)
         point_verdicts.append(sv)
@@ -404,10 +409,9 @@ def _stages(bundle, config, tol, report, finish):
                 "einstein": sv.einstein,
             }
         )
-        # restricted-Ricci route (the biconditional cross-check), Ric minus the
-        # mixed trace -cross^T; the gates above established total geodesy
-        E, nloc = lp.frame.tangent, lp.frame.n
-        R_res = E @ lp.geom.Ric @ E.T + op.cross_matrix.T
+        # restricted-Ricci route (the biconditional cross-check); the gates
+        # above established total geodesy
+        R_res, nloc = restricted_ricci(lp), lp.m
         kappa_pt = float(np.trace(R_res) / nloc)
         kappa_values.append(kappa_pt)
         restricted_spread.append(

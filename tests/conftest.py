@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from einlocus import RealTangent, exprs, jets
+from einlocus import RealTangent, apply_J, exprs, jets
 from einlocus.coords import wirtinger, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
 from einlocus.metrics import coordinate_jets
@@ -97,6 +97,12 @@ def ricci_pairing(ric, v, w):
     """The real Ricci tensor of Ricci coefficients: 2 Re(V^j Ric_jk conj(W^k))."""
     return float(2.0 * np.real(v.holo_components @ ric @ np.conj(w.holo_components)))
 
+
+def j_normal_curvature(lp, zeta, eta, rho, projector):
+    """J applied to the normal part of R(J zeta, eta) rho, with ``projector``
+    the normal projector: the per-vector reading of the trace operator."""
+    u = lp.geom.curvature_endomorphism(apply_J(zeta), eta, rho).components
+    return apply_J(RealTangent(projector @ u, lp.point))
 
 
 def _fd_partial(func, x0, alpha, h, cache):

@@ -41,6 +41,19 @@ def test_every_bench_span_has_a_live_hook():
     assert set(tracer.missing) <= STALE_HOOKS, sorted(set(tracer.missing) - STALE_HOOKS)
 
 
+def test_stage_five_enters_the_restricted_ricci_hook():
+    # stage 5 reads its restricted Ricci matrix through locus.restricted_ricci,
+    # once per admitted locus point, and never the per-vector pairing
+    tracer = load_spans().Tracer()
+    with tracer.installed(einlocus):
+        report, per_verdict = tracer.verdict(
+            0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0))
+        )
+    calls = per_verdict["calls"]
+    assert report.exit_code == 0
+    assert calls["locus.restricted_ricci"] == report.data["counts"]["locus_admitted"] == 6
+    assert "metrics.riemann_covector" not in calls
+
 
 def test_bench_jet_contract():
     # the microbenchmark multiplies jets built as Jet(space, coeffs, order),

@@ -3,6 +3,8 @@
 import json
 import warnings
 
+import pytest
+
 from einlocus import (
     AntiholoMap,
     ManifoldBundle,
@@ -142,6 +144,23 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["verify", "--manifold", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_unknown_tolerance_in_spec_is_a_usage_error(tmp_path, capsys):
+    data = bundle_to_dict(builtin_cpn(1))
+    data["tolerances"] = {"no_such": 1.0}
+    spec = tmp_path / "unknown-tolerance.json"
+    spec.write_text(json.dumps(data))
+    assert main(["verify", "--manifold", str(spec), "--samples", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "no_such" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_negative_samples_or_seed_is_a_usage_error(flag, capsys):
+    assert main(["verify", "--manifold", "cpn", "--n", "1", flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err and "Traceback" not in err
 
 
 def test_list_builtins(capsys):

@@ -6,28 +6,41 @@ import pytest
 from einlocus import (
     ChartGeometry,
     ChartPoint,
+    LocusGeometry,
     PotentialChart,
     SamplingConfig,
     builtin_cpn,
     builtin_flat_torus,
-    j_normal_curvature,
     locus_point,
     spectral_test,
     trace_operator_at,
     verdict,
 )
-from einlocus.criterion import map_normal_projector, mixed_curvature_matrix
-from einlocus.locus import mixed_curvature_form
+from einlocus.criterion import map_normal_projector
 from einlocus.sampling import sample_parameters
+
+from conftest import j_normal_curvature
+
+
+def projector(bundle, lp):
+    return map_normal_projector(bundle.mapping, lp.point)
+
+
+def reframed(lp, Q):
+    """A fresh, uncached locus geometry at the same point on the frame
+    rotated by Q."""
+    out = LocusGeometry(lp.chart, lp.locus, lp.t)
+    out._cache["frame"] = lp.frame.rotated(Q)
+    return out
 
 
 def test_flat_trace_operator_vanishes():
     b = builtin_flat_torus(2)
     lp = locus_point(b.chart, b.locus, (0.1, -0.2))
-    op = trace_operator_at(lp)
+    op = trace_operator_at(lp, projector(b, lp))
     assert np.max(np.abs(op.matrix)) < 1e-13
     es = lp.frame.tangent_vectors()
-    out = j_normal_curvature(lp, es[0], es[1], es[0])
+    out = j_normal_curvature(lp, es[0], es[1], es[0], projector(b, lp))
     assert np.max(np.abs(out.components)) < 1e-13
 
 
@@ -39,7 +52,7 @@ def test_output_is_tangent_to_locus():
         es = lp.frame.tangent_vectors()
         for zeta in es:
             for eta in es:
-                out = j_normal_curvature(lp, zeta, eta, zeta)
+                out = j_normal_curvature(lp, zeta, eta, zeta, projector(b, lp))
                 for je in lp.frame.normal_vectors():
                     assert abs(out.components @ G @ je.components) < 1e-9
 
@@ -48,9 +61,9 @@ def test_dimension_one_trace_matches_single_component():
     b = builtin_cpn(1)
     lp = locus_point(b.chart, b.locus, (0.35,))
     e1 = lp.frame.tangent_vectors()[0]
-    op = trace_operator_at(lp)
+    op = trace_operator_at(lp, projector(b, lp))
     sv = spectral_test(op.matrix)
-    out = j_normal_curvature(lp, e1, e1, e1)
+    out = j_normal_curvature(lp, e1, e1, e1, projector(b, lp))
     G = b.chart.geometry(lp.point).G
     # the operator sends e1 to -C e1
     assert float(out.components @ G @ e1.components) == pytest.approx(-sv.C_est, abs=1e-10)
@@ -60,12 +73,11 @@ def test_two_routes_agree_and_projectors_match():
     for bundle in (builtin_cpn(2), builtin_quadric_2()):
         for t in sample_parameters(bundle.locus, 5, seed=2):
             lp = locus_point(bundle.chart, bundle.locus, t)
-            frame_route = trace_operator_at(lp)
-            assert frame_route.route_agreement < 1e-8
-            map_route = trace_operator_at(
-                lp, projector=map_normal_projector(bundle.mapping, lp.point)
-            )
-            assert np.max(np.abs(map_route.matrix - frame_route.matrix)) < 1e-9
+            assert trace_operator_at(lp, projector(bundle, lp)).route_agreement < 1e-8
+            # the map's splitting projector is the G-orthogonal projector
+            # onto the span of the normal frame
+            N = lp.frame.normal
+            assert np.max(np.abs(N.T @ N @ lp.geom.G - projector(bundle, lp))) < 1e-9
 
 
 def builtin_quadric_2():
@@ -77,12 +89,12 @@ def builtin_quadric_2():
 def test_frame_rotation_conjugates_operator():
     b = builtin_cpn(2)
     lp = locus_point(b.chart, b.locus, (0.3, 0.2))
-    op = trace_operator_at(lp)
+    op = trace_operator_at(lp, projector(b, lp))
     rng = np.random.default_rng(7)
     for _ in range(5):
         A = rng.standard_normal((2, 2))
         Q, _ = np.linalg.qr(A)
-        rotated = trace_operator_at(lp, frame=lp.frame.rotated(Q))
+        rotated = trace_operator_at(reframed(lp, Q), projector(b, lp))
         assert np.max(np.abs(rotated.matrix - Q.T @ op.matrix @ Q)) < 1e-9
 
 
@@ -91,7 +103,7 @@ def test_real_form_of_cp2_constant_operator():
     values = []
     for t in sample_parameters(b.locus, 50, seed=3):
         lp = locus_point(b.chart, b.locus, t)
-        op = trace_operator_at(lp)
+        op = trace_operator_at(lp, projector(b, lp))
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.max(np.abs(off)) < 1e-9
         values.extend(np.diag(op.matrix).tolist())
@@ -103,13 +115,9 @@ def test_mixed_trace_symmetry_and_route_sign():
     b = builtin_cpn(2)
     for t in sample_parameters(b.locus, 4, seed=4):
         lp = locus_point(b.chart, b.locus, t)
-        es = lp.frame.tangent_vectors()
-        K = mixed_curvature_form(lp.geom, lp.frame)
-        m01 = float(es[0].components @ K @ es[1].components)
-        m10 = float(es[1].components @ K @ es[0].components)
-        assert m01 == pytest.approx(m10, abs=1e-9)
-        op = trace_operator_at(lp)
-        M = mixed_curvature_matrix(lp.geom, lp.frame)
+        M = lp.mixed_curvature
+        assert M[0, 1] == pytest.approx(M[1, 0], abs=1e-9)
+        op = trace_operator_at(lp, projector(b, lp))
         assert np.max(np.abs(op.matrix + M.T)) < 1e-8
 
 
@@ -121,13 +129,12 @@ def test_mixed_trace_per_direction_structure():
     je1 = lp.frame.normal_vectors()[0]
     geom = b1.chart.geometry(lp.point)
     single = geom.riemann(je1, e1, e1, je1)
-    K = mixed_curvature_form(lp.geom, lp.frame)
-    assert single == pytest.approx(float(e1.components @ K @ e1.components))
+    assert single == pytest.approx(lp.mixed_curvature[0, 0])
     # higher dimensions: the summed trace is proportional to the metric on
     # the frame even though individual summands are not
     b2 = builtin_cpn(2)
     lp2 = locus_point(b2.chart, b2.locus, (0.3, -0.1))
-    M = mixed_curvature_matrix(lp2.geom, lp2.frame)
+    M = lp2.mixed_curvature
     c = M[0, 0]
     assert M == pytest.approx(c * np.eye(2), abs=1e-9)
 
@@ -153,11 +160,11 @@ def test_verdict_frame_independence():
     rng = np.random.default_rng(31)
     for t in sample_parameters(b.locus, 3, seed=9):
         lp = locus_point(b.chart, b.locus, t)
-        base = spectral_test(trace_operator_at(lp).matrix)
+        base = spectral_test(trace_operator_at(lp, projector(b, lp)).matrix)
         for _ in range(10):
             Q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
             rotated = spectral_test(
-                trace_operator_at(lp, frame=lp.frame.rotated(Q)).matrix
+                trace_operator_at(reframed(lp, Q), projector(b, lp)).matrix
             )
             assert rotated.einstein == base.einstein
             assert rotated.C_est == pytest.approx(base.C_est, abs=1e-9)
@@ -176,8 +183,8 @@ def test_scale_covariance_of_constant():
         t = (0.25, -0.35)
         lp0 = locus_point(base.chart, base.locus, t)
         lps = locus_point(scaled_chart, base.locus, t)
-        c0 = spectral_test(trace_operator_at(lp0).matrix)
-        cs = spectral_test(trace_operator_at(lps).matrix)
+        c0 = spectral_test(trace_operator_at(lp0, projector(base, lp0)).matrix)
+        cs = spectral_test(trace_operator_at(lps, projector(base, lps)).matrix)
         assert cs.C_est == pytest.approx(c0.C_est / s, rel=1e-7)
         assert cs.einstein == c0.einstein
 

@@ -70,7 +70,7 @@ def test_jet_product_matches_polynomial_oracle(pa, pb, pc):
     oracle = poly_truncate(poly_mul(pa, pb), 4)
     prod = ja * jb
     for key, val in oracle.items():
-        pos = space.position[key]
+        pos = space._lookup([key])[0]
         assert abs(prod.coeffs[pos] - val) <= scale
 
 
@@ -201,6 +201,42 @@ def test_jet_restrict_drops_other_variables():
     assert sub.partial((1,)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("keep", [(0,), (2, 0), (1, 3, 2), (3, 2, 1, 0)])
+def test_jet_restrict_matches_loop_bit_for_bit(keep):
+    space = jet_space(4, 4)
+    rng = np.random.default_rng(len(keep))
+    f = Jet(space, rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size), 4)
+    target = jet_space(len(keep), 4)
+    want = np.zeros(target.size, dtype=np.complex128)
+    index = {tuple(alpha): i for i, alpha in enumerate(target.indices.tolist())}
+    for alpha, c in zip(space.indices.tolist(), f.coeffs):
+        if all(e == 0 for v, e in enumerate(alpha) if v not in keep):
+            want[index[tuple(alpha[v] for v in keep)]] = c
+    got = f.restrict(keep)
+    assert got.space is target and got.order == 4
+    assert np.array_equal(got.coeffs, want)
+
+
+def test_index_lookups_never_alias_a_neighbour():
+    space = jet_space(2, 4)
+    rows = [(0, 0), (0, 1), (4, 0), (2, 2)]
+    assert space.indices[space._lookup(rows)].tolist() == [list(r) for r in rows]
+    # each key encodes exponents in base capacity + 1 = 5, so (5, 0) and
+    # (5, -1) carry into the keys of (0, 1) and (0, 0); an exponent sum
+    # above the top key must not index past the table either
+    for alpha in ((5, 0), (5, -1), (0, 9), (3, 2), (1, 1, 0), (1,)):
+        with pytest.raises(KeyError):
+            space._lookup([alpha])
+    with pytest.raises(KeyError):
+        space.from_coefficients({(0, 1): 1.0, (5, 0): 2.0})
+    with pytest.raises(KeyError):
+        space.variable(0, 0.5).partial((5, -1))
+    for v in (-1, 2):
+        with pytest.raises(KeyError):
+            space.variable(v)
+    assert np.array_equal(space.from_coefficients({}).coeffs, np.zeros(space.size))
+
+
 def test_chart_point_round_trip_exact():
     holo = (0.3 - 0.7j, -1.25 + 0.5j, 2.0 + 0.0j)
     p = ChartPoint(holo)
@@ -290,8 +326,7 @@ def test_jet_tables_match_loop_oracle(nvars, capacity):
     space, want = JetSpace(nvars, capacity), loop_jet_tables(nvars, capacity)
     for name in ("indices", "_fact", "_keys", "_mul_ia", "_mul_ib", "_mul_iout"):
         assert_same_array(getattr(space, name), want[name], name)
-    assert list(space.position.items()) == list(want["position"].items())
-    assert all(type(e) is int for alpha in space.position for e in alpha)
+    assert np.array_equal(space._lookup(list(want["position"])), np.arange(space.size))
     assert list(space._mul_blocks.items()) == list(want["_mul_blocks"].items())
     assert len(space._deriv) == nvars
     for v, (got, ref) in enumerate(zip(space._deriv, want["_deriv"])):
@@ -425,7 +460,7 @@ def test_wirtinger_conjugation_swaps_exponents():
     f = random_wirtinger_jet(space, space.capacity, np.random.default_rng(3))
     g = f.conjugate()
     for pos, (a1, b1, a2, b2) in enumerate(space.indices):
-        assert g.coeffs[space.position[(b1, a1, b2, a2)]] == np.conj(f.coeffs[pos])
+        assert g.coeffs[space._lookup([(b1, a1, b2, a2)])[0]] == np.conj(f.coeffs[pos])
     assert np.array_equal(g.conjugate().coeffs, f.coeffs)
     assert (g.wirtinger, g.degree) == (True, f.degree)
     # the conjugate of z_1 is zbar_1, and the real part is a Hermitian jet

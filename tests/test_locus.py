@@ -7,7 +7,6 @@ from einlocus import (
     AntiholoMap,
     ChartPoint,
     FixedLocusParam,
-    HypothesesNotVerifiedError,
     ManifoldBundle,
     NonAnalyticFieldError,
     PotentialChart,
@@ -21,12 +20,13 @@ from einlocus import (
     builtin_toric_fs,
     lagrangian_residual,
     locus_point,
-    project_tn,
+    make_builtin,
     restricted_ricci,
     totally_real_residual,
     verdict,
 )
 from einlocus import locus as locus_module
+from einlocus.criterion import map_normal_projector
 from einlocus.locus import intrinsic_ricci_on_frame, locus_geometry
 from einlocus.sampling import sample_parameters
 
@@ -197,33 +197,39 @@ def test_totally_real_residuals():
     assert totally_real_residual(lp) == pytest.approx(1.0, abs=1e-8)
 
 
+def split_tn(mapping, point, v):
+    """v as (tangent, normal) parts through the map's splitting projector."""
+    v_nor = map_normal_projector(mapping, point) @ v.components
+    return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
+
+
 def test_projection_identities():
     bundle = builtin_cpn(2)
     chart, mp = bundle.chart, bundle.mapping
     lp = locus_point(chart, bundle.locus, (0.25, -0.4))
     es = lp.frame.tangent_vectors()
-    vt, vp = project_tn(mp, chart, lp.point, es[0])
+    vt, vp = split_tn(mp, lp.point, es[0])
     assert np.array_equal(vt.components, es[0].components)
     assert np.max(np.abs(vp.components)) == 0.0
     je = apply_J(es[0])
-    vt, vp = project_tn(mp, chart, lp.point, je)
+    vt, vp = split_tn(mp, lp.point, je)
     assert np.max(np.abs(vt.components)) == 0.0
     assert np.array_equal(vp.components, je.components)
     rng = np.random.default_rng(5)
     G = chart.geometry(lp.point).G
     for _ in range(25):
         v = RealTangent(rng.standard_normal(4), lp.point)
-        vt, vp = project_tn(mp, chart, lp.point, v)
+        vt, vp = split_tn(mp, lp.point, v)
         # exact decomposition and orthogonality of the parts
         assert np.array_equal(vt.components + vp.components, v.components)
         assert abs(vt.components @ G @ vp.components) < 1e-10
         # J swaps the tangent and normal projections
         jv = apply_J(v)
-        jvt, jvp = project_tn(mp, chart, lp.point, jv)
+        jvt, jvp = split_tn(mp, lp.point, jv)
         assert np.max(np.abs(apply_J(vt).components - jvp.components)) < 1e-12
         assert np.max(np.abs(apply_J(vp).components - jvt.components)) < 1e-12
         # idempotence: projecting the tangent part returns it unchanged
-        vtt, vtp = project_tn(mp, chart, lp.point, vt)
+        vtt, vtp = split_tn(mp, lp.point, vt)
         assert np.array_equal(vtt.components, vt.components)
         assert np.max(np.abs(vtp.components)) == 0.0
 
@@ -259,35 +265,44 @@ def test_circle_control_recovers_classical_curvature():
 def test_restricted_ricci_curve_and_flat():
     b1 = builtin_cpn(1)
     lp = locus_point(b1.chart, b1.locus, (0.3,))
-    e1 = lp.frame.tangent_vectors()[0]
-    assert restricted_ricci(lp, e1, e1) == pytest.approx(0.0, abs=1e-10)
+    assert restricted_ricci(lp) == pytest.approx(np.zeros((1, 1)), abs=1e-10)
     bf = builtin_flat_torus(2)
     lp = locus_point(bf.chart, bf.locus, (0.1, 0.2))
-    es = lp.frame.tangent_vectors()
-    assert restricted_ricci(lp, es[0], es[1]) == pytest.approx(0.0, abs=1e-12)
+    assert restricted_ricci(lp) == pytest.approx(np.zeros((2, 2)), abs=1e-12)
 
 
 def test_restricted_ricci_matches_intrinsic_oracle():
     b2 = builtin_cpn(2)
     for t in sample_parameters(b2.locus, 5, seed=6):
         lp = locus_point(b2.chart, b2.locus, t)
-        es = lp.frame.tangent_vectors()
-        via_split = np.array(
-            [
-                [restricted_ricci(lp, es[a], es[b]) for b in range(2)]
-                for a in range(2)
-            ]
-        )
+        via_split = restricted_ricci(lp)
+        assert via_split.shape == (2, 2)
         assert via_split == pytest.approx(via_split.T, abs=1e-10)
         via_param = intrinsic_ricci_on_frame(lp)
         assert np.max(np.abs(via_split - via_param)) < 1e-6
 
 
-def test_restricted_ricci_guards_geodesic_hypothesis():
-    lp = locus_point(EUCLID1, circle_locus(1.0), (0.15,))
-    e1 = lp.frame.tangent_vectors()[0]
-    with pytest.raises(HypothesesNotVerifiedError):
-        restricted_ricci(lp, e1, e1)
+@pytest.mark.parametrize("name, n", [("cpn", 2), ("quadric", 3), ("toric-fs", 2)])
+def test_report_reads_kappa_off_restricted_ricci(name, n):
+    # kappa_est and restricted_einstein_spread are the median trace and the
+    # spread of restricted_ricci at the report's locus points, to the bit
+    bundle = make_builtin(name, n)
+    report = verdict(bundle, SamplingConfig(8, 8, seed=3))
+    kappas, spreads = [], []
+    for point in report.data["spectral"]["per_point"]:
+        R = restricted_ricci(locus_point(bundle.chart, bundle.locus, point["t"]))
+        kappa = float(np.trace(R) / R.shape[0])
+        kappas.append(kappa)
+        spreads.append(
+            float(np.linalg.norm(R - kappa * np.eye(R.shape[0])) / max(1.0, abs(kappa)))
+        )
+    assert report.data["constants"]["kappa_est"] == float(np.median(kappas))
+    assert report.data["checks"]["restricted_einstein_spread"] == {
+        "count": len(spreads),
+        "min": min(spreads),
+        "median": float(np.median(spreads)),
+        "max": max(spreads),
+    }
 
 
 def test_lagrangian_residuals():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from einlocus.sampling import _first_primes, halton_points
+from einlocus.sampling import SamplingConfig, _first_primes, halton_points
 
 
 def _radical_inverse(i, base):
@@ -30,3 +30,10 @@ def test_halton_matches_scalar_loop_bit_for_bit(seed):
             fast = halton_points(dim, count, seed)
             assert fast.shape == (count, dim)
             assert fast.tobytes() == _scalar_halton(dim, count, seed).tobytes()
+
+
+@pytest.mark.parametrize("field", ["ambient_samples", "locus_samples", "seed"])
+def test_sampling_config_rejects_negative_counts_and_seeds(field):
+    with pytest.raises(ValueError, match=field):
+        SamplingConfig(**{field: -1})
+    assert getattr(SamplingConfig(**{field: 0}), field) == 0

@@ -101,9 +101,12 @@ def test_tolerance_overrides_flow_into_report(tmp_path):
     bundle = bundle_from_dict(data)
     report, _ = run_verify(bundle, SamplingConfig(6, 5, seed=2))
     assert report.data["config"]["tolerances"]["tol_eig"] == 1e-3
+    # an unknown name is a spec error; through the API it stays a KeyError
     data["tolerances"] = {"no_such": 1.0}
+    with pytest.raises(SpecFormatError, match="no_such"):
+        bundle_from_dict(data)
     with pytest.raises(KeyError):
-        run_verify(bundle_from_dict(data), SamplingConfig(6, 5, seed=2))
+        run_verify(bundle, SamplingConfig(6, 5, seed=2, tolerance_overrides=(("no_such", 1.0),)))
 
 
 def test_spec_file_is_sorted_json(tmp_path):
