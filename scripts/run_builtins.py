@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from einlocus import make_builtin, run_verify  # noqa: E402
+from einlocus import make_builtin, verdict  # noqa: E402
 from einlocus.bundles import DEFAULT_SUITE  # noqa: E402
 from einlocus.sampling import SamplingConfig  # noqa: E402
 
@@ -38,9 +38,9 @@ def main():
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
         start = time.perf_counter()
-        report, code = run_verify(bundle, config)
+        report = verdict(bundle, config)
         elapsed = time.perf_counter() - start
-        worst = max(worst, code)
+        worst = max(worst, report.exit_code)
         c = report.data["constants"]
         path = outdir / f"{bundle.label}.json"
         path.write_text(report.to_json())

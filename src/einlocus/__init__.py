@@ -11,7 +11,6 @@ from .antiholo import (
     fixed_locus_residual,
     isometry_residual,
     potential_invariance_residual,
-    pullback_potential,
 )
 from .bundles import (
     ManifoldBundle,
@@ -24,7 +23,7 @@ from .bundles import (
     list_builtins,
     make_builtin,
 )
-from .coords import ChartPoint, RealTangent, apply_J, j_matrix, wirtinger
+from .coords import ChartPoint, j_matrix
 from .criterion import (
     SpectralVerdict,
     TraceOperatorAt,
@@ -62,6 +61,5 @@ from .verify import (
     EXIT_USAGE,
     Tolerances,
     VerificationReport,
-    run_verify,
     verdict,
 )

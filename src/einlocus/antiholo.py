@@ -1,4 +1,4 @@
-"""Anti-holomorphic self-maps, their residual checks and pullbacks.
+"""Anti-holomorphic self-maps and their residual checks.
 
 A map is given by component expressions in the chart coordinates.  All its
 differential data comes from jet evaluation, so residuals like
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exprs
 from .coords import ChartPoint, j_matrix
-from .errors import ChartDomainError, NonAnalyticFieldError
+from .errors import ChartDomainError
 from .jets import jet_space
 from .metrics import PotentialChart, coordinate_jets
 
@@ -113,37 +113,6 @@ def potential_invariance_residual(
     return abs(chart.potential_value(image) - chart.potential_value(point))
 
 
-def pullback_potential(mapping: AntiholoMap, chart: PotentialChart) -> PotentialChart:
-    """The chart carrying the composed potential psi o f.
-
-    Because the pullback reverses holomorphic type, the metric of the result
-    is the matrix of minus the pulled-back Kahler form; the test suite holds
-    this to the composed chart via :func:`pullback_consistency_residual`.
-    """
-    if callable(chart.potential):
-        raise NonAnalyticFieldError("cannot compose a black-box potential with a map")
-    mapping_env = dict(zip(exprs.coord_names(chart.dimension), mapping.components))
-    composed = exprs.substitute(chart.potential, mapping_env)
-    return PotentialChart(
-        dimension=chart.dimension,
-        potential=composed,
-        box=chart.box,
-        domain=chart.domain,
-        label=f"{chart.label}<-{mapping.label}",
-        fd_scale=chart.fd_scale,
-    )
-
-
-def pullback_consistency_residual(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> float:
-    """|| w_{psi o f}(p) + (f^* w)(p) || / ||w(p)||, an internal audit."""
-    pulled = pullback_potential(mapping, chart)
-    image = mapping.apply(point)
-    D = mapping.jacobian_real(point)
-    W_new = pulled.geometry(point).kahler_form
-    W_f = chart.geometry(image).kahler_form
-    return float(np.linalg.norm(W_new + D.T @ W_f @ D) / np.linalg.norm(W_new))
-
-
 @dataclass(frozen=True)
 class FixedLocusParam:
     """A parametrization t -> chart point of the fixed locus.
@@ -159,10 +128,6 @@ class FixedLocusParam:
     @property
     def n_params(self):
         return len(self.box)
-
-    @property
-    def dimension(self):
-        return len(self.components)
 
     def _names(self):
         return exprs.coord_names(self.n_params, prefix="t")
@@ -186,9 +151,6 @@ class FixedLocusParam:
     def jacobian(self, t) -> np.ndarray:
         """Real 2n x m Jacobian d(param)/dt."""
         return _real_jacobian(self.component_jets(t, order=1))
-
-    def in_box(self, t) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(t, self.box))
 
 
 def fixed_locus_residual(mapping: AntiholoMap, point: ChartPoint) -> float:

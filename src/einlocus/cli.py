@@ -12,9 +12,11 @@ import sys
 
 from .bundles import list_builtins, make_builtin
 from .errors import EinlocusError, SpecFormatError
+from .locus import RANK_TOL
+from .metrics import HERMITIAN_TOL
 from .sampling import SamplingConfig
 from .specfile import load_spec
-from .verify import EXIT_USAGE, run_verify
+from .verify import EXIT_USAGE, Tolerances, verdict
 
 CHECK_EXPLANATIONS = {
     "metric_hermitian": (
@@ -22,12 +24,12 @@ CHECK_EXPLANATIONS = {
         "jet in (z, zbar) at each ambient sample, before its real part is taken; 0 "
         "for a black-box potential",
         "a real potential has a Hermitian jet, so the defect is roundoff; a value "
-        "well above it, yet under the real_potential gate's 1e-8, flags a small "
+        f"well above it, yet under the real_potential gate's {HERMITIAN_TOL:g}, flags a small "
         "imaginary part that the metric drops; reported, not gated",
     ),
     "real_potential": (
         "indicator: 1 when the potential's jet in (z, zbar) is not Hermitian: some "
-        "|c(alpha, beta) - conj c(beta, alpha)| above 1e-8 (1 + its largest |c|)",
+        f"|c(alpha, beta) - conj c(beta, alpha)| above {HERMITIAN_TOL:g} (1 + its largest |c|)",
         "a Kahler potential is real-valued; a complex one defines no Hermitian "
         "metric, so the run stops at the first such point",
     ),
@@ -69,7 +71,7 @@ CHECK_EXPLANATIONS = {
         "the declared parametrization must actually land on the fixed locus",
     ),
     "locus_rank": (
-        "indicator: 1 when the smallest singular value of d(param)/dt drops below 1e-8",
+        f"indicator: 1 when the smallest singular value of d(param)/dt drops below {RANK_TOL:g}",
         "the locus must be a half-dimensional submanifold; rank defects "
         "invalidate the frame construction (the singular values themselves "
         "appear under checks)",
@@ -174,11 +176,12 @@ def _cmd_verify(args):
             seed=args.seed,
             tolerance_overrides=tuple(overrides),
         )
+        Tolerances().with_overrides(overrides)  # a NaN or negative flag is a usage error
     except (SpecFormatError, KeyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report, code = run_verify(bundle, config)
+        report = verdict(bundle, config)
     except EinlocusError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -191,10 +194,10 @@ def _cmd_verify(args):
             print(f"error: cannot write report: {err}", file=sys.stderr)
             return EXIT_USAGE
         status = report.data["verdict"]["status"]
-        print(f"{bundle.label}: {status} (exit {code}); report written to {args.out}")
+        print(f"{bundle.label}: {status} (exit {report.exit_code}); report written to {args.out}")
     else:
         sys.stdout.write(rendered)
-    return code
+    return report.exit_code
 
 
 def _cmd_list_builtins(_args):

@@ -1,4 +1,4 @@
-"""Chart points, real tangent vectors and the complex structure convention.
+"""Chart points and the complex structure convention.
 
 Conventions fixed here and cited by every other module:
 
@@ -6,7 +6,8 @@ Conventions fixed here and cited by every other module:
   z^j = x^j + i y^j;
 * the complex structure acts as J dx^j = dy^j, J dy^j = -dx^j, i.e. on
   components J(a, b) = (-b, a) per coordinate pair, so J is block diagonal
-  with blocks ``J_BLOCK``;
+  with blocks ``J_BLOCK``; a tangent vector is a plain component array in
+  this ordering, and J acts on it as ``j_matrix(n)``;
 * Wirtinger derivatives are d/dz = (d/dx - i d/dy)/2 and
   d/dzbar = (d/dx + i d/dy)/2;
 * a jet over the Wirtinger variables orders them like the real ones,
@@ -62,43 +63,6 @@ class ChartPoint:
         if r.size % 2:
             raise ValueError("real coordinate vector must have even length")
         return ChartPoint(tuple(r[0::2] + 1j * r[1::2]))
-
-
-@dataclass(frozen=True, eq=False)
-class RealTangent:
-    """A tangent vector in the real coordinate basis at a chart point."""
-
-    components: np.ndarray
-    base: ChartPoint
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        if comps.size != 2 * self.base.n:
-            raise ValueError("component count must be twice the chart dimension")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def holo_components(self):
-        """Complex components V^j = v_x^j + i v_y^j of the (1,0) part."""
-        c = self.components
-        return c[0::2] + 1j * c[1::2]
-
-    @staticmethod
-    def from_holo(vholo, base):
-        v = np.asarray(vholo, dtype=complex)
-        comps = np.empty(2 * v.size)
-        comps[0::2] = v.real
-        comps[1::2] = v.imag
-        return RealTangent(comps, base)
-
-
-def apply_J(v: RealTangent) -> RealTangent:
-    """Rotate a tangent vector by the complex structure: (a, b) -> (-b, a)."""
-    c = v.components
-    out = np.empty_like(c)
-    out[0::2] = -c[1::2]
-    out[1::2] = c[0::2]
-    return RealTangent(out, v.base)
 
 
 def wirtinger_matrix(n):
@@ -188,7 +152,3 @@ def wirtinger_jet(jet, holo_indices=(), antiholo_indices=()):
         out = (out.deriv(2 * k) + 1j * out.deriv(2 * k + 1)) * 0.5
     return out
 
-
-def wirtinger(jet, holo_indices=(), antiholo_indices=()):
-    """The mixed Wirtinger derivative of the field at the base point."""
-    return wirtinger_jet(jet, holo_indices, antiholo_indices).value

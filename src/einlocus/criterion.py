@@ -23,10 +23,6 @@ from .coords import j_matrix
 # map_normal_projector is re-exported: stage 5 and the bench hooks read it here
 from .locus import LocusGeometry, map_normal_projector  # noqa: F401
 
-DEFAULT_TOL_SYM = 1e-6
-DEFAULT_TOL_EIG = 1e-5
-DEFAULT_TOL_CONST = 1e-5
-
 
 @dataclass(frozen=True, eq=False)
 class TraceOperatorAt:
@@ -71,7 +67,7 @@ class SpectralVerdict:
     complex_eigenvalues: bool
 
 
-def spectral_test(M, tol_sym=DEFAULT_TOL_SYM, tol_eig=DEFAULT_TOL_EIG) -> SpectralVerdict:
+def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
     """Decide whether M is (numerically) -C times the identity.
 
     A real matrix is orthogonally diagonalizable iff it is symmetric, so

@@ -225,13 +225,6 @@ class JetSpace:
         coeffs[self._lookup(list(mapping))] = list(mapping.values())
         return Jet(self, coeffs, self.capacity if order is None else order)
 
-    def lift(self, value):
-        if isinstance(value, Jet):
-            if value.space is not self:
-                raise ValueError("jet belongs to a different space")
-            return value
-        return self.constant(value)
-
 
 @lru_cache(maxsize=32)
 def jet_space(nvars, capacity=DEFAULT_ORDER):

@@ -23,14 +23,16 @@ from functools import lru_cache
 import numpy as np
 
 from .antiholo import FixedLocusParam
-from .coords import ChartPoint, RealTangent, j_matrix, wirtinger_jet
+from .coords import j_matrix, wirtinger_jet
 from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import jet_space
 from .metrics import PotentialChart
 from .realcurv import curvature_from_metric_jets, real_metric_from_hermitian
 
-GS_RANK_TOL = 1e-8
+# Below this, a singular value of d(param)/dt or of the joint frame, or the
+# length Gram-Schmidt leaves a tangent field, counts as lost rank.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,28 +41,6 @@ class FramePair:
 
     tangent: np.ndarray
     normal: np.ndarray
-    base: ChartPoint
-
-    @property
-    def n(self):
-        return self.tangent.shape[0]
-
-    def tangent_vectors(self):
-        return [RealTangent(row, self.base) for row in self.tangent]
-
-    def normal_vectors(self):
-        return [RealTangent(row, self.base) for row in self.normal]
-
-    def rotated(self, Q):
-        """Re-frame by an orthogonal matrix: e'_a = sum_c Q[c, a] e_c."""
-        new_tan = Q.T @ self.tangent
-        J = j_matrix(self.tangent.shape[1] // 2)
-        return FramePair(new_tan, new_tan @ J.T, self.base)
-
-    def orthonormality_defect(self, G):
-        stacked = np.vstack([self.tangent, self.normal])
-        gram = stacked @ G @ stacked.T
-        return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 class LocusGeometry:
@@ -163,7 +143,7 @@ class LocusGeometry:
         Gram-Schmidt of the tangent fields T_d in parameter order, in closed
         form: C = L^-1 with L L^T = T G T^T the Cholesky factorization.  A
         failed factorization, or a diagonal entry of L (the length left after
-        projecting out the earlier fields) below ``GS_RANK_TOL``, is a rank
+        projecting out the earlier fields) below ``RANK_TOL``, is a rank
         deficiency.
         """
 
@@ -171,7 +151,7 @@ class LocusGeometry:
             T = self.jacobian.T
             try:
                 L = np.linalg.cholesky(T @ self.geom.G @ T.T)
-                full_rank = L.diagonal().min() >= GS_RANK_TOL
+                full_rank = L.diagonal().min() >= RANK_TOL
             except np.linalg.LinAlgError:
                 full_rank = False
             if not full_rank:
@@ -211,7 +191,7 @@ class LocusGeometry:
         def build():
             rows = self.frame_field_jets[0]
             J = j_matrix(self.n)
-            return FramePair(rows, rows @ J.T, self.point)
+            return FramePair(rows, rows @ J.T)
 
         return self._get("frame", build)
 
@@ -246,8 +226,9 @@ class LocusGeometry:
         """Components of nabla_{e_a} e_b at the base point."""
         return self._ambient_derivatives()[a, b]
 
-    def second_fundamental_form(self, a, b) -> RealTangent:
-        return RealTangent(self._second_fundamental_forms()[a, b], self.point)
+    def second_fundamental_form(self, a, b) -> np.ndarray:
+        """Components of h(e_a, e_b), a row of the table of all frame pairs."""
+        return self._second_fundamental_forms()[a, b]
 
     @property
     def sff_max_norm(self):
@@ -324,7 +305,7 @@ def totally_real_residual(lp: LocusGeometry) -> float:
     G = lp.geom.G
     cross = lp.frame.tangent @ G @ lp.frame.normal.T
     stacked = np.vstack([lp.frame.tangent, lp.frame.normal])
-    rank = np.linalg.matrix_rank(stacked, tol=1e-8)
+    rank = np.linalg.matrix_rank(stacked, tol=RANK_TOL)
     defect = float(stacked.shape[0] - rank) / stacked.shape[0]
     return max(float(np.max(np.abs(cross))), defect)
 

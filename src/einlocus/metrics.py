@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, RealTangent, j_matrix, real_to_wirtinger, wirtinger_table
+from .coords import ChartPoint, j_matrix, real_to_wirtinger, wirtinger_table
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
 from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
@@ -41,6 +41,10 @@ from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 # eigenvalue to the norm of the potential's real Hessian; below either a
 # point is rejected as degenerate rather than failing the whole run.
 DEGENERACY_RATIO = 1e-10
+
+# Largest relative Hermitian defect of a potential's (z, zbar) jet that is
+# still read as roundoff of a real-valued field (see ``lift_to_jet``).
+HERMITIAN_TOL = 1e-8
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
@@ -61,26 +65,19 @@ def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
 
 
 def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
-    """Lift a real scalar field to its jet over (z, zbar) at a point.
+    """Lift a real scalar field to its jet over (z, zbar) at a point: returns
+    (jet, relative Hermitian defect of the jet before its real part is taken).
 
     Expression-tree fields are evaluated in exact jet arithmetic on the
     coordinate jets z^j (variable 2j); their conjugates come from
-    ``Jet.conjugate``.  A field whose jet is not Hermitian, max |c_(alpha,
-    beta) - conj c_(beta, alpha)| above 1e-8 of its size, is not real-valued.
-    Callables (black boxes on the real coordinate vector) fall back to
-    Richardson-extrapolated central finite differences over the real
+    ``Jet.conjugate``.  The defect is max |c_(alpha, beta) - conj c_(beta,
+    alpha)| / (1 + max |c|); above ``HERMITIAN_TOL`` the field is not
+    real-valued.  Callables (black boxes on the real coordinate vector) fall
+    back to Richardson-extrapolated central finite differences over the real
     variables, with steps proportional to ``fd_scale``, converted once to
-    (z, zbar); they lose roughly half the significant digits of the exact
-    route.
+    (z, zbar) with defect 0; they lose roughly half the significant digits of
+    the exact route.
     """
-    return _hermitian_lift(field, point, order, fd_scale)[0]
-
-
-def _hermitian_lift(field, point, order, fd_scale):
-    """The jet of ``lift_to_jet`` and the relative Hermitian defect of the
-    field's jet before its real part is taken, max |c_(alpha, beta) - conj
-    c_(beta, alpha)| / (1 + max |c|): 0 for a callable, whose conversion to
-    (z, zbar) is Hermitian exactly."""
     if callable(field):
         real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
         return real_to_wirtinger(real), 0.0
@@ -94,7 +91,7 @@ def _hermitian_lift(field, point, order, fd_scale):
         jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
     dust = float(np.abs(jet.coeffs - jet.conjugate().coeffs).max())
     scale = 1.0 + float(np.abs(jet.coeffs).max())
-    if dust > 1e-8 * scale:
+    if dust > HERMITIAN_TOL * scale:
         raise NonAnalyticFieldError(
             f"field is not real-valued at {point.holo}: Hermitian defect {dust:.3g}"
         )
@@ -184,7 +181,7 @@ class ChartGeometry:
     @property
     def psi_jet(self):
         if "psi" not in self._cache:
-            self._cache["psi"], self._cache["hermitian_defect"] = _hermitian_lift(
+            self._cache["psi"], self._cache["hermitian_defect"] = lift_to_jet(
                 self.chart.potential, self.point, DEFAULT_ORDER, self.chart.fd_scale
             )
         return self._cache["psi"]
@@ -338,15 +335,14 @@ class ChartGeometry:
 
         return self._get("Rm", build)
 
-    def ricci_real(self, v: RealTangent, w: RealTangent) -> float:
-        """Ric(v, w), read off ``Ric``."""
-        return float(v.components @ self.Ric @ w.components)
+    def ricci_real(self, v, w) -> float:
+        """Ric(v, w) of component arrays, read off ``Ric``."""
+        return float(v @ self.Ric @ w)
 
     def riemann_covector(self, zeta, eta, rho):
-        """Covector c with c[a] = Rm(zeta, eta, rho, basis_a)."""
-        Z = zeta.holo_components
-        H = eta.holo_components
-        P = rho.holo_components
+        """Covector c with c[a] = Rm(zeta, eta, rho, basis_a), by the direct
+        complex pairing of the component arrays' holomorphic parts."""
+        Z, H, P = (v[0::2] + 1j * v[1::2] for v in (zeta, eta, rho))
         T = np.einsum("ijkl,i,j->kl", self.curvature, Z, np.conj(H))
         q = T.T @ P
         r = T @ np.conj(P)
@@ -354,16 +350,6 @@ class ChartGeometry:
         c[0::2] = 2.0 * np.real(q - r)
         c[1::2] = 2.0 * np.imag(q + r)
         return c
-
-    def riemann(self, zeta, eta, rho, upsilon) -> float:
-        vs = (zeta.components, eta.components, rho.components, upsilon.components)
-        return float(np.einsum("xyzw,x,y,z,w->", self.riemann_tensor, *vs))
-
-    def curvature_endomorphism(self, zeta, eta, rho) -> RealTangent:
-        """R(zeta, eta) rho with the index raised by G."""
-        vs = (zeta.components, eta.components, rho.components)
-        c = np.einsum("xyzw,x,y,z->w", self.riemann_tensor, *vs)
-        return RealTangent(self.G_inv @ c, self.point)
 
 
 def _real_metric_matrix(g):

@@ -69,11 +69,15 @@ class SamplingConfig:
     tolerance_overrides: tuple = ()
 
     def __post_init__(self):
+        # the ambient Einstein fit needs two points and the locus checks one,
+        # so fewer is a usage error, not a degenerate manifold
+        for name, least in (("ambient_samples", 2), ("locus_samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         # a negative seed would start the Halton stream below zero, where
         # every point is the box's lower corner
-        for name in ("ambient_samples", "locus_samples", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ primitive grammar (identifiers, + - * / pow log exp sqrt abs2 conj re im).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
 
 from . import exprs
@@ -61,13 +62,18 @@ def _require(cond, message):
         raise SpecFormatError(message)
 
 
+def _is_finite_number(x):
+    """A JSON number that converts to a finite float; NaN fails the comparison."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _read_box(obj, length, where):
     _require(isinstance(obj, list) and len(obj) == length, f"{where}: box must list {length} [lo, hi] pairs")
     box = []
     for i, side in enumerate(obj):
         _require(
-            isinstance(side, list) and len(side) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in side),
-            f"{where}[{i}]: expected [lo, hi]",
+            isinstance(side, list) and len(side) == 2 and all(_is_finite_number(x) for x in side),
+            f"{where}[{i}]: expected [lo, hi] with finite bounds",
         )
         _require(side[0] < side[1], f"{where}[{i}]: lo must be below hi")
         box.append((float(side[0]), float(side[1])))
@@ -128,7 +134,9 @@ def bundle_from_dict(data: dict) -> ManifoldBundle:
                  "'locus' needs 'components' and 'box'")
         comps = lblock["components"]
         _require(isinstance(comps, list) and len(comps) == n, f"locus needs {n} components")
-        lbox = _read_box(lblock["box"], len(lblock["box"]), "locus.box")
+        lbox = lblock["box"]
+        _require(isinstance(lbox, list) and lbox, "locus.box must list at least one [lo, hi] pair")
+        lbox = _read_box(lbox, len(lbox), "locus.box")
         tnames = set(exprs.coord_names(len(lbox), prefix="t"))
         parsed = []
         for i, c in enumerate(comps):
@@ -149,8 +157,8 @@ def bundle_from_dict(data: dict) -> ManifoldBundle:
     known = {f.name for f in fields(Tolerances)}
     for k, v in tol.items():
         _require(
-            isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool),
-            "tolerance overrides must map names to numbers",
+            isinstance(k, str) and _is_finite_number(v) and v >= 0,
+            f"tolerance {k!r} must be a finite non-negative number, got {v!r}",
         )
         _require(k in known, f"unknown tolerance {k!r}")
     return ManifoldBundle(

@@ -14,6 +14,7 @@ not, 3 a hypothesis gate failed, 4 the run was numerically degenerate,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -29,14 +30,7 @@ from .antiholo import (
     potential_invariance_residual,
 )
 from .bundles import ManifoldBundle
-from .criterion import (
-    DEFAULT_TOL_CONST,
-    DEFAULT_TOL_EIG,
-    DEFAULT_TOL_SYM,
-    map_normal_projector,
-    spectral_test,
-    trace_operator_at,
-)
+from .criterion import map_normal_projector, spectral_test, trace_operator_at
 from .errors import (
     ChartDomainError,
     DegenerateMetricError,
@@ -44,6 +38,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .locus import (
+    RANK_TOL,
     lagrangian_residual,
     locus_geometry,
     locus_point,
@@ -73,9 +68,9 @@ _STATUS_BY_EXIT = {
 class Tolerances:
     """All pass/fail thresholds; every field can be overridden per run."""
 
-    tol_sym: float = DEFAULT_TOL_SYM
-    tol_eig: float = DEFAULT_TOL_EIG
-    tol_const: float = DEFAULT_TOL_CONST
+    tol_sym: float = 1e-6
+    tol_eig: float = 1e-5
+    tol_const: float = 1e-5
     gate_antiholo: float = 1e-10
     gate_involution: float = 1e-10
     gate_isometry: float = 1e-8
@@ -93,7 +88,10 @@ class Tolerances:
         for name, value in pairs:
             if name not in known:
                 raise KeyError(f"unknown tolerance {name!r}")
-            updates[name] = float(value)
+            value = float(value)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {name} must be finite and non-negative, got {value}")
+            updates[name] = value
         return replace(self, **updates) if updates else self
 
 
@@ -337,6 +335,14 @@ def _stages(bundle, config, tol, report, finish):
         _hypothesis(hyp, "locus_present", 1.0, 0.0)
         return finish(EXIT_HYPOTHESES_FAILED)
     locus = bundle.locus
+    if locus.n_params != chart.dimension:
+        # the trace operator needs N = J E to span the normal space
+        _hypothesis(hyp, "locus_rank", 1.0, 0.5)
+        warnings.append(
+            f"locus has m = {locus.n_params} parameters but the chart has n = "
+            f"{chart.dimension}; the criterion needs a half-dimensional locus, m = n"
+        )
+        return finish(EXIT_HYPOTHESES_FAILED)
 
     params = sample_parameters(locus, config.locus_samples, seed=config.seed, margin=config.margin)
     lpoints = []
@@ -368,9 +374,7 @@ def _stages(bundle, config, tol, report, finish):
         return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
 
     gates_ok &= _hypothesis(hyp, "locus_fixed", max(fixed_res), tol.gate_locus_fixed)
-    gates_ok &= _hypothesis(
-        hyp, "locus_rank", 0.0 if min(rank_sv) > 1e-8 else 1.0, 0.5
-    )
+    gates_ok &= _hypothesis(hyp, "locus_rank", 0.0 if min(rank_sv) > RANK_TOL else 1.0, 0.5)
 
     treal = [totally_real_residual(lp) for lp in lpoints]
     checks["totally_real"] = _stat(treal)
@@ -396,7 +400,7 @@ def _stages(bundle, config, tol, report, finish):
     for lp in lpoints:
         op = trace_operator_at(lp, map_normal_projector(mapping, lp.point))
         cross_route.append(op.route_agreement)
-        sv = spectral_test(op.matrix, tol_sym=tol.tol_sym, tol_eig=tol.tol_eig)
+        sv = spectral_test(op.matrix, tol.tol_sym, tol.tol_eig)
         point_verdicts.append(sv)
         c_values.append(sv.C_est)
         report["spectral"]["per_point"].append(
@@ -461,9 +465,3 @@ def _stages(bundle, config, tol, report, finish):
         by_restricted=einstein_by_restricted,
         agree=agree,
     )
-
-
-def run_verify(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()):
-    """Convenience wrapper returning (report, exit_code)."""
-    report = verdict(bundle, config)
-    return report, report.exit_code

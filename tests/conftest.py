@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from einlocus import RealTangent, apply_J, exprs, jets
-from einlocus.coords import wirtinger, wirtinger_jet, wirtinger_matrix
+from einlocus import exprs, jets
+from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
-from einlocus.metrics import coordinate_jets
+from einlocus.locus import FramePair
+from einlocus.metrics import PotentialChart, coordinate_jets
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
@@ -18,9 +19,9 @@ def admitted_points(chart, count, seed=0):
 
 
 def random_tangents(point, count, seed=0):
+    """``count`` random tangent vectors at a point, as component arrays."""
     rng = np.random.default_rng(seed)
-    dim = 2 * point.n
-    return [RealTangent(rng.standard_normal(dim), point) for _ in range(count)]
+    return [rng.standard_normal(2 * point.n) for _ in range(count)]
 
 
 def real_lift(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
@@ -90,19 +91,72 @@ def laplace_log_det_ricci(geom):
     over metric jets: independent of the curvature tensor and its trace."""
     log_det = _jet_det(metric_jets(geom)).log()
     n = geom.n
-    return np.array([[-wirtinger(log_det, (j,), (k,)) for k in range(n)] for j in range(n)])
+    return np.array(
+        [[-wirtinger_jet(log_det, (j,), (k,)).value for k in range(n)] for j in range(n)]
+    )
 
 
 def ricci_pairing(ric, v, w):
-    """The real Ricci tensor of Ricci coefficients: 2 Re(V^j Ric_jk conj(W^k))."""
-    return float(2.0 * np.real(v.holo_components @ ric @ np.conj(w.holo_components)))
+    """The real Ricci tensor of Ricci coefficients: 2 Re(V^j Ric_jk conj(W^k)),
+    with V^j = v_x^j + i v_y^j the holomorphic components."""
+    V, W = v[0::2] + 1j * v[1::2], w[0::2] + 1j * w[1::2]
+    return float(2.0 * np.real(V @ ric @ np.conj(W)))
+
+
+def riemann(geom, zeta, eta, rho, upsilon):
+    """Rm(zeta, eta, rho, upsilon), read off the chart's Riemann tensor."""
+    return float(np.einsum("xyzw,x,y,z,w->", geom.riemann_tensor, zeta, eta, rho, upsilon))
+
+
+def curvature_endomorphism(geom, zeta, eta, rho):
+    """R(zeta, eta) rho, read off the Riemann tensor, with the index raised by G."""
+    return geom.G_inv @ np.einsum("xyzw,x,y,z->w", geom.riemann_tensor, zeta, eta, rho)
 
 
 def j_normal_curvature(lp, zeta, eta, rho, projector):
     """J applied to the normal part of R(J zeta, eta) rho, with ``projector``
     the normal projector: the per-vector reading of the trace operator."""
-    u = lp.geom.curvature_endomorphism(apply_J(zeta), eta, rho).components
-    return apply_J(RealTangent(projector @ u, lp.point))
+    J = j_matrix(lp.n)
+    return J @ (projector @ curvature_endomorphism(lp.geom, J @ zeta, eta, rho))
+
+
+def rotated_frame(frame, Q):
+    """The frame re-framed by an orthogonal matrix: e'_a = sum_c Q[c, a] e_c,
+    with its J-image."""
+    tangent = Q.T @ frame.tangent
+    return FramePair(tangent, tangent @ j_matrix(tangent.shape[1] // 2).T)
+
+
+def pullback_potential(mapping, chart):
+    """The chart carrying the composed potential psi o f.
+
+    Because the pullback reverses holomorphic type, the metric of the result
+    is the matrix of minus the pulled-back Kahler form; the tests hold this
+    to the composed chart via :func:`pullback_consistency_residual`.
+    """
+    if callable(chart.potential):
+        raise NonAnalyticFieldError("cannot compose a black-box potential with a map")
+    mapping_env = dict(zip(exprs.coord_names(chart.dimension), mapping.components))
+    composed = exprs.substitute(chart.potential, mapping_env)
+    return PotentialChart(
+        dimension=chart.dimension,
+        potential=composed,
+        box=chart.box,
+        domain=chart.domain,
+        label=f"{chart.label}<-{mapping.label}",
+        fd_scale=chart.fd_scale,
+    )
+
+
+def pullback_consistency_residual(mapping, chart, point):
+    """|| w_{psi o f}(p) + (f^* w)(p) || / ||w(p)||: the composed chart's
+    Kahler form against the pulled-back one."""
+    pulled = pullback_potential(mapping, chart)
+    image = mapping.apply(point)
+    D = mapping.jacobian_real(point)
+    W_new = pulled.geometry(point).kahler_form
+    W_f = chart.geometry(image).kahler_form
+    return float(np.linalg.norm(W_new + D.T @ W_f @ D) / np.linalg.norm(W_new))
 
 
 def _fd_partial(func, x0, alpha, h, cache):

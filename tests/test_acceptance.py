@@ -13,24 +13,29 @@ from einlocus import (
     AntiholoMap,
     ChartPoint,
     PotentialChart,
-    RealTangent,
-    apply_J,
     builtin_cpn,
     builtin_flat_torus,
     einstein_residual,
     locus_point,
+    j_matrix,
     make_builtin,
-    pullback_potential,
-    run_verify,
     spectral_test,
     trace_operator_at,
+    verdict,
 )
 from einlocus.bundles import DEFAULT_SUITE, ManifoldBundle, _conjugation, _real_slice
 from einlocus.criterion import map_normal_projector
 from einlocus.locus import FixedLocusParam, locus_geometry
 from einlocus.sampling import SamplingConfig, sample_chart_points, sample_parameters
+from einlocus.verify import Tolerances
 
-from conftest import admitted_points, random_tangents
+from conftest import (
+    admitted_points,
+    curvature_endomorphism,
+    pullback_potential,
+    random_tangents,
+    riemann,
+)
 
 
 def _report(k, ok, detail):
@@ -112,17 +117,18 @@ def test_criterion_04_projection_identities():
         bundle = make_builtin(name, n)
         ts = sample_parameters(bundle.locus, 4, seed=105)
         rng = np.random.default_rng(hash(name) % 2**32)
+        J = j_matrix(n)
         per_point = 1000 // len(ts) + 1
         for t in ts:
             lp = locus_point(bundle.chart, bundle.locus, t)
             P = map_normal_projector(bundle.mapping, lp.point)
             for _ in range(per_point):
-                v = RealTangent(rng.standard_normal(2 * n), lp.point)
-                vp = P @ v.components
-                vt = RealTangent(v.components - vp, lp.point)
-                exact_sum &= bool(np.array_equal(vt.components + vp, v.components))
-                jvp = P @ apply_J(v).components
-                worst_swap = max(worst_swap, float(np.max(np.abs(apply_J(vt).components - jvp))))
+                v = rng.standard_normal(2 * n)
+                vp = P @ v
+                vt = v - vp
+                exact_sum &= bool(np.array_equal(vt + vp, v))
+                jvp = P @ (J @ v)
+                worst_swap = max(worst_swap, float(np.max(np.abs(J @ vt - jvp))))
     ok = exact_sum and worst_swap < 1e-12
     _report(4, ok, f"decomposition exact={exact_sum}, J-swap worst {worst_swap:.2e}")
 
@@ -143,7 +149,8 @@ def test_criterion_06_biconditional_and_constant_splitting():
     details = []
     ok = True
     for n in (2, 3):
-        rep, code = run_verify(builtin_cpn(n), SamplingConfig(30, 25, seed=107))
+        rep = verdict(builtin_cpn(n), SamplingConfig(30, 25, seed=107))
+        code = rep.exit_code
         d = rep.data
         gap = abs(d["constants"]["lambda_minus_kappa_minus_C"])
         good = (
@@ -158,7 +165,8 @@ def test_criterion_06_biconditional_and_constant_splitting():
             f"kappa={d['constants']['kappa_est']:.6f} C={d['constants']['C_est']:.6f} "
             f"gap={gap:.2e}"
         )
-    rep, code = run_verify(builtin_flat_torus(2), SamplingConfig(20, 15, seed=108))
+    rep = verdict(builtin_flat_torus(2), SamplingConfig(20, 15, seed=108))
+    code = rep.exit_code
     c = rep.data["constants"]
     flat_ok = (
         code == 0
@@ -194,14 +202,15 @@ def test_criterion_08_commutation_and_bianchi():
     worst_comm, worst_bianchi = 0.0, 0.0
     count = 0
     rng = np.random.default_rng(110)
+    J = j_matrix(2)
     while count < 1000:
         p = pts[count % len(pts)]
         z, e, r, u = random_tangents(p, 4, seed=int(rng.integers(1 << 30)))
         geom = chart.geometry(p)
-        lhs = geom.curvature_endomorphism(z, e, apply_J(r)).components
-        rhs = apply_J(geom.curvature_endomorphism(z, e, r)).components
+        lhs = curvature_endomorphism(geom, z, e, J @ r)
+        rhs = J @ curvature_endomorphism(geom, z, e, r)
         worst_comm = max(worst_comm, float(np.linalg.norm(lhs - rhs)))
-        b = geom.riemann(z, e, r, u) + geom.riemann(e, r, z, u) + geom.riemann(r, z, e, u)
+        b = riemann(geom, z, e, r, u) + riemann(geom, e, r, z, u) + riemann(geom, r, z, e, u)
         worst_bianchi = max(worst_bianchi, abs(b))
         count += 1
     ok = worst_comm < 1e-9 and worst_bianchi < 1e-9
@@ -222,7 +231,7 @@ def test_criterion_09_negative_controls():
         c1_sign="zero",
         label="perturbed",
     )
-    _, code_a = run_verify(non_ke, SamplingConfig(15, 10, seed=111))
+    code_a = verdict(non_ke, SamplingConfig(15, 10, seed=111)).exit_code
 
     base = builtin_cpn(1)
     stretched = ManifoldBundle(
@@ -232,9 +241,10 @@ def test_criterion_09_negative_controls():
         c1_sign="positive",
         label="stretched-map",
     )
-    rep_b, code_b = run_verify(stretched, SamplingConfig(15, 10, seed=112))
+    code_b = verdict(stretched, SamplingConfig(15, 10, seed=112)).exit_code
 
-    sv = spectral_test(np.diag([-3.0, -3.5]))
+    tol = Tolerances()
+    sv = spectral_test(np.diag([-3.0, -3.5]), tol.tol_sym, tol.tol_eig)
     ok = code_a == 3 and code_b == 3 and sv.einstein is False
     _report(
         9,
@@ -249,11 +259,10 @@ def test_criterion_10_determinism_and_suite_runtime():
     start = time.perf_counter()
     codes = {}
     for name, n in DEFAULT_SUITE:
-        _, code = run_verify(make_builtin(name, n), config)
-        codes[f"{name}-{n}"] = code
+        codes[f"{name}-{n}"] = verdict(make_builtin(name, n), config).exit_code
     elapsed = time.perf_counter() - start
-    rep1, _ = run_verify(builtin_cpn(2), config)
-    rep2, _ = run_verify(builtin_cpn(2), config)
+    rep1 = verdict(builtin_cpn(2), config)
+    rep2 = verdict(builtin_cpn(2), config)
     identical = rep1.to_json() == rep2.to_json()
     ok = identical and elapsed < 120.0 and all(c == 0 for c in codes.values())
     _report(

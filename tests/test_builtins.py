@@ -13,7 +13,7 @@ from einlocus import (
     einstein_residual,
     list_builtins,
     make_builtin,
-    run_verify,
+    verdict,
 )
 from einlocus.bundles import DEFAULT_SUITE
 from einlocus.sampling import SamplingConfig, sample_chart_points, sample_parameters
@@ -50,7 +50,8 @@ def _projective_constants(n):
 def test_top_of_builtin_range(name, n, expected):
     ranges = {b["name"]: b["n_range"] for b in list_builtins()}
     assert ranges[name][1] == n
-    rep, code = run_verify(make_builtin(name, n), SamplingConfig(10, 10, seed=0))
+    rep = verdict(make_builtin(name, n), SamplingConfig(10, 10, seed=0))
+    code = rep.exit_code
     assert code == 0
     c = rep.data["constants"]
     got = (c["lambda_est"], c["kappa_est"], c["C_est"])
@@ -98,7 +99,8 @@ def test_quadric_einstein_constant_is_dimension():
 
 
 def test_flat_torus_run():
-    rep, code = run_verify(builtin_flat_torus(2), SamplingConfig(15, 10, seed=11))
+    rep = verdict(builtin_flat_torus(2), SamplingConfig(15, 10, seed=11))
+    code = rep.exit_code
     assert code == 0
     c = rep.data["constants"]
     assert abs(c["lambda_est"]) < 1e-12
@@ -156,7 +158,8 @@ def test_every_builtin_passes_gates_and_is_einstein():
     # fundamental form must all stay far below their thresholds
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
-        rep, code = run_verify(bundle, SamplingConfig(25, 50, seed=9))
+        rep = verdict(bundle, SamplingConfig(25, 50, seed=9))
+        code = rep.exit_code
         assert code == 0, (bundle.label, rep.data["hypotheses"], rep.data["warnings"])
         assert all(h["passed"] for h in rep.data["hypotheses"].values()), bundle.label
         checks = rep.data["checks"]
@@ -169,17 +172,18 @@ def test_every_builtin_passes_gates_and_is_einstein():
 
 
 def test_curvature_j_commutation_on_every_builtin():
-    from einlocus import apply_J
+    from einlocus import j_matrix
 
-    from conftest import random_tangents
+    from conftest import curvature_endomorphism, random_tangents
 
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
+        J = j_matrix(n)
         for i, p in enumerate(admitted_points(bundle.chart, 5, seed=14)):
             z, e, r = random_tangents(p, 3, seed=i)
             geom = bundle.chart.geometry(p)
-            lhs = geom.curvature_endomorphism(z, e, apply_J(r)).components
-            rhs = apply_J(geom.curvature_endomorphism(z, e, r)).components
+            lhs = curvature_endomorphism(geom, z, e, J @ r)
+            rhs = J @ curvature_endomorphism(geom, z, e, r)
             assert np.linalg.norm(lhs - rhs) < 1e-9, bundle.label
 
 
@@ -202,7 +206,8 @@ def test_product_space_is_not_einstein_on_its_real_form():
         c1_sign="positive",
         label="product",
     )
-    rep, code = run_verify(bundle, SamplingConfig(10, 8, seed=10))
+    rep = verdict(bundle, SamplingConfig(10, 8, seed=10))
+    code = rep.exit_code
     assert code == 2
     d = rep.data
     assert all(h["passed"] for h in d["hypotheses"].values())
@@ -240,7 +245,8 @@ def test_black_box_potential_flagged_low_precision():
             ("tol_const", 1e-3),
         ),
     )
-    rep, code = run_verify(bundle, SamplingConfig(8, 6, seed=13))
+    rep = verdict(bundle, SamplingConfig(8, 6, seed=13))
+    code = rep.exit_code
     assert rep.data["differentiation"] == "finite-difference-low-precision"
     assert code == 0
     # at the default gates the same bundle is honestly rejected
@@ -251,7 +257,7 @@ def test_black_box_potential_flagged_low_precision():
         c1_sign="zero",
         label="flat-blackbox-strict",
     )
-    _, strict_code = run_verify(strict, SamplingConfig(8, 6, seed=13))
+    strict_code = verdict(strict, SamplingConfig(8, 6, seed=13)).exit_code
     assert strict_code == 3
 
 
@@ -275,7 +281,8 @@ def test_escaping_isometry_is_degenerate_not_failed():
     chart = PotentialChart(1, ("abs2", "w1"), ((-0.5, 0.5),) * 2, label="flat-small")
     far = AntiholoMap((("+", ("conj", "w1"), 0.7),), label="conj+0.7")
     bundle = ManifoldBundle(chart, far, _real_slice(1, 0.5), c1_sign="zero", label="escaper")
-    rep, code = run_verify(bundle, SamplingConfig(20, 10, seed=15))
+    rep = verdict(bundle, SamplingConfig(20, 10, seed=15))
+    code = rep.exit_code
     assert code == 4
     assert rep.data["counts"]["map_escapes"] > 10
     assert rep.data["hypotheses"]["isometry"]["passed"]
@@ -288,5 +295,6 @@ def test_c1_mismatch_warning():
     wrong = ManifoldBundle(
         chart=b.chart, mapping=b.mapping, locus=b.locus, c1_sign="negative", label="wrong-c1"
     )
-    rep, code = run_verify(wrong, SamplingConfig(8, 6, seed=12))
+    rep = verdict(wrong, SamplingConfig(8, 6, seed=12))
+    code = rep.exit_code
     assert any("does not match measured" in w for w in rep.data["warnings"])

@@ -160,7 +160,59 @@ def test_unknown_tolerance_in_spec_is_a_usage_error(tmp_path, capsys):
 def test_negative_samples_or_seed_is_a_usage_error(flag, capsys):
     assert main(["verify", "--manifold", "cpn", "--n", "1", flag, "-1"]) == 1
     err = capsys.readouterr().err
-    assert "must be non-negative" in err and "Traceback" not in err
+    message = {"--samples": "must be at least 2", "--seed": "must be non-negative"}[flag]
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_too_few_samples_is_a_usage_error(samples, capsys):
+    # no sample is rejected here, so this is not a degenerate manifold (exit 4)
+    assert main(["verify", "--manifold", "cpn", "--n", "1", "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert "ambient_samples must be at least 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tol-eig", "nan"), ("--tol-sym", "-1e-3"), ("--tol-const", "inf")]
+)
+def test_non_finite_or_negative_tolerance_flag_is_a_usage_error(flag, value, capsys):
+    assert main(["verify", "--manifold", "cpn", "--n", "1", "--samples", "4", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "finite and non-negative" in err and "Traceback" not in err
+
+
+def _cpn2_spec(tmp_path, edit):
+    data = bundle_to_dict(builtin_cpn(2))
+    edit(data)
+    spec = tmp_path / "edited.json"
+    spec.write_text(json.dumps(data))
+    return str(spec)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["locus"].update(components=[0, 0], box=[]),
+        lambda d: d.update(tolerances={"tol_eig": float("nan")}),
+        lambda d: d.update(tolerances={"gate_isometry": -1.0}),
+        lambda d: d["domain"]["box"].__setitem__(0, [float("-inf"), 1.0]),
+        lambda d: d["locus"]["box"].__setitem__(1, [-0.5, float("inf")]),
+    ],
+    ids=["empty-locus-box", "nan-tolerance", "negative-tolerance", "infinite-box", "infinite-locus-box"],
+)
+def test_malformed_spec_numbers_are_usage_errors(tmp_path, edit, capsys):
+    # Python's json writes and reads NaN and Infinity, so such a spec parses
+    assert main(["verify", "--manifold", _cpn2_spec(tmp_path, edit), "--samples", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_locus_of_the_wrong_dimension_fails_locus_rank(tmp_path, capsys):
+    # a curve in CP^2 is not half-dimensional: N = J E cannot span the normal space
+    spec = _cpn2_spec(tmp_path, lambda d: d["locus"].update(components=["t1", 0], box=[[-1, 1]]))
+    assert main(["verify", "--manifold", spec, "--samples", "4"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] locus_rank" in out and "m = 1" in out and "n = 2" in out
 
 
 def test_list_builtins(capsys):
@@ -178,6 +230,17 @@ def test_explain(capsys):
     out = capsys.readouterr().out
     assert "measures" in out
     assert main(["explain", "bogus"]) == 1
+
+
+def test_explain_quotes_the_cuts_it_names(capsys):
+    from einlocus.locus import RANK_TOL
+    from einlocus.metrics import HERMITIAN_TOL
+
+    for check, cut in [
+        ("metric_hermitian", HERMITIAN_TOL), ("real_potential", HERMITIAN_TOL), ("locus_rank", RANK_TOL),
+    ]:
+        assert main(["explain", check]) == 0
+        assert f"{cut:g}" in capsys.readouterr().out, check
 
 
 def _failure_shapes():

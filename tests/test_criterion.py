@@ -9,6 +9,7 @@ from einlocus import (
     LocusGeometry,
     PotentialChart,
     SamplingConfig,
+    Tolerances,
     builtin_cpn,
     builtin_flat_torus,
     locus_point,
@@ -19,7 +20,14 @@ from einlocus import (
 from einlocus.criterion import map_normal_projector
 from einlocus.sampling import sample_parameters
 
-from conftest import j_normal_curvature
+from conftest import j_normal_curvature, riemann, rotated_frame
+
+TOL = Tolerances()
+
+
+def spectral(M):
+    """The spectral test at the default tolerances."""
+    return spectral_test(M, TOL.tol_sym, TOL.tol_eig)
 
 
 def projector(bundle, lp):
@@ -30,7 +38,7 @@ def reframed(lp, Q):
     """A fresh, uncached locus geometry at the same point on the frame
     rotated by Q."""
     out = LocusGeometry(lp.chart, lp.locus, lp.t)
-    out._cache["frame"] = lp.frame.rotated(Q)
+    out._cache["frame"] = rotated_frame(lp.frame, Q)
     return out
 
 
@@ -39,9 +47,9 @@ def test_flat_trace_operator_vanishes():
     lp = locus_point(b.chart, b.locus, (0.1, -0.2))
     op = trace_operator_at(lp, projector(b, lp))
     assert np.max(np.abs(op.matrix)) < 1e-13
-    es = lp.frame.tangent_vectors()
+    es = lp.frame.tangent
     out = j_normal_curvature(lp, es[0], es[1], es[0], projector(b, lp))
-    assert np.max(np.abs(out.components)) < 1e-13
+    assert np.max(np.abs(out)) < 1e-13
 
 
 def test_output_is_tangent_to_locus():
@@ -49,24 +57,24 @@ def test_output_is_tangent_to_locus():
     for t in sample_parameters(b.locus, 6, seed=1):
         lp = locus_point(b.chart, b.locus, t)
         G = b.chart.geometry(lp.point).G
-        es = lp.frame.tangent_vectors()
+        es = lp.frame.tangent
         for zeta in es:
             for eta in es:
                 out = j_normal_curvature(lp, zeta, eta, zeta, projector(b, lp))
-                for je in lp.frame.normal_vectors():
-                    assert abs(out.components @ G @ je.components) < 1e-9
+                for je in lp.frame.normal:
+                    assert abs(out @ G @ je) < 1e-9
 
 
 def test_dimension_one_trace_matches_single_component():
     b = builtin_cpn(1)
     lp = locus_point(b.chart, b.locus, (0.35,))
-    e1 = lp.frame.tangent_vectors()[0]
+    e1 = lp.frame.tangent[0]
     op = trace_operator_at(lp, projector(b, lp))
-    sv = spectral_test(op.matrix)
+    sv = spectral(op.matrix)
     out = j_normal_curvature(lp, e1, e1, e1, projector(b, lp))
     G = b.chart.geometry(lp.point).G
     # the operator sends e1 to -C e1
-    assert float(out.components @ G @ e1.components) == pytest.approx(-sv.C_est, abs=1e-10)
+    assert float(out @ G @ e1) == pytest.approx(-sv.C_est, abs=1e-10)
 
 
 def test_two_routes_agree_and_projectors_match():
@@ -125,10 +133,9 @@ def test_mixed_trace_per_direction_structure():
     # dimension one: the single summand is the whole (proportional) trace
     b1 = builtin_cpn(1)
     lp = locus_point(b1.chart, b1.locus, (0.2,))
-    e1 = lp.frame.tangent_vectors()[0]
-    je1 = lp.frame.normal_vectors()[0]
+    e1, je1 = lp.frame.tangent[0], lp.frame.normal[0]
     geom = b1.chart.geometry(lp.point)
-    single = geom.riemann(je1, e1, e1, je1)
+    single = riemann(geom, je1, e1, e1, je1)
     assert single == pytest.approx(lp.mixed_curvature[0, 0])
     # higher dimensions: the summed trace is proportional to the metric on
     # the frame even though individual summands are not
@@ -140,15 +147,15 @@ def test_mixed_trace_per_direction_structure():
 
 
 def test_spectral_test_arithmetic():
-    sv = spectral_test(-3.0 * np.eye(3))
+    sv = spectral(-3.0 * np.eye(3))
     assert sv.einstein and sv.C_est == pytest.approx(3.0)
     assert sv.eigenvalue_spread == 0.0
-    sv = spectral_test(np.diag([-3.0, -3.5]), tol_eig=0.01)
+    sv = spectral_test(np.diag([-3.0, -3.5]), TOL.tol_sym, 0.01)
     assert not sv.einstein
     assert sv.eigenvalue_spread == pytest.approx(0.5 / 3.25)
     assert sv.C_est == pytest.approx(3.25)
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sv = spectral_test(skew)
+    sv = spectral(skew)
     assert not sv.einstein
     assert sv.complex_eigenvalues
     assert sv.symmetric_residual > 0.5
@@ -160,12 +167,10 @@ def test_verdict_frame_independence():
     rng = np.random.default_rng(31)
     for t in sample_parameters(b.locus, 3, seed=9):
         lp = locus_point(b.chart, b.locus, t)
-        base = spectral_test(trace_operator_at(lp, projector(b, lp)).matrix)
+        base = spectral(trace_operator_at(lp, projector(b, lp)).matrix)
         for _ in range(10):
             Q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
-            rotated = spectral_test(
-                trace_operator_at(reframed(lp, Q), projector(b, lp)).matrix
-            )
+            rotated = spectral(trace_operator_at(reframed(lp, Q), projector(b, lp)).matrix)
             assert rotated.einstein == base.einstein
             assert rotated.C_est == pytest.approx(base.C_est, abs=1e-9)
 
@@ -183,8 +188,8 @@ def test_scale_covariance_of_constant():
         t = (0.25, -0.35)
         lp0 = locus_point(base.chart, base.locus, t)
         lps = locus_point(scaled_chart, base.locus, t)
-        c0 = spectral_test(trace_operator_at(lp0, projector(base, lp0)).matrix)
-        cs = spectral_test(trace_operator_at(lps, projector(base, lps)).matrix)
+        c0 = spectral(trace_operator_at(lp0, projector(base, lp0)).matrix)
+        cs = spectral(trace_operator_at(lps, projector(base, lps)).matrix)
         assert cs.C_est == pytest.approx(c0.C_est / s, rel=1e-7)
         assert cs.einstein == c0.einstein
 

@@ -6,8 +6,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einlocus import ChartPoint, Jet, JetOrderError, RealTangent, apply_J, jet_space
-from einlocus.coords import wirtinger
+from einlocus import ChartPoint, Jet, JetOrderError, jet_space, j_matrix
+from einlocus.coords import wirtinger_jet
 from einlocus.exprs import coord_names, evaluate, free_identifiers
 from einlocus.jets import lift_callable_to_jet
 from einlocus.jets import WIRTINGER_BIDEGREE, JetSpace
@@ -84,7 +84,8 @@ def test_exact_quadratic_lift():
 
 
 def test_constant_field_lift():
-    jet = lift_to_jet(3.25, ChartPoint((0.2 + 0.4j, -1.0 + 0.3j)))
+    jet, defect = lift_to_jet(3.25, ChartPoint((0.2 + 0.4j, -1.0 + 0.3j)))
+    assert defect == 0.0
     assert jet.value == pytest.approx(3.25)
     assert np.max(np.abs(jet.coeffs[1:])) == 0.0
 
@@ -127,12 +128,12 @@ def test_derivative_tensor_matches_partials():
 def test_wirtinger_examples():
     p = ChartPoint((0.7 - 0.4j,))
     jet = real_lift(("abs2", "w1"), p)
-    assert wirtinger(jet, (0,), (0,)) == pytest.approx(1.0)
+    assert wirtinger_jet(jet, (0,), (0,)).value == pytest.approx(1.0)
     # log potential at the origin; oracle value d/dw d/dwbar = 1
     jet0 = real_lift(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
-    assert wirtinger(jet0, (0,), (0,)) == pytest.approx(1.0, abs=1e-13)
+    assert wirtinger_jet(jet0, (0,), (0,)).value == pytest.approx(1.0, abs=1e-13)
     sym = 0.25 * (_sym_partial(2, 0) + _sym_partial(0, 2))
-    assert wirtinger(jet0, (0,), (0,)) == pytest.approx(sym, abs=1e-13)
+    assert wirtinger_jet(jet0, (0,), (0,)).value == pytest.approx(sym, abs=1e-13)
 
 
 def test_wirtinger_kills_holomorphic_fields():
@@ -140,7 +141,7 @@ def test_wirtinger_kills_holomorphic_fields():
     space = jet_space(2, 4)
     w = space.variable(0, 0.3) + 1j * space.variable(1, -0.8)
     jet = w * w
-    assert wirtinger(jet, (), (0,)) == pytest.approx(0.0, abs=1e-15)
+    assert wirtinger_jet(jet, (), (0,)).value == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,13 +156,13 @@ def test_wirtinger_holomorphic_monomials(power, re, im):
     jet = w
     for _ in range(power - 1):
         jet = jet * w
-    assert abs(wirtinger(jet, (), (0,))) <= 1e-12 * (1 + abs(complex(re, im)) ** power)
+    assert abs(wirtinger_jet(jet, (), (0,)).value) <= 1e-12 * (1 + abs(complex(re, im)) ** power)
 
 
 def test_wirtinger_order_overflow():
     jet = real_lift(("abs2", "w1"), ChartPoint((0.0,)))
     with pytest.raises(JetOrderError):
-        wirtinger(jet, (0, 0, 0), (0, 0))
+        wirtinger_jet(jet, (0, 0, 0), (0, 0))
 
 
 def test_jet_analytic_compositions_match_sympy():
@@ -246,30 +247,25 @@ def test_chart_point_round_trip_exact():
         ChartPoint.from_real(np.array([1.0, 2.0, 3.0]))
 
 
-def test_real_tangent_component_count_checked():
-    p = ChartPoint((0.0, 0.0))
-    with pytest.raises(ValueError):
-        RealTangent(np.array([1.0, 2.0]), p)
-
-
 def test_apply_j_convention_and_involution():
-    p1 = ChartPoint((0.0,))
-    v = RealTangent(np.array([1.0, 0.0]), p1)
-    assert np.array_equal(apply_J(v).components, np.array([0.0, 1.0]))
-    p2 = ChartPoint((0.0, 0.0))
-    w = RealTangent(np.array([1.0, 2.0, 3.0, 4.0]), p2)
-    assert np.array_equal(apply_J(w).components, np.array([-2.0, 1.0, -4.0, 3.0]))
+    # J e_x = e_y and J e_y = -e_x on every coordinate pair
+    assert np.array_equal(j_matrix(1) @ np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(j_matrix(2) @ w, np.array([-2.0, 1.0, -4.0, 3.0]))
     # J o J = -Id, exactly
-    assert np.array_equal(apply_J(apply_J(w)).components, -w.components)
+    for n in (1, 2, 5):
+        J = j_matrix(n)
+        assert np.array_equal(J @ J, -np.eye(2 * n))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
 def test_apply_j_euclidean_isometry(comps):
-    v = RealTangent(np.array(comps), ChartPoint((0.0, 0.0)))
-    assert np.linalg.norm(apply_J(v).components) == pytest.approx(
-        np.linalg.norm(v.components)
-    )
+    # J is orthogonal: it preserves the euclidean norm of every vector
+    J = j_matrix(2)
+    assert np.array_equal(J.T @ J, np.eye(4))
+    v = np.array(comps)
+    assert np.linalg.norm(J @ v) == pytest.approx(np.linalg.norm(v))
 
 
 def test_finite_difference_fallback_accuracy():
@@ -484,7 +480,7 @@ def test_wirtinger_jets_mix_only_with_constants():
 def test_wirtinger_lift_reads_mixed_partials():
     # |w|^2 around z0: |z0|^2 + conj(z0) z + z0 zbar + z zbar
     z0 = 0.7 - 0.4j
-    jet = lift_to_jet(("abs2", "w1"), ChartPoint((z0,)))
+    jet, _ = lift_to_jet(("abs2", "w1"), ChartPoint((z0,)))
     assert jet.wirtinger
     assert jet.partial((0, 0)) == pytest.approx(abs(z0) ** 2)
     assert jet.partial((1, 0)) == pytest.approx(np.conj(z0))
@@ -500,6 +496,6 @@ def test_wirtinger_lift_reads_mixed_partials():
     with pytest.raises(JetOrderError):
         jet.deriv(0)
     # the log potential at the origin: d dbar psi = 1, d^2 dbar^2 psi = -2
-    jet0 = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
+    jet0, _ = lift_to_jet(("log", ("+", 1, ("abs2", "w1"))), ChartPoint((0.0,)))
     assert jet0.partial((1, 1)) == pytest.approx(1.0, abs=1e-15)
     assert jet0.partial((2, 2)) == pytest.approx(-2.0, abs=1e-14)

@@ -1,5 +1,7 @@
 """Frames, projections, second fundamental form, restricted Ricci."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,12 @@ from einlocus import (
     NonAnalyticFieldError,
     PotentialChart,
     RankDeficiencyError,
-    RealTangent,
     SamplingConfig,
-    apply_J,
     builtin_cpn,
     builtin_flat_torus,
     builtin_quadric,
     builtin_toric_fs,
+    j_matrix,
     lagrangian_residual,
     locus_point,
     make_builtin,
@@ -30,7 +31,7 @@ from einlocus.criterion import map_normal_projector
 from einlocus.locus import intrinsic_ricci_on_frame, locus_geometry
 from einlocus.sampling import sample_parameters
 
-from conftest import laplace_log_det_ricci, random_tangents, ricci_pairing
+from conftest import laplace_log_det_ricci, random_tangents, ricci_pairing, riemann
 
 EUCLID1 = PotentialChart(1, ("*", 0.5, ("abs2", "w1")), ((-3.0, 3.0),) * 2, label="euclid")
 FLAT2 = PotentialChart(2, ("+", ("abs2", "w1"), ("abs2", "w2")), ((-1.0, 1.0),) * 4, label="flat-2")
@@ -56,21 +57,21 @@ def complex_line_locus():
 def test_frame_orthonormality_across_builtins():
     for bundle in (builtin_cpn(1), builtin_cpn(2), builtin_quadric(2), builtin_flat_torus(2)):
         chart, locus = bundle.chart, bundle.locus
+        J = j_matrix(chart.dimension)
         for t in sample_parameters(locus, 50, seed=1):
-            frame = locus_geometry(chart, locus, t).frame
-            G = chart.geometry(frame.base).G
-            assert frame.orthonormality_defect(G) < 1e-10
+            lg = locus_geometry(chart, locus, t)
+            frame, G = lg.frame, lg.geom.G
+            stacked = np.vstack([frame.tangent, frame.normal])
+            assert np.max(np.abs(stacked @ G @ stacked.T - np.eye(len(stacked)))) < 1e-10
             # normal half is J of the tangent half, exactly
-            for a in range(frame.n):
-                je = apply_J(RealTangent(frame.tangent[a], frame.base))
-                assert np.array_equal(frame.normal[a], je.components)
+            assert np.array_equal(frame.normal, frame.tangent @ J.T)
 
 
 def test_rp1_frame_is_normalized_x_direction():
     chart = builtin_cpn(1).chart
     locus = builtin_cpn(1).locus
-    frame = locus_geometry(chart, locus, (0.4,)).frame
-    G = chart.geometry(frame.base).G
+    lg = locus_geometry(chart, locus, (0.4,))
+    frame, G = lg.frame, lg.geom.G
     expected = np.array([1.0, 0.0]) / np.sqrt(G[0, 0])
     assert frame.tangent[0] == pytest.approx(expected)
 
@@ -97,7 +98,7 @@ def test_rank_deficient_parametrization_raises():
 
 def test_collapsing_parametrizations_are_rank_deficient_not_linalg_failures():
     # a nearly collapsed locus factors with a diagonal entry of 1e-12, below
-    # GS_RANK_TOL; an exactly collapsed one fails the Cholesky factorization.
+    # RANK_TOL; an exactly collapsed one fails the Cholesky factorization.
     # Both are rank deficiencies: a LinAlgError would end a verdict as exit 4
     nearly = FixedLocusParam(
         components=("t1", ("+", "t1", ("*", 1e-12, "t2"))), box=((-1.0, 1.0),) * 2
@@ -199,39 +200,38 @@ def test_totally_real_residuals():
 
 def split_tn(mapping, point, v):
     """v as (tangent, normal) parts through the map's splitting projector."""
-    v_nor = map_normal_projector(mapping, point) @ v.components
-    return RealTangent(v.components - v_nor, point), RealTangent(v_nor, point)
+    v_nor = map_normal_projector(mapping, point) @ v
+    return v - v_nor, v_nor
 
 
 def test_projection_identities():
     bundle = builtin_cpn(2)
     chart, mp = bundle.chart, bundle.mapping
     lp = locus_point(chart, bundle.locus, (0.25, -0.4))
-    es = lp.frame.tangent_vectors()
-    vt, vp = split_tn(mp, lp.point, es[0])
-    assert np.array_equal(vt.components, es[0].components)
-    assert np.max(np.abs(vp.components)) == 0.0
-    je = apply_J(es[0])
+    e0, J = lp.frame.tangent[0], j_matrix(2)
+    vt, vp = split_tn(mp, lp.point, e0)
+    assert np.array_equal(vt, e0)
+    assert np.max(np.abs(vp)) == 0.0
+    je = J @ e0
     vt, vp = split_tn(mp, lp.point, je)
-    assert np.max(np.abs(vt.components)) == 0.0
-    assert np.array_equal(vp.components, je.components)
+    assert np.max(np.abs(vt)) == 0.0
+    assert np.array_equal(vp, je)
     rng = np.random.default_rng(5)
     G = chart.geometry(lp.point).G
     for _ in range(25):
-        v = RealTangent(rng.standard_normal(4), lp.point)
+        v = rng.standard_normal(4)
         vt, vp = split_tn(mp, lp.point, v)
         # exact decomposition and orthogonality of the parts
-        assert np.array_equal(vt.components + vp.components, v.components)
-        assert abs(vt.components @ G @ vp.components) < 1e-10
+        assert np.array_equal(vt + vp, v)
+        assert abs(vt @ G @ vp) < 1e-10
         # J swaps the tangent and normal projections
-        jv = apply_J(v)
-        jvt, jvp = split_tn(mp, lp.point, jv)
-        assert np.max(np.abs(apply_J(vt).components - jvp.components)) < 1e-12
-        assert np.max(np.abs(apply_J(vp).components - jvt.components)) < 1e-12
+        jvt, jvp = split_tn(mp, lp.point, J @ v)
+        assert np.max(np.abs(J @ vt - jvp)) < 1e-12
+        assert np.max(np.abs(J @ vp - jvt)) < 1e-12
         # idempotence: projecting the tangent part returns it unchanged
         vtt, vtp = split_tn(mp, lp.point, vt)
-        assert np.array_equal(vtt.components, vt.components)
-        assert np.max(np.abs(vtp.components)) == 0.0
+        assert np.array_equal(vtt, vt)
+        assert np.max(np.abs(vtp)) == 0.0
 
 
 def test_second_fundamental_form_vanishes_on_real_forms():
@@ -250,8 +250,8 @@ def test_second_fundamental_form_symmetry():
     lg = locus_geometry(q.chart, q.locus, (0.21, -0.17))
     for a in range(2):
         for b in range(2):
-            hab = lg.second_fundamental_form(a, b).components
-            hba = lg.second_fundamental_form(b, a).components
+            hab = lg.second_fundamental_form(a, b)
+            hba = lg.second_fundamental_form(b, a)
             assert np.max(np.abs(hab - hba)) < 1e-9
 
 
@@ -326,8 +326,8 @@ def test_frame_trace_identity():
         geom = b2.chart.geometry(lp.point)
         v, w = random_tangents(lp.point, 2, seed=i)
         total = 0.0
-        for e in lp.frame.tangent_vectors() + lp.frame.normal_vectors():
-            total += geom.riemann(e, v, w, e)
+        for e in np.vstack([lp.frame.tangent, lp.frame.normal]):
+            total += riemann(geom, e, v, w, e)
         assert total == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
         oracle = laplace_log_det_ricci(geom)
         assert total == pytest.approx(ricci_pairing(oracle, v, w), abs=1e-8)
@@ -368,3 +368,14 @@ def test_stage_four_evaluates_each_parameter_once(monkeypatch):
     assert report.exit_code == 0
     assert report.data["counts"]["locus_requested"] == 10
     assert len(calls) == len(set(calls)) == 10
+
+
+def test_verdict_fails_locus_rank_on_a_locus_of_the_wrong_dimension():
+    # m = 1 parameter on an n = 2 chart: the gate fails before any locus sample
+    bundle = builtin_cpn(2)
+    curve = FixedLocusParam(components=("t1", 0.0), box=((-1.0, 1.0),))
+    report = verdict(replace(bundle, locus=curve), SamplingConfig(4, 4, seed=0))
+    assert report.exit_code == 3
+    assert report.data["hypotheses"]["locus_rank"] == {"passed": False, "worst": 1.0, "tolerance": 0.5}
+    assert "locus_requested" not in report.data["counts"]
+    assert any("m = 1" in w and "n = 2" in w for w in report.data["warnings"])

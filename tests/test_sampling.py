@@ -32,8 +32,19 @@ def test_halton_matches_scalar_loop_bit_for_bit(seed):
             assert fast.tobytes() == _scalar_halton(dim, count, seed).tobytes()
 
 
+# the fewest samples a run can use: two ambient points for the Einstein fit,
+# one locus point, and the first seed
+LEAST = {"ambient_samples": 2, "locus_samples": 1, "seed": 0}
+
+
 @pytest.mark.parametrize("field", ["ambient_samples", "locus_samples", "seed"])
 def test_sampling_config_rejects_negative_counts_and_seeds(field):
     with pytest.raises(ValueError, match=field):
         SamplingConfig(**{field: -1})
-    assert getattr(SamplingConfig(**{field: 0}), field) == 0
+    assert getattr(SamplingConfig(**{field: LEAST[field]}), field) == LEAST[field]
+
+
+@pytest.mark.parametrize("field, value", [("ambient_samples", 0), ("ambient_samples", 1), ("locus_samples", 0)])
+def test_sampling_config_rejects_too_few_samples(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least {LEAST[field]}"):
+        SamplingConfig(**{field: value})

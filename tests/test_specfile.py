@@ -10,12 +10,12 @@ from einlocus import (
     builtin_cpn,
     builtin_quadric,
     load_spec,
-    run_verify,
     save_spec,
+    verdict,
 )
 from einlocus.sampling import SamplingConfig
 from einlocus.specfile import SCHEMA_VERSION, bundle_from_dict, bundle_to_dict
-from einlocus.verify import EXIT_HYPOTHESES_FAILED
+from einlocus.verify import EXIT_HYPOTHESES_FAILED, Tolerances
 
 
 def test_round_trip_identical_report(tmp_path):
@@ -24,8 +24,8 @@ def test_round_trip_identical_report(tmp_path):
     save_spec(bundle, path)
     loaded = load_spec(path)
     config = SamplingConfig(10, 8, seed=21)
-    original, _ = run_verify(bundle, config)
-    reloaded, _ = run_verify(loaded, config)
+    original = verdict(bundle, config)
+    reloaded = verdict(loaded, config)
     assert original.to_json() == reloaded.to_json()
 
 
@@ -81,7 +81,8 @@ def test_missing_locus_yields_hypothesis_failure():
     data = bundle_to_dict(builtin_cpn(1))
     data["locus"] = None
     bundle = bundle_from_dict(data)
-    report, code = run_verify(bundle, SamplingConfig(6, 5, seed=1))
+    report = verdict(bundle, SamplingConfig(6, 5, seed=1))
+    code = report.exit_code
     assert code == EXIT_HYPOTHESES_FAILED
     assert not report.data["hypotheses"]["locus_present"]["passed"]
 
@@ -90,7 +91,8 @@ def test_missing_map_yields_hypothesis_failure():
     data = bundle_to_dict(builtin_cpn(1))
     data["map"] = None
     bundle = bundle_from_dict(data)
-    report, code = run_verify(bundle, SamplingConfig(6, 5, seed=1))
+    report = verdict(bundle, SamplingConfig(6, 5, seed=1))
+    code = report.exit_code
     assert code == EXIT_HYPOTHESES_FAILED
     assert not report.data["hypotheses"]["map_present"]["passed"]
 
@@ -99,14 +101,14 @@ def test_tolerance_overrides_flow_into_report(tmp_path):
     data = bundle_to_dict(builtin_cpn(1))
     data["tolerances"] = {"tol_eig": 1e-3}
     bundle = bundle_from_dict(data)
-    report, _ = run_verify(bundle, SamplingConfig(6, 5, seed=2))
+    report = verdict(bundle, SamplingConfig(6, 5, seed=2))
     assert report.data["config"]["tolerances"]["tol_eig"] == 1e-3
     # an unknown name is a spec error; through the API it stays a KeyError
     data["tolerances"] = {"no_such": 1.0}
     with pytest.raises(SpecFormatError, match="no_such"):
         bundle_from_dict(data)
     with pytest.raises(KeyError):
-        run_verify(bundle, SamplingConfig(6, 5, seed=2, tolerance_overrides=(("no_such", 1.0),)))
+        verdict(bundle, SamplingConfig(6, 5, seed=2, tolerance_overrides=(("no_such", 1.0),)))
 
 
 def test_spec_file_is_sorted_json(tmp_path):
@@ -115,3 +117,33 @@ def test_spec_file_is_sorted_json(tmp_path):
     text = path.read_text()
     assert json.loads(text)["schema_version"] == SCHEMA_VERSION
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_tolerance_overrides_must_be_finite_and_non_negative():
+    data = bundle_to_dict(builtin_cpn(2))
+    for value in (float("nan"), float("inf"), -1e-3, True, "1e-3"):
+        data["tolerances"] = {"tol_eig": value}
+        with pytest.raises(SpecFormatError, match="tol_eig"):
+            bundle_from_dict(data)
+    data["tolerances"] = {"tol_eig": 0}
+    assert bundle_from_dict(data).tolerance_overrides == (("tol_eig", 0),)
+    for value in (float("nan"), float("-inf"), -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Tolerances().with_overrides([("tol_eig", value)])
+
+
+def test_box_bounds_must_be_finite():
+    for block, index in (("domain", 0), ("locus", 1)):
+        for bound in (float("-inf"), float("nan"), 10**400):
+            data = bundle_to_dict(builtin_cpn(2))
+            data[block]["box"][index] = [bound, 1.0]
+            with pytest.raises(SpecFormatError, match="finite bounds"):
+                bundle_from_dict(data)
+
+
+def test_locus_box_must_list_a_pair():
+    data = bundle_to_dict(builtin_cpn(2))
+    data["locus"] = {"components": [0, 0], "box": []}
+    with pytest.raises(SpecFormatError, match="at least one"):
+        bundle_from_dict(data)
+
