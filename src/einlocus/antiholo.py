@@ -18,7 +18,7 @@ from . import exprs
 from .coords import ChartPoint, j_matrix
 from .errors import ChartDomainError
 from .jets import jet_space
-from .metrics import PotentialChart, coordinate_jets
+from .metrics import METRIC_ORDER, PotentialChart, coordinate_jets
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,13 @@ def isometry_residual(
     """Relative defect of (f^* G)(p) = G(p) in Frobenius norm.
 
     Here and below ``image`` is f(p), already admitted by the chart, when the
-    caller holds it.
+    caller holds it; only its metric is read, so it is lifted to
+    ``METRIC_ORDER``.
     """
     image = admitted_image(mapping, chart, point) if image is None else image
     D = mapping.jacobian_real(point) if D is None else D
     G_p = chart.geometry(point).G
-    G_f = chart.geometry(image).G
+    G_f = chart.geometry(image, METRIC_ORDER).G
     return float(np.linalg.norm(D.T @ G_f @ D - G_p) / np.linalg.norm(G_p))
 
 
@@ -102,7 +103,7 @@ def anti_isometry_residual(
     image = admitted_image(mapping, chart, point) if image is None else image
     D = mapping.jacobian_real(point) if D is None else D
     W_p = chart.geometry(point).kahler_form
-    W_f = chart.geometry(image).kahler_form
+    W_f = chart.geometry(image, METRIC_ORDER).kahler_form
     return float(np.linalg.norm(D.T @ W_f @ D + W_p) / np.linalg.norm(W_p))
 
 

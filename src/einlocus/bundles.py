@@ -207,7 +207,7 @@ def builtin_toric_flat(n: int) -> ManifoldBundle:
 
 
 BUILTINS = {
-    "cpn": (builtin_cpn, "projective space, affine chart, real-points locus", (1, 8)),
+    "cpn": (builtin_cpn, "projective space, affine chart, real-points locus", (1, 12)),
     "quadric": (builtin_quadric, "quadric graph patch, sphere locus", (1, 4)),
     "flat-torus": (builtin_flat_torus, "flat fundamental domain, real slice", (1, 3)),
     "toric-fs": (builtin_toric_fs, "torus chart of the log-sum potential", (1, 4)),

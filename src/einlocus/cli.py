@@ -71,10 +71,12 @@ CHECK_EXPLANATIONS = {
         "the declared parametrization must actually land on the fixed locus",
     ),
     "locus_rank": (
-        f"indicator: 1 when the smallest singular value of d(param)/dt drops below {RANK_TOL:g}",
+        f"indicator: 1 when the smallest singular value of d(param)/dt drops below "
+        f"{RANK_TOL:g}, or when the locus has m != n parameters (no locus sampled)",
         "the locus must be a half-dimensional submanifold; rank defects "
         "invalidate the frame construction (the singular values themselves "
-        "appear under checks)",
+        "appear under checks), and with m != n the frame's J-image cannot "
+        "span the normal space",
     ),
     "locus_rank_smallest_sv": (
         "smallest singular value of d(param)/dt at each locus sample",

@@ -8,9 +8,8 @@ is tangent-valued; the locus carries an Einstein induced metric exactly
 when this operator is -C times the identity for a constant C.  Two
 independent evaluations are kept side by side: the projection route above
 and the scalar route -sum_a Rm(J e_a, e_b, e_c, J e_a); they must agree to
-tensor-assembly precision.  Both are contractions of the chart's real
-Riemann tensor at the point, built once: the frame sums over a are formed
-as 2n x 2n matrices (N^T E, N^T N) first, then contracted with the tensor.
+tensor-assembly precision.  Both read the chart's complex curvature
+summed over the frame once per point (``LocusGeometry.frame_curvature``).
 """
 
 from __future__ import annotations
@@ -48,9 +47,11 @@ class TraceOperatorAt:
 def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
     """The trace operator at a locus point on its frame, with ``projector``
     the normal projector, e.g. :func:`map_normal_projector`."""
-    geom, E, N = lp.geom, lp.frame.tangent, lp.frame.normal
-    # cov[a] = sum_c Rm(J e_c, e_a, e_c, .), contracted over the frame first
-    cov = E @ np.tensordot(N.T @ E, geom.riemann_tensor, axes=([0, 1], [0, 2]))
+    geom, E = lp.geom, lp.frame.tangent
+    # cov[a] = sum_c Rm(J e_c, e_a, e_c, .) on the real basis, whose d_x^l
+    # and d_y^l have holomorphic components 1 and i in slot l
+    _, U, V = lp.frame_curvature
+    cov = np.stack([-2.0 * np.imag(U - V), 2.0 * np.real(U + V)], axis=-1).reshape(E.shape)
     M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.T)
     return TraceOperatorAt(M, -lp.mixed_curvature.T)
 

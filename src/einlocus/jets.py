@@ -40,7 +40,7 @@ real variables too; the two kinds do not mix, constants excepted.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class JetSpace:
     """Shared tables for jets in a fixed number of variables and capacity.
 
     Holds the multi-index enumeration, the truncated multiplication table
-    and per-variable differentiation maps, all built from whole arrays.
+    and, from first use, per-variable differentiation maps, all built from
+    whole arrays.
     Spaces are cached.  At capacity 4 a build takes about 0.3 ms at 4
     variables, 3.5 ms at 12, 11 ms at 16 and 20 ms at 18 (median of 15 on a
     2-core x86-64 host, Python 3.11, numpy 2.4).  Multi-indices are found by
@@ -103,7 +104,6 @@ class JetSpace:
         self._wirtinger_set = None
         self._fd_table = None
         self._build_mult_table()
-        self._deriv = [self._deriv_table(v) for v in range(nvars)]
 
     def _build_mult_table(self):
         by_deg = [np.nonzero(self.degree == d)[0] for d in range(self.capacity + 1)]
@@ -145,6 +145,12 @@ class JetSpace:
                 table = tuple(t[rows] for t in table)
             self._mul_selections[key] = table
         return self._mul_selections[key]
+
+    @cached_property
+    def _deriv(self):
+        """The differentiation maps of every variable, built on first use: no
+        verdict stage differentiates a jet, so a space's set-up skips them."""
+        return [self._deriv_table(v) for v in range(self.nvars)]
 
     def _deriv_table(self, v):
         """(source positions, target positions, factors) of d/dx_v: the
@@ -218,12 +224,6 @@ class JetSpace:
         coeffs[0] = base_value
         coeffs[self._tensor_table(1)[0][v]] = 1.0
         return Jet(self, coeffs, self.capacity, 1)
-
-    def from_coefficients(self, mapping, order=None):
-        """Build a jet from {multi-index tuple: coefficient}."""
-        coeffs = np.zeros(self.size, dtype=np.complex128)
-        coeffs[self._lookup(list(mapping))] = list(mapping.values())
-        return Jet(self, coeffs, self.capacity if order is None else order)
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
 
 The full jet expansion of the potential in (parameters, chart displacement)
-survives only behind ``intrinsic_curvature``, the independent test oracle
+survives only behind ``intrinsic_ricci_on_frame``, the independent test oracle
 for the curvature of the induced metric.
 """
 
@@ -28,7 +28,7 @@ from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import jet_space
 from .metrics import PotentialChart
-from .realcurv import curvature_from_metric_jets, real_metric_from_hermitian
+from .realcurv import curvature_from_metric_jets, jet_matrix_mul, real_metric_from_hermitian
 
 # Below this, a singular value of d(param)/dt or of the joint frame, or the
 # length Gram-Schmidt leaves a tangent field, counts as lost rank.
@@ -66,18 +66,20 @@ class LocusGeometry:
 
     @property
     def param_jets(self):
-        return self._get("param", lambda: self.locus.component_jets(self.t, order=4))
+        """The locus components as jets in t, to the order the frame reads."""
+        return self._get("param", lambda: self.locus.component_jets(self.t, order=2))
 
     @property
     def tangent_field_jets(self):
         """T_d, the coordinate tangent fields, as real components in t-jets."""
 
         def build():
+            param = self.locus.component_jets(self.t, order=4)
             out = []
             for d in range(self.m):
                 comps = []
                 for k in range(self.n):
-                    dz = self.param_jets[k].deriv(d)
+                    dz = param[k].deriv(d)
                     comps.extend([dz.real, dz.imag])
                 out.append(comps)
             return out
@@ -123,16 +125,6 @@ class LocusGeometry:
             return real_metric_from_hermitian(g_t)
 
         return self._get("G_t", build)
-
-    def _inner(self, X, Y):
-        Gj = self.metric_jets_on_locus
-        dim = len(X)
-        acc = None
-        for a in range(dim):
-            for b in range(dim):
-                term = Gj[a][b] * X[a] * Y[b]
-                acc = term if acc is None else acc + term
-        return acc
 
     # -- the canonical frame to first order along the locus ----------------------
 
@@ -243,36 +235,34 @@ class LocusGeometry:
     # -- curvature on the frame --------------------------------------------------
 
     @property
+    def frame_curvature(self):
+        """(Eh, U, V): Eh[a] the holomorphic components of e_a, U[a, l] =
+        conj(Eh[a, j]) R[i, j, k, l] S[i, k] and V[a, k] = conj(Eh[a, j])
+        R[i, j, k, l] Q[i, l] for S = Eh^T Eh, Q = Eh^T conj(Eh).  As J e_c has
+        components i Eh[c], Rm(x, y, z, w) = 2 Re R[i, j, k, l] X_i conj(Y_j)
+        (Z_k conj(W_l) - W_k conj(Z_l)) makes every frame sum of stage 5 a
+        real part of U or V times Eh."""
+
+        def build():
+            E = self.frame.tangent
+            Eh = E[:, 0::2] + 1j * E[:, 1::2]
+            R, nn = self.geom.curvature, self.n**2
+            A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
+            B = (Eh.T @ np.conj(Eh)).ravel() @ R.transpose(0, 3, 1, 2).reshape(nn, nn)  # [(j, k)]
+            return Eh, np.conj(Eh) @ A.reshape(self.n, -1), np.conj(Eh) @ B.reshape(self.n, -1)
+
+        return self._get("frame_curvature", build)
+
+    @property
     def mixed_curvature(self):
         """The mixed trace out[a, b] = sum_c Rm(J e_c, e_a, e_b, J e_c) on frame
-        pairs: E K_2 E^T with K_2 one contraction of the chart's Riemann tensor
-        with N^T N."""
+        pairs, 2 Re(V Eh^T + U Eh^H) from ``frame_curvature``."""
 
         def build():
-            E, N = self.frame.tangent, self.frame.normal
-            K = np.tensordot(N.T @ N, self.geom.riemann_tensor, axes=([0, 1], [0, 3]))
-            return E @ K @ E.T
+            Eh, U, V = self.frame_curvature
+            return 2.0 * np.real(V @ Eh.T + U @ np.conj(Eh).T)
 
         return self._get("mixed", build)
-
-    # -- induced metric and its intrinsic curvature --------------------------------
-
-    @property
-    def induced_metric_jets(self):
-        def build():
-            T = self.tangent_field_jets
-            return [
-                [self._inner(T[c], T[d]) for d in range(self.m)] for c in range(self.m)
-            ]
-
-        return self._get("induced", build)
-
-    @property
-    def intrinsic_curvature(self):
-        """Curvature package of the induced metric in the parameter basis."""
-        return self._get(
-            "intrinsic", lambda: curvature_from_metric_jets(self.induced_metric_jets)
-        )
 
 
 @lru_cache(maxsize=2048)
@@ -335,9 +325,11 @@ def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
 def intrinsic_ricci_on_frame(lp: LocusGeometry) -> np.ndarray:
     """Intrinsic Ricci of the induced metric, expressed on the frame.
 
-    Independent of the ambient-splitting route: the induced metric is
-    differentiated in the parameters and run through the Christoffel
-    pipeline, then contracted with the frame coefficients.
+    Independent of the ambient-splitting route: the induced metric
+    h = T G T^T is expanded in the parameters and run through the
+    Christoffel pipeline, then contracted with the frame coefficients.
     """
+    T = lp.tangent_field_jets
+    h = jet_matrix_mul(jet_matrix_mul(T, lp.metric_jets_on_locus), [list(c) for c in zip(*T)])
     C = lp.frame_in_param_basis
-    return C @ lp.intrinsic_curvature["ricci"] @ C.T
+    return C @ curvature_from_metric_jets(h)["ricci"] @ C.T

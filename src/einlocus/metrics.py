@@ -8,8 +8,7 @@ metric g, its derivatives dg and ddg, and the holomorphic Hessian d d psi
 are then plain gathers of coefficient times alpha! beta! (``coords.
 wirtinger_table``, cached on the jet space).  The curvature tensor follows
 from the standard potential formula, and the Ricci form is its g-trace.
-The real Riemann tensor on the coordinate basis is built from the
-curvature once per point, and every real curvature value is read off it.
+A point whose metric alone is read (a map image) is lifted to order 2.
 The potential is the only thing expanded in jet arithmetic, so the cost
 per point is polynomial in the dimension and the fourth derivatives
 entering the curvature carry no step-size error.  A black-box potential
@@ -45,6 +44,8 @@ DEGENERACY_RATIO = 1e-10
 # Largest relative Hermitian defect of a potential's (z, zbar) jet that is
 # still read as roundoff of a real-valued field (see ``lift_to_jet``).
 HERMITIAN_TOL = 1e-8
+
+METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
@@ -152,16 +153,22 @@ class PotentialChart:
         if not self.admits(point):
             raise ChartDomainError(f"{point.holo} outside domain of {self.label}")
 
-    def geometry(self, point: ChartPoint) -> "ChartGeometry":
-        return _geometry_at(self, point)
+    def geometry(self, point: ChartPoint, order=DEFAULT_ORDER) -> "ChartGeometry":
+        """The cached geometry at a point, whose first lift takes the highest
+        potential order a caller asked for: ``METRIC_ORDER`` or 4."""
+        geom = _geometry_at(self, point)
+        geom.lift_order = max(geom.lift_order, order)
+        return geom
 
 
 class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
-    The object owns the order-4 potential jet and derives all metric,
-    connection and curvature values from it; instances are cached per
-    (chart, point) and treated as immutable.
+    The object owns the potential's jets, one per order, and derives all
+    metric, connection and curvature values from them (dg and ddg lift the
+    order-4 jet on demand); instances are cached per (chart, point) and
+    treated as immutable (``lift_order`` picks which lift comes first,
+    never a value).
     """
 
     def __init__(self, chart: PotentialChart, point: ChartPoint):
@@ -169,6 +176,7 @@ class ChartGeometry:
         self.chart = chart
         self.point = point
         self.n = chart.dimension
+        self.lift_order = METRIC_ORDER  # the order of the first lift
         self._cache = {}
 
     def _get(self, key, builder):
@@ -178,28 +186,33 @@ class ChartGeometry:
 
     # -- potential and its partial tensors -------------------------------------
 
+    def _lift(self, order):
+        """(jet, Hermitian defect) of the potential lifted to ``order``."""
+        return self._get(
+            ("psi", order),
+            lambda: lift_to_jet(self.chart.potential, self.point, order, self.chart.fd_scale),
+        )
+
     @property
     def psi_jet(self):
-        if "psi" not in self._cache:
-            self._cache["psi"], self._cache["hermitian_defect"] = lift_to_jet(
-                self.chart.potential, self.point, DEFAULT_ORDER, self.chart.fd_scale
-            )
-        return self._cache["psi"]
+        return self._lift(DEFAULT_ORDER)[0]
 
     @property
     def hermitian_defect(self):
         """How far the potential's jet in (z, zbar) was from Hermitian before
         its real part was taken, relative to its size (see ``lift_to_jet``)."""
-        self.psi_jet
-        return self._cache["hermitian_defect"]
+        return self._lift(DEFAULT_ORDER)[1]
 
     def _wirtinger(self, holo):
         """The order-k partial of the potential, k = len(holo), with slot s a
         d/dz (holo[s] true) or a d/dzbar: one gather of coefficient times
-        alpha! beta!, through the space's read-off table."""
+        alpha! beta!, through the space's read-off table.  The metric
+        partials of an order-2 lift are those of an order-4 one, bit for bit,
+        so they read whichever lift is on hand."""
 
         def build():
-            psi = self.psi_jet
+            full = len(holo) > METRIC_ORDER or ("psi", DEFAULT_ORDER) in self._cache
+            psi = self._lift(DEFAULT_ORDER if full else self.lift_order)[0]
             pos, fact = wirtinger_table(psi.space, holo)
             return psi.coeffs[pos] * fact
 
@@ -259,9 +272,9 @@ class ChartGeometry:
         """R[i,j,k,l] = -d_i dbar_j g_{k lbar} + g^{qbar p} d_i g_{k qbar} dbar_j g_{p lbar}."""
 
         def build():
-            dg = self.dg
-            term2 = np.einsum("qp,ikq,jlp->ijkl", self.g_inv, dg, np.conj(dg))
-            return -self.ddg + term2
+            n, dg = self.n, self.dg.reshape(-1, self.n)  # rows (i, k)
+            term2 = (dg @ self.g_inv) @ np.conj(dg).T  # [(i, k), (j, l)]
+            return -self.ddg + term2.reshape((n,) * 4).transpose(0, 2, 1, 3)
 
         return self._get("curvature", build)
 
@@ -300,7 +313,7 @@ class ChartGeometry:
             brace = (
                 dG.transpose(1, 0, 2) + dG.transpose(1, 2, 0) - dG
             )  # d_a G_eb + d_b G_ea - d_e G_ab, indexed [e, a, b]
-            return 0.5 * np.einsum("de,eab->dab", self.G_inv, brace)
+            return 0.5 * (self.G_inv @ brace.reshape(len(brace), -1)).reshape(brace.shape)
 
         return self._get("christoffel", build)
 
@@ -314,26 +327,6 @@ class ChartGeometry:
     def Ric(self):
         """The real Ricci tensor: the same 2 Re pairing that turns g into G."""
         return self._get("Ric", lambda: _real_metric_matrix(self.ricci))
-
-    @property
-    def riemann_tensor(self):
-        """Rm[x, y, z, w] = Rm(d_x, d_y, d_z, d_w) on the real coordinate basis:
-        the pairing of ``riemann_covector`` taken over every basis triple at
-        once.  d_x has one holomorphic component, ph[x] = 1 or i in slot
-        j[x] = x // 2, so each contraction with it is a gather and a phase."""
-
-        def build():
-            j = np.repeat(np.arange(self.n), 2)
-            ph = np.tile([1.0, 1j], self.n)
-            T = self.curvature[j][:, j] * np.multiply.outer(ph, ph.conj())[..., None, None]
-            q = T[:, :, j, :] * ph[:, None]  # q[x, y, z, l] = T[x, y, k, l] P[z, k]
-            r = np.swapaxes(T[:, :, :, j], 2, 3) * ph.conj()[:, None]  # T[x, y, k, l] conj(P[z, l])
-            Rm = np.empty((2 * self.n,) * 4)
-            Rm[..., 0::2] = 2.0 * np.real(q - r)
-            Rm[..., 1::2] = 2.0 * np.imag(q + r)
-            return Rm
-
-        return self._get("Rm", build)
 
     def ricci_real(self, v, w) -> float:
         """Ric(v, w) of component arrays, read off ``Ric``."""

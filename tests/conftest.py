@@ -24,6 +24,13 @@ def random_tangents(point, count, seed=0):
     return [rng.standard_normal(2 * point.n) for _ in range(count)]
 
 
+def from_coefficients(space, mapping, order=None):
+    """A jet of ``space`` from {multi-index tuple: coefficient}."""
+    coeffs = np.zeros(space.size, dtype=np.complex128)
+    coeffs[space._lookup(list(mapping))] = list(mapping.values())
+    return jets.Jet(space, coeffs, space.capacity if order is None else order)
+
+
 def real_lift(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
     """The potential's jet over the interleaved real variables, to total
     degree ``order``: the exact lift on x + iy coordinate jets, or the
@@ -103,14 +110,33 @@ def ricci_pairing(ric, v, w):
     return float(2.0 * np.real(V @ ric @ np.conj(W)))
 
 
+def riemann_tensor(geom):
+    """Rm[x, y, z, w] = Rm(d_x, d_y, d_z, d_w) on the real coordinate basis,
+    built from the chart's complex curvature: the pairing of
+    ``riemann_covector`` taken over every basis triple at once.  d_x has one
+    holomorphic component, ph[x] = 1 or i in slot j[x] = x // 2, so each
+    contraction with it is a gather and a phase.  The real reference for
+    the complex-form frame sums of the locus."""
+    n = geom.n
+    j = np.repeat(np.arange(n), 2)
+    ph = np.tile([1.0, 1j], n)
+    T = geom.curvature[j][:, j] * np.multiply.outer(ph, ph.conj())[..., None, None]
+    q = T[:, :, j, :] * ph[:, None]  # q[x, y, z, l] = T[x, y, k, l] P[z, k]
+    r = np.swapaxes(T[:, :, :, j], 2, 3) * ph.conj()[:, None]  # T[x, y, k, l] conj(P[z, l])
+    Rm = np.empty((2 * n,) * 4)
+    Rm[..., 0::2] = 2.0 * np.real(q - r)
+    Rm[..., 1::2] = 2.0 * np.imag(q + r)
+    return Rm
+
+
 def riemann(geom, zeta, eta, rho, upsilon):
-    """Rm(zeta, eta, rho, upsilon), read off the chart's Riemann tensor."""
-    return float(np.einsum("xyzw,x,y,z,w->", geom.riemann_tensor, zeta, eta, rho, upsilon))
+    """Rm(zeta, eta, rho, upsilon), read off the real Riemann tensor."""
+    return float(np.einsum("xyzw,x,y,z,w->", riemann_tensor(geom), zeta, eta, rho, upsilon))
 
 
 def curvature_endomorphism(geom, zeta, eta, rho):
     """R(zeta, eta) rho, read off the Riemann tensor, with the index raised by G."""
-    return geom.G_inv @ np.einsum("xyzw,x,y,z->w", geom.riemann_tensor, zeta, eta, rho)
+    return geom.G_inv @ np.einsum("xyzw,x,y,z->w", riemann_tensor(geom), zeta, eta, rho)
 
 
 def j_normal_curvature(lp, zeta, eta, rho, projector):

@@ -29,7 +29,7 @@ def test_registry_and_ranges():
     with pytest.raises(ValueError):
         make_builtin("quadric", 9)
     with pytest.raises(ValueError):
-        make_builtin("cpn", 9)
+        make_builtin("cpn", 13)
     with pytest.raises(ValueError):
         builtin_quadric(5)
 
@@ -41,7 +41,7 @@ def _projective_constants(n):
 @pytest.mark.parametrize(
     "name, n, expected",
     [
-        ("cpn", 8, _projective_constants(8)),
+        ("cpn", 12, _projective_constants(12)),
         ("quadric", 4, (4.0, 3.0, 1.0)),
         ("toric-fs", 4, _projective_constants(4)),
         ("toric-flat", 4, (0.0, 0.0, 0.0)),

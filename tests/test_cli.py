@@ -215,6 +215,11 @@ def test_locus_of_the_wrong_dimension_fails_locus_rank(tmp_path, capsys):
     assert "[FAIL] locus_rank" in out and "m = 1" in out and "n = 2" in out
 
 
+def test_explain_locus_rank_names_the_wrong_dimension(capsys):
+    assert main(["explain", "locus_rank"]) == 0
+    assert "m != n parameters" in capsys.readouterr().out
+
+
 def test_list_builtins(capsys):
     assert main(["list-builtins"]) == 0
     out = capsys.readouterr().out

@@ -17,10 +17,13 @@ from einlocus import (
     trace_operator_at,
     verdict,
 )
+from einlocus.antiholo import FixedLocusParam
+from einlocus.bundles import ManifoldBundle, builtin_quadric, builtin_toric_fs
+from einlocus.coords import j_matrix
 from einlocus.criterion import map_normal_projector
 from einlocus.sampling import sample_parameters
 
-from conftest import j_normal_curvature, riemann, rotated_frame
+from conftest import j_normal_curvature, riemann, riemann_tensor, rotated_frame
 
 TOL = Tolerances()
 
@@ -195,8 +198,9 @@ def test_scale_covariance_of_constant():
 
 
 def test_verdict_reads_curvature_off_one_tensor(monkeypatch):
-    # every stage-5 quantity is a contraction of the per-point Riemann
-    # tensor; the per-vector pairing stays a reference for the tests only
+    # every stage-5 quantity is a contraction of the per-point complex
+    # curvature tensor over the frame; the per-vector pairing stays a
+    # reference for the tests only
     calls = []
     per_vector = ChartGeometry.riemann_covector
 
@@ -209,3 +213,62 @@ def test_verdict_reads_curvature_off_one_tensor(monkeypatch):
     assert report.exit_code == 0
     assert report.data["constants"]["C_est"] == pytest.approx(3.0, abs=1e-9)
     assert calls == []
+
+
+def real_tensor_frame_sums(lp, projector):
+    """(mixed trace, trace matrix) contracted from the real (2n)^4 Riemann
+    tensor over the frames E and N: the reference for the complex form."""
+    geom, E, N = lp.geom, lp.frame.tangent, lp.frame.normal
+    Rm = riemann_tensor(geom)
+    mixed = E @ np.tensordot(N.T @ N, Rm, axes=([0, 1], [0, 3])) @ E.T
+    cov = E @ np.tensordot(N.T @ E, Rm, axes=([0, 1], [0, 2]))
+    M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.T)
+    return mixed, M
+
+
+def product_bundle():
+    """CP^1 x CP^2 scaled to a common Einstein constant: not Einstein on its
+    real form, so the trace matrix is not a multiple of the identity."""
+    cpn3 = builtin_cpn(3)
+    psi = (
+        "+",
+        ("*", 2, ("log", ("+", 1, ("abs2", "w1")))),
+        ("*", 3, ("log", ("+", 1, ("abs2", "w2"), ("abs2", "w3")))),
+    )
+    chart = PotentialChart(3, psi, ((-1.0, 1.0),) * 6, label="product")
+    locus = FixedLocusParam(("t1", "t2", "t3"), ((-1.0, 1.0),) * 3)
+    return ManifoldBundle(chart, cpn3.mapping, locus, label="product")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_cpn(2),
+        lambda: builtin_cpn(6),
+        lambda: builtin_quadric(3),
+        lambda: builtin_toric_fs(2),
+        product_bundle,
+    ],
+    ids=["cpn-2", "cpn-6", "quadric-3", "toric-fs-2", "product"],
+)
+def test_complex_frame_sums_match_real_tensor(build):
+    bundle = build()
+    for t in sample_parameters(bundle.locus, 3, seed=5):
+        lp = locus_point(bundle.chart, bundle.locus, t)
+        P = projector(bundle, lp)
+        mixed, M = real_tensor_frame_sums(lp, P)
+        scale = max(1.0, float(np.max(np.abs(M))))
+        assert np.max(np.abs(lp.mixed_curvature - mixed)) < 1e-12 * scale
+        assert np.max(np.abs(trace_operator_at(lp, P).matrix - M)) < 1e-12 * scale
+
+
+def test_complex_frame_sums_match_real_tensor_on_a_rotated_frame():
+    # the complex form reads the frame it is given, not the Gram-Schmidt one
+    bundle = builtin_cpn(3)
+    lp = locus_point(bundle.chart, bundle.locus, (0.3, -0.2, 0.4))
+    Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+    rotated, P = reframed(lp, Q), projector(bundle, lp)
+    mixed, M = real_tensor_frame_sums(rotated, P)
+    assert np.max(np.abs(rotated.mixed_curvature - mixed)) < 1e-12 * np.max(np.abs(M))
+    assert np.max(np.abs(trace_operator_at(rotated, P).matrix - M)) < 1e-12 * np.max(np.abs(M))
+    assert np.max(np.abs(rotated.mixed_curvature - Q.T @ lp.mixed_curvature @ Q)) < 1e-12

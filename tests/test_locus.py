@@ -173,6 +173,18 @@ def test_first_order_frame_matches_jet_gram_schmidt():
             assert abs(lg.sff_max_norm - worst) < 1e-12
 
 
+def test_frame_reads_parameter_jets_of_order_two():
+    # the frame's derivative reads second partials of the locus components;
+    # lifted at order 2 they are those of the order-4 lift, bit for bit
+    for bundle in (builtin_cpn(2), builtin_quadric(3), make_builtin("toric-fs", 4)):
+        for t in sample_parameters(bundle.locus, 3, seed=4):
+            lg = locus_geometry(bundle.chart, bundle.locus, t)
+            assert {w.order for w in lg.param_jets} == {2}
+            for low, full in zip(lg.param_jets, bundle.locus.component_jets(t, order=4)):
+                assert np.array_equal(low.derivative_tensor(2), full.derivative_tensor(2))
+                assert np.array_equal(low.derivative_tensor(1), full.derivative_tensor(1))
+
+
 def test_black_box_frame_needs_no_joint_expansion():
     # the frame reads only the chart geometry, so a callable potential works;
     # the joint expansion behind the intrinsic-curvature oracle refuses it
@@ -181,7 +193,7 @@ def test_black_box_frame_needs_no_joint_expansion():
     assert lg.frame.tangent == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
     assert lg.sff_max_norm < 1e-6
     with pytest.raises(NonAnalyticFieldError):
-        lg.intrinsic_curvature
+        intrinsic_ricci_on_frame(lg)
 
 
 def test_totally_real_residuals():

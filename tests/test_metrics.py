@@ -21,10 +21,12 @@ from einlocus import (
     verdict,
 )
 from einlocus import exprs, jets
+from einlocus import metrics as metrics_module
 from einlocus.bundles import BUILTINS
 from einlocus.coords import real_to_wirtinger
 from einlocus.errors import NonAnalyticFieldError
-from einlocus.metrics import lift_to_jet
+from einlocus.locus import _locus_geometry as locus_geometry_cache
+from einlocus.metrics import METRIC_ORDER, lift_to_jet
 from einlocus.realcurv import curvature_from_metric_jets
 from einlocus.sampling import sample_chart_points
 
@@ -37,6 +39,7 @@ from conftest import (
     real_psi_jet,
     ricci_pairing,
     riemann,
+    riemann_tensor,
     tensordot_wirtinger,
 )
 
@@ -248,14 +251,14 @@ TENSOR_CHARTS = [("cpn", 2), ("quadric", 3), ("toric-fs", 2)]
 
 @pytest.mark.parametrize("name, n", TENSOR_CHARTS)
 def test_riemann_tensor_matches_per_vector_covector(name, n):
-    # the tensor built once per point against the per-vector complex pairing
+    # the test-side tensor built once per point against the per-vector complex pairing
     chart = make_builtin(name, n).chart
     for i, p in enumerate(admitted_points(chart, 3, seed=37)):
         geom = chart.geometry(p)
         for k in range(10):
             vs = random_tangents(p, 3, seed=10 * i + k)
             reference = geom.riemann_covector(*vs)
-            read_off = np.einsum("xyzw,x,y,z->w", geom.riemann_tensor, *vs)
+            read_off = np.einsum("xyzw,x,y,z->w", riemann_tensor(geom), *vs)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(read_off - reference)) < 1e-12 * scale
 
@@ -267,9 +270,10 @@ def test_riemann_tensor_matches_christoffel_pipeline(name, n):
     for p in admitted_points(chart, 2, seed=41):
         geom = chart.geometry(p)
         direct = curvature_from_metric_jets(real_metric_jets(geom))["riemann"]
-        assert direct.shape == geom.riemann_tensor.shape == (2 * n,) * 4
+        Rm = riemann_tensor(geom)
+        assert direct.shape == Rm.shape == (2 * n,) * 4
         scale = max(1.0, float(np.max(np.abs(direct))))
-        assert np.max(np.abs(geom.riemann_tensor - direct)) < 1e-10 * scale
+        assert np.max(np.abs(Rm - direct)) < 1e-10 * scale
 
 
 def test_degenerate_metric_rejected():
@@ -314,6 +318,70 @@ def test_fd_scale_sets_finite_difference_step():
         ChartGeometry(chart, ChartPoint((0.0,))).psi_jet
         h = jets.FD_STEP_FACTOR * scale
         assert steps == {h, h / 2.0}
+
+
+def black_box_cpn(n):
+    """The projective potential log(1 + |x|^2) as an opaque callable."""
+    return PotentialChart(
+        n, lambda xy: float(np.log1p(xy @ xy)), ((-1.0, 1.0),) * (2 * n), label=f"bb-cpn-{n}"
+    )
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [FS2, make_builtin("quadric", 3).chart, make_builtin("toric-fs", 2).chart, black_box_cpn(2)],
+    ids=["cpn-2", "quadric-3", "toric-fs-2", "black-box-cpn-2"],
+)
+def test_metric_order_lift_is_bit_equal_to_the_full_lift(chart):
+    # a map image is lifted to METRIC_ORDER only; its metric must be the
+    # order-4 lift's to the last bit, so reports do not depend on the order
+    for p in admitted_points(chart, 6, seed=17):
+        low, full = ChartGeometry(chart, p), ChartGeometry(chart, p)
+        full.lift_order = jets.DEFAULT_ORDER
+        for name in ("g", "G", "kahler_form"):
+            assert np.array_equal(getattr(low, name), getattr(full, name)), name
+        assert np.array_equal(low._wirtinger((True, True)), full._wirtinger((True, True)))
+        assert low.psi_jet.order == jets.DEFAULT_ORDER
+        assert [k for k in low._cache if k[0] == "psi"] == [("psi", METRIC_ORDER), ("psi", 4)]
+        assert [k for k in full._cache if k[0] == "psi"] == [("psi", 4)]
+
+
+def test_fixed_point_image_still_yields_order_four_curvature():
+    # a real point of CP^2 is its own conjugate image: read as an image
+    # first, it must still give the order-4 curvature, lifted on demand
+    p = ChartPoint((0.3, -0.4))
+    metrics_module._geometry_at.cache_clear()
+    image = FS2.geometry(p, METRIC_ORDER)
+    image.G
+    assert image.lift_order == METRIC_ORDER
+    assert FS2.geometry(p) is image and image.lift_order == 4
+    reference = ChartGeometry(FS2, p)
+    for name in ("g", "dg", "ddg", "curvature", "ricci", "christoffel"):
+        assert np.array_equal(getattr(image, name), getattr(reference, name)), name
+
+
+def test_verdict_lifts_each_point_once_per_order(monkeypatch):
+    # ambient and locus points are lifted once, at order 4; only map
+    # images that are neither are lifted at METRIC_ORDER
+    lifts = []
+    lift = metrics_module.lift_to_jet
+
+    def recording(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
+        lifts.append((point, order))
+        return lift(field, point, order, fd_scale)
+
+    monkeypatch.setattr(metrics_module, "lift_to_jet", recording)
+    for bundle in (builtin_cpn(2), make_builtin("quadric", 2)):
+        metrics_module._geometry_at.cache_clear()
+        locus_geometry_cache.cache_clear()
+        lifts.clear()
+        report = verdict(bundle, SamplingConfig(8, 8, seed=0))
+        assert report.exit_code == 0
+        assert len(lifts) == len(set(lifts))
+        assert {order for _, order in lifts} == {METRIC_ORDER, 4}
+        images = {bundle.mapping.apply(p) for p, order in lifts if order == 4}
+        assert all(p in images for p, order in lifts if order == METRIC_ORDER)
+        assert sum(order == 4 for _, order in lifts) >= 8 + 8
 
 
 def test_chart_geometry_makes_no_jet_products(monkeypatch):
@@ -376,7 +444,7 @@ def oracle_geometry(chart, point):
     """A fresh chart geometry whose potential jet is the real-variable
     oracle jet, converted to (z, zbar)."""
     geom = ChartGeometry(chart, point)
-    geom._cache["psi"] = real_to_wirtinger(real_psi_jet(geom))
+    geom._cache["psi", jets.DEFAULT_ORDER] = (real_to_wirtinger(real_psi_jet(geom)), 0.0)
     return geom
 
 
