@@ -16,9 +16,8 @@ import numpy as np
 
 from . import exprs
 from .coords import ChartPoint, j_matrix
-from .errors import ChartDomainError
 from .jets import jet_space
-from .metrics import METRIC_ORDER, PotentialChart, coordinate_jets
+from .metrics import ChartGeometry, PotentialChart, coordinate_jets
 
 
 @dataclass(frozen=True)
@@ -72,39 +71,21 @@ def involution_residual(mapping: AntiholoMap, point: ChartPoint) -> float:
     return float(np.linalg.norm(q.real_view - point.real_view))
 
 
-def admitted_image(mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint) -> ChartPoint:
-    """f(p), or ChartDomainError if the chart does not admit it."""
-    image = mapping.apply(point)
-    if not chart.admits(image):
-        raise ChartDomainError(f"f({point.holo}) escapes {chart.label}")
-    return image
-
-
-def isometry_residual(
-    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None, image=None
-) -> float:
+def isometry_residual(D, geom: ChartGeometry, image: ChartGeometry) -> float:
     """Relative defect of (f^* G)(p) = G(p) in Frobenius norm.
 
-    Here and below ``image`` is f(p), already admitted by the chart, when the
-    caller holds it; only its metric is read, so it is lifted to
-    ``METRIC_ORDER``.
+    Here and below ``D`` is Df(p), and ``geom`` and ``image`` are the chart
+    geometries at p and f(p); only the image's metric is read, so it may be
+    lifted to ``METRIC_ORDER``.
     """
-    image = admitted_image(mapping, chart, point) if image is None else image
-    D = mapping.jacobian_real(point) if D is None else D
-    G_p = chart.geometry(point).G
-    G_f = chart.geometry(image, METRIC_ORDER).G
-    return float(np.linalg.norm(D.T @ G_f @ D - G_p) / np.linalg.norm(G_p))
+    G_p = geom.G
+    return float(np.linalg.norm(D.T @ image.G @ D - G_p) / np.linalg.norm(G_p))
 
 
-def anti_isometry_residual(
-    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, D=None, image=None
-) -> float:
+def anti_isometry_residual(D, geom: ChartGeometry, image: ChartGeometry) -> float:
     """Relative defect of (f^* w)(p) = -w(p) for the Kahler form."""
-    image = admitted_image(mapping, chart, point) if image is None else image
-    D = mapping.jacobian_real(point) if D is None else D
-    W_p = chart.geometry(point).kahler_form
-    W_f = chart.geometry(image, METRIC_ORDER).kahler_form
-    return float(np.linalg.norm(D.T @ W_f @ D + W_p) / np.linalg.norm(W_p))
+    W_p = geom.kahler_form
+    return float(np.linalg.norm(D.T @ image.kahler_form @ D + W_p) / np.linalg.norm(W_p))
 
 
 def potential_invariance_residual(

@@ -17,6 +17,7 @@ Conventions fixed here and cited by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,11 +28,14 @@ from .jets import Jet
 J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+@lru_cache(maxsize=None)
 def j_matrix(n):
-    """The 2n x 2n matrix of J in the interleaved real ordering."""
+    """The 2n x 2n matrix of J in the interleaved real ordering, built once
+    per n and read-only, since every caller shares it."""
     J = np.zeros((2 * n, 2 * n))
     for k in range(n):
         J[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = J_BLOCK
+    J.flags.writeable = False
     return J
 
 

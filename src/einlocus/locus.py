@@ -9,6 +9,8 @@ first derivative along the locus, which follows from the derivative of the
 factorization (see ``frame_field_jets``), with the metric's t-derivative
 dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
+A ``LocusGeometry`` owns the ``ChartGeometry`` at its point; stage 4 of
+``verdict`` builds one per locus parameter and stage 5 reads it.
 
 The full jet expansion of the potential in (parameters, chart displacement)
 survives only behind ``intrinsic_ricci_on_frame``, the independent test oracle
@@ -18,7 +20,6 @@ for the curvature of the induced metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +46,9 @@ class FramePair:
 
 class LocusGeometry:
     """Frame and second fundamental form of a chart geometry at one locus
-    point, plus the jet route to the induced metric's intrinsic curvature."""
+    point, plus the jet route to the induced metric's intrinsic curvature.
+    Construction evaluates the parametrization once and admits the point
+    (ChartDomainError); the frame is built on first read."""
 
     def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t):
         self.chart = chart
@@ -265,22 +268,12 @@ class LocusGeometry:
         return self._get("mixed", build)
 
 
-@lru_cache(maxsize=2048)
-def _locus_geometry(chart, locus, t):
-    return LocusGeometry(chart, locus, t)
-
-
-def locus_geometry(chart, locus, t) -> LocusGeometry:
-    return _locus_geometry(chart, locus, tuple(float(x) for x in t))
-
-
 # -- module-level operations ------------------------------------------------------
 
 
-def locus_point(chart: PotentialChart, locus: FixedLocusParam, t) -> LocusGeometry:
-    """The cached locus geometry at t with its frame built, so that a
-    degenerate parametrization raises RankDeficiencyError here."""
-    lg = locus_geometry(chart, locus, t)
+def locus_point(lg: LocusGeometry) -> LocusGeometry:
+    """``lg`` with its frame built, so that a degenerate parametrization
+    raises RankDeficiencyError here."""
     lg.frame
     return lg
 

@@ -14,7 +14,8 @@ per point is polynomial in the dimension and the fourth derivatives
 entering the curvature carry no step-size error.  A black-box potential
 is lifted over the real variables by finite differences and converted
 once (``coords.real_to_wirtinger``), so every chart quantity has one
-read-off route.
+read-off route.  A ``ChartGeometry`` is built once per point per verdict
+and handed from stage to stage; no module state outlives the verdict.
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -26,7 +27,6 @@ reproduces the Ricci form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -130,18 +130,10 @@ class PotentialChart:
         env = dict(zip(self.coord_names, point.holo))
         return complex(exprs.evaluate(self.potential, env)).real
 
-    def in_box(self, point: ChartPoint, margin=0.0) -> bool:
-        r = point.real_view
-        for c, (lo, hi) in zip(r, self.box):
-            pad = margin * (hi - lo)
-            if not (lo + pad <= c <= hi - pad):
-                return False
-        return True
-
-    def admits(self, point: ChartPoint, margin=0.0) -> bool:
+    def admits(self, point: ChartPoint) -> bool:
         if len(self.box) != 2 * self.dimension:
             raise ValueError("box must bound all 2n real coordinates")
-        if not self.in_box(point, margin):
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(point.real_view, self.box)):
             return False
         if self.domain is not None:
             env = dict(zip(self.coord_names, point.holo))
@@ -149,16 +141,10 @@ class PotentialChart:
                 return False
         return True
 
-    def require(self, point: ChartPoint):
-        if not self.admits(point):
-            raise ChartDomainError(f"{point.holo} outside domain of {self.label}")
-
-    def geometry(self, point: ChartPoint, order=DEFAULT_ORDER) -> "ChartGeometry":
-        """The cached geometry at a point, whose first lift takes the highest
-        potential order a caller asked for: ``METRIC_ORDER`` or 4."""
-        geom = _geometry_at(self, point)
-        geom.lift_order = max(geom.lift_order, order)
-        return geom
+    def geometry(self, point: ChartPoint, lift_order=DEFAULT_ORDER) -> "ChartGeometry":
+        """A new geometry at a point, whose first lift takes ``lift_order``:
+        ``METRIC_ORDER`` for a point whose metric alone is read, else 4."""
+        return ChartGeometry(self, point, lift_order)
 
 
 class ChartGeometry:
@@ -166,17 +152,19 @@ class ChartGeometry:
 
     The object owns the potential's jets, one per order, and derives all
     metric, connection and curvature values from them (dg and ddg lift the
-    order-4 jet on demand); instances are cached per (chart, point) and
-    treated as immutable (``lift_order`` picks which lift comes first,
-    never a value).
+    order-4 jet on demand).  It admits its point once, on construction
+    (ChartDomainError), and lives as long as its holder: ``verdict`` builds
+    one per point and passes it to every stage that reads the point.
+    ``lift_order`` picks which lift comes first, never a value.
     """
 
-    def __init__(self, chart: PotentialChart, point: ChartPoint):
-        chart.require(point)
+    def __init__(self, chart: PotentialChart, point: ChartPoint, lift_order=DEFAULT_ORDER):
+        if not chart.admits(point):
+            raise ChartDomainError(f"{point.holo} outside domain of {chart.label}")
         self.chart = chart
         self.point = point
         self.n = chart.dimension
-        self.lift_order = METRIC_ORDER  # the order of the first lift
+        self.lift_order = lift_order  # the order of the first lift
         self._cache = {}
 
     def _get(self, key, builder):
@@ -358,30 +346,25 @@ def _real_metric_matrix(g):
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-@lru_cache(maxsize=4096)
-def _geometry_at(chart, point):
-    return ChartGeometry(chart, point)
-
-
 # Entries smaller than this fraction of the metric norm are too noisy for
 # entrywise Ricci/metric ratios.
 RATIO_FLOOR = 1e-6
 
 
-def einstein_residual(chart, samples):
-    """Estimate the Einstein constant and the worst relative defect.
+def einstein_residual(geometries):
+    """Estimate the Einstein constant and the worst relative defect over the
+    chart geometries of the sample points.
 
     Returns (lambda_est, max_residual) where lambda_est is the median of
     entrywise Ric/g ratios over well-conditioned entries of all samples and
     max_residual = max_p ||Ric - lambda g||_F / ||g||_F.
     """
-    samples = list(samples)
-    if len(samples) < 2:
+    geometries = list(geometries)
+    if len(geometries) < 2:
         raise ValueError("einstein_residual needs at least 2 sample points")
     pairs = []
     ratios = []
-    for p in samples:
-        geom = chart.geometry(p)
+    for geom in geometries:
         g, ric = geom.g, geom.ricci
         pairs.append((g, ric))
         floor = RATIO_FLOOR * np.linalg.norm(g)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import ChartPoint
-from .errors import DegenerateMetricError
+from .errors import ChartDomainError, DegenerateMetricError
 
 DEFAULT_MARGIN = 0.05
 
@@ -89,7 +89,7 @@ class SampleStats:
 
 
 def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
-    """Admitted chart points plus rejection statistics.
+    """The chart geometries of admitted points, plus rejection statistics.
 
     Points outside the domain predicate or with a degenerate metric are
     skipped and counted; the stream is extended until ``count`` admitted
@@ -103,16 +103,17 @@ def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
     for row in raw:
         if len(accepted) >= count:
             break
-        p = ChartPoint.from_real(row)
-        if not chart.admits(p):
+        try:
+            geom = chart.geometry(ChartPoint.from_real(row))
+        except ChartDomainError:
             stats.rejected_domain += 1
             continue
         try:
-            chart.geometry(p).g
+            geom.g
         except DegenerateMetricError:
             stats.rejected_degenerate += 1
             continue
-        accepted.append(p)
+        accepted.append(geom)
         stats.admitted += 1
     return accepted, stats
 

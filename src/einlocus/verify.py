@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .antiholo import (
-    admitted_image,
     anti_isometry_residual,
     antiholomorphy_residual,
     fixed_locus_residual,
@@ -39,13 +38,13 @@ from .errors import (
 )
 from .locus import (
     RANK_TOL,
+    LocusGeometry,
     lagrangian_residual,
-    locus_geometry,
     locus_point,
     restricted_ricci,
     totally_real_residual,
 )
-from .metrics import einstein_residual
+from .metrics import METRIC_ORDER, einstein_residual
 from .sampling import SamplingConfig, sample_chart_points, sample_parameters
 
 EXIT_EINSTEIN = 0
@@ -256,7 +255,9 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
 
 
 def _stages(bundle, config, tol, report, finish):
-    """The five stages of ``verdict``, filling ``report`` in place."""
+    """The five stages of ``verdict``, filling ``report`` in place.  Each
+    point's geometry is built once here and handed to the stages that read
+    it, so none outlives the verdict."""
     chart = bundle.chart
     counts = report["counts"]
     hyp = report["hypotheses"]
@@ -275,7 +276,7 @@ def _stages(bundle, config, tol, report, finish):
         warnings.append("fewer than 2 admissible ambient points")
         return finish(EXIT_DEGENERATE)
 
-    checks["metric_hermitian"] = _stat([chart.geometry(p).hermitian_defect for p in ambient])
+    checks["metric_hermitian"] = _stat([geom.hermitian_defect for geom in ambient])
 
     if bundle.mapping is None:
         _hypothesis(hyp, "map_present", 1.0, 0.0)
@@ -285,24 +286,26 @@ def _stages(bundle, config, tol, report, finish):
     # -- stage 2: map residuals, one Jacobian and one image per ambient point ----------
     anti_res, iso_res, antiiso_res, poti_res = [], [], [], []
     escapes = 0
-    for p in ambient:
+    for geom in ambient:
+        p = geom.point
         D = mapping.jacobian_real(p)
         anti_res.append(antiholomorphy_residual(mapping, p, D))
         try:
-            image = admitted_image(mapping, chart, p)
-            iso = isometry_residual(mapping, chart, p, D, image=image)
-            antiiso = anti_isometry_residual(mapping, chart, p, D, image=image)
+            # only the image's metric is read, so it is lifted to METRIC_ORDER
+            image = chart.geometry(mapping.apply(p), METRIC_ORDER)
+            iso = isometry_residual(D, geom, image)
+            antiiso = anti_isometry_residual(D, geom, image)
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             escapes += 1
             continue
         iso_res.append(iso)
         antiiso_res.append(antiiso)
-        poti_res.append(potential_invariance_residual(mapping, chart, p, image=image))
+        poti_res.append(potential_invariance_residual(mapping, chart, p, image=image.point))
     checks["antiholomorphy"] = _stat(anti_res)
     gates_ok = _hypothesis(hyp, "antiholomorphy", max(anti_res), tol.gate_antiholo)
 
     if mapping.declared_involution:
-        inv_res = [involution_residual(mapping, p) for p in ambient]
+        inv_res = [involution_residual(mapping, geom.point) for geom in ambient]
         checks["involution"] = _stat(inv_res)
         gates_ok &= _hypothesis(hyp, "involution", max(inv_res), tol.gate_involution)
 
@@ -320,7 +323,7 @@ def _stages(bundle, config, tol, report, finish):
         return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
 
     # -- stage 3: ambient Einstein residual -----------------------------------------
-    lam, ke_res = einstein_residual(chart, ambient)
+    lam, ke_res = einstein_residual(ambient)
     report["constants"]["lambda_est"] = lam
     checks["ambient_einstein"] = _stat([ke_res])
     gates_ok &= _hypothesis(hyp, "ambient_einstein", ke_res, tol.gate_ambient_einstein)
@@ -351,7 +354,7 @@ def _stages(bundle, config, tol, report, finish):
     fixed_res, rank_sv = [], []
     for t in params:
         try:
-            lg = locus_geometry(chart, locus, t)  # evaluates the parametrization, once
+            lg = LocusGeometry(chart, locus, t)  # evaluates the parametrization, once
             lg.geom.g
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             rejected += 1
@@ -360,7 +363,7 @@ def _stages(bundle, config, tol, report, finish):
         sv = np.linalg.svd(lg.jacobian, compute_uv=False)
         rank_sv.append(float(sv[-1]))
         try:
-            lpoints.append(locus_point(chart, locus, t))
+            lpoints.append(locus_point(lg))
         except RankDeficiencyError:
             rank_deficient += 1
     counts["locus_admitted"] = len(lpoints)

@@ -7,15 +7,26 @@ from einlocus import exprs, jets
 from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
 from einlocus.locus import FramePair
-from einlocus.metrics import PotentialChart, coordinate_jets
+from einlocus.metrics import METRIC_ORDER, PotentialChart, coordinate_jets
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
 
+def admitted_geometries(chart, count, seed=0):
+    geoms, _ = sample_chart_points(chart, count, seed=seed)
+    assert len(geoms) >= min(count, 2), f"could not sample {chart.label}"
+    return geoms
+
+
 def admitted_points(chart, count, seed=0):
-    pts, _ = sample_chart_points(chart, count, seed=seed)
-    assert len(pts) >= min(count, 2), f"could not sample {chart.label}"
-    return pts
+    return [geom.point for geom in admitted_geometries(chart, count, seed)]
+
+
+def map_geometries(mapping, chart, point):
+    """(Df(p), the geometry at p, the metric-order geometry at f(p)): the
+    arguments of the isometry residuals."""
+    image = chart.geometry(mapping.apply(point), METRIC_ORDER)
+    return mapping.jacobian_real(point), chart.geometry(point), image
 
 
 def random_tangents(point, count, seed=0):

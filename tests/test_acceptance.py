@@ -15,8 +15,8 @@ from einlocus import (
     PotentialChart,
     builtin_cpn,
     builtin_flat_torus,
+    LocusGeometry,
     einstein_residual,
-    locus_point,
     j_matrix,
     make_builtin,
     spectral_test,
@@ -25,12 +25,14 @@ from einlocus import (
 )
 from einlocus.bundles import DEFAULT_SUITE, ManifoldBundle, _conjugation, _real_slice
 from einlocus.criterion import map_normal_projector
-from einlocus.locus import FixedLocusParam, locus_geometry
+from einlocus.locus import FixedLocusParam
 from einlocus.sampling import SamplingConfig, sample_chart_points, sample_parameters
 from einlocus.verify import Tolerances
 
 from conftest import (
+    admitted_geometries,
     admitted_points,
+    map_geometries,
     curvature_endomorphism,
     pullback_potential,
     random_tangents,
@@ -50,11 +52,11 @@ def test_criterion_01_projective_space_baseline():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         start = time.perf_counter()
-        pts, stats = sample_chart_points(bundle.chart, 50, seed=101)
-        lam, res = einstein_residual(bundle.chart, pts)
+        geoms, stats = sample_chart_points(bundle.chart, 50, seed=101)
+        lam, res = einstein_residual(geoms)
         elapsed = time.perf_counter() - start
         good = (
-            len(pts) >= 50
+            len(geoms) >= 50
             and abs(lam - (n + 1)) < 1e-9
             and res < 1e-7
             and elapsed < 10.0
@@ -71,10 +73,9 @@ def test_criterion_02_conjugation_is_isometry():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         for p in admitted_points(bundle.chart, 25, seed=102):
-            worst_iso = max(worst_iso, isometry_residual(bundle.mapping, bundle.chart, p))
-            worst_anti = max(
-                worst_anti, anti_isometry_residual(bundle.mapping, bundle.chart, p)
-            )
+            args = map_geometries(bundle.mapping, bundle.chart, p)
+            worst_iso = max(worst_iso, isometry_residual(*args))
+            worst_anti = max(worst_anti, anti_isometry_residual(*args))
     ok = worst_iso < 1e-9 and worst_anti < 1e-9
     _report(2, ok, f"worst isometry {worst_iso:.2e}, anti-isometry {worst_anti:.2e}")
 
@@ -84,12 +85,12 @@ def test_criterion_03_totally_geodesic_loci():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         for t in sample_parameters(bundle.locus, 8, seed=103):
-            worst_rp = max(worst_rp, locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm)
+            worst_rp = max(worst_rp, LocusGeometry(bundle.chart, bundle.locus, t).sff_max_norm)
     worst_q = 0.0
     for n in (1, 2, 3):
         bundle = make_builtin("quadric", n)
         for t in sample_parameters(bundle.locus, 8, seed=104):
-            worst_q = max(worst_q, locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm)
+            worst_q = max(worst_q, LocusGeometry(bundle.chart, bundle.locus, t).sff_max_norm)
     euclid = PotentialChart(1, ("*", 0.5, ("abs2", "w1")), ((-3.0, 3.0),) * 2, label="euclid")
     circle_ok = True
     circle_vals = []
@@ -97,7 +98,7 @@ def test_criterion_03_totally_geodesic_loci():
         circle = FixedLocusParam(
             (("*", r, ("exp", ("*", "I", "t1"))),), ((-0.7, 0.7),), label=f"circle-{r}"
         )
-        h = locus_geometry(euclid, circle, (0.2,)).sff_max_norm
+        h = LocusGeometry(euclid, circle, (0.2,)).sff_max_norm
         circle_vals.append(f"r={r}: {h:.4f}")
         circle_ok &= abs(h - 1.0 / r) <= 0.05 / r
     ok = worst_rp < 1e-7 and worst_q < 1e-6 and circle_ok
@@ -120,7 +121,7 @@ def test_criterion_04_projection_identities():
         J = j_matrix(n)
         per_point = 1000 // len(ts) + 1
         for t in ts:
-            lp = locus_point(bundle.chart, bundle.locus, t)
+            lp = LocusGeometry(bundle.chart, bundle.locus, t)
             P = map_normal_projector(bundle.mapping, lp.point)
             for _ in range(per_point):
                 v = rng.standard_normal(2 * n)
@@ -138,7 +139,7 @@ def test_criterion_05_trace_operator_routes_agree():
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
         for t in sample_parameters(bundle.locus, 4, seed=106):
-            lp = locus_point(bundle.chart, bundle.locus, t)
+            lp = LocusGeometry(bundle.chart, bundle.locus, t)
             op = trace_operator_at(lp, map_normal_projector(bundle.mapping, lp.point))
             worst = max(worst, float(np.max(np.abs(op.matrix - op.cross_matrix))))
     ok = worst < 1e-8
@@ -186,10 +187,10 @@ def test_criterion_07_pullback_preserves_einstein_constant():
     ok = True
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
-        pts = admitted_points(bundle.chart, 10, seed=109)
-        lam0, _ = einstein_residual(bundle.chart, pts)
+        geoms = admitted_geometries(bundle.chart, 10, seed=109)
+        lam0, _ = einstein_residual(geoms)
         pulled = pullback_potential(bundle.mapping, bundle.chart)
-        lam1, _ = einstein_residual(pulled, pts)
+        lam1, _ = einstein_residual(pulled.geometry(g.point) for g in geoms)
         good = abs(lam1 - lam0) < 1e-7
         ok &= good
         details.append(f"{bundle.label}: {abs(lam1 - lam0):.1e}")
@@ -198,15 +199,14 @@ def test_criterion_07_pullback_preserves_einstein_constant():
 
 def test_criterion_08_commutation_and_bianchi():
     chart = builtin_cpn(2).chart
-    pts = admitted_points(chart, 20, seed=110)
+    geoms = admitted_geometries(chart, 20, seed=110)
     worst_comm, worst_bianchi = 0.0, 0.0
     count = 0
     rng = np.random.default_rng(110)
     J = j_matrix(2)
     while count < 1000:
-        p = pts[count % len(pts)]
-        z, e, r, u = random_tangents(p, 4, seed=int(rng.integers(1 << 30)))
-        geom = chart.geometry(p)
+        geom = geoms[count % len(geoms)]
+        z, e, r, u = random_tangents(geom.point, 4, seed=int(rng.integers(1 << 30)))
         lhs = curvature_endomorphism(geom, z, e, J @ r)
         rhs = J @ curvature_endomorphism(geom, z, e, r)
         worst_comm = max(worst_comm, float(np.linalg.norm(lhs - rhs)))

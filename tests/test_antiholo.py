@@ -24,7 +24,12 @@ from einlocus import (
 )
 from einlocus.antiholo import involution_residual
 
-from conftest import admitted_points, pullback_consistency_residual, pullback_potential
+from conftest import (
+    admitted_points,
+    map_geometries,
+    pullback_consistency_residual,
+    pullback_potential,
+)
 
 CONJ1 = AntiholoMap((("conj", "w1"),), declared_involution=True, label="conj")
 FLAT1 = PotentialChart(1, ("abs2", "w1"), ((-2.0, 2.0),) * 2, label="flat-1")
@@ -61,25 +66,26 @@ def test_antiholomorphy_residual():
 
 def test_isometry_residual():
     for p in admitted_points(FS2, 8, seed=2):
-        assert isometry_residual(CONJ2, FS2, p) < 1e-9
+        assert isometry_residual(*map_geometries(CONJ2, FS2, p)) < 1e-9
     translate = AntiholoMap((("+", ("conj", "w1"), 1),), label="conj+1")
     p = ChartPoint((0.3 - 0.2j,))
-    assert isometry_residual(translate, FLAT1, p) < 1e-12
+    assert isometry_residual(*map_geometries(translate, FLAT1, p)) < 1e-12
     double = AntiholoMap((("*", 2, ("conj", "w1")),), label="2conj")
     wide = PotentialChart(1, FS1.potential, ((-3.0, 3.0),) * 2, label="fs-wide")
-    assert isometry_residual(double, wide, ChartPoint((1.0,))) > 0.1
+    assert isometry_residual(*map_geometries(double, wide, ChartPoint((1.0,)))) > 0.1
 
 
 def test_anti_isometry_residual():
     for p in admitted_points(FS2, 8, seed=3):
-        assert anti_isometry_residual(CONJ2, FS2, p) < 1e-9
+        assert anti_isometry_residual(*map_geometries(CONJ2, FS2, p)) < 1e-9
     # a holomorphic rotation pulls the form back to itself: defect is 2
     theta = 0.7
     rot = AntiholoMap(
         ((("*", ("+", np.cos(theta), ("*", np.sin(theta), "I")), "w1")),),
         label="rotation",
     )
-    assert anti_isometry_residual(rot, FLAT1, ChartPoint((0.4 + 0.3j,))) == pytest.approx(2.0)
+    args = map_geometries(rot, FLAT1, ChartPoint((0.4 + 0.3j,)))
+    assert anti_isometry_residual(*args) == pytest.approx(2.0)
 
 
 def test_potential_invariance():
@@ -101,8 +107,8 @@ def test_implication_chain_on_builtin_samples():
         chart, mp = bundle.chart, bundle.mapping
         for p in admitted_points(chart, 10, seed=6):
             pot = potential_invariance_residual(mp, chart, p)
-            anti = anti_isometry_residual(mp, chart, p)
-            iso = isometry_residual(mp, chart, p)
+            args = map_geometries(mp, chart, p)
+            anti, iso = anti_isometry_residual(*args), isometry_residual(*args)
             if anti < 1e-9:
                 assert iso < 1e-8
             if pot < 1e-12:
@@ -124,9 +130,9 @@ def test_pullback_potential_conjugation_identity():
 
 def test_pullback_preserves_einstein_constant():
     pts = admitted_points(FS2, 12, seed=8)
-    lam0, res0 = einstein_residual(FS2, pts)
+    lam0, res0 = einstein_residual(FS2.geometry(p) for p in pts)
     pulled = pullback_potential(CONJ2, FS2)
-    lam1, res1 = einstein_residual(pulled, pts)
+    lam1, res1 = einstein_residual(pulled.geometry(p) for p in pts)
     assert lam1 == pytest.approx(lam0, abs=1e-7)
     assert abs(res1 - res0) < 1e-7
 

@@ -55,6 +55,15 @@ def test_stage_five_enters_the_restricted_ricci_hook():
     assert "metrics.riemann_covector" not in calls
 
 
+def test_traced_admission_count_is_the_reports():
+    # the tracer counts admitted points from result[1] of sample_chart_points,
+    # so that function must keep returning (geometries, stats)
+    tracer = load_spans().Tracer()
+    with tracer.installed(einlocus):
+        report, _ = tracer.verdict(0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0)))
+    assert tracer.extra["sampling.admitted"] == report.data["counts"]["ambient_admitted"] == 6
+
+
 def test_bench_jet_contract():
     # the microbenchmark multiplies jets built as Jet(space, coeffs, order),
     # which must stay dense, and the table counter reads the length of
@@ -98,8 +107,6 @@ def test_verdicts_build_jet_spaces_only_through_the_cache(monkeypatch):
     for bundle in (builtin_cpn(3), black_box):
         reports = []
         for _ in range(2):
-            einlocus.metrics._geometry_at.cache_clear()
-            einlocus.locus._locus_geometry.cache_clear()
             misses, count = jets.jet_space.cache_info().misses, len(built)
             reports.append(verdict(bundle, SamplingConfig(4, 4, seed=0)).to_json())
             assert len(built) - count == jets.jet_space.cache_info().misses - misses

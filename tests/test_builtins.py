@@ -18,7 +18,7 @@ from einlocus import (
 from einlocus.bundles import DEFAULT_SUITE
 from einlocus.sampling import SamplingConfig, sample_chart_points, sample_parameters
 
-from conftest import admitted_points
+from conftest import admitted_geometries, admitted_points
 
 
 def test_registry_and_ranges():
@@ -62,7 +62,7 @@ def test_cpn_basics():
     b = builtin_cpn(1)
     assert b.chart.geometry(ChartPoint((0.0,))).g == pytest.approx(np.eye(1))
     b2 = builtin_cpn(2)
-    lam, res = einstein_residual(b2.chart, admitted_points(b2.chart, 20, seed=1))
+    lam, res = einstein_residual(admitted_geometries(b2.chart, 20, seed=1))
     assert lam == pytest.approx(3.0, abs=1e-9)
     for t in sample_parameters(b2.locus, 5, seed=1):
         p = b2.locus.point(t)
@@ -83,17 +83,17 @@ def test_quadric_locus_on_variety():
 
 def test_quadric_metric_positive_definite():
     q = builtin_quadric(2)
-    pts, stats = sample_chart_points(q.chart, 50, seed=3)
-    assert len(pts) == 50
-    for p in pts:
-        eigs = np.linalg.eigvalsh(q.chart.geometry(p).g)
+    geoms, stats = sample_chart_points(q.chart, 50, seed=3)
+    assert len(geoms) == 50
+    for geom in geoms:
+        eigs = np.linalg.eigvalsh(geom.g)
         assert eigs[0] > 0
 
 
 def test_quadric_einstein_constant_is_dimension():
     for n in (1, 2):
         q = builtin_quadric(n)
-        lam, res = einstein_residual(q.chart, admitted_points(q.chart, 15, seed=4))
+        lam, res = einstein_residual(admitted_geometries(q.chart, 15, seed=4))
         assert lam == pytest.approx(float(n), abs=1e-8)
         assert res < 1e-7
 
@@ -141,11 +141,10 @@ def test_chart_invariants_across_builtins():
 
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
-        pts, _ = sample_chart_points(bundle.chart, 50, seed=8)
-        assert len(pts) >= 40, bundle.label
+        geoms, _ = sample_chart_points(bundle.chart, 50, seed=8)
+        assert len(geoms) >= 40, bundle.label
         J = j_matrix(n)
-        for p in pts[:50]:
-            geom = bundle.chart.geometry(p)
+        for geom in geoms[:50]:
             g = geom.g
             assert np.linalg.norm(g - g.conj().T) / (1 + np.linalg.norm(g)) < 1e-10
             assert np.min(np.linalg.eigvalsh(0.5 * (g + g.conj().T))) > 0
@@ -179,9 +178,8 @@ def test_curvature_j_commutation_on_every_builtin():
     for name, n in DEFAULT_SUITE:
         bundle = make_builtin(name, n)
         J = j_matrix(n)
-        for i, p in enumerate(admitted_points(bundle.chart, 5, seed=14)):
-            z, e, r = random_tangents(p, 3, seed=i)
-            geom = bundle.chart.geometry(p)
+        for i, geom in enumerate(admitted_geometries(bundle.chart, 5, seed=14)):
+            z, e, r = random_tangents(geom.point, 3, seed=i)
             lhs = curvature_endomorphism(geom, z, e, J @ r)
             rhs = J @ curvature_endomorphism(geom, z, e, r)
             assert np.linalg.norm(lhs - rhs) < 1e-9, bundle.label

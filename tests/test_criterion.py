@@ -12,7 +12,6 @@ from einlocus import (
     Tolerances,
     builtin_cpn,
     builtin_flat_torus,
-    locus_point,
     spectral_test,
     trace_operator_at,
     verdict,
@@ -47,7 +46,7 @@ def reframed(lp, Q):
 
 def test_flat_trace_operator_vanishes():
     b = builtin_flat_torus(2)
-    lp = locus_point(b.chart, b.locus, (0.1, -0.2))
+    lp = LocusGeometry(b.chart, b.locus, (0.1, -0.2))
     op = trace_operator_at(lp, projector(b, lp))
     assert np.max(np.abs(op.matrix)) < 1e-13
     es = lp.frame.tangent
@@ -58,8 +57,8 @@ def test_flat_trace_operator_vanishes():
 def test_output_is_tangent_to_locus():
     b = builtin_cpn(2)
     for t in sample_parameters(b.locus, 6, seed=1):
-        lp = locus_point(b.chart, b.locus, t)
-        G = b.chart.geometry(lp.point).G
+        lp = LocusGeometry(b.chart, b.locus, t)
+        G = lp.geom.G
         es = lp.frame.tangent
         for zeta in es:
             for eta in es:
@@ -70,12 +69,12 @@ def test_output_is_tangent_to_locus():
 
 def test_dimension_one_trace_matches_single_component():
     b = builtin_cpn(1)
-    lp = locus_point(b.chart, b.locus, (0.35,))
+    lp = LocusGeometry(b.chart, b.locus, (0.35,))
     e1 = lp.frame.tangent[0]
     op = trace_operator_at(lp, projector(b, lp))
     sv = spectral(op.matrix)
     out = j_normal_curvature(lp, e1, e1, e1, projector(b, lp))
-    G = b.chart.geometry(lp.point).G
+    G = lp.geom.G
     # the operator sends e1 to -C e1
     assert float(out @ G @ e1) == pytest.approx(-sv.C_est, abs=1e-10)
 
@@ -83,7 +82,7 @@ def test_dimension_one_trace_matches_single_component():
 def test_two_routes_agree_and_projectors_match():
     for bundle in (builtin_cpn(2), builtin_quadric_2()):
         for t in sample_parameters(bundle.locus, 5, seed=2):
-            lp = locus_point(bundle.chart, bundle.locus, t)
+            lp = LocusGeometry(bundle.chart, bundle.locus, t)
             assert trace_operator_at(lp, projector(bundle, lp)).route_agreement < 1e-8
             # the map's splitting projector is the G-orthogonal projector
             # onto the span of the normal frame
@@ -99,7 +98,7 @@ def builtin_quadric_2():
 
 def test_frame_rotation_conjugates_operator():
     b = builtin_cpn(2)
-    lp = locus_point(b.chart, b.locus, (0.3, 0.2))
+    lp = LocusGeometry(b.chart, b.locus, (0.3, 0.2))
     op = trace_operator_at(lp, projector(b, lp))
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -113,7 +112,7 @@ def test_real_form_of_cp2_constant_operator():
     b = builtin_cpn(2)
     values = []
     for t in sample_parameters(b.locus, 50, seed=3):
-        lp = locus_point(b.chart, b.locus, t)
+        lp = LocusGeometry(b.chart, b.locus, t)
         op = trace_operator_at(lp, projector(b, lp))
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.max(np.abs(off)) < 1e-9
@@ -125,7 +124,7 @@ def test_real_form_of_cp2_constant_operator():
 def test_mixed_trace_symmetry_and_route_sign():
     b = builtin_cpn(2)
     for t in sample_parameters(b.locus, 4, seed=4):
-        lp = locus_point(b.chart, b.locus, t)
+        lp = LocusGeometry(b.chart, b.locus, t)
         M = lp.mixed_curvature
         assert M[0, 1] == pytest.approx(M[1, 0], abs=1e-9)
         op = trace_operator_at(lp, projector(b, lp))
@@ -135,15 +134,15 @@ def test_mixed_trace_symmetry_and_route_sign():
 def test_mixed_trace_per_direction_structure():
     # dimension one: the single summand is the whole (proportional) trace
     b1 = builtin_cpn(1)
-    lp = locus_point(b1.chart, b1.locus, (0.2,))
+    lp = LocusGeometry(b1.chart, b1.locus, (0.2,))
     e1, je1 = lp.frame.tangent[0], lp.frame.normal[0]
-    geom = b1.chart.geometry(lp.point)
+    geom = lp.geom
     single = riemann(geom, je1, e1, e1, je1)
     assert single == pytest.approx(lp.mixed_curvature[0, 0])
     # higher dimensions: the summed trace is proportional to the metric on
     # the frame even though individual summands are not
     b2 = builtin_cpn(2)
-    lp2 = locus_point(b2.chart, b2.locus, (0.3, -0.1))
+    lp2 = LocusGeometry(b2.chart, b2.locus, (0.3, -0.1))
     M = lp2.mixed_curvature
     c = M[0, 0]
     assert M == pytest.approx(c * np.eye(2), abs=1e-9)
@@ -169,7 +168,7 @@ def test_verdict_frame_independence():
     b = builtin_cpn(2)
     rng = np.random.default_rng(31)
     for t in sample_parameters(b.locus, 3, seed=9):
-        lp = locus_point(b.chart, b.locus, t)
+        lp = LocusGeometry(b.chart, b.locus, t)
         base = spectral(trace_operator_at(lp, projector(b, lp)).matrix)
         for _ in range(10):
             Q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -189,8 +188,8 @@ def test_scale_covariance_of_constant():
             label=f"fs-scaled-{s}",
         )
         t = (0.25, -0.35)
-        lp0 = locus_point(base.chart, base.locus, t)
-        lps = locus_point(scaled_chart, base.locus, t)
+        lp0 = LocusGeometry(base.chart, base.locus, t)
+        lps = LocusGeometry(scaled_chart, base.locus, t)
         c0 = spectral(trace_operator_at(lp0, projector(base, lp0)).matrix)
         cs = spectral(trace_operator_at(lps, projector(base, lps)).matrix)
         assert cs.C_est == pytest.approx(c0.C_est / s, rel=1e-7)
@@ -254,7 +253,7 @@ def product_bundle():
 def test_complex_frame_sums_match_real_tensor(build):
     bundle = build()
     for t in sample_parameters(bundle.locus, 3, seed=5):
-        lp = locus_point(bundle.chart, bundle.locus, t)
+        lp = LocusGeometry(bundle.chart, bundle.locus, t)
         P = projector(bundle, lp)
         mixed, M = real_tensor_frame_sums(lp, P)
         scale = max(1.0, float(np.max(np.abs(M))))
@@ -265,7 +264,7 @@ def test_complex_frame_sums_match_real_tensor(build):
 def test_complex_frame_sums_match_real_tensor_on_a_rotated_frame():
     # the complex form reads the frame it is given, not the Gram-Schmidt one
     bundle = builtin_cpn(3)
-    lp = locus_point(bundle.chart, bundle.locus, (0.3, -0.2, 0.4))
+    lp = LocusGeometry(bundle.chart, bundle.locus, (0.3, -0.2, 0.4))
     Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
     rotated, P = reframed(lp, Q), projector(bundle, lp)
     mixed, M = real_tensor_frame_sums(rotated, P)

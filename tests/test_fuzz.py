@@ -14,10 +14,10 @@ NUMBERS = st.one_of(
 EXPONENTS = st.one_of(st.integers(-3, 4), st.sampled_from((-1.5, -0.5, 0.5, 1.5)))
 
 
-def expression_trees(n):
+def expression_trees(n, prefix="w"):
     """Trees over every head of the grammar, with leaves I, numeric literals
-    and the coordinates w1..wn."""
-    leaves = st.one_of(st.sampled_from(("I",) + coord_names(n)), NUMBERS)
+    and the variables w1..wn (or t1..tn)."""
+    leaves = st.one_of(st.sampled_from(("I",) + coord_names(n, prefix=prefix)), NUMBERS)
 
     def extend(sub):
         return st.one_of(
@@ -46,5 +46,34 @@ def bundles(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(bundles())
 def test_verdict_never_raises_on_grammar_trees(bundle):
+    report = verdict(bundle, SamplingConfig(6, 6, seed=0))
+    assert report.exit_code in {0, 2, 3, 4}
+
+
+@st.composite
+def map_and_locus_bundles(draw):
+    """Bundles whose map and locus components are each either the usual one
+    (conjugation, the real slice) or a grammar tree."""
+    n = draw(st.sampled_from((1, 2)))
+    names, params = coord_names(n), coord_names(n, prefix="t")
+    chart = PotentialChart(
+        n, ("log", ("+", 1, *(("abs2", w) for w in names))), ((-1.0, 1.0),) * (2 * n), label="cpn"
+    )
+    mapping = AntiholoMap(
+        tuple(draw(st.one_of(st.just(("conj", w)), expression_trees(n))) for w in names),
+        declared_involution=draw(st.booleans()),
+        label="fuzz-map",
+    )
+    locus = FixedLocusParam(
+        tuple(draw(st.one_of(st.just(t), expression_trees(n, prefix="t"))) for t in params),
+        ((-1.0, 1.0),) * n,
+        label="fuzz-locus",
+    )
+    return ManifoldBundle(chart=chart, mapping=mapping, locus=locus, label="fuzz")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(map_and_locus_bundles())
+def test_verdict_never_raises_on_grammar_maps_and_loci(bundle):
     report = verdict(bundle, SamplingConfig(6, 6, seed=0))
     assert report.exit_code in {0, 2, 3, 4}

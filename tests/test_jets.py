@@ -258,6 +258,20 @@ def test_apply_j_convention_and_involution():
         assert np.array_equal(J @ J, -np.eye(2 * n))
 
 
+def test_j_matrix_is_built_once_per_dimension_and_read_only():
+    for n in (1, 2, 12):
+        J = j_matrix(n)
+        assert j_matrix(n) is J
+        assert not J.flags.writeable
+        with pytest.raises(ValueError):
+            J[0, 0] = 1.0
+        want = np.zeros((2 * n, 2 * n))
+        for k in range(n):
+            want[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = [[0.0, -1.0], [1.0, 0.0]]
+        assert np.array_equal(J, want)
+        assert np.array_equal(np.signbit(J), J < 0)  # no negative zeros
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
 def test_apply_j_euclidean_isometry(comps):

@@ -9,6 +9,7 @@ from einlocus import (
     AntiholoMap,
     ChartPoint,
     FixedLocusParam,
+    LocusGeometry,
     ManifoldBundle,
     NonAnalyticFieldError,
     PotentialChart,
@@ -26,9 +27,8 @@ from einlocus import (
     totally_real_residual,
     verdict,
 )
-from einlocus import locus as locus_module
 from einlocus.criterion import map_normal_projector
-from einlocus.locus import intrinsic_ricci_on_frame, locus_geometry
+from einlocus.locus import intrinsic_ricci_on_frame
 from einlocus.sampling import sample_parameters
 
 from conftest import laplace_log_det_ricci, random_tangents, ricci_pairing, riemann
@@ -59,7 +59,7 @@ def test_frame_orthonormality_across_builtins():
         chart, locus = bundle.chart, bundle.locus
         J = j_matrix(chart.dimension)
         for t in sample_parameters(locus, 50, seed=1):
-            lg = locus_geometry(chart, locus, t)
+            lg = LocusGeometry(chart, locus, t)
             frame, G = lg.frame, lg.geom.G
             stacked = np.vstack([frame.tangent, frame.normal])
             assert np.max(np.abs(stacked @ G @ stacked.T - np.eye(len(stacked)))) < 1e-10
@@ -70,7 +70,7 @@ def test_frame_orthonormality_across_builtins():
 def test_rp1_frame_is_normalized_x_direction():
     chart = builtin_cpn(1).chart
     locus = builtin_cpn(1).locus
-    lg = locus_geometry(chart, locus, (0.4,))
+    lg = LocusGeometry(chart, locus, (0.4,))
     frame, G = lg.frame, lg.geom.G
     expected = np.array([1.0, 0.0]) / np.sqrt(G[0, 0])
     assert frame.tangent[0] == pytest.approx(expected)
@@ -78,7 +78,7 @@ def test_rp1_frame_is_normalized_x_direction():
 
 def test_flat_slice_frame_is_rescaled_basis():
     bundle = builtin_flat_torus(2)
-    frame = locus_geometry(bundle.chart, bundle.locus, (0.1, -0.2)).frame
+    frame = LocusGeometry(bundle.chart, bundle.locus, (0.1, -0.2)).frame
     # G = 2 Id, so the frame is the x-basis divided by sqrt(2)
     want = np.zeros((2, 4))
     want[0, 0] = want[1, 2] = 1.0 / np.sqrt(2.0)
@@ -90,10 +90,10 @@ def test_rank_deficient_parametrization_raises():
         components=("t1", "t1"), box=((-1.0, 1.0),) * 2, label="collapsed"
     )
     with pytest.raises(RankDeficiencyError):
-        locus_geometry(FLAT2, degenerate, (0.2, 0.3)).frame
+        LocusGeometry(FLAT2, degenerate, (0.2, 0.3)).frame
     # locus_point builds the frame, so the verdict's stage 4 sees the error
     with pytest.raises(RankDeficiencyError):
-        locus_point(FLAT2, degenerate, (0.25, 0.35))
+        locus_point(LocusGeometry(FLAT2, degenerate, (0.25, 0.35)))
 
 
 def test_collapsing_parametrizations_are_rank_deficient_not_linalg_failures():
@@ -104,7 +104,7 @@ def test_collapsing_parametrizations_are_rank_deficient_not_linalg_failures():
         components=("t1", ("+", "t1", ("*", 1e-12, "t2"))), box=((-1.0, 1.0),) * 2
     )
     with pytest.raises(RankDeficiencyError):
-        locus_geometry(FLAT2, nearly, (0.2, 0.3)).frame
+        LocusGeometry(FLAT2, nearly, (0.2, 0.3)).frame
     collapsed = FixedLocusParam(components=("t1", "t1"), box=((-0.5, 0.5),) * 2)
     conjugation = AntiholoMap((("conj", "w1"), ("conj", "w2")), declared_involution=True)
     for locus in (nearly, collapsed):
@@ -117,14 +117,16 @@ def test_collapsing_parametrizations_are_rank_deficient_not_linalg_failures():
         assert not any(w.startswith("numerical failure") for w in report.data["warnings"])
 
 
-def test_locus_point_is_the_cached_locus_geometry():
-    # one object per locus point: locus_point builds the frame on the cached
-    # geometry and returns that very object
+def test_locus_point_builds_the_frame_of_the_geometry_it_is_given():
+    # one object per locus point: locus_point builds the frame on the
+    # geometry stage 4 built and returns that very object
     bundle = builtin_cpn(2)
     t = (0.25, -0.4)
-    lp = locus_point(bundle.chart, bundle.locus, t)
-    assert lp is locus_geometry(bundle.chart, bundle.locus, t)
-    assert lp is locus_module._locus_geometry(bundle.chart, bundle.locus, t)
+    lg = LocusGeometry(bundle.chart, bundle.locus, t)
+    assert "frame" not in lg._cache
+    lp = locus_point(lg)
+    assert lp is lg and "frame" in lg._cache
+    assert lp.frame is lg._cache["frame"]
 
 
 def jet_gram_schmidt(lg):
@@ -151,7 +153,7 @@ def jet_gram_schmidt(lg):
 def test_first_order_frame_matches_jet_gram_schmidt():
     for bundle in (builtin_cpn(2), builtin_quadric(2), builtin_toric_fs(2)):
         for t in sample_parameters(bundle.locus, 3, seed=9):
-            lg = locus_geometry(bundle.chart, bundle.locus, t)
+            lg = LocusGeometry(bundle.chart, bundle.locus, t)
             es = jet_gram_schmidt(lg)
             E = np.array([[comp.value.real for comp in e] for e in es])
             assert np.max(np.abs(lg.frame.tangent - E)) < 1e-12
@@ -178,7 +180,7 @@ def test_frame_reads_parameter_jets_of_order_two():
     # lifted at order 2 they are those of the order-4 lift, bit for bit
     for bundle in (builtin_cpn(2), builtin_quadric(3), make_builtin("toric-fs", 4)):
         for t in sample_parameters(bundle.locus, 3, seed=4):
-            lg = locus_geometry(bundle.chart, bundle.locus, t)
+            lg = LocusGeometry(bundle.chart, bundle.locus, t)
             assert {w.order for w in lg.param_jets} == {2}
             for low, full in zip(lg.param_jets, bundle.locus.component_jets(t, order=4)):
                 assert np.array_equal(low.derivative_tensor(2), full.derivative_tensor(2))
@@ -189,7 +191,7 @@ def test_black_box_frame_needs_no_joint_expansion():
     # the frame reads only the chart geometry, so a callable potential works;
     # the joint expansion behind the intrinsic-curvature oracle refuses it
     black_box = PotentialChart(1, lambda xy: float(xy @ xy), ((-1.0, 1.0),) * 2, label="bb")
-    lg = locus_geometry(black_box, FixedLocusParam(("t1",), ((-1.0, 1.0),)), (0.2,))
+    lg = LocusGeometry(black_box, FixedLocusParam(("t1",), ((-1.0, 1.0),)), (0.2,))
     assert lg.frame.tangent == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
     assert lg.sff_max_norm < 1e-6
     with pytest.raises(NonAnalyticFieldError):
@@ -199,14 +201,14 @@ def test_black_box_frame_needs_no_joint_expansion():
 def test_totally_real_residuals():
     for bundle in (builtin_cpn(2), builtin_cpn(3)):
         for t in sample_parameters(bundle.locus, 10, seed=2):
-            lp = locus_point(bundle.chart, bundle.locus, t)
+            lp = LocusGeometry(bundle.chart, bundle.locus, t)
             assert totally_real_residual(lp) < 1e-10
     q = builtin_quadric(2)
     for t in sample_parameters(q.locus, 10, seed=3):
-        lp = locus_point(q.chart, q.locus, t)
+        lp = LocusGeometry(q.chart, q.locus, t)
         assert totally_real_residual(lp) < 1e-9
     # the complex line keeps J of its tangent inside the tangent space
-    lp = locus_point(FLAT2, complex_line_locus(), (0.2, -0.3))
+    lp = LocusGeometry(FLAT2, complex_line_locus(), (0.2, -0.3))
     assert totally_real_residual(lp) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -219,7 +221,7 @@ def split_tn(mapping, point, v):
 def test_projection_identities():
     bundle = builtin_cpn(2)
     chart, mp = bundle.chart, bundle.mapping
-    lp = locus_point(chart, bundle.locus, (0.25, -0.4))
+    lp = LocusGeometry(chart, bundle.locus, (0.25, -0.4))
     e0, J = lp.frame.tangent[0], j_matrix(2)
     vt, vp = split_tn(mp, lp.point, e0)
     assert np.array_equal(vt, e0)
@@ -229,7 +231,7 @@ def test_projection_identities():
     assert np.max(np.abs(vt)) == 0.0
     assert np.array_equal(vp, je)
     rng = np.random.default_rng(5)
-    G = chart.geometry(lp.point).G
+    G = lp.geom.G
     for _ in range(25):
         v = rng.standard_normal(4)
         vt, vp = split_tn(mp, lp.point, v)
@@ -250,16 +252,16 @@ def test_second_fundamental_form_vanishes_on_real_forms():
     for n in (1, 2, 3):
         bundle = builtin_cpn(n)
         for t in sample_parameters(bundle.locus, 6, seed=4):
-            assert locus_geometry(bundle.chart, bundle.locus, t).sff_max_norm < 1e-8
+            assert LocusGeometry(bundle.chart, bundle.locus, t).sff_max_norm < 1e-8
     for n in (1, 2):
         q = builtin_quadric(n)
         for t in sample_parameters(q.locus, 6, seed=5):
-            assert locus_geometry(q.chart, q.locus, t).sff_max_norm < 1e-7
+            assert LocusGeometry(q.chart, q.locus, t).sff_max_norm < 1e-7
 
 
 def test_second_fundamental_form_symmetry():
     q = builtin_quadric(2)
-    lg = locus_geometry(q.chart, q.locus, (0.21, -0.17))
+    lg = LocusGeometry(q.chart, q.locus, (0.21, -0.17))
     for a in range(2):
         for b in range(2):
             hab = lg.second_fundamental_form(a, b)
@@ -270,23 +272,23 @@ def test_second_fundamental_form_symmetry():
 def test_circle_control_recovers_classical_curvature():
     # euclidean plane: a circle of radius r has curvature 1/r
     for r in (0.5, 1.0, 2.0):
-        h = locus_geometry(EUCLID1, circle_locus(r), (0.15,)).sff_max_norm
+        h = LocusGeometry(EUCLID1, circle_locus(r), (0.15,)).sff_max_norm
         assert h == pytest.approx(1.0 / r, rel=0.05)
 
 
 def test_restricted_ricci_curve_and_flat():
     b1 = builtin_cpn(1)
-    lp = locus_point(b1.chart, b1.locus, (0.3,))
+    lp = LocusGeometry(b1.chart, b1.locus, (0.3,))
     assert restricted_ricci(lp) == pytest.approx(np.zeros((1, 1)), abs=1e-10)
     bf = builtin_flat_torus(2)
-    lp = locus_point(bf.chart, bf.locus, (0.1, 0.2))
+    lp = LocusGeometry(bf.chart, bf.locus, (0.1, 0.2))
     assert restricted_ricci(lp) == pytest.approx(np.zeros((2, 2)), abs=1e-12)
 
 
 def test_restricted_ricci_matches_intrinsic_oracle():
     b2 = builtin_cpn(2)
     for t in sample_parameters(b2.locus, 5, seed=6):
-        lp = locus_point(b2.chart, b2.locus, t)
+        lp = LocusGeometry(b2.chart, b2.locus, t)
         via_split = restricted_ricci(lp)
         assert via_split.shape == (2, 2)
         assert via_split == pytest.approx(via_split.T, abs=1e-10)
@@ -302,7 +304,7 @@ def test_report_reads_kappa_off_restricted_ricci(name, n):
     report = verdict(bundle, SamplingConfig(8, 8, seed=3))
     kappas, spreads = [], []
     for point in report.data["spectral"]["per_point"]:
-        R = restricted_ricci(locus_point(bundle.chart, bundle.locus, point["t"]))
+        R = restricted_ricci(LocusGeometry(bundle.chart, bundle.locus, point["t"]))
         kappa = float(np.trace(R) / R.shape[0])
         kappas.append(kappa)
         spreads.append(
@@ -320,13 +322,13 @@ def test_report_reads_kappa_off_restricted_ricci(name, n):
 def test_lagrangian_residuals():
     b2 = builtin_cpn(2)
     for t in sample_parameters(b2.locus, 8, seed=7):
-        lp = locus_point(b2.chart, b2.locus, t)
+        lp = LocusGeometry(b2.chart, b2.locus, t)
         assert lagrangian_residual(lp) < 1e-10
     b1 = builtin_cpn(1)
-    lp1 = locus_point(b1.chart, b1.locus, (0.4,))
+    lp1 = LocusGeometry(b1.chart, b1.locus, (0.4,))
     assert lagrangian_residual(lp1) == 0.0
     # on the complex line w(e, Je) = G(Je, Je) = 1 for the orthonormal frame
-    lp = locus_point(FLAT2, complex_line_locus(), (0.2, -0.3))
+    lp = LocusGeometry(FLAT2, complex_line_locus(), (0.2, -0.3))
     assert lagrangian_residual(lp) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -334,8 +336,8 @@ def test_frame_trace_identity():
     # summing Rm over the full frame reproduces the ambient Ricci
     b2 = builtin_cpn(2)
     for i, t in enumerate(sample_parameters(b2.locus, 4, seed=8)):
-        lp = locus_point(b2.chart, b2.locus, t)
-        geom = b2.chart.geometry(lp.point)
+        lp = LocusGeometry(b2.chart, b2.locus, t)
+        geom = lp.geom
         v, w = random_tangents(lp.point, 2, seed=i)
         total = 0.0
         for e in np.vstack([lp.frame.tangent, lp.frame.normal]):
@@ -348,7 +350,6 @@ def test_frame_trace_identity():
 def test_one_locus_jacobian_per_locus_point(monkeypatch):
     # the stage-4 rank test, locus_point and the frame's parameter
     # coefficients all read the Jacobian cached on the locus geometry
-    locus_module._locus_geometry.cache_clear()
     calls = []
     jacobian = FixedLocusParam.jacobian
 
@@ -367,7 +368,6 @@ def test_one_locus_jacobian_per_locus_point(monkeypatch):
 def test_stage_four_evaluates_each_parameter_once(monkeypatch):
     # admission, the fixed-locus residual and the locus geometry share the
     # point the locus geometry evaluates
-    locus_module._locus_geometry.cache_clear()
     calls = []
     point = FixedLocusParam.point
 

@@ -1,7 +1,16 @@
 """Metric, Ricci, curvature and their cross-pipeline checks."""
 
+import gc
+import os
+import pathlib
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
+
+import einlocus
 
 from einlocus import (
     EXIT_DEGENERATE,
@@ -11,6 +20,7 @@ from einlocus import (
     DegenerateMetricError,
     FixedLocusParam,
     Jet,
+    LocusGeometry,
     ManifoldBundle,
     PotentialChart,
     SamplingConfig,
@@ -25,12 +35,12 @@ from einlocus import metrics as metrics_module
 from einlocus.bundles import BUILTINS
 from einlocus.coords import real_to_wirtinger
 from einlocus.errors import NonAnalyticFieldError
-from einlocus.locus import _locus_geometry as locus_geometry_cache
 from einlocus.metrics import METRIC_ORDER, lift_to_jet
 from einlocus.realcurv import curvature_from_metric_jets
 from einlocus.sampling import sample_chart_points
 
 from conftest import (
+    admitted_geometries,
     admitted_points,
     curvature_endomorphism,
     laplace_log_det_ricci,
@@ -124,10 +134,10 @@ def test_ricci_flat_and_fs():
 
 
 def test_einstein_residual_flat_fs_perturbed():
-    lam, res = einstein_residual(FLAT2, admitted_points(FLAT2, 10))
+    lam, res = einstein_residual(admitted_geometries(FLAT2, 10))
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert res < 1e-10
-    lam, res = einstein_residual(FS2, admitted_points(FS2, 25, seed=1))
+    lam, res = einstein_residual(admitted_geometries(FS2, 25, seed=1))
     assert lam == pytest.approx(3.0, abs=1e-10)
     assert res < 1e-8
     # quartic bump: a genuinely non-Einstein Kahler potential near 0
@@ -137,13 +147,13 @@ def test_einstein_residual_flat_fs_perturbed():
         ((-0.8, 0.8),) * 4,
         label="perturbed",
     )
-    lam, res = einstein_residual(perturbed, admitted_points(perturbed, 12, seed=2))
+    lam, res = einstein_residual(admitted_geometries(perturbed, 12, seed=2))
     assert res > 0.01
 
 
 def test_einstein_residual_needs_two_points():
     with pytest.raises(ValueError):
-        einstein_residual(FLAT2, [ChartPoint((0.0, 0.0))])
+        einstein_residual([FLAT2.geometry(ChartPoint((0.0, 0.0)))])
 
 
 def test_curvature_flat_and_symmetries():
@@ -336,8 +346,7 @@ def test_metric_order_lift_is_bit_equal_to_the_full_lift(chart):
     # a map image is lifted to METRIC_ORDER only; its metric must be the
     # order-4 lift's to the last bit, so reports do not depend on the order
     for p in admitted_points(chart, 6, seed=17):
-        low, full = ChartGeometry(chart, p), ChartGeometry(chart, p)
-        full.lift_order = jets.DEFAULT_ORDER
+        low, full = ChartGeometry(chart, p, METRIC_ORDER), ChartGeometry(chart, p)
         for name in ("g", "G", "kahler_form"):
             assert np.array_equal(getattr(low, name), getattr(full, name)), name
         assert np.array_equal(low._wirtinger((True, True)), full._wirtinger((True, True)))
@@ -347,17 +356,21 @@ def test_metric_order_lift_is_bit_equal_to_the_full_lift(chart):
 
 
 def test_fixed_point_image_still_yields_order_four_curvature():
-    # a real point of CP^2 is its own conjugate image: read as an image
-    # first, it must still give the order-4 curvature, lifted on demand
+    # a real point of CP^2 is its own conjugate image: built as an image, at
+    # METRIC_ORDER, and read for its metric first, its geometry must still
+    # give the order-4 curvature, lifted once on demand, while its lift
+    # order stays the one it was built with
     p = ChartPoint((0.3, -0.4))
-    metrics_module._geometry_at.cache_clear()
     image = FS2.geometry(p, METRIC_ORDER)
     image.G
     assert image.lift_order == METRIC_ORDER
-    assert FS2.geometry(p) is image and image.lift_order == 4
-    reference = ChartGeometry(FS2, p)
+    assert [k for k in image._cache if k[0] == "psi"] == [("psi", METRIC_ORDER)]
+    reference = FS2.geometry(p)
+    assert reference is not image and reference.lift_order == 4
     for name in ("g", "dg", "ddg", "curvature", "ricci", "christoffel"):
         assert np.array_equal(getattr(image, name), getattr(reference, name)), name
+    assert image.lift_order == METRIC_ORDER
+    assert [k for k in image._cache if k[0] == "psi"] == [("psi", METRIC_ORDER), ("psi", 4)]
 
 
 def test_verdict_lifts_each_point_once_per_order(monkeypatch):
@@ -372,8 +385,6 @@ def test_verdict_lifts_each_point_once_per_order(monkeypatch):
 
     monkeypatch.setattr(metrics_module, "lift_to_jet", recording)
     for bundle in (builtin_cpn(2), make_builtin("quadric", 2)):
-        metrics_module._geometry_at.cache_clear()
-        locus_geometry_cache.cache_clear()
         lifts.clear()
         report = verdict(bundle, SamplingConfig(8, 8, seed=0))
         assert report.exit_code == 0
@@ -382,6 +393,50 @@ def test_verdict_lifts_each_point_once_per_order(monkeypatch):
         images = {bundle.mapping.apply(p) for p, order in lifts if order == 4}
         assert all(p in images for p, order in lifts if order == METRIC_ORDER)
         assert sum(order == 4 for _, order in lifts) >= 8 + 8
+
+
+def test_no_geometry_outlives_its_verdict(monkeypatch):
+    # every chart and locus geometry a verdict builds is garbage once the
+    # verdict returns: nothing in the package keeps a point's geometry
+    built = []
+    for cls in (ChartGeometry, LocusGeometry):
+        init = cls.__init__
+
+        def recording(self, *args, init=init, **kwargs):
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    for bundle, seed in ((builtin_cpn(2), 0), (make_builtin("quadric", 2), 1), (builtin_cpn(2), 2)):
+        verdict(bundle, SamplingConfig(6, 6, seed=seed))
+    gc.collect()
+    assert len(built) >= 3 * (6 + 6)
+    assert [ref() for ref in built if ref() is not None] == []
+
+
+def test_report_bytes_do_not_depend_on_earlier_verdicts():
+    # the same report in a fresh interpreter and after other verdicts, on
+    # the same chart with overlapping Halton streams, ran in this one
+    config = SamplingConfig(6, 6, seed=1)
+    for samples, seed in ((4, 1), (8, 1), (6, 0)):
+        verdict(builtin_cpn(2), SamplingConfig(samples, samples, seed=seed))
+    verdict(make_builtin("quadric", 2), config)
+    here = verdict(builtin_cpn(2), config).to_json()
+    src = str(pathlib.Path(einlocus.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from einlocus import SamplingConfig, builtin_cpn, verdict; "
+            "sys.stdout.write(verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=1)).to_json())",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == here
 
 
 def test_chart_geometry_makes_no_jet_products(monkeypatch):
@@ -426,9 +481,9 @@ def test_non_finite_metric_is_degenerate():
         1, ("exp", ("*", 1000, ("abs2", "w1"))), ((-1.0, 1.0),) * 2, label="exp-1000"
     )
     with np.errstate(all="ignore"):
-        points, stats = sample_chart_points(chart, 10, seed=0)
+        geoms, stats = sample_chart_points(chart, 10, seed=0)
         assert stats.rejected_degenerate > 0
-        assert all(np.all(np.isfinite(chart.geometry(p).g)) for p in points)
+        assert all(np.all(np.isfinite(geom.g)) for geom in geoms)
         with pytest.raises(DegenerateMetricError, match="not finite"):
             ChartGeometry(chart, ChartPoint((0.9 + 0.9j,))).g
 
