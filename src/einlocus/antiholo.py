@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exprs
 from .coords import ChartPoint, j_matrix
-from .jets import jet_space
+from .jets import Jet, jet_space
 from .metrics import ChartGeometry, PotentialChart, coordinate_jets
 
 
@@ -44,7 +44,7 @@ class AntiholoMap:
         coords = coordinate_jets(point, order=1)
         env, space = self._env(coords), coords[0].space
         jets = [exprs.evaluate(comp, env) for comp in self.components]
-        return _real_jacobian([j if hasattr(j, "deriv") else space.constant(j) for j in jets])
+        return _real_jacobian([j if isinstance(j, Jet) else space.constant(j) for j in jets])
 
 
 def _real_jacobian(jets) -> np.ndarray:
@@ -127,7 +127,7 @@ class FixedLocusParam:
         out = []
         for c in self.components:
             jet = exprs.evaluate(c, env)
-            out.append(jet if hasattr(jet, "deriv") else space.constant(jet))
+            out.append(jet if isinstance(jet, Jet) else space.constant(jet))
         return out
 
     def jacobian(self, t) -> np.ndarray:

@@ -123,7 +123,7 @@ def _real_to_wirtinger_table(space):
     real coefficient positions and weights that sum to it.  A slot that a
     lower-degree row leaves empty counts only its x choice, with weight 1."""
     k = space.capacity
-    rows = np.nonzero(space._wirtinger_layout()[0])[0]
+    rows = np.nonzero(space._wirtinger_layout[0])[0]
     # each row's z and zbar variables, one per slot, padded with -1
     variables = np.arange(space.nvars)
     slots = np.array(

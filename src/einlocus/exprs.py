@@ -20,38 +20,19 @@ import numpy as np
 from .errors import SpecFormatError, UnknownPrimitiveError
 from .jets import Jet
 
-UNARY_HEADS = ("log", "exp", "sqrt", "abs2", "conj", "re", "im")
+# Each unary head with its operation on a jet and on a number; the grammar
+# that ``validate`` checks is read off the same table.
+_UNARY = {
+    "log": (lambda x: x.log(), lambda x: np.log(complex(x))),
+    "exp": (lambda x: x.exp(), lambda x: np.exp(complex(x))),
+    "sqrt": (lambda x: x.sqrt(), lambda x: np.sqrt(complex(x))),
+    "abs2": (lambda x: x * x.conjugate(), lambda x: x * np.conj(x)),
+    "conj": (lambda x: x.conjugate(), np.conj),
+    "re": (lambda x: x.real, lambda x: complex(x).real),
+    "im": (lambda x: x.imag, lambda x: complex(x).imag),
+}
+UNARY_HEADS = tuple(_UNARY)
 HEADS = ("+", "-", "*", "/", "pow") + UNARY_HEADS
-
-
-def _conj(x):
-    return x.conjugate() if isinstance(x, Jet) else np.conj(x)
-
-
-def _log(x):
-    return x.log() if isinstance(x, Jet) else np.log(complex(x))
-
-
-def _exp(x):
-    return x.exp() if isinstance(x, Jet) else np.exp(complex(x))
-
-
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else np.sqrt(complex(x))
-
-
-def _pow(x, p):
-    if isinstance(x, Jet):
-        return x.pow(p)
-    return complex(x) ** p
-
-
-def _re(x):
-    return x.real if isinstance(x, Jet) else complex(x).real
-
-
-def _im(x):
-    return x.imag if isinstance(x, Jet) else complex(x).imag
 
 
 def evaluate(expr, env):
@@ -89,22 +70,12 @@ def evaluate(expr, env):
         exponent = args[1]
         if not isinstance(exponent, numbers.Number):
             raise UnknownPrimitiveError("pow exponent must be a numeric literal")
-        return _pow(evaluate(args[0], env), exponent)
-    if head == "abs2":
-        v = evaluate(args[0], env)
-        return v * _conj(v)
-    if head == "conj":
-        return _conj(evaluate(args[0], env))
-    if head == "log":
-        return _log(evaluate(args[0], env))
-    if head == "exp":
-        return _exp(evaluate(args[0], env))
-    if head == "sqrt":
-        return _sqrt(evaluate(args[0], env))
-    if head == "re":
-        return _re(evaluate(args[0], env))
-    if head == "im":
-        return _im(evaluate(args[0], env))
+        base = evaluate(args[0], env)
+        return base.pow(exponent) if isinstance(base, Jet) else complex(base) ** exponent
+    if head in UNARY_HEADS:  # a tuple: an unhashable head falls through to the error
+        on_jet, on_number = _UNARY[head]
+        x = evaluate(args[0], env)
+        return on_jet(x) if isinstance(x, Jet) else on_number(x)
     raise UnknownPrimitiveError(f"unknown primitive {head!r}")
 
 

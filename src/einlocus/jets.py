@@ -101,7 +101,6 @@ class JetSpace:
         self._tensor_tables = {}
         self._wirtinger_tables = {}
         self._mul_selections = {}
-        self._wirtinger_set = None
         self._fd_table = None
         self._build_mult_table()
 
@@ -139,7 +138,7 @@ class JetSpace:
                 ]
             )
             if wirtinger:
-                rows = rows[self._wirtinger_layout()[0][self._mul_iout[rows]]]
+                rows = rows[self._wirtinger_layout[0][self._mul_iout[rows]]]
             table = (self._mul_ia, self._mul_ib, self._mul_iout)
             if len(rows) < len(self._mul_ia):  # the full table is not copied
                 table = tuple(t[rows] for t in table)
@@ -159,17 +158,16 @@ class JetSpace:
         dst = self._positions(self._keys[src] - self._key_base[v])
         return src, dst, self.indices[src, v].astype(np.float64)
 
+    @cached_property
     def _wirtinger_layout(self):
         """For jets over (z_1, zbar_1, ..., z_n, zbar_n): the mask of the kept
         index set, and the position of every index with its z and zbar
         exponents swapped.  Built on first use."""
-        if self._wirtinger_set is None:
-            hol, anti = self.indices[:, 0::2].sum(axis=1), self.indices[:, 1::2].sum(axis=1)
-            kept = (hol <= WIRTINGER_BIDEGREE) & (anti <= WIRTINGER_BIDEGREE)
-            swapped = self.indices.reshape(self.size, -1, 2)[:, :, ::-1]
-            swap = self._positions(swapped.reshape(self.size, -1) @ self._key_base)
-            self._wirtinger_set = (kept, swap)
-        return self._wirtinger_set
+        hol, anti = self.indices[:, 0::2].sum(axis=1), self.indices[:, 1::2].sum(axis=1)
+        kept = (hol <= WIRTINGER_BIDEGREE) & (anti <= WIRTINGER_BIDEGREE)
+        swapped = self.indices.reshape(self.size, -1, 2)[:, :, ::-1]
+        swap = self._positions(swapped.reshape(self.size, -1) @ self._key_base)
+        return kept, swap
 
     def _positions(self, keys):
         """Coefficient positions of exponent keys (any shape).  A key that is
@@ -262,7 +260,7 @@ class Jet:
                 f"partial of total order {sum(alpha)} exceeds jet order {self.order}"
             )
         pos = self.space._lookup([alpha])[0]
-        if self.wirtinger and not self.space._wirtinger_layout()[0][pos]:
+        if self.wirtinger and not self.space._wirtinger_layout[0][pos]:
             raise JetOrderError(f"partial {alpha} lies outside the kept bidegree set")
         return complex(self.coeffs[pos] * self.space._fact[pos])
 
@@ -343,7 +341,7 @@ class Jet:
     def conjugate(self):
         """Over real variables conjugation acts on the coefficients only; over
         (z, zbar) it also swaps the z and zbar exponents."""
-        coeffs = self.coeffs[self.space._wirtinger_layout()[1]] if self.wirtinger else self.coeffs
+        coeffs = self.coeffs[self.space._wirtinger_layout[1]] if self.wirtinger else self.coeffs
         return Jet(self.space, np.conj(coeffs), self.order, self.degree, self.wirtinger)
 
     @property

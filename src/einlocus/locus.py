@@ -27,8 +27,8 @@ from .antiholo import FixedLocusParam
 from .coords import j_matrix, wirtinger_jet
 from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
-from .jets import jet_space
-from .metrics import PotentialChart
+from .jets import Jet, jet_space
+from .metrics import PotentialChart, cached
 from .realcurv import curvature_from_metric_jets, jet_matrix_mul, real_metric_from_hermitian
 
 # Below this, a singular value of d(param)/dt or of the joint frame, or the
@@ -48,7 +48,8 @@ class LocusGeometry:
     """Frame and second fundamental form of a chart geometry at one locus
     point, plus the jet route to the induced metric's intrinsic curvature.
     Construction evaluates the parametrization once and admits the point
-    (ChartDomainError); the frame is built on first read."""
+    (ChartDomainError); every derived member is a ``cached`` property,
+    computed on first read (the frame included) and kept on the object."""
 
     def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t):
         self.chart = chart
@@ -58,36 +59,26 @@ class LocusGeometry:
         self.geom = chart.geometry(self.point)
         self.n = chart.dimension
         self.m = locus.n_params
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     # -- parameter jets -------------------------------------------------------
 
-    @property
+    @cached
     def param_jets(self):
         """The locus components as jets in t, to the order the frame reads."""
-        return self._get("param", lambda: self.locus.component_jets(self.t, order=2))
+        return self.locus.component_jets(self.t, order=2)
 
-    @property
+    @cached
     def tangent_field_jets(self):
         """T_d, the coordinate tangent fields, as real components in t-jets."""
-
-        def build():
-            param = self.locus.component_jets(self.t, order=4)
-            out = []
-            for d in range(self.m):
-                comps = []
-                for k in range(self.n):
-                    dz = param[k].deriv(d)
-                    comps.extend([dz.real, dz.imag])
-                out.append(comps)
-            return out
-
-        return self._get("T", build)
+        param = self.locus.component_jets(self.t, order=4)
+        out = []
+        for d in range(self.m):
+            comps = []
+            for k in range(self.n):
+                dz = param[k].deriv(d)
+                comps.extend([dz.real, dz.imag])
+            out.append(comps)
+        return out
 
     def _combined_potential_jet(self):
         """The potential expanded jointly in (chart displacement, parameters):
@@ -106,32 +97,28 @@ class LocusGeometry:
         for j in range(n):
             u = comb.variable(2 * j)
             v = comb.variable(2 * j + 1)
-            base = w0[j] if hasattr(w0[j], "deriv") else comb.constant(w0[j])
+            base = w0[j] if isinstance(w0[j], Jet) else comb.constant(w0[j])
             coords.append(base + u + 1j * v)
         env = dict(zip(coord_names(n), coords))
         psi = evaluate(self.chart.potential, env)
-        return psi if hasattr(psi, "deriv") else comb.constant(psi)
+        return psi if isinstance(psi, Jet) else comb.constant(psi)
 
-    @property
+    @cached
     def metric_jets_on_locus(self):
         """G o param as a matrix of jets in the parameters (order 2)."""
-
-        def build():
-            n, m = self.n, self.m
-            psi = self._combined_potential_jet()
-            tspace = jet_space(m, 4)
-            keep = tuple(range(2 * n, 2 * n + m))
-            g_t = [
-                [wirtinger_jet(psi, (j,), (k,)).restrict(keep, tspace) for k in range(n)]
-                for j in range(n)
-            ]
-            return real_metric_from_hermitian(g_t)
-
-        return self._get("G_t", build)
+        n, m = self.n, self.m
+        psi = self._combined_potential_jet()
+        tspace = jet_space(m, 4)
+        keep = tuple(range(2 * n, 2 * n + m))
+        g_t = [
+            [wirtinger_jet(psi, (j,), (k,)).restrict(keep, tspace) for k in range(n)]
+            for j in range(n)
+        ]
+        return real_metric_from_hermitian(g_t)
 
     # -- the canonical frame to first order along the locus ----------------------
 
-    @property
+    @cached
     def frame_in_param_basis(self):
         """Coefficients C with e_a = sum_d C[a, d] T_d at the base parameter.
 
@@ -141,21 +128,17 @@ class LocusGeometry:
         projecting out the earlier fields) below ``RANK_TOL``, is a rank
         deficiency.
         """
+        T = self.jacobian.T
+        try:
+            L = np.linalg.cholesky(T @ self.geom.G @ T.T)
+            full_rank = L.diagonal().min() >= RANK_TOL
+        except np.linalg.LinAlgError:
+            full_rank = False
+        if not full_rank:
+            raise RankDeficiencyError(f"locus parametrization degenerate at t={self.t}")
+        return np.linalg.inv(L)
 
-        def build():
-            T = self.jacobian.T
-            try:
-                L = np.linalg.cholesky(T @ self.geom.G @ T.T)
-                full_rank = L.diagonal().min() >= RANK_TOL
-            except np.linalg.LinAlgError:
-                full_rank = False
-            if not full_rank:
-                raise RankDeficiencyError(f"locus parametrization degenerate at t={self.t}")
-            return np.linalg.inv(L)
-
-        return self._get("frame_coeffs", build)
-
-    @property
+    @cached
     def frame_field_jets(self):
         """The frame E = C T and its first derivative along the locus.
 
@@ -164,80 +147,62 @@ class LocusGeometry:
         derivative of L^-1 is -X L^-1 where X = L^-1 dL is the lower triangle
         of L^-1 dH L^-T with its diagonal halved, so dE_c = C dT_c - X_c E.
         """
+        m = self.m
+        z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
+        T, C = self.jacobian.T, self.frame_in_param_basis
+        dT = np.empty((m, m, 2 * self.n))  # dT[c, d] = d T_d / d t_c
+        dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(1, 2, 0), z2.imag.transpose(1, 2, 0)
+        E, dim = C @ T, 2 * self.n
+        A = dT @ (self.geom.G @ T.T)  # A[c, d, f] = G(d T_d / d t_c, T_f)
+        dG = (T @ self.geom.dG.reshape(dim, -1)).reshape(m, dim, dim)  # d G / d t_c
+        K = C @ (A + A.transpose(0, 2, 1) + T @ dG @ T.T) @ C.T  # L^-1 dH_c L^-T
+        row = np.arange(m)
+        X = K * ((row[:, None] > row) + 0.5 * (row[:, None] == row))
+        return E, (C @ dT - X @ E).transpose(1, 0, 2)
 
-        def build():
-            m = self.m
-            z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
-            T, C = self.jacobian.T, self.frame_in_param_basis
-            dT = np.empty((m, m, 2 * self.n))  # dT[c, d] = d T_d / d t_c
-            dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(1, 2, 0), z2.imag.transpose(1, 2, 0)
-            E, dim = C @ T, 2 * self.n
-            A = dT @ (self.geom.G @ T.T)  # A[c, d, f] = G(d T_d / d t_c, T_f)
-            dG = (T @ self.geom.dG.reshape(dim, -1)).reshape(m, dim, dim)  # d G / d t_c
-            K = C @ (A + A.transpose(0, 2, 1) + T @ dG @ T.T) @ C.T  # L^-1 dH_c L^-T
-            row = np.arange(m)
-            X = K * ((row[:, None] > row) + 0.5 * (row[:, None] == row))
-            return E, (C @ dT - X @ E).transpose(1, 0, 2)
-
-        return self._get("frame_field", build)
-
-    @property
+    @cached
     def frame(self) -> FramePair:
-        def build():
-            rows = self.frame_field_jets[0]
-            J = j_matrix(self.n)
-            return FramePair(rows, rows @ J.T)
+        rows = self.frame_field_jets[0]
+        return FramePair(rows, rows @ j_matrix(self.n).T)
 
-        return self._get("frame", build)
-
-    @property
+    @cached
     def jacobian(self):
         """d(param)/dt at the base parameter, real 2n x m."""
-        return self._get("jacobian", lambda: self.locus.jacobian(self.t))
+        return self.locus.jacobian(self.t)
 
     # -- second fundamental form -------------------------------------------------
 
+    @cached
     def _ambient_derivatives(self):
         """nabla[a, b] = components of nabla_{e_a} e_b at the base point, for
         every frame pair: the derivative of e_b along e_a plus Gamma(e_a, e_b)."""
+        E, dE = self.frame_field_jets
+        directional = (self.frame_in_param_basis @ dE).transpose(1, 0, 2)
+        return directional + (E @ self.geom.christoffel @ E.T).transpose(1, 2, 0)
 
-        def build():
-            E, dE = self.frame_field_jets
-            directional = (self.frame_in_param_basis @ dE).transpose(1, 0, 2)
-            return directional + (E @ self.geom.christoffel @ E.T).transpose(1, 2, 0)
-
-        return self._get("nabla", build)
-
+    @cached
     def _second_fundamental_forms(self):
         """h[a, b], the normal part of nabla[a, b], for every frame pair."""
-
-        def build():
-            nabla, E = self._ambient_derivatives(), self.frame.tangent
-            return nabla - (nabla @ self.geom.G @ E.T) @ E
-
-        return self._get("sff", build)
+        nabla, E = self._ambient_derivatives, self.frame.tangent
+        return nabla - (nabla @ self.geom.G @ E.T) @ E
 
     def ambient_derivative(self, a, b) -> np.ndarray:
         """Components of nabla_{e_a} e_b at the base point."""
-        return self._ambient_derivatives()[a, b]
+        return self._ambient_derivatives[a, b]
 
     def second_fundamental_form(self, a, b) -> np.ndarray:
         """Components of h(e_a, e_b), a row of the table of all frame pairs."""
-        return self._second_fundamental_forms()[a, b]
+        return self._second_fundamental_forms[a, b]
 
-    @property
+    @cached
     def sff_max_norm(self):
         """The largest G-norm of h over all frame pairs."""
-
-        def build():
-            h = self._second_fundamental_forms()
-            return float(np.sqrt(((h @ self.geom.G) * h).sum(axis=-1).max()))
-
-        return self._get("h_max", build)
+        h = self._second_fundamental_forms
+        return float(np.sqrt(((h @ self.geom.G) * h).sum(axis=-1).max()))
 
     # -- curvature on the frame --------------------------------------------------
 
-    @property
+    @cached
     def frame_curvature(self):
         """(Eh, U, V): Eh[a] the holomorphic components of e_a, U[a, l] =
         conj(Eh[a, j]) R[i, j, k, l] S[i, k] and V[a, k] = conj(Eh[a, j])
@@ -245,27 +210,19 @@ class LocusGeometry:
         components i Eh[c], Rm(x, y, z, w) = 2 Re R[i, j, k, l] X_i conj(Y_j)
         (Z_k conj(W_l) - W_k conj(Z_l)) makes every frame sum of stage 5 a
         real part of U or V times Eh."""
+        E = self.frame.tangent
+        Eh = E[:, 0::2] + 1j * E[:, 1::2]
+        R, nn = self.geom.curvature, self.n**2
+        A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
+        B = (Eh.T @ np.conj(Eh)).ravel() @ R.transpose(0, 3, 1, 2).reshape(nn, nn)  # [(j, k)]
+        return Eh, np.conj(Eh) @ A.reshape(self.n, -1), np.conj(Eh) @ B.reshape(self.n, -1)
 
-        def build():
-            E = self.frame.tangent
-            Eh = E[:, 0::2] + 1j * E[:, 1::2]
-            R, nn = self.geom.curvature, self.n**2
-            A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
-            B = (Eh.T @ np.conj(Eh)).ravel() @ R.transpose(0, 3, 1, 2).reshape(nn, nn)  # [(j, k)]
-            return Eh, np.conj(Eh) @ A.reshape(self.n, -1), np.conj(Eh) @ B.reshape(self.n, -1)
-
-        return self._get("frame_curvature", build)
-
-    @property
+    @cached
     def mixed_curvature(self):
         """The mixed trace out[a, b] = sum_c Rm(J e_c, e_a, e_b, J e_c) on frame
         pairs, 2 Re(V Eh^T + U Eh^H) from ``frame_curvature``."""
-
-        def build():
-            Eh, U, V = self.frame_curvature
-            return 2.0 * np.real(V @ Eh.T + U @ np.conj(Eh).T)
-
-        return self._get("mixed", build)
+        Eh, U, V = self.frame_curvature
+        return 2.0 * np.real(V @ Eh.T + U @ np.conj(Eh).T)
 
 
 # -- module-level operations ------------------------------------------------------

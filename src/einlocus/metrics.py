@@ -26,6 +26,7 @@ reproduces the Ricci form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -116,6 +117,10 @@ class PotentialChart:
     label: str = "chart"
     fd_scale: float = 1.0
 
+    def __post_init__(self):
+        if len(self.box) != 2 * self.dimension:
+            raise ValueError("box must bound all 2n real coordinates")
+
     @property
     def is_exact(self):
         return not callable(self.potential)
@@ -131,8 +136,6 @@ class PotentialChart:
         return complex(exprs.evaluate(self.potential, env)).real
 
     def admits(self, point: ChartPoint) -> bool:
-        if len(self.box) != 2 * self.dimension:
-            raise ValueError("box must bound all 2n real coordinates")
         if not all(lo <= c <= hi for c, (lo, hi) in zip(point.real_view, self.box)):
             return False
         if self.domain is not None:
@@ -147,12 +150,32 @@ class PotentialChart:
         return ChartGeometry(self, point, lift_order)
 
 
+def cached(fget):
+    """A property computed on first read and kept in the instance ``__dict__``
+    under its own name.  Unlike ``functools.cached_property`` it stays a data
+    descriptor, so every read still runs the getter (which returns the kept
+    value): a tracer that wraps a property's getter counts each read."""
+    name = fget.__name__
+
+    @functools.wraps(fget)
+    def get(self):
+        kept = self.__dict__
+        if name not in kept:
+            kept[name] = fget(self)
+        return kept[name]
+
+    return property(get)
+
+
 class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
     The object owns the potential's jets, one per order, and derives all
     metric, connection and curvature values from them (dg and ddg lift the
-    order-4 jet on demand).  It admits its point once, on construction
+    order-4 jet on demand).  Each derived member is a ``cached`` property,
+    computed on first read and kept on the object; the lifts and the
+    Wirtinger partials are kept in the dicts ``_lifts`` (by order) and
+    ``_partials`` (by pattern).  It admits its point once, on construction
     (ChartDomainError), and lives as long as its holder: ``verdict`` builds
     one per point and passes it to every stage that reads the point.
     ``lift_order`` picks which lift comes first, never a value.
@@ -165,21 +188,17 @@ class ChartGeometry:
         self.point = point
         self.n = chart.dimension
         self.lift_order = lift_order  # the order of the first lift
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        self._lifts = {}
+        self._partials = {}
 
     # -- potential and its partial tensors -------------------------------------
 
     def _lift(self, order):
         """(jet, Hermitian defect) of the potential lifted to ``order``."""
-        return self._get(
-            ("psi", order),
-            lambda: lift_to_jet(self.chart.potential, self.point, order, self.chart.fd_scale),
-        )
+        if order not in self._lifts:
+            chart = self.chart
+            self._lifts[order] = lift_to_jet(chart.potential, self.point, order, chart.fd_scale)
+        return self._lifts[order]
 
     @property
     def psi_jet(self):
@@ -197,43 +216,37 @@ class ChartGeometry:
         alpha! beta!, through the space's read-off table.  The metric
         partials of an order-2 lift are those of an order-4 one, bit for bit,
         so they read whichever lift is on hand."""
-
-        def build():
-            full = len(holo) > METRIC_ORDER or ("psi", DEFAULT_ORDER) in self._cache
+        if holo not in self._partials:
+            full = len(holo) > METRIC_ORDER or DEFAULT_ORDER in self._lifts
             psi = self._lift(DEFAULT_ORDER if full else self.lift_order)[0]
             pos, fact = wirtinger_table(psi.space, holo)
-            return psi.coeffs[pos] * fact
+            self._partials[holo] = psi.coeffs[pos] * fact
+        return self._partials[holo]
 
-        return self._get(("W", holo), build)
-
-    @property
+    @cached
     def g(self):
         """g[j, k] = d_j dbar_k psi, the Hermitian metric."""
+        g = self._wirtinger((True, False))
+        if not np.all(np.isfinite(g)):
+            raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
+        eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+        # the real Hessian of psi has Frobenius norm 2 sqrt(2 (|d d psi|^2 + |g|^2))
+        hol = self._wirtinger((True, True))
+        hessian = 2.0 * np.sqrt(2.0 * (np.vdot(hol, hol).real + np.vdot(g, g).real))
+        floor = DEGENERACY_RATIO * hessian
+        if (
+            not np.all(np.isfinite(eigs))
+            or eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0)
+            or eigs[-1] <= floor
+        ):
+            raise DegenerateMetricError(
+                f"metric degenerate at {self.point.holo}: eigenvalues {eigs}"
+            )
+        return g
 
-        def build():
-            g = self._wirtinger((True, False))
-            if not np.all(np.isfinite(g)):
-                raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
-            eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            # the real Hessian of psi has Frobenius norm 2 sqrt(2 (|d d psi|^2 + |g|^2))
-            hol = self._wirtinger((True, True))
-            hessian = 2.0 * np.sqrt(2.0 * (np.vdot(hol, hol).real + np.vdot(g, g).real))
-            floor = DEGENERACY_RATIO * hessian
-            if (
-                not np.all(np.isfinite(eigs))
-                or eigs[0] <= DEGENERACY_RATIO * max(eigs[-1], 0.0)
-                or eigs[-1] <= floor
-            ):
-                raise DegenerateMetricError(
-                    f"metric degenerate at {self.point.holo}: eigenvalues {eigs}"
-                )
-            return g
-
-        return self._get("g", build)
-
-    @property
+    @cached
     def g_inv(self):
-        return self._get("g_inv", lambda: np.linalg.inv(self.g))
+        return np.linalg.inv(self.g)
 
     @property
     def dg(self):
@@ -247,74 +260,60 @@ class ChartGeometry:
 
     # -- Ricci and curvature ---------------------------------------------------
 
-    @property
+    @cached
     def ricci(self):
         """Ricci coefficients Ric_{i jbar} = g^{lbar k} R_{i jbar k lbar}, which
         equals -d_i dbar_j log det g."""
-        return self._get(
-            "ricci", lambda: np.einsum("lk,ijkl->ij", self.g_inv, self.curvature)
-        )
+        return np.einsum("lk,ijkl->ij", self.g_inv, self.curvature)
 
-    @property
+    @cached
     def curvature(self):
         """R[i,j,k,l] = -d_i dbar_j g_{k lbar} + g^{qbar p} d_i g_{k qbar} dbar_j g_{p lbar}."""
-
-        def build():
-            n, dg = self.n, self.dg.reshape(-1, self.n)  # rows (i, k)
-            term2 = (dg @ self.g_inv) @ np.conj(dg).T  # [(i, k), (j, l)]
-            return -self.ddg + term2.reshape((n,) * 4).transpose(0, 2, 1, 3)
-
-        return self._get("curvature", build)
+        n, dg = self.n, self.dg.reshape(-1, self.n)  # rows (i, k)
+        term2 = (dg @ self.g_inv) @ np.conj(dg).T  # [(i, k), (j, l)]
+        return -self.ddg + term2.reshape((n,) * 4).transpose(0, 2, 1, 3)
 
     # -- real metric data --------------------------------------------------------
 
-    @property
+    @cached
     def G(self):
-        return self._get("G", lambda: _real_metric_matrix(self.g))
+        return _real_metric_matrix(self.g)
 
-    @property
+    @cached
     def G_inv(self):
-        return self._get("G_inv", lambda: np.linalg.inv(self.G))
+        return np.linalg.inv(self.G)
 
-    @property
+    @cached
     def dG(self):
         """dG[c, a, b] = d_c G_{ab} (real first derivatives of the real metric)."""
+        # d_x = d_z + d_zbar and d_y = i (d_z - d_zbar) per coordinate;
+        # d_zbar^p g_{j kbar} = conj(d_p g_{k jbar}) since psi is real
+        dz = self.dg
+        dzbar = np.conj(dz).transpose(0, 2, 1)
+        d_real = np.empty((2 * self.n,) + dz.shape[1:], dtype=complex)
+        d_real[0::2] = dz + dzbar
+        d_real[1::2] = 1j * (dz - dzbar)
+        return _real_metric_matrix(d_real)
 
-        def build():
-            # d_x = d_z + d_zbar and d_y = i (d_z - d_zbar) per coordinate;
-            # d_zbar^p g_{j kbar} = conj(d_p g_{k jbar}) since psi is real
-            dz = self.dg
-            dzbar = np.conj(dz).transpose(0, 2, 1)
-            d_real = np.empty((2 * self.n,) + dz.shape[1:], dtype=complex)
-            d_real[0::2] = dz + dzbar
-            d_real[1::2] = 1j * (dz - dzbar)
-            return _real_metric_matrix(d_real)
-
-        return self._get("dG", build)
-
-    @property
+    @cached
     def christoffel(self):
         """Levi-Civita symbols Gamma[d, a, b] of G, symmetric in (a, b)."""
+        dG = self.dG
+        brace = (
+            dG.transpose(1, 0, 2) + dG.transpose(1, 2, 0) - dG
+        )  # d_a G_eb + d_b G_ea - d_e G_ab, indexed [e, a, b]
+        return 0.5 * (self.G_inv @ brace.reshape(len(brace), -1)).reshape(brace.shape)
 
-        def build():
-            dG = self.dG
-            brace = (
-                dG.transpose(1, 0, 2) + dG.transpose(1, 2, 0) - dG
-            )  # d_a G_eb + d_b G_ea - d_e G_ab, indexed [e, a, b]
-            return 0.5 * (self.G_inv @ brace.reshape(len(brace), -1)).reshape(brace.shape)
-
-        return self._get("christoffel", build)
-
-    @property
+    @cached
     def kahler_form(self):
-        return self._get("omega", lambda: j_matrix(self.n).T @ self.G)
+        return j_matrix(self.n).T @ self.G
 
     # -- tensor evaluation ---------------------------------------------------------
 
-    @property
+    @cached
     def Ric(self):
         """The real Ricci tensor: the same 2 Re pairing that turns g into G."""
-        return self._get("Ric", lambda: _real_metric_matrix(self.ricci))
+        return _real_metric_matrix(self.ricci)
 
     def ricci_real(self, v, w) -> float:
         """Ric(v, w) of component arrays, read off ``Ric``."""

@@ -40,7 +40,7 @@ def reframed(lp, Q):
     """A fresh, uncached locus geometry at the same point on the frame
     rotated by Q."""
     out = LocusGeometry(lp.chart, lp.locus, lp.t)
-    out._cache["frame"] = rotated_frame(lp.frame, Q)
+    vars(out)["frame"] = rotated_frame(lp.frame, Q)
     return out
 
 

@@ -435,7 +435,7 @@ def test_coordinate_jets_match_variable_sums_bit_for_bit(n):
 
 
 def random_wirtinger_jet(space, degree, rng):
-    kept = space._wirtinger_layout()[0] & (space.degree <= degree)
+    kept = space._wirtinger_layout[0] & (space.degree <= degree)
     coeffs = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
     return Jet(space, np.where(kept, coeffs, 0.0), space.capacity, degree, wirtinger=True)
 
@@ -445,7 +445,7 @@ def test_wirtinger_product_is_the_full_product_on_the_kept_set(nvars):
     # a kept coefficient's factors are kept too, so the selected terms add up,
     # in table order, to exactly the full product there
     space = jet_space(nvars)
-    kept = space._wirtinger_layout()[0]
+    kept = space._wirtinger_layout[0]
     rng = np.random.default_rng(nvars)
     for da in range(space.capacity + 1):
         for db in range(space.capacity + 1):
@@ -459,7 +459,7 @@ def test_kept_bidegree_set_sizes():
     # (n + 2 choose 2)^2 coefficients, against (2n + 4 choose 4) at total degree 4
     for n, want in zip(range(1, 7), (9, 36, 100, 225, 441, 784)):
         space = jet_space(2 * n)
-        kept = space._wirtinger_layout()[0]
+        kept = space._wirtinger_layout[0]
         assert int(kept.sum()) == want
         hol, anti = space.indices[:, 0::2].sum(axis=1), space.indices[:, 1::2].sum(axis=1)
         assert np.array_equal(kept, (hol <= WIRTINGER_BIDEGREE) & (anti <= WIRTINGER_BIDEGREE))

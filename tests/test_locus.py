@@ -123,10 +123,10 @@ def test_locus_point_builds_the_frame_of_the_geometry_it_is_given():
     bundle = builtin_cpn(2)
     t = (0.25, -0.4)
     lg = LocusGeometry(bundle.chart, bundle.locus, t)
-    assert "frame" not in lg._cache
+    assert "frame" not in vars(lg)
     lp = locus_point(lg)
-    assert lp is lg and "frame" in lg._cache
-    assert lp.frame is lg._cache["frame"]
+    assert lp is lg and "frame" in vars(lg)
+    assert lp.frame is vars(lg)["frame"]
 
 
 def jet_gram_schmidt(lg):

@@ -351,8 +351,8 @@ def test_metric_order_lift_is_bit_equal_to_the_full_lift(chart):
             assert np.array_equal(getattr(low, name), getattr(full, name)), name
         assert np.array_equal(low._wirtinger((True, True)), full._wirtinger((True, True)))
         assert low.psi_jet.order == jets.DEFAULT_ORDER
-        assert [k for k in low._cache if k[0] == "psi"] == [("psi", METRIC_ORDER), ("psi", 4)]
-        assert [k for k in full._cache if k[0] == "psi"] == [("psi", 4)]
+        assert list(low._lifts) == [METRIC_ORDER, 4]
+        assert list(full._lifts) == [4]
 
 
 def test_fixed_point_image_still_yields_order_four_curvature():
@@ -364,13 +364,13 @@ def test_fixed_point_image_still_yields_order_four_curvature():
     image = FS2.geometry(p, METRIC_ORDER)
     image.G
     assert image.lift_order == METRIC_ORDER
-    assert [k for k in image._cache if k[0] == "psi"] == [("psi", METRIC_ORDER)]
+    assert list(image._lifts) == [METRIC_ORDER]
     reference = FS2.geometry(p)
     assert reference is not image and reference.lift_order == 4
     for name in ("g", "dg", "ddg", "curvature", "ricci", "christoffel"):
         assert np.array_equal(getattr(image, name), getattr(reference, name)), name
     assert image.lift_order == METRIC_ORDER
-    assert [k for k in image._cache if k[0] == "psi"] == [("psi", METRIC_ORDER), ("psi", 4)]
+    assert list(image._lifts) == [METRIC_ORDER, 4]
 
 
 def test_verdict_lifts_each_point_once_per_order(monkeypatch):
@@ -456,6 +456,35 @@ def test_chart_geometry_makes_no_jet_products(monkeypatch):
     assert calls == []
 
 
+def test_geometry_members_are_computed_once_per_object(monkeypatch):
+    # a cached member is computed on first read and kept on its own object:
+    # G is built once and the Kahler form reads that G; a second geometry at
+    # the same point keeps values of its own
+    built = []
+    real_metric_matrix = metrics_module._real_metric_matrix
+
+    def counting(g):
+        built.append(g)
+        return real_metric_matrix(g)
+
+    monkeypatch.setattr(metrics_module, "_real_metric_matrix", counting)
+    p = ChartPoint((0.2 - 0.1j, 0.3j))
+    geom = FS2.geometry(p)
+    assert geom.G is geom.G
+    geom.kahler_form
+    assert len(built) == 1
+    other = FS2.geometry(p)
+    for name in ("g", "G", "kahler_form"):
+        assert np.array_equal(getattr(other, name), getattr(geom, name)), name
+        assert vars(other)[name] is not vars(geom)[name], name
+    assert other._lifts[4][0] is not geom._lifts[4][0]
+    assert other._partials[True, False] is not geom._partials[True, False]
+    assert isinstance(vars(ChartGeometry)["G"], property)
+    lg = LocusGeometry(builtin_cpn(2).chart, builtin_cpn(2).locus, (0.25, -0.4))
+    lg.sff_max_norm
+    assert not hasattr(lg, "_cache") and not hasattr(lg.geom, "_cache")
+
+
 def test_domain_violation_rejected():
     from einlocus import ChartDomainError
 
@@ -471,6 +500,13 @@ def test_domain_violation_rejected():
     with pytest.raises(ChartDomainError):
         fenced.geometry(ChartPoint((0.1,))).g
     assert fenced.geometry(ChartPoint((0.8,))).g == pytest.approx(np.eye(1))
+
+
+def test_box_length_is_checked_on_construction():
+    # a box must bound all 2n real coordinates; a chart with too few sides
+    # is refused when it is built, not when the first point is admitted
+    with pytest.raises(ValueError, match="box must bound"):
+        PotentialChart(2, FS2.potential, ((-1.0, 1.0),) * 2, label="short-box")
 
 
 def test_non_finite_metric_is_degenerate():
@@ -499,7 +535,7 @@ def oracle_geometry(chart, point):
     """A fresh chart geometry whose potential jet is the real-variable
     oracle jet, converted to (z, zbar)."""
     geom = ChartGeometry(chart, point)
-    geom._cache["psi", jets.DEFAULT_ORDER] = (real_to_wirtinger(real_psi_jet(geom)), 0.0)
+    geom._lifts[jets.DEFAULT_ORDER] = (real_to_wirtinger(real_psi_jet(geom)), 0.0)
     return geom
 
 
