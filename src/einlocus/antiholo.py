@@ -16,8 +16,8 @@ import numpy as np
 
 from . import exprs
 from .coords import ChartPoint, j_matrix
-from .jets import Jet, jet_space
-from .metrics import ChartGeometry, PotentialChart, coordinate_jets
+from .jets import Jet, coordinate_jets, jet_space
+from .metrics import ChartGeometry, PotentialChart
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class AntiholoMap:
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
         """The 2n x 2n real Jacobian Df at a point, from order-1 jets."""
-        coords = coordinate_jets(point, order=1)
+        coords = coordinate_jets(point.holo, order=1)
         env, space = self._env(coords), coords[0].space
         jets = [exprs.evaluate(comp, env) for comp in self.components]
         return _real_jacobian([j if isinstance(j, Jet) else space.constant(j) for j in jets])

@@ -9,9 +9,12 @@ Conventions fixed here and cited by every other module:
   with blocks ``J_BLOCK``; a tangent vector is a plain component array in
   this ordering, and J acts on it as ``j_matrix(n)``;
 * Wirtinger derivatives are d/dz = (d/dx - i d/dy)/2 and
-  d/dzbar = (d/dx + i d/dy)/2;
+  d/dzbar = (d/dx + i d/dy)/2 (``wirtinger_matrix``);
 * a jet over the Wirtinger variables orders them like the real ones,
   (z1, zbar1, z2, zbar2, ...): variable 2j is z^j and 2j + 1 is zbar^j.
+
+The module holds conventions only: ``jets`` builds its (z, zbar) read-off
+and conversion tables from them, and nothing here imports ``jets``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import JetOrderError
-from .jets import Jet
 
 # The single source of truth for the complex structure on one coordinate pair.
 J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -77,64 +79,6 @@ def wirtinger_matrix(n):
     W[j, 2 * j] = 0.5
     W[j, 2 * j + 1] = -0.5j
     return W
-
-
-def wirtinger_table(space, holo):
-    """Read-off table of the mixed Wirtinger partials of a (z, zbar) jet.
-
-    Slot s of the pattern ``holo`` is d/dz (True) or d/dzbar (False).  The
-    partial at (j_1, ..., j_k) is the coefficient of the monomial with one
-    factor z_{j_s} or zbar_{j_s} per slot, times alpha! beta!: returns
-    ``(pos, fact)``, each of shape (n,) * k.  Built once per pattern and
-    cached on the space.
-    """
-    table = space._wirtinger_tables.get(holo)
-    if table is None:
-        k, n = len(holo), space.nvars // 2
-        kind = np.array([0 if h else 1 for h in holo]).reshape((k,) + (1,) * k)
-        pos = space._monomial_positions(2 * np.indices((n,) * k, dtype=np.int64) + kind)
-        table = space._wirtinger_tables[holo] = (pos, space._fact[pos])
-    return table
-
-
-def real_to_wirtinger(jet):
-    """The same field as a jet over (z, zbar), from its jet over the
-    interleaved real variables: the black-box lift's one conversion.
-
-    Each kept coefficient is a Wirtinger partial divided by alpha! beta!,
-    and each d/dz or d/dzbar touches only the two real variables of its
-    coordinate, so it is a sum of at most 2^4 real coefficients, with
-    weights the ``wirtinger_matrix`` entries (1/2 and -i/2, conjugated for
-    d/dzbar) per slot, times the factorials.  The table is built on first
-    use and cached on the space.
-    """
-    space = jet.space
-    table = space._wirtinger_tables.get("from_real")
-    if table is None:
-        table = space._wirtinger_tables["from_real"] = _real_to_wirtinger_table(space)
-    rows, pos, weight = table
-    coeffs = np.zeros(space.size, dtype=np.complex128)
-    coeffs[rows] = (jet.coeffs[pos] * weight).sum(axis=1)
-    return Jet(space, coeffs, jet.order, jet.degree, wirtinger=True)
-
-
-def _real_to_wirtinger_table(space):
-    """(rows, pos, weight): the kept positions, and for each the 2^capacity
-    real coefficient positions and weights that sum to it.  A slot that a
-    lower-degree row leaves empty counts only its x choice, with weight 1."""
-    k = space.capacity
-    rows = np.nonzero(space._wirtinger_layout[0])[0]
-    # each row's z and zbar variables, one per slot, padded with -1
-    variables = np.arange(space.nvars)
-    slots = np.array(
-        [[*np.repeat(variables, e), *[-1] * (k - e.sum())] for e in space.indices[rows]]
-    )[:, None, :]
-    bits = np.indices((2,) * k).reshape(k, -1).T  # x (0) or y (1) per slot
-    w = wirtinger_matrix(1)[0]  # d/dz on (x, y)
-    per_slot = np.where(slots < 0, bits == 0, np.where(slots % 2, w.conj()[bits], w[bits]))
-    keys = np.where(slots < 0, 0, space._key_base[slots // 2 * 2 + bits]).sum(axis=2)
-    pos = space._positions(keys)
-    return rows, pos, per_slot.prod(axis=2) * space._fact[pos] / space._fact[rows][:, None]
 
 
 def wirtinger_jet(jet, holo_indices=(), antiholo_indices=()):

@@ -65,7 +65,6 @@ class SpectralVerdict:
     eigenvalue_spread: float
     C_est: float
     einstein: bool
-    complex_eigenvalues: bool
 
 
 def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
@@ -74,7 +73,7 @@ def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
     A real matrix is orthogonally diagonalizable iff it is symmetric, so
     the test is: symmetric defect below ``tol_sym`` and relative eigenvalue
     spread of the symmetrized matrix below ``tol_eig``.  C is reported with
-    the sign convention M = -C Id, so raw eigenvalues are also returned.
+    the sign convention M = -C Id, so the eigenvalues are also returned.
     """
     M = np.asarray(M, dtype=float)
     scale = max(1.0, float(np.linalg.norm(M)))
@@ -82,13 +81,10 @@ def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
     eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
     mean = float(np.mean(eigs))
     spread = float((eigs[-1] - eigs[0]) / max(1.0, abs(mean)))
-    raw = np.linalg.eigvals(M)
-    has_complex = bool(np.max(np.abs(raw.imag)) > 1e-9 * scale)
     return SpectralVerdict(
         eigenvalues=tuple(float(e) for e in eigs),
         symmetric_residual=sym_res,
         eigenvalue_spread=spread,
         C_est=-mean,
         einstein=bool(sym_res < tol_sym and spread < tol_eig),
-        complex_eigenvalues=has_complex,
     )

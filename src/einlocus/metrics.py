@@ -1,21 +1,21 @@
 """Metric, curvature and Einstein diagnostics from a Kahler potential.
 
 Everything is generated from one scalar potential per chart, lifted once
-to its jet over the Wirtinger variables (z, zbar), truncated at bidegree
-(2, 2): the coefficient of z^alpha zbar^beta is d^alpha dbar^beta psi /
-(alpha! beta!), and the curvature formula reads no other partial.  The
-metric g, its derivatives dg and ddg, and the holomorphic Hessian d d psi
-are then plain gathers of coefficient times alpha! beta! (``coords.
-wirtinger_table``, cached on the jet space).  The curvature tensor follows
-from the standard potential formula, and the Ricci form is its g-trace.
-A point whose metric alone is read (a map image) is lifted to order 2.
-The potential is the only thing expanded in jet arithmetic, so the cost
-per point is polynomial in the dimension and the fourth derivatives
-entering the curvature carry no step-size error.  A black-box potential
-is lifted over the real variables by finite differences and converted
-once (``coords.real_to_wirtinger``), so every chart quantity has one
-read-off route.  A ``ChartGeometry`` is built once per point per verdict
-and handed from stage to stage; no module state outlives the verdict.
+per point to its jet over the Wirtinger variables (z, zbar), truncated at
+bidegree (2, 2): the coefficient of z^alpha zbar^beta is d^alpha dbar^beta
+psi / (alpha! beta!), and the curvature formula reads no other partial.
+The metric g, its derivatives dg and ddg, and the holomorphic Hessian
+d d psi are then plain gathers of coefficient times alpha! beta!
+(``Jet.wirtinger_tensor``).  The curvature tensor follows from the
+standard potential formula, and the Ricci form is its g-trace.  A point
+whose metric alone is read (a map image) is lifted to order 2 only.  The
+potential is the only thing expanded in jet arithmetic, so the cost per
+point is polynomial in the dimension and the fourth derivatives entering
+the curvature carry no step-size error.  A black-box potential is lifted
+over the real variables by finite differences and converted once
+(``Jet.to_wirtinger``), so every chart quantity has one read-off route.
+A ``ChartGeometry`` is built once per point per verdict and handed from
+stage to stage; no module state outlives the verdict.
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -33,9 +33,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, j_matrix, real_to_wirtinger, wirtinger_table
+from .coords import ChartPoint, j_matrix
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
-from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
+from .jets import DEFAULT_ORDER, Jet, coordinate_jets, lift_callable_to_jet
 
 # Smallest admissible ratio of metric eigenvalues, and of the largest metric
 # eigenvalue to the norm of the potential's real Hessian; below either a
@@ -49,21 +49,6 @@ HERMITIAN_TOL = 1e-8
 METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
-
-
-def coordinate_jets(point: ChartPoint, order=DEFAULT_ORDER):
-    """Jets of the holomorphic coordinates z^j = x^j + i y^j around a point,
-    over the interleaved real variables, each of degree 1, filled in one
-    (n, size) array."""
-    n = point.n
-    space = jet_space(2 * n, order)
-    units = space._tensor_table(1)[0]
-    coeffs = np.zeros((n, space.size), dtype=np.complex128)
-    rows = np.arange(n)
-    coeffs[:, 0] = point.holo
-    coeffs[rows, units[0::2]] = 1.0
-    coeffs[rows, units[1::2]] = 1j
-    return [Jet(space, c, order, 1) for c in coeffs]
 
 
 def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
@@ -82,14 +67,11 @@ def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_s
     """
     if callable(field):
         real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
-        return real_to_wirtinger(real), 0.0
-    space = jet_space(2 * point.n, order)
-    coords = [
-        Jet(space, space.variable(2 * j, z).coeffs, order, 1, wirtinger=True)
-        for j, z in enumerate(point.holo)
-    ]
+        return real.to_wirtinger(), 0.0
+    coords = coordinate_jets(point.holo, order, wirtinger=True)
     jet = exprs.evaluate(field, dict(zip(exprs.coord_names(point.n), coords)))
     if not isinstance(jet, Jet):
+        space = coords[0].space
         jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
     dust = float(np.abs(jet.coeffs - jet.conjugate().coeffs).max())
     scale = 1.0 + float(np.abs(jet.coeffs).max())
@@ -145,7 +127,7 @@ class PotentialChart:
         return True
 
     def geometry(self, point: ChartPoint, lift_order=DEFAULT_ORDER) -> "ChartGeometry":
-        """A new geometry at a point, whose first lift takes ``lift_order``:
+        """A new geometry at a point, lifted to ``lift_order``:
         ``METRIC_ORDER`` for a point whose metric alone is read, else 4."""
         return ChartGeometry(self, point, lift_order)
 
@@ -170,15 +152,14 @@ def cached(fget):
 class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
-    The object owns the potential's jets, one per order, and derives all
-    metric, connection and curvature values from them (dg and ddg lift the
-    order-4 jet on demand).  Each derived member is a ``cached`` property,
-    computed on first read and kept on the object; the lifts and the
-    Wirtinger partials are kept in the dicts ``_lifts`` (by order) and
-    ``_partials`` (by pattern).  It admits its point once, on construction
+    The object lifts the potential once, to ``lift_order``, and derives all
+    metric, connection and curvature values from that jet.  Each derived
+    member is a ``cached`` property, computed on first read and kept on the
+    object.  A geometry lifted to ``METRIC_ORDER`` holds g, G and the
+    Kahler form only: reading dg, ddg or anything built on them raises
+    JetOrderError.  It admits its point once, on construction
     (ChartDomainError), and lives as long as its holder: ``verdict`` builds
     one per point and passes it to every stage that reads the point.
-    ``lift_order`` picks which lift comes first, never a value.
     """
 
     def __init__(self, chart: PotentialChart, point: ChartPoint, lift_order=DEFAULT_ORDER):
@@ -187,51 +168,36 @@ class ChartGeometry:
         self.chart = chart
         self.point = point
         self.n = chart.dimension
-        self.lift_order = lift_order  # the order of the first lift
-        self._lifts = {}
-        self._partials = {}
+        self.lift_order = lift_order
 
     # -- potential and its partial tensors -------------------------------------
 
-    def _lift(self, order):
-        """(jet, Hermitian defect) of the potential lifted to ``order``."""
-        if order not in self._lifts:
-            chart = self.chart
-            self._lifts[order] = lift_to_jet(chart.potential, self.point, order, chart.fd_scale)
-        return self._lifts[order]
+    @cached
+    def _lift(self):
+        """(jet, Hermitian defect) of the potential lifted to ``lift_order``."""
+        chart = self.chart
+        return lift_to_jet(chart.potential, self.point, self.lift_order, chart.fd_scale)
 
     @property
     def psi_jet(self):
-        return self._lift(DEFAULT_ORDER)[0]
+        return self._lift[0]
 
     @property
     def hermitian_defect(self):
         """How far the potential's jet in (z, zbar) was from Hermitian before
         its real part was taken, relative to its size (see ``lift_to_jet``)."""
-        return self._lift(DEFAULT_ORDER)[1]
-
-    def _wirtinger(self, holo):
-        """The order-k partial of the potential, k = len(holo), with slot s a
-        d/dz (holo[s] true) or a d/dzbar: one gather of coefficient times
-        alpha! beta!, through the space's read-off table.  The metric
-        partials of an order-2 lift are those of an order-4 one, bit for bit,
-        so they read whichever lift is on hand."""
-        if holo not in self._partials:
-            full = len(holo) > METRIC_ORDER or DEFAULT_ORDER in self._lifts
-            psi = self._lift(DEFAULT_ORDER if full else self.lift_order)[0]
-            pos, fact = wirtinger_table(psi.space, holo)
-            self._partials[holo] = psi.coeffs[pos] * fact
-        return self._partials[holo]
+        return self._lift[1]
 
     @cached
     def g(self):
         """g[j, k] = d_j dbar_k psi, the Hermitian metric."""
-        g = self._wirtinger((True, False))
+        psi = self.psi_jet
+        g = psi.wirtinger_tensor((True, False))
         if not np.all(np.isfinite(g)):
             raise DegenerateMetricError(f"metric not finite at {self.point.holo}: {g}")
         eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
         # the real Hessian of psi has Frobenius norm 2 sqrt(2 (|d d psi|^2 + |g|^2))
-        hol = self._wirtinger((True, True))
+        hol = psi.wirtinger_tensor((True, True))
         hessian = 2.0 * np.sqrt(2.0 * (np.vdot(hol, hol).real + np.vdot(g, g).real))
         floor = DEGENERACY_RATIO * hessian
         if (
@@ -248,15 +214,15 @@ class ChartGeometry:
     def g_inv(self):
         return np.linalg.inv(self.g)
 
-    @property
+    @cached
     def dg(self):
         """dg[i, k, l] = d_i g_{k lbar} at the point."""
-        return self._wirtinger((True, True, False))
+        return self.psi_jet.wirtinger_tensor((True, True, False))
 
-    @property
+    @cached
     def ddg(self):
         """ddg[i, j, k, l] = d_i dbar_j g_{k lbar} at the point."""
-        return self._wirtinger((True, False, True, False))
+        return self.psi_jet.wirtinger_tensor((True, False, True, False))
 
     # -- Ricci and curvature ---------------------------------------------------
 

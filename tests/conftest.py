@@ -7,7 +7,7 @@ from einlocus import exprs, jets
 from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
 from einlocus.locus import FramePair
-from einlocus.metrics import METRIC_ORDER, PotentialChart, coordinate_jets
+from einlocus.metrics import METRIC_ORDER, PotentialChart
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
@@ -49,7 +49,7 @@ def real_lift(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
     lift and its read-off tables."""
     if callable(field):
         return jets.lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
-    env = dict(zip(exprs.coord_names(point.n), coordinate_jets(point, order)))
+    env = dict(zip(exprs.coord_names(point.n), jets.coordinate_jets(point.holo, order)))
     jet = exprs.evaluate(field, env)
     if not isinstance(jet, jets.Jet):
         jet = jets.jet_space(2 * point.n, order).constant(jet)

@@ -55,6 +55,21 @@ def test_stage_five_enters_the_restricted_ricci_hook():
     assert "metrics.riemann_covector" not in calls
 
 
+def test_the_potential_lift_has_its_own_span():
+    # g, dg and ddg read the lift through the hooked psi_jet, so its time
+    # is the metrics.psi_jet span's and not metrics.g's; reading the lift
+    # there leaves the number of metric reads as it was
+    tracer = load_spans().Tracer()
+    with tracer.installed(einlocus):
+        report, per_verdict = tracer.verdict(
+            0, lambda: verdict(builtin_cpn(2), SamplingConfig(10, 10, seed=0))
+        )
+    calls = per_verdict["calls"]
+    assert report.exit_code == 0
+    assert calls["metrics.psi_jet"] > 0
+    assert calls["metrics.g"] == 200
+
+
 def test_traced_admission_count_is_the_reports():
     # the tracer counts admitted points from result[1] of sample_chart_points,
     # so that function must keep returning (geometries, stats)

@@ -159,7 +159,6 @@ def test_spectral_test_arithmetic():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sv = spectral(skew)
     assert not sv.einstein
-    assert sv.complex_eigenvalues
     assert sv.symmetric_residual > 0.5
 
 

@@ -1,5 +1,9 @@
 """Jet arithmetic against independent polynomial and symbolic oracles."""
 
+import functools
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -9,9 +13,10 @@ from hypothesis import strategies as st
 from einlocus import ChartPoint, Jet, JetOrderError, jet_space, j_matrix
 from einlocus.coords import wirtinger_jet
 from einlocus.exprs import coord_names, evaluate, free_identifiers
+from einlocus import jets
 from einlocus.jets import lift_callable_to_jet
-from einlocus.jets import WIRTINGER_BIDEGREE, JetSpace
-from einlocus.metrics import coordinate_jets, lift_to_jet
+from einlocus.jets import WIRTINGER_BIDEGREE, JetSpace, coordinate_jets
+from einlocus.metrics import lift_to_jet
 
 from conftest import from_coefficients, loop_jet_tables, real_lift, scalar_fd_lift
 from test_fuzz import expression_trees
@@ -344,6 +349,80 @@ def test_jet_tables_match_loop_oracle(nvars, capacity):
             assert_same_array(g, r, (v, part))
 
 
+# Tables a space builds on first use and keeps in its own __dict__: single
+# tables under their names, tables per key under the method's name plus "s".
+LAZY_TABLES = (
+    "_deriv",
+    "_wirtinger_layout",
+    "_to_wirtinger_table",
+    "_fd_stencils",
+    "_tensor_tables",
+    "_mul_selections",
+    "_wirtinger_tables",
+)
+
+
+def use_every_table(space):
+    """Read each lazy table of a space once, through the operations that
+    read it; returns a (z, zbar) jet of the space."""
+    rng = np.random.default_rng(space.nvars)
+    real = Jet(space, rng.standard_normal(space.size) + 0j, space.capacity)
+    real.deriv(0)
+    real.derivative_tensor(2)
+    space._fd_stencils  # what a black-box lift reads
+    z = real.to_wirtinger()
+    (z * z).wirtinger_tensor((True, False, True, False))
+    return z
+
+
+def test_a_new_space_builds_no_lazy_table():
+    # the benchmark times the construction of its spaces apart from its
+    # passes, and a pass builds every other table on first use: none may
+    # move into construction
+    space = JetSpace(4)
+    assert [name for name in LAZY_TABLES if name in vars(space)] == []
+    use_every_table(space)
+    assert [name for name in LAZY_TABLES if name not in vars(space)] == []
+
+
+def test_a_table_is_built_once_per_space_and_key(monkeypatch):
+    space = JetSpace(4)
+    use_every_table(space)
+    for name in ("_deriv", "_wirtinger_layout", "_to_wirtinger_table", "_fd_stencils"):
+        assert getattr(space, name) is getattr(space, name), name
+    assert space._tensor_table(2) is space._tensor_table(2)
+    assert space._mul_selection(2, 2, 4, True) is space._mul_selection(2, 2, 4, True)
+    assert space._wirtinger_table((True, False)) is space._wirtinger_table((True, False))
+    # two black-box lifts on one space build its stencil table once
+    built = []
+    build = vars(JetSpace)["_fd_stencils"].func
+
+    def counting(sp):
+        built.append(sp)
+        return build(sp)
+
+    stencils = functools.cached_property(counting)
+    stencils.__set_name__(JetSpace, "_fd_stencils")
+    monkeypatch.setattr(JetSpace, "_fd_stencils", stencils)
+    fresh = JetSpace(2)
+    monkeypatch.setattr(jets, "jet_space", lambda nvars, capacity: fresh)
+    for base in ([0.1, -0.2], [0.3, 0.4]):
+        lift_callable_to_jet(lambda xy: float(np.log1p(xy @ xy)), np.array(base))
+    assert built == [fresh]
+
+
+def test_a_space_is_freed_with_its_holders():
+    # tables live on their space, so nothing outside keeps a dropped space
+    space = JetSpace(4)
+    z = use_every_table(space)
+    z.wirtinger_tensor((True, False))
+    assert {"_wirtinger_tables", "_to_wirtinger_table", "_mul_selections"} <= set(vars(space))
+    ref = weakref.ref(space)
+    del space, z
+    gc.collect()
+    assert ref() is None
+
+
 # -- degree: the bound on nonzero coefficients -------------------------------------
 
 
@@ -408,7 +487,7 @@ def test_degree_rules_of_constructors_and_operations():
 def test_jet_degree_is_honest_on_grammar_trees(case):
     n, tree = case
     point = ChartPoint((0.3 + 0.2j, -0.4 + 0.1j)[:n])
-    env = dict(zip(coord_names(n), coordinate_jets(point)))
+    env = dict(zip(coord_names(n), coordinate_jets(point.holo)))
     try:
         # as in a verdict, a non-finite value raises instead of spreading
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -424,7 +503,7 @@ def test_jet_degree_is_honest_on_grammar_trees(case):
 def test_coordinate_jets_match_variable_sums_bit_for_bit(n):
     point = ChartPoint((0.3 - 0.7j, -1.25 + 0.5j, 2.0 - 0.0625j)[:n])
     space = jet_space(2 * n)
-    for j, jet in enumerate(coordinate_jets(point)):
+    for j, jet in enumerate(coordinate_jets(point.holo)):
         z = point.holo[j]
         ref = space.variable(2 * j, z.real) + 1j * space.variable(2 * j + 1, z.imag)
         assert jet.coeffs.tobytes() == ref.coeffs.tobytes()

@@ -33,8 +33,7 @@ from einlocus import (
 from einlocus import exprs, jets
 from einlocus import metrics as metrics_module
 from einlocus.bundles import BUILTINS
-from einlocus.coords import real_to_wirtinger
-from einlocus.errors import NonAnalyticFieldError
+from einlocus.errors import JetOrderError, NonAnalyticFieldError
 from einlocus.metrics import METRIC_ORDER, lift_to_jet
 from einlocus.realcurv import curvature_from_metric_jets
 from einlocus.sampling import sample_chart_points
@@ -349,28 +348,21 @@ def test_metric_order_lift_is_bit_equal_to_the_full_lift(chart):
         low, full = ChartGeometry(chart, p, METRIC_ORDER), ChartGeometry(chart, p)
         for name in ("g", "G", "kahler_form"):
             assert np.array_equal(getattr(low, name), getattr(full, name)), name
-        assert np.array_equal(low._wirtinger((True, True)), full._wirtinger((True, True)))
-        assert low.psi_jet.order == jets.DEFAULT_ORDER
-        assert list(low._lifts) == [METRIC_ORDER, 4]
-        assert list(full._lifts) == [4]
+        hessians = [geom.psi_jet.wirtinger_tensor((True, True)) for geom in (low, full)]
+        assert np.array_equal(*hessians)
+        assert (low.psi_jet.order, full.psi_jet.order) == (METRIC_ORDER, jets.DEFAULT_ORDER)
 
 
-def test_fixed_point_image_still_yields_order_four_curvature():
-    # a real point of CP^2 is its own conjugate image: built as an image, at
-    # METRIC_ORDER, and read for its metric first, its geometry must still
-    # give the order-4 curvature, lifted once on demand, while its lift
-    # order stays the one it was built with
+def test_metric_order_geometry_refuses_curvature():
+    # a geometry lifted to METRIC_ORDER holds the metric only: it never lifts
+    # again, and every member that reads third or fourth partials raises
     p = ChartPoint((0.3, -0.4))
     image = FS2.geometry(p, METRIC_ORDER)
-    image.G
-    assert image.lift_order == METRIC_ORDER
-    assert list(image._lifts) == [METRIC_ORDER]
-    reference = FS2.geometry(p)
-    assert reference is not image and reference.lift_order == 4
-    for name in ("g", "dg", "ddg", "curvature", "ricci", "christoffel"):
-        assert np.array_equal(getattr(image, name), getattr(reference, name)), name
-    assert image.lift_order == METRIC_ORDER
-    assert list(image._lifts) == [METRIC_ORDER, 4]
+    assert np.array_equal(image.G, FS2.geometry(p).G)
+    for name in ("dg", "ddg", "curvature", "ricci", "christoffel"):
+        with pytest.raises(JetOrderError):
+            getattr(image, name)
+    assert image.lift_order == image.psi_jet.order == METRIC_ORDER
 
 
 def test_verdict_lifts_each_point_once_per_order(monkeypatch):
@@ -477,8 +469,8 @@ def test_geometry_members_are_computed_once_per_object(monkeypatch):
     for name in ("g", "G", "kahler_form"):
         assert np.array_equal(getattr(other, name), getattr(geom, name)), name
         assert vars(other)[name] is not vars(geom)[name], name
-    assert other._lifts[4][0] is not geom._lifts[4][0]
-    assert other._partials[True, False] is not geom._partials[True, False]
+    assert geom.psi_jet is geom.psi_jet
+    assert other.psi_jet is not geom.psi_jet
     assert isinstance(vars(ChartGeometry)["G"], property)
     lg = LocusGeometry(builtin_cpn(2).chart, builtin_cpn(2).locus, (0.25, -0.4))
     lg.sff_max_norm
@@ -535,7 +527,7 @@ def oracle_geometry(chart, point):
     """A fresh chart geometry whose potential jet is the real-variable
     oracle jet, converted to (z, zbar)."""
     geom = ChartGeometry(chart, point)
-    geom._lifts[jets.DEFAULT_ORDER] = (real_to_wirtinger(real_psi_jet(geom)), 0.0)
+    vars(geom)["_lift"] = (real_psi_jet(geom).to_wirtinger(), 0.0)
     return geom
 
 
@@ -546,7 +538,7 @@ def test_wirtinger_tables_match_tensordot_oracle(name, n):
     chart = make_builtin(name, n).chart
     for p in admitted_points(chart, 2, seed=n):
         geom = oracle_geometry(chart, p)
-        hessian = geom._wirtinger((True, True))
+        hessian = geom.psi_jet.wirtinger_tensor((True, True))
         for holo, got in zip(WIRTINGER_PATTERNS, (geom.g, geom.dg, geom.ddg, hessian)):
             want = tensordot_wirtinger(geom, holo)
             assert got.shape == want.shape == (n,) * len(holo)
@@ -560,7 +552,7 @@ def test_wirtinger_lift_matches_real_oracle(name, n):
     chart = make_builtin(name, n).chart
     for p in admitted_points(chart, 2, seed=n):
         geom = chart.geometry(p)
-        want = real_to_wirtinger(real_psi_jet(geom)).coeffs
+        want = real_psi_jet(geom).to_wirtinger().coeffs
         got = geom.psi_jet.coeffs
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (name, n)
         # every built-in passes the dust test far inside its 1e-8 threshold
@@ -582,7 +574,7 @@ def test_real_hessian_norm_from_wirtinger_partials(name, n):
     chart = make_builtin(name, n).chart
     for p in admitted_points(chart, 3, seed=5):
         geom = chart.geometry(p)
-        hol, g = geom._wirtinger((True, True)), geom.g
+        hol, g = geom.psi_jet.wirtinger_tensor((True, True)), geom.g
         got = 2.0 * np.sqrt(2.0 * (np.linalg.norm(hol) ** 2 + np.linalg.norm(g) ** 2))
         want = np.linalg.norm(real_psi_jet(geom).derivative_tensor(2).real)
         assert got == pytest.approx(want, rel=1e-13)

@@ -1,5 +1,6 @@
 """The helper scripts run end to end."""
 
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -23,3 +24,20 @@ def test_run_builtins_writes_one_report_per_suite_bundle(tmp_path):
         bundle = make_builtin(name, n)
         written = (tmp_path / f"{bundle.label}.json").read_text()
         assert written == verdict(bundle, SamplingConfig(4, 4)).to_json(), bundle.label
+
+
+def test_report_digests_prints_each_reports_sha256():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "report_digests.py"), "--samples", "4", "--seeds", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    cases = DEFAULT_SUITE + (("cpn", 6), ("quadric", 4), ("toric-fs", 4))
+    assert len(lines) == len(cases) == 13
+    for line, (name, n) in zip(lines, cases):
+        bundle = make_builtin(name, n)
+        text = verdict(bundle, SamplingConfig(4, 4, seed=0)).to_json()
+        assert line == f"{bundle.label} 0 {hashlib.sha256(text.encode()).hexdigest()}"
