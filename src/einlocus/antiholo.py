@@ -89,10 +89,9 @@ def anti_isometry_residual(D, geom: ChartGeometry, image: ChartGeometry) -> floa
 
 
 def potential_invariance_residual(
-    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint, image=None
+    mapping: AntiholoMap, chart: PotentialChart, point: ChartPoint
 ) -> float:
-    image = mapping.apply(point) if image is None else image
-    return abs(chart.potential_value(image) - chart.potential_value(point))
+    return abs(chart.potential_value(mapping.apply(point)) - chart.potential_value(point))
 
 
 @dataclass(frozen=True)

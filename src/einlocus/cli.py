@@ -50,16 +50,7 @@ CHECK_EXPLANATIONS = {
     "isometry": (
         "||Df^T G(f(p)) Df - G(p)|| / ||G(p)||",
         "the map must preserve the Riemannian metric; for an anti-holomorphic "
-        "map this follows from pulling the Kahler form back to its negative",
-    ),
-    "anti_isometry": (
-        "||Df^T W(f(p)) Df + W(p)|| / ||W(p)||",
-        "pullback of the Kahler form equals minus the form; implies isometry",
-    ),
-    "potential_invariance": (
-        "|psi(f(p)) - psi(p)|",
-        "an invariant chart potential forces the pullback form to be the "
-        "negated original, hence the map to be an isometry",
+        "map this is the same as pulling the Kahler form back to its negative",
     ),
     "ambient_einstein": (
         "max_p ||Ric - lambda g||_F / ||g||_F with lambda the median Ric/g ratio",
@@ -163,13 +154,11 @@ def _resolve_bundle(args):
 
 
 def _cmd_verify(args):
-    overrides = []
-    if args.tol_eig is not None:
-        overrides.append(("tol_eig", args.tol_eig))
-    if args.tol_sym is not None:
-        overrides.append(("tol_sym", args.tol_sym))
-    if args.tol_const is not None:
-        overrides.append(("tol_const", args.tol_const))
+    overrides = [
+        (name, getattr(args, name))
+        for name in ("tol_eig", "tol_sym", "tol_const")
+        if getattr(args, name) is not None
+    ]
     try:
         bundle = _resolve_bundle(args)
         config = SamplingConfig(

@@ -21,12 +21,10 @@ import numpy as np
 
 from . import __version__
 from .antiholo import (
-    anti_isometry_residual,
     antiholomorphy_residual,
     fixed_locus_residual,
     involution_residual,
     isometry_residual,
-    potential_invariance_residual,
 )
 from .bundles import ManifoldBundle
 from .criterion import map_normal_projector, spectral_test, trace_operator_at
@@ -53,7 +51,7 @@ EXIT_NOT_EINSTEIN = 2
 EXIT_HYPOTHESES_FAILED = 3
 EXIT_DEGENERATE = 4
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 _STATUS_BY_EXIT = {
     EXIT_EINSTEIN: "einstein",
@@ -78,7 +76,6 @@ class Tolerances:
     gate_totally_real: float = 1e-7
     gate_geodesic: float = 1e-6
     report_lagrangian: float = 1e-7
-    report_anti_isometry: float = 1e-8
     report_cross_route: float = 1e-8
 
     def with_overrides(self, pairs):
@@ -284,7 +281,7 @@ def _stages(bundle, config, tol, report, finish):
     mapping = bundle.mapping
 
     # -- stage 2: map residuals, one Jacobian and one image per ambient point ----------
-    anti_res, iso_res, antiiso_res, poti_res = [], [], [], []
+    anti_res, iso_res = [], []
     escapes = 0
     for geom in ambient:
         p = geom.point
@@ -293,14 +290,9 @@ def _stages(bundle, config, tol, report, finish):
         try:
             # only the image's metric is read, so it is lifted to METRIC_ORDER
             image = chart.geometry(mapping.apply(p), METRIC_ORDER)
-            iso = isometry_residual(D, geom, image)
-            antiiso = anti_isometry_residual(D, geom, image)
+            iso_res.append(isometry_residual(D, geom, image))
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             escapes += 1
-            continue
-        iso_res.append(iso)
-        antiiso_res.append(antiiso)
-        poti_res.append(potential_invariance_residual(mapping, chart, p, image=image.point))
     checks["antiholomorphy"] = _stat(anti_res)
     gates_ok = _hypothesis(hyp, "antiholomorphy", max(anti_res), tol.gate_antiholo)
 
@@ -311,13 +303,10 @@ def _stages(bundle, config, tol, report, finish):
 
     counts["map_escapes"] = escapes
     checks["isometry"] = _stat(iso_res)
-    checks["anti_isometry"] = _stat(antiiso_res)
-    checks["potential_invariance"] = _stat(poti_res)
     if not iso_res:
         warnings.append("map image escaped the chart at every sample")
         return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
     gates_ok &= _hypothesis(hyp, "isometry", max(iso_res), tol.gate_isometry)
-    _hypothesis(hyp, "anti_isometry", max(antiiso_res), tol.report_anti_isometry, skip_gate=True)
     if escapes > len(ambient) / 2:
         warnings.append("map image escaped the chart at more than half the samples")
         return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)

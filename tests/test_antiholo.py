@@ -8,9 +8,11 @@ import pytest
 from einlocus import (
     AntiholoMap,
     ChartPoint,
+    DegenerateMetricError,
     FixedLocusParam,
     PotentialChart,
     SamplingConfig,
+    Tolerances,
     anti_isometry_residual,
     antiholomorphy_residual,
     builtin_cpn,
@@ -115,6 +117,54 @@ def test_implication_chain_on_builtin_samples():
                 assert anti < 1e-8
 
 
+def odd_perturbation(n, eps):
+    """cpn-n plus eps |w1|^2 Im w1, a term that conjugation negates: the map
+    stays anti-holomorphic and involutive but is no longer an isometry."""
+    bundle = builtin_cpn(n)
+    psi = ("+", bundle.chart.potential, ("*", eps, ("abs2", "w1"), ("im", "w1")))
+    return replace(bundle, chart=replace(bundle.chart, potential=psi))
+
+
+def test_anti_isometry_is_isometry_for_an_antiholomorphic_map():
+    # for anti-holomorphic f, Df^T W(f(p)) Df + W(p) = -J^T (Df^T G(f(p)) Df - G(p)),
+    # so the two residuals agree and the report keeps the isometry gate alone
+    for n in (1, 2, 3):
+        for eps in (1e-6, 1e-3, 0.1):
+            bundle = odd_perturbation(n, eps)
+            compared = 0
+            for p in admitted_points(bundle.chart, 10, seed=0):
+                try:
+                    args = map_geometries(bundle.mapping, bundle.chart, p)
+                    iso = isometry_residual(*args)
+                except DegenerateMetricError:  # the image left the chart
+                    continue
+                assert iso > 0.0
+                assert anti_isometry_residual(*args) == pytest.approx(iso, rel=1e-12, abs=0.0)
+                compared += 1
+            assert compared >= 5
+
+
+def test_isometry_gate_ladder():
+    # the isometry check is linear in the odd perturbation, with slope about
+    # 68 on cpn-1, and the verdict flips where the slope crosses gate_isometry
+    config = SamplingConfig(20, 20, seed=0)
+    slopes = [
+        verdict(odd_perturbation(1, eps), config).data["checks"]["isometry"]["max"] / eps
+        for eps in (1e-6, 1e-5, 1e-4)
+    ]
+    assert max(slopes) <= 1.1 * min(slopes)
+    assert 60.0 < slopes[0] < 80.0
+    gate = Tolerances().gate_isometry
+    below = verdict(odd_perturbation(1, 1e-11), config).data
+    assert below["verdict"]["exit_code"] == 0
+    assert below["hypotheses"]["isometry"]["passed"]
+    assert below["checks"]["isometry"]["max"] < gate
+    above = verdict(odd_perturbation(1, 1e-9), config).data
+    assert above["verdict"]["exit_code"] == 3
+    assert [k for k, h in above["hypotheses"].items() if not h["passed"]] == ["isometry"]
+    assert above["checks"]["isometry"]["max"] > gate
+
+
 def test_pullback_potential_flat_scaling():
     double = AntiholoMap((("*", 2, ("conj", "w1")),), label="2conj")
     pulled = pullback_potential(double, FLAT1)
@@ -166,8 +216,8 @@ def test_involution_residual():
 
 def test_stage_two_applies_the_map_once_per_ambient_point(monkeypatch):
     # with no locus and no declared involution, only the stage-2 residual
-    # loop applies the map: the image is computed once and shared by the
-    # isometry, anti-isometry and potential-invariance residuals
+    # loop applies the map: once per ambient point, for the image geometry
+    # that the isometry residual reads
     cpn2 = builtin_cpn(2)
     bundle = replace(cpn2, mapping=replace(cpn2.mapping, declared_involution=False), locus=None)
     calls = []

@@ -58,7 +58,9 @@ def test_stage_five_enters_the_restricted_ricci_hook():
 def test_the_potential_lift_has_its_own_span():
     # g, dg and ddg read the lift through the hooked psi_jet, so its time
     # is the metrics.psi_jet span's and not metrics.g's; reading the lift
-    # there leaves the number of metric reads as it was
+    # there leaves the number of metric reads as it was.  Stage 2 reads no
+    # kahler_form since the report dropped the anti-isometry check, which
+    # took 20 of the 200 reads
     tracer = load_spans().Tracer()
     with tracer.installed(einlocus):
         report, per_verdict = tracer.verdict(
@@ -67,7 +69,22 @@ def test_the_potential_lift_has_its_own_span():
     calls = per_verdict["calls"]
     assert report.exit_code == 0
     assert calls["metrics.psi_jet"] > 0
-    assert calls["metrics.g"] == 200
+    assert calls["metrics.g"] == 180
+
+
+def test_stage_two_reads_the_map_through_the_isometry_residual_alone():
+    # the anti-isometry and potential-invariance residuals restate the
+    # isometry gate, so a verdict calls neither; both stay library functions
+    tracer = load_spans().Tracer()
+    with tracer.installed(einlocus):
+        report, per_verdict = tracer.verdict(
+            0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0))
+        )
+    calls = per_verdict["calls"]
+    assert report.exit_code == 0
+    assert calls["antiholo.isometry_residual"] == report.data["counts"]["ambient_admitted"] == 6
+    assert "antiholo.anti_isometry_residual" not in calls
+    assert "antiholo.potential_invariance_residual" not in calls
 
 
 def test_traced_admission_count_is_the_reports():

@@ -50,7 +50,7 @@ def test_verify_json_report_deterministic(tmp_path, capsys):
     assert a == b
     data = json.loads(a)
     assert data["verdict"]["status"] == "einstein"
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
 
 
 def test_verify_spec_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -623,6 +624,29 @@ def test_metric_hermitian_reports_the_lift_defect():
     )
     checks = verdict(black_box, SamplingConfig(4, 4, seed=0)).data["checks"]
     assert checks["metric_hermitian"]["max"] == 0.0
+
+
+def test_a_pluriharmonic_gauge_term_leaves_the_report_unchanged():
+    # psi + c Re(i w1 wn) has the metric of psi, so no verdict, count,
+    # constant or check may read the gauge term, however large
+    config = SamplingConfig(12, 12, seed=0)
+    for n in (1, 2):
+        bundle = builtin_cpn(n)
+        base = verdict(bundle, config).data
+        for c in (1.0, 1e3, 1e6):
+            gauge = ("*", c, ("re", ("*", "I", "w1", f"w{n}")))
+            chart = replace(bundle.chart, potential=("+", bundle.chart.potential, gauge))
+            got = verdict(replace(bundle, chart=chart), config).data
+            assert got["verdict"]["exit_code"] == base["verdict"]["exit_code"] == 0
+            assert got["counts"] == base["counts"]
+            for key in ("lambda_est", "kappa_est", "C_est"):
+                assert got["constants"][key] == pytest.approx(base["constants"][key], abs=1e-9)
+            assert got["checks"].keys() == base["checks"].keys()
+            for name, stat in base["checks"].items():
+                for field in ("min", "median", "max"):
+                    assert got["checks"][name][field] == pytest.approx(stat[field], abs=1e-9), (
+                        n, c, name, field,
+                    )
 
 
 def test_chart_tensors_make_no_tensordot_call(monkeypatch):

@@ -103,12 +103,15 @@ def test_tolerance_overrides_flow_into_report(tmp_path):
     bundle = bundle_from_dict(data)
     report = verdict(bundle, SamplingConfig(6, 5, seed=2))
     assert report.data["config"]["tolerances"]["tol_eig"] == 1e-3
-    # an unknown name is a spec error; through the API it stays a KeyError
-    data["tolerances"] = {"no_such": 1.0}
-    with pytest.raises(SpecFormatError, match="no_such"):
-        bundle_from_dict(data)
-    with pytest.raises(KeyError):
-        verdict(bundle, SamplingConfig(6, 5, seed=2, tolerance_overrides=(("no_such", 1.0),)))
+    # an unknown name is a spec error; through the API it stays a KeyError.
+    # A tolerance the report no longer has (report schema 2) is unknown too,
+    # so an old spec that sets it fails loudly instead of being ignored
+    for name in ("no_such", "report_anti_isometry"):
+        data["tolerances"] = {name: 1.0}
+        with pytest.raises(SpecFormatError, match=name):
+            bundle_from_dict(data)
+        with pytest.raises(KeyError):
+            verdict(bundle, SamplingConfig(6, 5, seed=2, tolerance_overrides=((name, 1.0),)))
 
 
 def test_spec_file_is_sorted_json(tmp_path):
