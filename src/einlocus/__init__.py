@@ -42,7 +42,6 @@ from .errors import (
 )
 from .jets import Jet, JetSpace, jet_space, lift_callable_to_jet
 from .locus import (
-    FramePair,
     LocusGeometry,
     intrinsic_ricci_on_frame,
     lagrangian_residual,

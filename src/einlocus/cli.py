@@ -82,7 +82,8 @@ CHECK_EXPLANATIONS = {
     "totally_real": (
         "max_ab |G(e_a, J e_b)| plus frame rank defect",
         "the tangent space of the locus must meet its J-image orthogonally "
-        "and jointly span the ambient tangent space",
+        "and jointly span the ambient tangent space; as G(e_a, J e_b) = "
+        "-w(e_a, e_b), for m = n this is the Lagrangian condition w|_T = 0",
     ),
     "totally_geodesic": (
         "max_ab ||normal part of nabla_{e_a} e_b||_G",
@@ -92,11 +93,6 @@ CHECK_EXPLANATIONS = {
     "second_fundamental_form": (
         "max_ab ||normal part of nabla_{e_a} e_b||_G at each locus sample",
         "the per-point values whose maximum is gated as totally_geodesic",
-    ),
-    "lagrangian": (
-        "max_ab |w(e_a, e_b)|",
-        "the Kahler form restricts to zero on the fixed locus of an "
-        "isometric anti-holomorphic map; reported, not gated",
     ),
     "trace_route_agreement": (
         "entrywise gap between the two trace-operator evaluations",

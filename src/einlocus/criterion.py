@@ -47,7 +47,7 @@ class TraceOperatorAt:
 def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
     """The trace operator at a locus point on its frame, with ``projector``
     the normal projector, e.g. :func:`map_normal_projector`."""
-    geom, E = lp.geom, lp.frame.tangent
+    geom, E = lp.geom, lp.frame
     # cov[a] = sum_c Rm(J e_c, e_a, e_c, .) on the real basis, whose d_x^l
     # and d_y^l have holomorphic components 1 and i in slot l
     _, U, V = lp.frame_curvature

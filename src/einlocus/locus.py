@@ -1,11 +1,12 @@
 """Frames, projections and curvature restricted to a parametrized locus.
 
 The canonical frame at a locus point is the Gram-Schmidt orthonormalization
-(in parameter order) of the coordinate basis T = d(param)/dt, paired with
-its image under J.  It is taken in closed form: with L L^T = T G T^T the
-Cholesky factorization, the frame is E = L^-1 T.  The second fundamental
-form h(e_a, e_b) = [nabla_{e_a} e_b]^normal needs only the frame and its
-first derivative along the locus, which follows from the derivative of the
+(in parameter order) of the coordinate basis T = d(param)/dt; on a totally
+real locus of half dimension its J-image E J^T spans the normal space.  It is
+taken in closed form: with L L^T = T G T^T the Cholesky factorization, the
+frame is E = L^-1 T.  The second fundamental form h(e_a, e_b) =
+[nabla_{e_a} e_b]^normal needs only the frame and its first derivative
+along the locus, which follows from the derivative of the
 factorization (see ``frame_field_jets``), with the metric's t-derivative
 dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
@@ -19,11 +20,9 @@ for the curvature of the induced metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .antiholo import FixedLocusParam
+from .antiholo import FixedLocusParam, _real_jacobian
 from .coords import j_matrix, wirtinger_jet
 from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
@@ -34,14 +33,6 @@ from .realcurv import curvature_from_metric_jets, jet_matrix_mul, real_metric_fr
 # Below this, a singular value of d(param)/dt or of the joint frame, or the
 # length Gram-Schmidt leaves a tangent field, counts as lost rank.
 RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class FramePair:
-    """Orthonormal tangent frame (rows of ``tangent``) and its J-image."""
-
-    tangent: np.ndarray
-    normal: np.ndarray
 
 
 class LocusGeometry:
@@ -161,14 +152,15 @@ class LocusGeometry:
         return E, (C @ dT - X @ E).transpose(1, 0, 2)
 
     @cached
-    def frame(self) -> FramePair:
-        rows = self.frame_field_jets[0]
-        return FramePair(rows, rows @ j_matrix(self.n).T)
+    def frame(self) -> np.ndarray:
+        """The orthonormal tangent frame E, one row per frame vector."""
+        return self.frame_field_jets[0]
 
     @cached
     def jacobian(self):
-        """d(param)/dt at the base parameter, real 2n x m."""
-        return self.locus.jacobian(self.t)
+        """d(param)/dt at the base parameter, real 2n x m, read off the
+        parameter jets the frame reads."""
+        return _real_jacobian(self.param_jets)
 
     # -- second fundamental form -------------------------------------------------
 
@@ -183,7 +175,7 @@ class LocusGeometry:
     @cached
     def _second_fundamental_forms(self):
         """h[a, b], the normal part of nabla[a, b], for every frame pair."""
-        nabla, E = self._ambient_derivatives, self.frame.tangent
+        nabla, E = self._ambient_derivatives, self.frame
         return nabla - (nabla @ self.geom.G @ E.T) @ E
 
     def ambient_derivative(self, a, b) -> np.ndarray:
@@ -210,7 +202,7 @@ class LocusGeometry:
         components i Eh[c], Rm(x, y, z, w) = 2 Re R[i, j, k, l] X_i conj(Y_j)
         (Z_k conj(W_l) - W_k conj(Z_l)) makes every frame sum of stage 5 a
         real part of U or V times Eh."""
-        E = self.frame.tangent
+        E = self.frame
         Eh = E[:, 0::2] + 1j * E[:, 1::2]
         R, nn = self.geom.curvature, self.n**2
         A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
@@ -240,11 +232,13 @@ def totally_real_residual(lp: LocusGeometry) -> float:
     combined with the rank defect of the joint 2n-frame.
 
     Zero means totally real with orthogonal splitting; a J-invariant
-    tangent direction scores 1.
+    tangent direction scores 1.  The cross term E G (E J^T)^T is -E w E^T, so
+    for a half-dimensional locus this is the Lagrangian condition w|_T = 0.
     """
-    G = lp.geom.G
-    cross = lp.frame.tangent @ G @ lp.frame.normal.T
-    stacked = np.vstack([lp.frame.tangent, lp.frame.normal])
+    E = lp.frame
+    N = E @ j_matrix(lp.n).T
+    cross = E @ lp.geom.G @ N.T
+    stacked = np.vstack([E, N])
     rank = np.linalg.matrix_rank(stacked, tol=RANK_TOL)
     defect = float(stacked.shape[0] - rank) / stacked.shape[0]
     return max(float(np.max(np.abs(cross))), defect)
@@ -257,9 +251,9 @@ def map_normal_projector(mapping, point) -> np.ndarray:
 
 
 def lagrangian_residual(lp: LocusGeometry) -> float:
-    omega = lp.geom.kahler_form
-    vals = lp.frame.tangent @ omega @ lp.frame.tangent.T
-    return float(np.max(np.abs(vals)))
+    """max |w(e_a, e_b)|: ``totally_real_residual``'s cross term, unread by verdicts."""
+    E = lp.frame
+    return float(np.max(np.abs(E @ lp.geom.kahler_form @ E.T)))
 
 
 def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
@@ -268,7 +262,7 @@ def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
     equation on a totally geodesic locus.  It holds only where the second
     fundamental form vanishes, which ``verdict`` gates before it reads this.
     """
-    E = lp.frame.tangent
+    E = lp.frame
     return E @ lp.geom.Ric @ E.T - lp.mixed_curvature
 
 

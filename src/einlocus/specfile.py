@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
 
 from . import exprs
 from .antiholo import AntiholoMap, FixedLocusParam
@@ -154,13 +153,12 @@ def bundle_from_dict(data: dict) -> ManifoldBundle:
     )
     tol = data.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
-    known = {f.name for f in fields(Tolerances)}
     for k, v in tol.items():
-        _require(
-            isinstance(k, str) and _is_finite_number(v) and v >= 0,
-            f"tolerance {k!r} must be a finite non-negative number, got {v!r}",
-        )
-        _require(k in known, f"unknown tolerance {k!r}")
+        _require(_is_finite_number(v), f"tolerance {k!r} must be a finite number, got {v!r}")
+    try:
+        Tolerances().with_overrides(tol.items())
+    except (KeyError, ValueError) as err:
+        raise SpecFormatError(err.args[0]) from err
     return ManifoldBundle(
         chart=chart,
         mapping=mapping,

@@ -3,8 +3,8 @@
 Order of evaluation mirrors the logical dependency of the Einstein
 criterion: chart sanity, anti-holomorphy and isometry of the map, the
 ambient Einstein residual, the locus checks (fixed, rank, totally real,
-vanishing second fundamental form, Lagrangian), then the trace operator
-with its spectral test, cross-validated against the restricted-Ricci route.
+vanishing second fundamental form), then the trace operator with its
+spectral test, cross-validated against the restricted-Ricci route.
 
 Exit codes: 0 the locus metric is Einstein at all sampled points, 2 it is
 not, 3 a hypothesis gate failed, 4 the run was numerically degenerate,
@@ -37,7 +37,6 @@ from .errors import (
 from .locus import (
     RANK_TOL,
     LocusGeometry,
-    lagrangian_residual,
     locus_point,
     restricted_ricci,
     totally_real_residual,
@@ -51,7 +50,7 @@ EXIT_NOT_EINSTEIN = 2
 EXIT_HYPOTHESES_FAILED = 3
 EXIT_DEGENERATE = 4
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 _STATUS_BY_EXIT = {
     EXIT_EINSTEIN: "einstein",
@@ -75,7 +74,6 @@ class Tolerances:
     gate_locus_fixed: float = 1e-10
     gate_totally_real: float = 1e-7
     gate_geodesic: float = 1e-6
-    report_lagrangian: float = 1e-7
     report_cross_route: float = 1e-8
 
     def with_overrides(self, pairs):
@@ -172,10 +170,34 @@ def _fmt(x):
     return "n/a" if x is None else f"{x:.9g}"
 
 
-def _hypothesis(results, name, worst, tol, skip_gate=False):
-    passed = True if worst is None else bool(worst <= tol)
-    results[name] = {"passed": passed, "worst": worst, "tolerance": tol}
-    return passed or skip_gate
+def _hypothesis(report, name, worst, tol):
+    report["hypotheses"][name] = {"passed": bool(worst <= tol), "worst": worst, "tolerance": tol}
+
+
+def _check(report, name, values, tol=None, hypothesis=None):
+    """Record the statistics of a check and, given a tolerance, the
+    hypothesis (``hypothesis``, else ``name``) that its worst value meets it."""
+    report["checks"][name] = _stat(values)
+    if tol is not None:
+        _hypothesis(report, hypothesis or name, max(values), tol)
+
+
+def _stopped(report):
+    """The exit code of a run stopped before stage 5: every hypothesis recorded
+    by then is a gate, so 3 if one failed (the more informative verdict), else 4."""
+    passed = all(h["passed"] for h in report["hypotheses"].values())
+    return EXIT_DEGENERATE if passed else EXIT_HYPOTHESES_FAILED
+
+
+def _verdict(exit_code, by_spectrum=None, by_restricted=None, agree=None):
+    return {
+        "einstein": exit_code == EXIT_EINSTEIN,
+        "einstein_by_spectrum": by_spectrum,
+        "einstein_by_restricted_ricci": by_restricted,
+        "routes_agree": agree,
+        "status": _STATUS_BY_EXIT[exit_code],
+        "exit_code": exit_code,
+    }
 
 
 def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -> VerificationReport:
@@ -228,37 +250,26 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
         "verdict": {},
     }
 
-    def finish(exit_code, einstein=False, by_spectrum=None, by_restricted=None, agree=None):
-        report["verdict"] = {
-            "einstein": bool(einstein),
-            "einstein_by_spectrum": by_spectrum,
-            "einstein_by_restricted_ricci": by_restricted,
-            "routes_agree": agree,
-            "status": _STATUS_BY_EXIT[exit_code],
-            "exit_code": exit_code,
-        }
-        return VerificationReport(report)
-
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _stages(bundle, config, tol, report, finish)
+            outcome = _stages(bundle, config, tol, report)
     except NonAnalyticFieldError as err:
-        _hypothesis(report["hypotheses"], "real_potential", 1.0, 0.0)
+        _hypothesis(report, "real_potential", 1.0, 0.0)
         report["warnings"].append(f"potential is not real-valued: {err}")
-        return finish(EXIT_HYPOTHESES_FAILED)
+        outcome = None
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         report["warnings"].append(f"numerical failure ({type(err).__name__}): {err}")
-        return finish(EXIT_DEGENERATE)
+        outcome = _verdict(EXIT_DEGENERATE)
+    report["verdict"] = outcome or _verdict(_stopped(report))
+    return VerificationReport(report)
 
 
-def _stages(bundle, config, tol, report, finish):
-    """The five stages of ``verdict``, filling ``report`` in place.  Each
-    point's geometry is built once here and handed to the stages that read
-    it, so none outlives the verdict."""
+def _stages(bundle, config, tol, report):
+    """The five stages of ``verdict``, filling ``report`` in place; stage 5
+    returns the verdict, an earlier stop None.  Each point's geometry is built
+    once here and handed to the stages that read it, so none outlives the verdict."""
     chart = bundle.chart
     counts = report["counts"]
-    hyp = report["hypotheses"]
-    checks = report["checks"]
     warnings = report["warnings"]
 
     # -- stage 1: chart sanity over ambient samples ------------------------------
@@ -271,13 +282,13 @@ def _stages(bundle, config, tol, report, finish):
     counts["ambient_rejected_degenerate"] = astats.rejected_degenerate
     if len(ambient) < 2:
         warnings.append("fewer than 2 admissible ambient points")
-        return finish(EXIT_DEGENERATE)
+        return None
 
-    checks["metric_hermitian"] = _stat([geom.hermitian_defect for geom in ambient])
+    _check(report, "metric_hermitian", [geom.hermitian_defect for geom in ambient])
 
     if bundle.mapping is None:
-        _hypothesis(hyp, "map_present", 1.0, 0.0)
-        return finish(EXIT_HYPOTHESES_FAILED)
+        _hypothesis(report, "map_present", 1.0, 0.0)
+        return None
     mapping = bundle.mapping
 
     # -- stage 2: map residuals, one Jacobian and one image per ambient point ----------
@@ -293,29 +304,25 @@ def _stages(bundle, config, tol, report, finish):
             iso_res.append(isometry_residual(D, geom, image))
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             escapes += 1
-    checks["antiholomorphy"] = _stat(anti_res)
-    gates_ok = _hypothesis(hyp, "antiholomorphy", max(anti_res), tol.gate_antiholo)
+    _check(report, "antiholomorphy", anti_res, tol.gate_antiholo)
 
     if mapping.declared_involution:
         inv_res = [involution_residual(mapping, geom.point) for geom in ambient]
-        checks["involution"] = _stat(inv_res)
-        gates_ok &= _hypothesis(hyp, "involution", max(inv_res), tol.gate_involution)
+        _check(report, "involution", inv_res, tol.gate_involution)
 
     counts["map_escapes"] = escapes
-    checks["isometry"] = _stat(iso_res)
+    _check(report, "isometry", iso_res, tol.gate_isometry if iso_res else None)
     if not iso_res:
         warnings.append("map image escaped the chart at every sample")
-        return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
-    gates_ok &= _hypothesis(hyp, "isometry", max(iso_res), tol.gate_isometry)
+        return None
     if escapes > len(ambient) / 2:
         warnings.append("map image escaped the chart at more than half the samples")
-        return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
+        return None
 
     # -- stage 3: ambient Einstein residual -----------------------------------------
     lam, ke_res = einstein_residual(ambient)
     report["constants"]["lambda_est"] = lam
-    checks["ambient_einstein"] = _stat([ke_res])
-    gates_ok &= _hypothesis(hyp, "ambient_einstein", ke_res, tol.gate_ambient_einstein)
+    _check(report, "ambient_einstein", [ke_res], tol.gate_ambient_einstein)
     measured_sign = "zero" if abs(lam) < 1e-6 else ("positive" if lam > 0 else "negative")
     if measured_sign != bundle.c1_sign:
         warnings.append(
@@ -324,17 +331,17 @@ def _stages(bundle, config, tol, report, finish):
 
     # -- stage 4: locus checks --------------------------------------------------------
     if bundle.locus is None:
-        _hypothesis(hyp, "locus_present", 1.0, 0.0)
-        return finish(EXIT_HYPOTHESES_FAILED)
+        _hypothesis(report, "locus_present", 1.0, 0.0)
+        return None
     locus = bundle.locus
     if locus.n_params != chart.dimension:
         # the trace operator needs N = J E to span the normal space
-        _hypothesis(hyp, "locus_rank", 1.0, 0.5)
+        _hypothesis(report, "locus_rank", 1.0, 0.5)
         warnings.append(
             f"locus has m = {locus.n_params} parameters but the chart has n = "
             f"{chart.dimension}; the criterion needs a half-dimensional locus, m = n"
         )
-        return finish(EXIT_HYPOTHESES_FAILED)
+        return None
 
     params = sample_parameters(locus, config.locus_samples, seed=config.seed, margin=config.margin)
     lpoints = []
@@ -358,30 +365,20 @@ def _stages(bundle, config, tol, report, finish):
     counts["locus_admitted"] = len(lpoints)
     counts["locus_rejected"] = rejected
     counts["locus_rank_deficient"] = rank_deficient
-    checks["locus_fixed"] = _stat(fixed_res)
-    checks["locus_rank_smallest_sv"] = _stat(rank_sv)
+    _check(report, "locus_fixed", fixed_res)
+    _check(report, "locus_rank_smallest_sv", rank_sv)
     if not lpoints or rejected + rank_deficient > len(params) / 2:
-        # an already established gate failure is the more informative verdict
         warnings.append("locus sampling was mostly unusable")
-        return finish(EXIT_HYPOTHESES_FAILED if not gates_ok else EXIT_DEGENERATE)
+        return None
 
-    gates_ok &= _hypothesis(hyp, "locus_fixed", max(fixed_res), tol.gate_locus_fixed)
-    gates_ok &= _hypothesis(hyp, "locus_rank", 0.0 if min(rank_sv) > RANK_TOL else 1.0, 0.5)
-
+    _hypothesis(report, "locus_fixed", max(fixed_res), tol.gate_locus_fixed)
+    _hypothesis(report, "locus_rank", 0.0 if min(rank_sv) > RANK_TOL else 1.0, 0.5)
     treal = [totally_real_residual(lp) for lp in lpoints]
-    checks["totally_real"] = _stat(treal)
-    gates_ok &= _hypothesis(hyp, "totally_real", max(treal), tol.gate_totally_real)
-
+    _check(report, "totally_real", treal, tol.gate_totally_real)
     h_res = [lp.sff_max_norm for lp in lpoints]
-    checks["second_fundamental_form"] = _stat(h_res)
-    gates_ok &= _hypothesis(hyp, "totally_geodesic", max(h_res), tol.gate_geodesic)
-
-    lag = [lagrangian_residual(lp) for lp in lpoints]
-    checks["lagrangian"] = _stat(lag)
-    _hypothesis(hyp, "lagrangian", max(lag), tol.report_lagrangian, skip_gate=True)
-
-    if not gates_ok:
-        return finish(EXIT_HYPOTHESES_FAILED)
+    _check(report, "second_fundamental_form", h_res, tol.gate_geodesic, "totally_geodesic")
+    if _stopped(report) == EXIT_HYPOTHESES_FAILED:
+        return None
 
     # -- stage 5: trace operator and spectral test ---------------------------------------
     point_verdicts = []
@@ -414,9 +411,9 @@ def _stages(bundle, config, tol, report, finish):
             float(np.linalg.norm(R_res - kappa_pt * np.eye(nloc)) / max(1.0, abs(kappa_pt)))
         )
 
-    checks["trace_route_agreement"] = _stat(cross_route)
-    _hypothesis(hyp, "trace_route_agreement", max(cross_route), tol.report_cross_route, skip_gate=True)
-    checks["restricted_einstein_spread"] = _stat(restricted_spread)
+    # reported, not gated: stage 5 stops nothing
+    _check(report, "trace_route_agreement", cross_route, tol.report_cross_route)
+    _check(report, "restricted_einstein_spread", restricted_spread)
 
     C_est = float(np.median(c_values))
     kappa_est = float(np.median(kappa_values))
@@ -450,10 +447,4 @@ def _stages(bundle, config, tol, report, finish):
         warnings.append("spectral and restricted-Ricci routes disagree")
 
     code = EXIT_EINSTEIN if einstein_by_spectrum else EXIT_NOT_EINSTEIN
-    return finish(
-        code,
-        einstein=einstein_by_spectrum,
-        by_spectrum=einstein_by_spectrum,
-        by_restricted=einstein_by_restricted,
-        agree=agree,
-    )
+    return _verdict(code, einstein_by_spectrum, einstein_by_restricted, agree)

@@ -6,7 +6,6 @@ import pytest
 from einlocus import exprs, jets
 from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
-from einlocus.locus import FramePair
 from einlocus.metrics import METRIC_ORDER, PotentialChart
 from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
@@ -158,10 +157,8 @@ def j_normal_curvature(lp, zeta, eta, rho, projector):
 
 
 def rotated_frame(frame, Q):
-    """The frame re-framed by an orthogonal matrix: e'_a = sum_c Q[c, a] e_c,
-    with its J-image."""
-    tangent = Q.T @ frame.tangent
-    return FramePair(tangent, tangent @ j_matrix(tangent.shape[1] // 2).T)
+    """The frame re-framed by an orthogonal matrix: e'_a = sum_c Q[c, a] e_c."""
+    return Q.T @ frame
 
 
 def pullback_potential(mapping, chart):

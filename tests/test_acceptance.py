@@ -5,6 +5,7 @@ asserts the same condition, so the suite doubles as a checklist.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,3 +272,54 @@ def test_criterion_10_determinism_and_suite_runtime():
         f"byte-identical={identical}, suite of {len(codes)} built-ins in {elapsed:.1f}s, "
         f"exit codes {sorted(set(codes.values()))}",
     )
+
+
+def _stop_case(name):
+    """A cpn-2 bundle (cpn-1 for the overflow) edited so that the run stops
+    before stage 5 along one path."""
+    cpn1, cpn2 = builtin_cpn(1), builtin_cpn(2)
+    far = FixedLocusParam(("t1", "t2"), ((5.0, 6.0),) * 2)  # outside the chart box
+    shifted = (("+", ("conj", "w1"), 10), ("conj", "w2"))  # images escape the chart
+    holomorphic_part = (("+", ("conj", "w1"), ("*", 0.001, "w1")), ("conj", "w2"))
+    swap = (("conj", "w2"), ("*", 2, ("conj", "w1")))
+    imaginary = ("*", "I", ("abs2", "w1"))
+    overflowing = ("exp", ("exp", ("exp", ("*", 30, ("abs2", "w1")))))
+    return {
+        "no-ambient-point": replace(cpn2, chart=replace(cpn2.chart, domain=("-", -1, ("abs2", "w1")))),
+        "no-map": replace(cpn2, mapping=None),
+        "no-locus": replace(cpn2, locus=None),
+        "curve-locus": replace(cpn2, locus=FixedLocusParam(("t1", 0.0), ((-1.0, 1.0),))),
+        "escaping-map": replace(cpn2, mapping=AntiholoMap(shifted)),
+        "escaping-involution": replace(cpn2, mapping=AntiholoMap(shifted, declared_involution=True)),
+        "complex-potential": replace(cpn2, chart=replace(cpn2.chart, potential=imaginary)),
+        "far-locus": replace(cpn2, locus=far),
+        "far-locus-holomorphic-part": replace(cpn2, locus=far, mapping=AntiholoMap(holomorphic_part)),
+        "far-locus-swap": replace(cpn2, locus=far, mapping=AntiholoMap(swap)),
+        "overflow": replace(cpn1, chart=replace(cpn1.chart, potential=overflowing)),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, code, failed",
+    [
+        ("no-ambient-point", 4, set()),
+        ("no-map", 3, {"map_present"}),
+        ("no-locus", 3, {"locus_present"}),
+        ("curve-locus", 3, {"locus_rank"}),
+        ("escaping-map", 4, set()),
+        ("escaping-involution", 3, {"involution"}),
+        ("complex-potential", 3, {"real_potential"}),
+        ("far-locus", 4, set()),
+        ("far-locus-holomorphic-part", 3, {"antiholomorphy", "isometry"}),
+        ("far-locus-swap", 3, {"isometry"}),
+        ("overflow", 4, set()),
+    ],
+)
+def test_every_stop_takes_its_exit_code_from_the_failed_gates(name, code, failed):
+    # a run that stops before stage 5 exits 3 when a recorded hypothesis
+    # failed and 4 otherwise; a numerical failure is 4 whatever failed
+    # before it.  The one report-only hypothesis is stage 5's
+    data = verdict(_stop_case(name), SamplingConfig(12, 12, seed=0)).data
+    got = {h for h, rec in data["hypotheses"].items() if not rec["passed"]}
+    assert (data["verdict"]["exit_code"], got) == (code, failed)
+    assert "trace_route_agreement" not in data["hypotheses"]

@@ -50,7 +50,7 @@ def test_verify_json_report_deterministic(tmp_path, capsys):
     assert a == b
     data = json.loads(a)
     assert data["verdict"]["status"] == "einstein"
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
 
 
 def test_verify_spec_file(tmp_path, capsys):
@@ -286,14 +286,19 @@ def _failure_shapes():
 
 def test_explain_covers_every_report_key():
     bundles = [make_builtin(name, n) for name, n in DEFAULT_SUITE] + _failure_shapes()
-    emitted, codes = set(), set()
+    emitted, per_point, codes = set(), set(), set()
     for bundle in bundles:
         data = verdict(bundle, SamplingConfig(8, 6, seed=1)).data
         emitted |= set(data["checks"]) | set(data["hypotheses"])
+        per_point |= {key for point in data["spectral"]["per_point"] for key in point}
         codes.add(data["verdict"]["exit_code"])
     assert codes == {0, 2, 3, 4}
     assert {"map_present", "locus_present", "real_potential"} <= emitted
     assert sorted(emitted - set(CHECK_EXPLANATIONS)) == []
+    # and every entry names a key some report emits, indicator hypotheses
+    # included; eigenvalue_spread explains a field of spectral.per_point
+    assert sorted(set(CHECK_EXPLANATIONS) - emitted) == ["eigenvalue_spread"]
+    assert "eigenvalue_spread" in per_point
 
 
 def test_tolerance_flags(capsys):

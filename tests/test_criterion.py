@@ -49,7 +49,7 @@ def test_flat_trace_operator_vanishes():
     lp = LocusGeometry(b.chart, b.locus, (0.1, -0.2))
     op = trace_operator_at(lp, projector(b, lp))
     assert np.max(np.abs(op.matrix)) < 1e-13
-    es = lp.frame.tangent
+    es = lp.frame
     out = j_normal_curvature(lp, es[0], es[1], es[0], projector(b, lp))
     assert np.max(np.abs(out)) < 1e-13
 
@@ -59,18 +59,18 @@ def test_output_is_tangent_to_locus():
     for t in sample_parameters(b.locus, 6, seed=1):
         lp = LocusGeometry(b.chart, b.locus, t)
         G = lp.geom.G
-        es = lp.frame.tangent
+        es = lp.frame
         for zeta in es:
             for eta in es:
                 out = j_normal_curvature(lp, zeta, eta, zeta, projector(b, lp))
-                for je in lp.frame.normal:
+                for je in es @ j_matrix(2).T:
                     assert abs(out @ G @ je) < 1e-9
 
 
 def test_dimension_one_trace_matches_single_component():
     b = builtin_cpn(1)
     lp = LocusGeometry(b.chart, b.locus, (0.35,))
-    e1 = lp.frame.tangent[0]
+    e1 = lp.frame[0]
     op = trace_operator_at(lp, projector(b, lp))
     sv = spectral(op.matrix)
     out = j_normal_curvature(lp, e1, e1, e1, projector(b, lp))
@@ -86,7 +86,7 @@ def test_two_routes_agree_and_projectors_match():
             assert trace_operator_at(lp, projector(bundle, lp)).route_agreement < 1e-8
             # the map's splitting projector is the G-orthogonal projector
             # onto the span of the normal frame
-            N = lp.frame.normal
+            N = lp.frame @ j_matrix(2).T
             assert np.max(np.abs(N.T @ N @ lp.geom.G - projector(bundle, lp))) < 1e-9
 
 
@@ -135,7 +135,8 @@ def test_mixed_trace_per_direction_structure():
     # dimension one: the single summand is the whole (proportional) trace
     b1 = builtin_cpn(1)
     lp = LocusGeometry(b1.chart, b1.locus, (0.2,))
-    e1, je1 = lp.frame.tangent[0], lp.frame.normal[0]
+    e1 = lp.frame[0]
+    je1 = j_matrix(1) @ e1
     geom = lp.geom
     single = riemann(geom, je1, e1, e1, je1)
     assert single == pytest.approx(lp.mixed_curvature[0, 0])
@@ -216,7 +217,8 @@ def test_verdict_reads_curvature_off_one_tensor(monkeypatch):
 def real_tensor_frame_sums(lp, projector):
     """(mixed trace, trace matrix) contracted from the real (2n)^4 Riemann
     tensor over the frames E and N: the reference for the complex form."""
-    geom, E, N = lp.geom, lp.frame.tangent, lp.frame.normal
+    geom, E = lp.geom, lp.frame
+    N = E @ j_matrix(lp.n).T
     Rm = riemann_tensor(geom)
     mixed = E @ np.tensordot(N.T @ N, Rm, axes=([0, 1], [0, 3])) @ E.T
     cov = E @ np.tensordot(N.T @ E, Rm, axes=([0, 1], [0, 2]))

@@ -61,10 +61,8 @@ def test_frame_orthonormality_across_builtins():
         for t in sample_parameters(locus, 50, seed=1):
             lg = LocusGeometry(chart, locus, t)
             frame, G = lg.frame, lg.geom.G
-            stacked = np.vstack([frame.tangent, frame.normal])
+            stacked = np.vstack([frame, frame @ J.T])
             assert np.max(np.abs(stacked @ G @ stacked.T - np.eye(len(stacked)))) < 1e-10
-            # normal half is J of the tangent half, exactly
-            assert np.array_equal(frame.normal, frame.tangent @ J.T)
 
 
 def test_rp1_frame_is_normalized_x_direction():
@@ -73,7 +71,7 @@ def test_rp1_frame_is_normalized_x_direction():
     lg = LocusGeometry(chart, locus, (0.4,))
     frame, G = lg.frame, lg.geom.G
     expected = np.array([1.0, 0.0]) / np.sqrt(G[0, 0])
-    assert frame.tangent[0] == pytest.approx(expected)
+    assert frame[0] == pytest.approx(expected)
 
 
 def test_flat_slice_frame_is_rescaled_basis():
@@ -82,7 +80,7 @@ def test_flat_slice_frame_is_rescaled_basis():
     # G = 2 Id, so the frame is the x-basis divided by sqrt(2)
     want = np.zeros((2, 4))
     want[0, 0] = want[1, 2] = 1.0 / np.sqrt(2.0)
-    assert frame.tangent == pytest.approx(want)
+    assert frame == pytest.approx(want)
 
 
 def test_rank_deficient_parametrization_raises():
@@ -156,7 +154,7 @@ def test_first_order_frame_matches_jet_gram_schmidt():
             lg = LocusGeometry(bundle.chart, bundle.locus, t)
             es = jet_gram_schmidt(lg)
             E = np.array([[comp.value.real for comp in e] for e in es])
-            assert np.max(np.abs(lg.frame.tangent - E)) < 1e-12
+            assert np.max(np.abs(lg.frame - E)) < 1e-12
             C = lg.frame_in_param_basis
             gamma, G = lg.geom.christoffel, lg.geom.G
             worst = 0.0
@@ -192,7 +190,7 @@ def test_black_box_frame_needs_no_joint_expansion():
     # the joint expansion behind the intrinsic-curvature oracle refuses it
     black_box = PotentialChart(1, lambda xy: float(xy @ xy), ((-1.0, 1.0),) * 2, label="bb")
     lg = LocusGeometry(black_box, FixedLocusParam(("t1",), ((-1.0, 1.0),)), (0.2,))
-    assert lg.frame.tangent == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
+    assert lg.frame == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
     assert lg.sff_max_norm < 1e-6
     with pytest.raises(NonAnalyticFieldError):
         intrinsic_ricci_on_frame(lg)
@@ -222,7 +220,7 @@ def test_projection_identities():
     bundle = builtin_cpn(2)
     chart, mp = bundle.chart, bundle.mapping
     lp = LocusGeometry(chart, bundle.locus, (0.25, -0.4))
-    e0, J = lp.frame.tangent[0], j_matrix(2)
+    e0, J = lp.frame[0], j_matrix(2)
     vt, vp = split_tn(mp, lp.point, e0)
     assert np.array_equal(vt, e0)
     assert np.max(np.abs(vp)) == 0.0
@@ -332,6 +330,20 @@ def test_lagrangian_residuals():
     assert lagrangian_residual(lp) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("a", [0.0, 1e-6, 1e-3, 0.3, 1.0])
+def test_totally_real_is_the_lagrangian_defect_on_a_tilted_plane(a):
+    # the plane t -> (t1 + i a t2, t2) is totally real for every real a and
+    # Lagrangian only at a = 0.  totally_real's cross term E G (E J^T)^T is
+    # -E w E^T, so it reads the Lagrangian defect a / sqrt(1 + a^2), bit for
+    # bit the lagrangian_residual, and the rank defect adds nothing
+    tilted = FixedLocusParam((("+", "t1", ("*", a, "I", "t2")), "t2"), ((-0.4, 0.4),) * 2)
+    flat = builtin_flat_torus(2).chart
+    for t in sample_parameters(tilted, 8, seed=0):
+        lp = LocusGeometry(flat, tilted, t)
+        assert totally_real_residual(lp) == lagrangian_residual(lp)
+        assert totally_real_residual(lp) == pytest.approx(a / np.sqrt(1.0 + a * a), rel=1e-12, abs=0)
+
+
 def test_frame_trace_identity():
     # summing Rm over the full frame reproduces the ambient Ricci
     b2 = builtin_cpn(2)
@@ -340,7 +352,7 @@ def test_frame_trace_identity():
         geom = lp.geom
         v, w = random_tangents(lp.point, 2, seed=i)
         total = 0.0
-        for e in np.vstack([lp.frame.tangent, lp.frame.normal]):
+        for e in np.vstack([lp.frame, lp.frame @ j_matrix(2).T]):
             total += riemann(geom, e, v, w, e)
         assert total == pytest.approx(geom.ricci_real(v, w), abs=1e-8)
         oracle = laplace_log_det_ricci(geom)
@@ -349,15 +361,17 @@ def test_frame_trace_identity():
 
 def test_one_locus_jacobian_per_locus_point(monkeypatch):
     # the stage-4 rank test, locus_point and the frame's parameter
-    # coefficients all read the Jacobian cached on the locus geometry
+    # coefficients all read the Jacobian cached on the locus geometry, and
+    # it is read off the parameter jets the frame's derivative reads: one
+    # evaluation of the locus components per point
     calls = []
-    jacobian = FixedLocusParam.jacobian
+    component_jets = FixedLocusParam.component_jets
 
-    def counting(self, t):
+    def counting(self, t, order=4):
         calls.append(t)
-        return jacobian(self, t)
+        return component_jets(self, t, order)
 
-    monkeypatch.setattr(FixedLocusParam, "jacobian", counting)
+    monkeypatch.setattr(FixedLocusParam, "component_jets", counting)
     report = verdict(builtin_cpn(2), SamplingConfig(8, 8, seed=3))
     counts = report.data["counts"]
     assert report.exit_code == 0

@@ -104,9 +104,10 @@ def test_tolerance_overrides_flow_into_report(tmp_path):
     report = verdict(bundle, SamplingConfig(6, 5, seed=2))
     assert report.data["config"]["tolerances"]["tol_eig"] == 1e-3
     # an unknown name is a spec error; through the API it stays a KeyError.
-    # A tolerance the report no longer has (report schema 2) is unknown too,
-    # so an old spec that sets it fails loudly instead of being ignored
-    for name in ("no_such", "report_anti_isometry"):
+    # A tolerance the report no longer has (report schemas 2 and 3) is
+    # unknown too, so an old spec that sets it fails loudly instead of being
+    # ignored
+    for name in ("no_such", "report_anti_isometry", "report_lagrangian"):
         data["tolerances"] = {name: 1.0}
         with pytest.raises(SpecFormatError, match=name):
             bundle_from_dict(data)
