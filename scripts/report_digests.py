@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print the sha256 of each built-in's report, one `label seed sha256` line.
+"""Print the sha256 of each built-in's report, one `label seed json text` line.
 
 Covers the default suite plus cpn-6, quadric-4 and toric-fs-4, at
---samples ambient and locus samples, once per seed in --seeds.  Reports
+--samples ambient and locus samples, once per seed in --seeds.  Each line
+holds the sha256 of the JSON report and of its text rendering.  Reports
 are byte-identical for a fixed seed, so two checkouts that should agree
 are compared with `diff` on this script's output:
 
@@ -32,8 +33,8 @@ def main():
         bundle = make_builtin(name, n)
         for seed in args.seeds:
             report = verdict(bundle, SamplingConfig(args.samples, args.samples, seed=seed))
-            digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-            print(f"{bundle.label} {seed} {digest}", flush=True)
+            digests = (hashlib.sha256(r.encode()).hexdigest() for r in (report.to_json(), report.to_text()))
+            print(bundle.label, seed, *digests, flush=True)
     return 0
 
 

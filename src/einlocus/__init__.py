@@ -43,7 +43,6 @@ from .errors import (
 from .jets import Jet, JetSpace, jet_space, lift_callable_to_jet
 from .locus import (
     LocusGeometry,
-    intrinsic_ricci_on_frame,
     lagrangian_residual,
     locus_point,
     restricted_ricci,

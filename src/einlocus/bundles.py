@@ -133,15 +133,14 @@ def builtin_toric_chart(
     n: int,
     label: str = "toric",
     c1_sign: str = "positive",
-    orthant: Optional[tuple] = None,
     assumed_hypotheses: tuple = (),
 ) -> ManifoldBundle:
     """A torus-invariant chart from a convex function of x_i = log |z_i|^2.
 
     ``potential_in_x`` is an expression in identifiers x1..xn; it is
     composed with x_i = log |w_i|^2 on the torus chart (zero excluded by
-    the domain predicate).  The locus is the chosen real orthant
-    w_i = s_i exp(t_i), s_i in {-1, +1}.
+    the domain predicate).  The locus is the positive real orthant
+    w_i = exp(t_i).
     """
     ws = exprs.coord_names(n)
     xs = exprs.coord_names(n, prefix="x")
@@ -158,12 +157,8 @@ def builtin_toric_chart(
         domain=domain,
         label=f"{label}-{n}",
     )
-    signs = orthant if orthant is not None else (1,) * n
     locus = FixedLocusParam(
-        components=tuple(
-            ("*", float(s), ("exp", t))
-            for s, t in zip(signs, exprs.coord_names(n, prefix="t"))
-        ),
+        components=tuple(("*", 1.0, ("exp", t)) for t in exprs.coord_names(n, prefix="t")),
         box=((-0.45, 0.45),) * n,
         label="real-orthant",
     )

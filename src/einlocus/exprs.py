@@ -88,18 +88,6 @@ def substitute(expr, mapping):
     return (expr[0],) + tuple(substitute(a, mapping) for a in expr[1:])
 
 
-def free_identifiers(expr, acc=None):
-    if acc is None:
-        acc = set()
-    if isinstance(expr, str):
-        if expr != "I":
-            acc.add(expr)
-    elif not isinstance(expr, numbers.Number):
-        for a in expr[1:]:
-            free_identifiers(a, acc)
-    return acc
-
-
 def validate(expr, allowed_names, path="expr"):
     """Check an expression against the primitive grammar.
 

@@ -13,9 +13,10 @@ pairs.  No quantity beyond the chart's own potential jet is expanded.
 A ``LocusGeometry`` owns the ``ChartGeometry`` at its point; stage 4 of
 ``verdict`` builds one per locus parameter and stage 5 reads it.
 
-The full jet expansion of the potential in (parameters, chart displacement)
-survives only behind ``intrinsic_ricci_on_frame``, the independent test oracle
-for the curvature of the induced metric.
+The joint jet expansion of the potential in (chart displacement,
+parameters), behind ``metric_jets_on_locus``, is read by no verdict; it
+stays because the benchmark's span table names it.  The independent
+oracles for the induced metric's curvature live with the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import Jet, jet_space
 from .metrics import PotentialChart, cached
-from .realcurv import curvature_from_metric_jets, jet_matrix_mul, real_metric_from_hermitian
 
 # Below this, a singular value of d(param)/dt or of the joint frame, or the
 # length Gram-Schmidt leaves a tangent field, counts as lost rank.
@@ -37,7 +37,7 @@ RANK_TOL = 1e-8
 
 class LocusGeometry:
     """Frame and second fundamental form of a chart geometry at one locus
-    point, plus the jet route to the induced metric's intrinsic curvature.
+    point, plus the ambient metric along the locus as parameter jets.
     Construction evaluates the parametrization once and admits the point
     (ChartDomainError); every derived member is a ``cached`` property,
     computed on first read (the frame included) and kept on the object."""
@@ -57,19 +57,6 @@ class LocusGeometry:
     def param_jets(self):
         """The locus components as jets in t, to the order the frame reads."""
         return self.locus.component_jets(self.t, order=2)
-
-    @cached
-    def tangent_field_jets(self):
-        """T_d, the coordinate tangent fields, as real components in t-jets."""
-        param = self.locus.component_jets(self.t, order=4)
-        out = []
-        for d in range(self.m):
-            comps = []
-            for k in range(self.n):
-                dz = param[k].deriv(d)
-                comps.extend([dz.real, dz.imag])
-            out.append(comps)
-        return out
 
     def _combined_potential_jet(self):
         """The potential expanded jointly in (chart displacement, parameters):
@@ -96,16 +83,16 @@ class LocusGeometry:
 
     @cached
     def metric_jets_on_locus(self):
-        """G o param as a matrix of jets in the parameters (order 2)."""
+        """g o param, the Hermitian metric, as a matrix of jets in the
+        parameters (order 2)."""
         n, m = self.n, self.m
         psi = self._combined_potential_jet()
         tspace = jet_space(m, 4)
         keep = tuple(range(2 * n, 2 * n + m))
-        g_t = [
+        return [
             [wirtinger_jet(psi, (j,), (k,)).restrict(keep, tspace) for k in range(n)]
             for j in range(n)
         ]
-        return real_metric_from_hermitian(g_t)
 
     # -- the canonical frame to first order along the locus ----------------------
 
@@ -265,15 +252,3 @@ def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
     E = lp.frame
     return E @ lp.geom.Ric @ E.T - lp.mixed_curvature
 
-
-def intrinsic_ricci_on_frame(lp: LocusGeometry) -> np.ndarray:
-    """Intrinsic Ricci of the induced metric, expressed on the frame.
-
-    Independent of the ambient-splitting route: the induced metric
-    h = T G T^T is expanded in the parameters and run through the
-    Christoffel pipeline, then contracted with the frame coefficients.
-    """
-    T = lp.tangent_field_jets
-    h = jet_matrix_mul(jet_matrix_mul(T, lp.metric_jets_on_locus), [list(c) for c in zip(*T)])
-    C = lp.frame_in_param_basis
-    return C @ curvature_from_metric_jets(h)["ricci"] @ C.T

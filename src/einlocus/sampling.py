@@ -30,13 +30,18 @@ def _first_primes(k):
     return primes
 
 
+def _halton_start(seed):
+    """The Halton index of a seed's first point."""
+    return 17 + 1009 * int(seed)
+
+
 def halton_points(dim, count, seed=0):
     """``count`` points of the Halton sequence in [0, 1)^dim.
 
     Each column runs the digit loop of the radical inverse over all rows at
     once, with the same float operations per element as the scalar loop.
     """
-    start = 17 + 1009 * int(seed)
+    start = _halton_start(seed)
     out = np.empty((count, dim))
     for d, base in enumerate(_first_primes(dim)):
         i = np.arange(start, start + count, dtype=np.int64)
@@ -49,11 +54,11 @@ def halton_points(dim, count, seed=0):
     return out
 
 
-def box_points(box, count, seed=0, margin=DEFAULT_MARGIN):
-    """Halton points inside a box, shrunk by ``margin`` of each side."""
+def box_points(box, count, seed=0):
+    """Halton points inside a box, shrunk by ``DEFAULT_MARGIN`` of each side."""
     box = np.asarray(box, dtype=float)
-    lo = box[:, 0] + margin * (box[:, 1] - box[:, 0])
-    hi = box[:, 1] - margin * (box[:, 1] - box[:, 0])
+    lo = box[:, 0] + DEFAULT_MARGIN * (box[:, 1] - box[:, 0])
+    hi = box[:, 1] - DEFAULT_MARGIN * (box[:, 1] - box[:, 0])
     unit = halton_points(box.shape[0], count, seed)
     return lo + unit * (hi - lo)
 
@@ -65,7 +70,6 @@ class SamplingConfig:
     ambient_samples: int = 50
     locus_samples: int = 50
     seed: int = 0
-    margin: float = DEFAULT_MARGIN
     tolerance_overrides: tuple = ()
 
     def __post_init__(self):
@@ -78,6 +82,15 @@ class SamplingConfig:
         # every point is the box's lower corner
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # every Halton index drawn must fit in int64: the ambient stream tries
+        # up to MAX_CANDIDATE_FACTOR candidates per point, and the locus
+        # stream starts at the next seed
+        last = max(
+            _halton_start(self.seed) + MAX_CANDIDATE_FACTOR * self.ambient_samples,
+            _halton_start(self.seed + 1) + self.locus_samples,
+        ) - 1
+        if last > np.iinfo(np.int64).max:
+            raise ValueError(f"seed {self.seed} is too large: Halton index {last} overflows int64")
 
 
 @dataclass
@@ -88,7 +101,7 @@ class SampleStats:
     rejected_degenerate: int = 0
 
 
-def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
+def sample_chart_points(chart, count, seed=0):
     """The chart geometries of admitted points, plus rejection statistics.
 
     Points outside the domain predicate or with a degenerate metric are
@@ -99,7 +112,7 @@ def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
     stats = SampleStats(requested=count)
     accepted = []
     budget = MAX_CANDIDATE_FACTOR * count
-    raw = box_points(chart.box, budget, seed=seed, margin=margin)
+    raw = box_points(chart.box, budget, seed=seed)
     for row in raw:
         if len(accepted) >= count:
             break
@@ -118,7 +131,7 @@ def sample_chart_points(chart, count, seed=0, margin=DEFAULT_MARGIN):
     return accepted, stats
 
 
-def sample_parameters(locus, count, seed=0, margin=DEFAULT_MARGIN):
+def sample_parameters(locus, count, seed=0):
     """Halton parameters in the locus box (no admission checks here)."""
-    rows = box_points(locus.box, count, seed=seed + 1, margin=margin)
+    rows = box_points(locus.box, count, seed=seed + 1)
     return [tuple(float(x) for x in r) for r in rows]

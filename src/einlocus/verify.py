@@ -42,7 +42,7 @@ from .locus import (
     totally_real_residual,
 )
 from .metrics import METRIC_ORDER, einstein_residual
-from .sampling import SamplingConfig, sample_chart_points, sample_parameters
+from .sampling import DEFAULT_MARGIN, SamplingConfig, sample_chart_points, sample_parameters
 
 EXIT_EINSTEIN = 0
 EXIT_USAGE = 1
@@ -225,14 +225,14 @@ def verdict(bundle: ManifoldBundle, config: SamplingConfig = SamplingConfig()) -
             "ambient_samples": config.ambient_samples,
             "locus_samples": config.locus_samples,
             "seed": config.seed,
-            "margin": config.margin,
+            "margin": DEFAULT_MARGIN,
             "tolerances": {f.name: getattr(tol, f.name) for f in fields(tol)},
         },
         "differentiation": "exact-jets" if chart.is_exact else "finite-difference-low-precision",
         "verified_domain": {
             "ambient_box": [list(s) for s in chart.box],
             "locus_box": [list(s) for s in bundle.locus.box] if bundle.locus else None,
-            "margin": config.margin,
+            "margin": DEFAULT_MARGIN,
         },
         "counts": {},
         "hypotheses": {},
@@ -273,9 +273,7 @@ def _stages(bundle, config, tol, report):
     warnings = report["warnings"]
 
     # -- stage 1: chart sanity over ambient samples ------------------------------
-    ambient, astats = sample_chart_points(
-        chart, config.ambient_samples, seed=config.seed, margin=config.margin
-    )
+    ambient, astats = sample_chart_points(chart, config.ambient_samples, seed=config.seed)
     counts["ambient_requested"] = astats.requested
     counts["ambient_admitted"] = astats.admitted
     counts["ambient_rejected_domain"] = astats.rejected_domain
@@ -343,7 +341,7 @@ def _stages(bundle, config, tol, report):
         )
         return None
 
-    params = sample_parameters(locus, config.locus_samples, seed=config.seed, margin=config.margin)
+    params = sample_parameters(locus, config.locus_samples, seed=config.seed)
     lpoints = []
     counts["locus_requested"] = len(params)
     rejected, rank_deficient = 0, 0

@@ -1,13 +1,14 @@
 import math
+import numbers
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from einlocus import exprs, jets
 from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
 from einlocus.errors import NonAnalyticFieldError
 from einlocus.metrics import METRIC_ORDER, PotentialChart
-from einlocus.realcurv import real_metric_from_hermitian
 from einlocus.sampling import sample_chart_points
 
 
@@ -66,16 +67,113 @@ def real_psi_jet(geom):
     return real_lift(geom.chart.potential, geom.point, fd_scale=geom.chart.fd_scale)
 
 
-def metric_jets(geom):
-    """g_{j kbar} as jets: mixed Wirtinger derivatives of the real-variable
-    potential jet."""
-    psi, n = real_psi_jet(geom), geom.n
-    return [[wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)]
+def real_metric_from_hermitian(g_jets):
+    """G = 2 Re / Im blocks of a Hermitian matrix of jets, in the interleaved
+    real basis: the jet form of G(v, w) = 2 Re(g V conj(W))."""
+    G = [[None] * (2 * len(g_jets)) for _ in range(2 * len(g_jets))]
+    for j, row in enumerate(g_jets):
+        for k, gjk in enumerate(row):
+            re2, im2 = 2.0 * gjk.real, 2.0 * gjk.imag
+            G[2 * j][2 * k], G[2 * j][2 * k + 1] = re2, im2
+            G[2 * j + 1][2 * k], G[2 * j + 1][2 * k + 1] = -1.0 * im2, re2
+    return G
 
 
-def real_metric_jets(geom):
-    """G_ab as jets, in the interleaved real basis, from the metric jets."""
-    return real_metric_from_hermitian(metric_jets(geom))
+def curvature_from_derivatives(M, dM, ddM):
+    """(Rm, Ric) of a real metric from its value M[a, b] and its partials
+    dM[c, a, b] = d_c M_ab and ddM[c, d, a, b] = d_c d_d M_ab at a point, by
+    the classical Christoffel route, with R(X, Y) Z = nabla_X nabla_Y Z -
+    nabla_Y nabla_X Z - nabla_[X,Y] Z, Rm(X, Y, Z, W) = M(R(X, Y) Z, W) and
+    Ric(Y, Z) = trace of X -> R(X, Y) Z."""
+    Minv = np.linalg.inv(M)
+    low = 0.5 * (np.einsum("aeb->eab", dM) + np.einsum("bea->eab", dM) - dM)  # Gamma_{e,ab}
+    dlow = 0.5 * (np.einsum("caeb->ceab", ddM) + np.einsum("cbea->ceab", ddM) - ddM)
+    gamma = np.einsum("de,eab->dab", Minv, low)
+    # d_c Gamma^d_ab, with d_c M^-1 = -M^-1 (d_c M) M^-1
+    dgamma = np.einsum("de,ceab->cdab", Minv, dlow - np.einsum("cef,fab->ceab", dM, gamma))
+    # R^d_{cab} = d_a Gamma^d_bc - d_b Gamma^d_ac + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac
+    r_up = np.einsum("adbc->dcab", dgamma) + np.einsum("dae,ebc->dcab", gamma, gamma)
+    r_up = r_up - r_up.transpose(0, 1, 3, 2)
+    Rm = np.einsum("de,ecab->abcd", M, r_up)
+    return Rm, np.einsum("ad,abcd->bc", Minv, Rm)
+
+
+def real_metric_derivatives(geom):
+    """G and its first and second partials, from the real-variable oracle
+    jet alone: G = (H + J^T H J) / 2 with H the real Hessian of the potential,
+    so d_c G and d_c d_d G are the same J-average of its third and fourth
+    partial tensors."""
+    psi, J = real_psi_jet(geom), j_matrix(geom.n)
+    return tuple(0.5 * (D + J.T @ D @ J) for D in (psi.derivative_tensor(k).real for k in (2, 3, 4)))
+
+
+# the heads that act on f and on conj f alike
+_SIDEWISE = {
+    "+": sp.Add,
+    "*": sp.Mul,
+    "-": lambda x, *rest: x - sp.Add(*rest) if rest else -x,
+    "/": lambda x, y: x / y,
+    "pow": sp.Pow,
+    "log": sp.log,
+    "exp": sp.exp,
+    "sqrt": sp.sqrt,
+}
+
+
+def _sym_pair(expr, env):
+    """An expression tree as the sympy pair (f, conj f), each identifier
+    mapped by ``env`` to its pair: a coordinate and its conjugate are
+    independent symbols, so conj, re, im and abs2 stay analytic."""
+    if isinstance(expr, str):
+        return (sp.I, -sp.I) if expr == "I" else env[expr]
+    if isinstance(expr, numbers.Number):
+        c = sp.sympify(expr)
+        return c, sp.conjugate(c)
+    head = expr[0]
+    f, fbar = zip(*(_sym_pair(a, env) for a in expr[1:]))
+    if head in _SIDEWISE:
+        op = _SIDEWISE[head]
+        return op(*f), op(*fbar)
+    x, xbar = f[0], fbar[0]
+    return {
+        "conj": (xbar, x),
+        "abs2": (x * xbar,) * 2,
+        "re": ((x + xbar) / 2,) * 2,
+        "im": ((x - xbar) / (2 * sp.I),) * 2,
+    }[head]
+
+
+def intrinsic_ricci_oracle(bundle):
+    """t -> Ricci of the induced metric at the locus parameter t, on the
+    Gram-Schmidt frame of the coordinate fields T = dx/dt.  The induced
+    metric h(t) = T^T G(x(t)) T is expanded in sympy from the potential and
+    the locus components, differentiated twice and compiled once; each call
+    passes its values at t to ``curvature_from_derivatives``.  It reads only
+    the expression trees, so it shares no arithmetic with the pipeline."""
+    n, m = bundle.chart.dimension, bundle.locus.n_params
+    z, zbar = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zbar1:{n + 1}")
+    t = sp.symbols(f"t1:{m + 1}", real=True)
+    psi = _sym_pair(bundle.chart.potential, dict(zip(exprs.coord_names(n), zip(z, zbar))))[0]
+    t_env = dict(zip(exprs.coord_names(m, prefix="t"), zip(t, t)))
+    x, xbar = zip(*(_sym_pair(c, t_env) for c in bundle.locus.components))
+    on_locus = dict(zip(z + zbar, x + xbar))
+    g = sp.Matrix(n, n, lambda j, k: psi.diff(z[j], zbar[k]).xreplace(on_locus))
+    dx, dxbar = (sp.Matrix(v).jacobian(t) for v in (x, xbar))  # [j, a] = d x_j / d t_a
+    half = dx.T * g * dxbar  # G(T_a, T_b) = 2 Re(g_jk T_a^j conj(T_b^k)) = half[a, b] + half[b, a]
+    partials = [list(half + half.T)]  # h[a, b], then d_c h[a, b], then d_d d_c h[a, b]
+    for _ in range(2):
+        partials.append([e.diff(c) for c in t for e in partials[-1]])
+    compiled = sp.lambdify(t, sum(partials, []), "numpy", cse=True)
+
+    def ricci_at(t0):
+        values = np.array(compiled(*np.asarray(t0, dtype=complex)), dtype=complex)
+        assert np.max(np.abs(values.imag)) < 1e-12 * (1.0 + np.max(np.abs(values.real)))
+        values = values.real.reshape(-1, m, m)
+        h, dh, ddh = values[0], values[1 : m + 1], values[m + 1 :].reshape(m, m, m, m)
+        C = np.linalg.inv(np.linalg.cholesky(h))
+        return C @ curvature_from_derivatives(h, dh, ddh)[1] @ C.T
+
+    return ricci_at
 
 
 def tensordot_wirtinger(geom, holo):
@@ -105,9 +203,10 @@ def _jet_det(m):
 
 def laplace_log_det_ricci(geom):
     """Ric_{j kbar} = -d_j dbar_k log det g, with det g expanded by Laplace
-    over metric jets: independent of the curvature tensor and its trace."""
-    log_det = _jet_det(metric_jets(geom)).log()
-    n = geom.n
+    over the mixed Wirtinger derivatives of the real-variable potential
+    jet: independent of the curvature tensor and its trace."""
+    psi, n = real_psi_jet(geom), geom.n
+    log_det = _jet_det([[wirtinger_jet(psi, (j,), (k,)) for k in range(n)] for j in range(n)]).log()
     return np.array(
         [[-wirtinger_jet(log_det, (j,), (k,)).value for k in range(n)] for j in range(n)]
     )

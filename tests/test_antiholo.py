@@ -165,6 +165,30 @@ def test_isometry_gate_ladder():
     assert above["checks"]["isometry"]["max"] > gate
 
 
+def holomorphic_admixture(eps):
+    """cpn-1 with f(w) = i eps w + (1 - i eps) conj(w), not declared an
+    involution: f fixes the real slice, and its holomorphic part i eps w makes
+    the antiholomorphy residual |Df J + J Df| exactly 2 eps."""
+    bundle = builtin_cpn(1)
+    f = ("+", ("*", "I", eps, "w1"), ("*", ("-", 1, ("*", "I", eps)), ("conj", "w1")))
+    return replace(bundle, mapping=AntiholoMap((f,), declared_involution=False, label="admixed"))
+
+
+def test_antiholomorphy_gate_ladder():
+    # the residual has slope 2 in eps, so the verdict flips where 2 eps crosses
+    # gate_antiholo, before the isometry gate (slope about 3.4, gate 1e-8) fires
+    config = SamplingConfig(20, 20, seed=0)
+    gate = Tolerances().gate_antiholo
+    for eps, code in ((1e-11, 0), (3e-11, 0), (1e-10, 3), (1e-9, 3)):
+        data = verdict(holomorphic_admixture(eps), config).data
+        residual = data["checks"]["antiholomorphy"]["max"]
+        assert residual / eps == pytest.approx(2.0, rel=0.1)
+        assert data["verdict"]["exit_code"] == code
+        failed = [k for k, h in data["hypotheses"].items() if not h["passed"]]
+        assert failed == ([] if code == 0 else ["antiholomorphy"])
+        assert (residual > gate) == (code == 3)
+
+
 def test_pullback_potential_flat_scaling():
     double = AntiholoMap((("*", 2, ("conj", "w1")),), label="2conj")
     pulled = pullback_potential(double, FLAT1)

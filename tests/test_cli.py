@@ -164,6 +164,15 @@ def test_negative_samples_or_seed_is_a_usage_error(flag, capsys):
     assert message in err and "Traceback" not in err
 
 
+def test_seed_past_the_halton_index_range_is_a_usage_error(capsys):
+    # the Halton index would overflow int64: a usage error, not a degenerate
+    # manifold (exit 4), and no report is printed
+    seed = "9200000000000000000"
+    assert main(["verify", "--manifold", "cpn", "--n", "1", "--samples", "3", "--seed", seed]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"seed {seed} is too large" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("samples", ["0", "1"])
 def test_too_few_samples_is_a_usage_error(samples, capsys):
     # no sample is rejected here, so this is not a degenerate manifold (exit 4)

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import numbers
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from einlocus import ChartPoint, Jet, JetOrderError, jet_space, j_matrix
 from einlocus.coords import wirtinger_jet
-from einlocus.exprs import coord_names, evaluate, free_identifiers
+from einlocus.exprs import coord_names, evaluate
 from einlocus import jets
 from einlocus.jets import lift_callable_to_jet
 from einlocus.jets import WIRTINGER_BIDEGREE, JetSpace, coordinate_jets
@@ -31,13 +32,6 @@ def poly_mul(a, b):
         for kb, vb in b.items():
             key = tuple(x + y for x, y in zip(ka, kb))
             out[key] = out.get(key, 0.0) + va * vb
-    return out
-
-
-def poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + v
     return out
 
 
@@ -476,6 +470,15 @@ def test_degree_rules_of_constructors_and_operations():
     # analytic compositions take the Horner accumulator's degree
     assert c.log().degree == c.exp().degree == c.pow(-1.5).degree == 0
     assert x.exp().degree == space.capacity
+
+
+def free_identifiers(expr):
+    """The identifiers of an expression tree, the imaginary unit excepted."""
+    if isinstance(expr, str):
+        return set() if expr == "I" else {expr}
+    if isinstance(expr, numbers.Number):
+        return set()
+    return set().union(*(free_identifiers(a) for a in expr[1:]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

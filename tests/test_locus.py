@@ -28,10 +28,17 @@ from einlocus import (
     verdict,
 )
 from einlocus.criterion import map_normal_projector
-from einlocus.locus import intrinsic_ricci_on_frame
 from einlocus.sampling import sample_parameters
 
-from conftest import laplace_log_det_ricci, random_tangents, ricci_pairing, riemann
+from conftest import (
+    intrinsic_ricci_oracle,
+    laplace_log_det_ricci,
+    random_tangents,
+    real_metric_from_hermitian,
+    ricci_pairing,
+    riemann,
+)
+from test_criterion import product_bundle
 
 EUCLID1 = PotentialChart(1, ("*", 0.5, ("abs2", "w1")), ((-3.0, 3.0),) * 2, label="euclid")
 FLAT2 = PotentialChart(2, ("+", ("abs2", "w1"), ("abs2", "w2")), ((-1.0, 1.0),) * 4, label="flat-2")
@@ -131,14 +138,16 @@ def jet_gram_schmidt(lg):
     """The frame as jets in the parameters: Gram-Schmidt of the tangent field
     jets (one re-orthogonalization pass) under the metric jets on the locus,
     which come from the joint expansion of the potential."""
-    Gt = lg.metric_jets_on_locus
+    Gt = real_metric_from_hermitian(lg.metric_jets_on_locus)
 
     def inner(X, Y):
         return sum(Gt[a][b] * X[a] * Y[b] for a in range(len(X)) for b in range(len(Y)))
 
+    param = lg.locus.component_jets(lg.t, order=4)
     es = []
-    for vec in lg.tangent_field_jets:
-        u = list(vec)
+    for d in range(lg.m):
+        # T_d as real components: d z_k / d t_d split into (Re, Im)
+        u = [part for dz in (z.deriv(d) for z in param) for part in (dz.real, dz.imag)]
         for _ in range(2):
             for e in es:
                 c = inner(u, e)
@@ -187,13 +196,13 @@ def test_frame_reads_parameter_jets_of_order_two():
 
 def test_black_box_frame_needs_no_joint_expansion():
     # the frame reads only the chart geometry, so a callable potential works;
-    # the joint expansion behind the intrinsic-curvature oracle refuses it
+    # the joint expansion of the potential along the locus refuses it
     black_box = PotentialChart(1, lambda xy: float(xy @ xy), ((-1.0, 1.0),) * 2, label="bb")
     lg = LocusGeometry(black_box, FixedLocusParam(("t1",), ((-1.0, 1.0),)), (0.2,))
     assert lg.frame == pytest.approx(np.array([[1.0, 0.0]]) / np.sqrt(2.0))
     assert lg.sff_max_norm < 1e-6
     with pytest.raises(NonAnalyticFieldError):
-        intrinsic_ricci_on_frame(lg)
+        lg.metric_jets_on_locus
 
 
 def test_totally_real_residuals():
@@ -284,14 +293,18 @@ def test_restricted_ricci_curve_and_flat():
 
 
 def test_restricted_ricci_matches_intrinsic_oracle():
-    b2 = builtin_cpn(2)
-    for t in sample_parameters(b2.locus, 5, seed=6):
-        lp = LocusGeometry(b2.chart, b2.locus, t)
-        via_split = restricted_ricci(lp)
-        assert via_split.shape == (2, 2)
-        assert via_split == pytest.approx(via_split.T, abs=1e-10)
-        via_param = intrinsic_ricci_on_frame(lp)
-        assert np.max(np.abs(via_split - via_param)) < 1e-6
+    # the Gauss-equation route against the Christoffel route of the induced
+    # metric expanded in sympy; on the CP^1 x CP^2 product the locus is not
+    # Einstein, so the two routes must agree on a Ricci with unequal eigenvalues
+    cases = ((builtin_cpn(2), 5), (builtin_toric_fs(2), 2), (builtin_quadric(2), 2), (product_bundle(), 2))
+    for bundle, count in cases:
+        oracle = intrinsic_ricci_oracle(bundle)
+        for t in sample_parameters(bundle.locus, count, seed=6):
+            lp = LocusGeometry(bundle.chart, bundle.locus, t)
+            via_split = restricted_ricci(lp)
+            assert via_split.shape == (lp.m, lp.m)
+            assert via_split == pytest.approx(via_split.T, abs=1e-10)
+            assert np.max(np.abs(via_split - oracle(t))) < 1e-12
 
 
 @pytest.mark.parametrize("name, n", [("cpn", 2), ("quadric", 3), ("toric-fs", 2)])

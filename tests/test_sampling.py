@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from einlocus.sampling import SamplingConfig, _first_primes, halton_points
+from einlocus.sampling import MAX_CANDIDATE_FACTOR, SamplingConfig, _first_primes, halton_points
 
 
 def _radical_inverse(i, base):
@@ -48,3 +48,16 @@ def test_sampling_config_rejects_negative_counts_and_seeds(field):
 def test_sampling_config_rejects_too_few_samples(field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least {LEAST[field]}"):
         SamplingConfig(**{field: value})
+
+
+def test_sampling_config_rejects_a_seed_past_the_int64_halton_index():
+    # at 3 + 3 samples the locus stream, which starts one seed on, draws the
+    # last index: 17 + 1009 (seed + 1) + 2 must fit in int64
+    top = (np.iinfo(np.int64).max - 19) // 1009 - 1
+    SamplingConfig(3, 3, seed=top)
+    halton_points(2, MAX_CANDIDATE_FACTOR * 3, top)
+    halton_points(2, 3, top + 1)
+    with pytest.raises(OverflowError):
+        halton_points(2, 3, top + 2)
+    with pytest.raises(ValueError, match=f"seed {top + 1} is too large"):
+        SamplingConfig(3, 3, seed=top + 1)

@@ -39,5 +39,6 @@ def test_report_digests_prints_each_reports_sha256():
     assert len(lines) == len(cases) == 13
     for line, (name, n) in zip(lines, cases):
         bundle = make_builtin(name, n)
-        text = verdict(bundle, SamplingConfig(4, 4, seed=0)).to_json()
-        assert line == f"{bundle.label} 0 {hashlib.sha256(text.encode()).hexdigest()}"
+        report = verdict(bundle, SamplingConfig(4, 4, seed=0))
+        digests = [hashlib.sha256(r.encode()).hexdigest() for r in (report.to_json(), report.to_text())]
+        assert line.split() == [bundle.label, "0", *digests]
