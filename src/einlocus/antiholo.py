@@ -10,6 +10,7 @@ in parameters t1..tn).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +33,30 @@ class AntiholoMap:
     def dimension(self):
         return len(self.components)
 
-    def _env(self, values):
-        return dict(zip(exprs.coord_names(self.dimension), values))
+    @functools.cached_property
+    def _programs(self):
+        """The compiled components, on first use."""
+        names = exprs.coord_names(self.dimension)
+        return [exprs.compile(c, names) for c in self.components]
 
     def apply(self, point: ChartPoint) -> ChartPoint:
-        env = self._env(point.holo)
-        return ChartPoint(tuple(complex(exprs.evaluate(c, env)) for c in self.components))
+        return ChartPoint(tuple(complex(p.on_numbers(point.holo)) for p in self._programs))
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
         """The 2n x 2n real Jacobian Df at a point, from order-1 jets."""
         coords = coordinate_jets(point.holo, order=1)
-        env, space = self._env(coords), coords[0].space
-        jets = [exprs.evaluate(comp, env) for comp in self.components]
-        return _real_jacobian([j if isinstance(j, Jet) else space.constant(j) for j in jets])
+        return _real_jacobian(_jets_of(self._programs, coords, "x + iy"))
+
+
+def _jets_of(programs, inputs, kind):
+    """Each program run on the input jets of one ``kind`` (see
+    ``exprs.Program.on_jets``), a constant as a constant jet."""
+    space = inputs[0].space
+    out = []
+    for program in programs:
+        jet = program.on_jets(inputs, kind)
+        out.append(jet if isinstance(jet, Jet) else space.constant(jet))
+    return out
 
 
 def _real_jacobian(jets) -> np.ndarray:
@@ -110,24 +122,21 @@ class FixedLocusParam:
     def n_params(self):
         return len(self.box)
 
-    def _names(self):
-        return exprs.coord_names(self.n_params, prefix="t")
+    @functools.cached_property
+    def _programs(self):
+        """The compiled components, on first use."""
+        names = exprs.coord_names(self.n_params, prefix="t")
+        return [exprs.compile(c, names) for c in self.components]
 
     def point(self, t) -> ChartPoint:
-        env = dict(zip(self._names(), [float(x) for x in t]))
-        return ChartPoint(tuple(complex(exprs.evaluate(c, env)) for c in self.components))
+        values = [float(x) for x in t]
+        return ChartPoint(tuple(complex(p.on_numbers(values)) for p in self._programs))
 
     def component_jets(self, t, order=4):
         """The chart coordinates of the locus as jets in the parameters."""
         space = jet_space(self.n_params, order)
-        env = dict(
-            zip(self._names(), [space.variable(d, float(t[d])) for d in range(self.n_params)])
-        )
-        out = []
-        for c in self.components:
-            jet = exprs.evaluate(c, env)
-            out.append(jet if isinstance(jet, Jet) else space.constant(jet))
-        return out
+        params = [space.variable(d, float(t[d])) for d in range(self.n_params)]
+        return _jets_of(self._programs, params, "t")
 
     def jacobian(self, t) -> np.ndarray:
         """Real 2n x m Jacobian d(param)/dt."""

@@ -9,7 +9,14 @@ when this operator is -C times the identity for a constant C.  Two
 independent evaluations are kept side by side: the projection route above
 and the scalar route -sum_a Rm(J e_a, e_b, e_c, J e_a); they must agree to
 tensor-assembly precision.  Both read the chart's complex curvature
-summed over the frame once per point (``LocusGeometry.frame_curvature``).
+summed over the frame (``LocusGeometry.frame_curvature``).
+
+``verdict`` evaluates both routes and the spectral test once, on the
+stacked locus geometry of all its admitted points
+(``LocusGeometry.stacked``): each matrix product, inverse and eigenvalue
+call runs on (points, ...) arrays, and the Frobenius norms are one dot
+product per point, as ``np.linalg.norm`` takes them.  On one point the
+same functions give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -30,41 +37,52 @@ class TraceOperatorAt:
     ``matrix``[b, a] = G(sum_c J[R(J e_c, e_a) e_c]^normal, e_b); the
     ``cross_matrix`` is the same object assembled from curvature scalars,
     minus the transposed ``LocusGeometry.mixed_curvature``.  The matrix
-    depends on the frame only through orthogonal conjugation.
+    depends on the frame only through orthogonal conjugation.  For a
+    stacked locus geometry both carry a leading point axis, and so does
+    the route agreement.
     """
 
     matrix: np.ndarray
     cross_matrix: np.ndarray
 
     @property
-    def route_agreement(self) -> float:
-        return float(
-            np.max(np.abs(self.matrix - self.cross_matrix))
-            / max(1.0, float(np.max(np.abs(self.matrix))))
-        )
+    def route_agreement(self):
+        worst = np.abs(self.matrix - self.cross_matrix).max(axis=(-2, -1))
+        out = worst / np.fmax(1.0, np.abs(self.matrix).max(axis=(-2, -1)))
+        return float(out) if out.ndim == 0 else out
 
 
 def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
     """The trace operator at a locus point on its frame, with ``projector``
-    the normal projector, e.g. :func:`map_normal_projector`."""
+    the normal projector, e.g. :func:`map_normal_projector`; on a stacked
+    locus geometry (``LocusGeometry.stacked``) with the projectors stacked
+    alike, the operators of every point."""
     geom, E = lp.geom, lp.frame
     # cov[a] = sum_c Rm(J e_c, e_a, e_c, .) on the real basis, whose d_x^l
     # and d_y^l have holomorphic components 1 and i in slot l
     _, U, V = lp.frame_curvature
     cov = np.stack([-2.0 * np.imag(U - V), 2.0 * np.real(U + V)], axis=-1).reshape(E.shape)
-    M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.T)
-    return TraceOperatorAt(M, -lp.mixed_curvature.T)
+    M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.swapaxes(-1, -2))
+    return TraceOperatorAt(M, -lp.mixed_curvature.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
 class SpectralVerdict:
-    """Per-point outcome of the spectral Einstein test."""
+    """Outcome of the spectral Einstein test at one point, or, for a stack of
+    matrices, one array entry per point in each field."""
 
     eigenvalues: tuple
     symmetric_residual: float
     eigenvalue_spread: float
     C_est: float
     einstein: bool
+
+
+def _frobenius(M):
+    """Frobenius norms of a stack of matrices, as ``np.linalg.norm`` takes
+    each: the square root of one dot product."""
+    flat = M.reshape(len(M), -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
@@ -74,17 +92,23 @@ def spectral_test(M, tol_sym, tol_eig) -> SpectralVerdict:
     the test is: symmetric defect below ``tol_sym`` and relative eigenvalue
     spread of the symmetrized matrix below ``tol_eig``.  C is reported with
     the sign convention M = -C Id, so the eigenvalues are also returned.
+    ``M`` may be a stack of matrices along a leading axis; they are tested
+    together, one eigenvalue call for all.
     """
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(M)))
-    sym_res = float(np.linalg.norm(M - M.T) / scale)
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    mean = float(np.mean(eigs))
-    spread = float((eigs[-1] - eigs[0]) / max(1.0, abs(mean)))
+    stack = M if M.ndim == 3 else M[None]
+    MT = stack.swapaxes(-1, -2)
+    sym_res = _frobenius(stack - MT) / np.fmax(1.0, _frobenius(stack))
+    eigs = np.linalg.eigvalsh(0.5 * (stack + MT))
+    mean = np.mean(eigs, axis=-1)
+    spread = (eigs[:, -1] - eigs[:, 0]) / np.fmax(1.0, np.abs(mean))
+    einstein = (sym_res < tol_sym) & (spread < tol_eig)
+    if M.ndim == 3:
+        return SpectralVerdict(eigs, sym_res, spread, -mean, einstein)
     return SpectralVerdict(
-        eigenvalues=tuple(float(e) for e in eigs),
-        symmetric_residual=sym_res,
-        eigenvalue_spread=spread,
-        C_est=-mean,
-        einstein=bool(sym_res < tol_sym and spread < tol_eig),
+        eigenvalues=tuple(float(e) for e in eigs[0]),
+        symmetric_residual=float(sym_res[0]),
+        eigenvalue_spread=float(spread[0]),
+        C_est=float(-mean[0]),
+        einstein=bool(einstein[0]),
     )

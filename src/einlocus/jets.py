@@ -35,6 +35,12 @@ table terms whose result lies in the set, beside the degree blocks above.
 Conjugation swaps the z and zbar exponents and conjugates the coefficient,
 so the real part is (f + conj f) / 2.  The same space carries jets over
 real variables too; the two kinds do not mix, constants excepted.
+
+The jet operations here are the reference semantics of an expression
+program (``exprs.Program``): a program runs the same operations on bare
+coefficient arrays, through the kernels they share (``_product`` and the
+Taylor series of the analytic functions), with every table fixed when the
+program is planned and only the table rows its operands' supports reach.
 """
 
 from __future__ import annotations
@@ -257,14 +263,14 @@ class JetSpace:
         """Every coefficient's tensor-product central-difference stencil at
         the two Richardson steps, as one table.
 
-        Returns ``(offsets, terms)``.  ``offsets`` holds the distinct integer
-        offset vectors (in units of the step) in first-use order.  A lift
-        evaluates them at step h and then at h/2, and sums into one vector
-        of 2 * size slots: the coefficients at step h, then at h/2.
-        ``terms[j]`` is ``(slots, rows, weights)`` for the j-th stencil term
-        (at most 16): the slots whose stencil has a j-th term, the row of
-        its value and its weight.  Adding the terms up in j order sums each
-        coefficient in the order of its per-variable stencils.
+        Returns ``(offsets, (slots, rows, weights))``.  ``offsets`` holds
+        the distinct integer offset vectors (in units of the step) in
+        first-use order.  A lift evaluates them at step h and then at h/2,
+        and sums into one vector of 2 * size slots: the coefficients at step
+        h, then at h/2.  Each term of the sum has its slot, the row of its
+        value and its weight; the terms are ordered by their index j in
+        their stencil (at most 16), so adding them up in table order sums
+        each coefficient in the order of its per-variable stencils.
         """
         first_use = {}
         rows, weights = [], []
@@ -282,14 +288,9 @@ class JetSpace:
             live = np.array([p for p, r in enumerate(rows) if len(r) > j], dtype=np.int64)
             row = np.array([rows[p][j] for p in live], dtype=np.int64)
             weight = np.array([weights[p][j] for p in live])
-            terms.append(
-                (
-                    np.concatenate([live, live + self.size]),
-                    np.concatenate([row, row + count]),
-                    np.concatenate([weight, weight]),
-                )
-            )
-        return np.array(list(first_use), dtype=float), terms
+            terms.append((live, row, weight))
+            terms.append((live + self.size, row + count, weight))
+        return np.array(list(first_use), dtype=float), tuple(map(np.concatenate, zip(*terms)))
 
     # -- constructors -------------------------------------------------------
 
@@ -327,6 +328,67 @@ def coordinate_jets(holo, order=DEFAULT_ORDER, wirtinger=False):
     if not wirtinger:
         coeffs[rows, units[1::2]] = 1j
     return [Jet(space, c, order, 1, wirtinger) for c in coeffs]
+
+
+def result_kind(wirtinger_a, degree_a, wirtinger_b, degree_b):
+    """Whether the result of an operation on two jets is over (z, zbar):
+    jets over real variables and over (z, zbar) meet only as constants."""
+    if wirtinger_a is wirtinger_b:
+        return wirtinger_a
+    if degree_a and degree_b:
+        raise ValueError("jets over real variables and over (z, zbar) do not mix")
+    return True
+
+
+def _plus(coeffs, value):
+    """The coefficients of a jet plus a number."""
+    coeffs = coeffs.copy()
+    coeffs[0] += value
+    return coeffs
+
+
+def _product(a, b, table, size):
+    """The coefficients of a product from its operands' coefficients ``a``
+    and ``b`` and rows ``table`` = (ia, ib, iout) of the multiplication
+    table: each output sums its terms in table order, from +0.0."""
+    ia, ib, iout = table
+    prod = np.zeros(size, dtype=np.complex128)
+    np.add.at(prod, iout, a[ia] * b[ib])
+    return prod
+
+
+# The Taylor coefficients c_k = g^(k)(u0) / k!, k <= order, of the analytic
+# functions a jet composes with (``Jet.compose_analytic``).
+
+
+def _reciprocal_series(u0, order):
+    if u0 == 0:
+        raise ZeroDivisionError("jet with zero constant term has no reciprocal")
+    return [(-1.0) ** k / u0 ** (k + 1) for k in range(order + 1)]
+
+
+def _log_series(u0, order):
+    if u0 == 0:
+        raise ZeroDivisionError("log of jet with zero constant term")
+    cs = [np.log(u0)]
+    for k in range(1, order + 1):
+        cs.append((-1.0) ** (k + 1) / (k * u0 ** k))
+    return cs
+
+
+def _exp_series(u0, order):
+    e0 = np.exp(u0)
+    return [e0 / math.factorial(k) for k in range(order + 1)]
+
+
+def _fractional_pow_series(u0, p, order):
+    if u0 == 0:
+        raise ZeroDivisionError("fractional power of jet with zero constant term")
+    cs, binom = [], 1.0
+    for k in range(order + 1):
+        cs.append(binom * u0 ** (p - k))
+        binom *= (p - k) / (k + 1)
+    return cs
 
 
 class Jet:
@@ -403,13 +465,7 @@ class Jet:
         return Jet(self.space, coeffs, order, degree, wirtinger)
 
     def _variables(self, other):
-        """Whether the result of an operation with ``other`` is over (z, zbar):
-        jets over real variables and over (z, zbar) meet only as constants."""
-        if self.wirtinger is other.wirtinger:
-            return self.wirtinger
-        if self.degree and other.degree:
-            raise ValueError("jets over real variables and over (z, zbar) do not mix")
-        return True
+        return result_kind(self.wirtinger, self.degree, other.wirtinger, other.degree)
 
     # -- ring operations -----------------------------------------------------
 
@@ -420,9 +476,7 @@ class Jet:
             return self._truncated(
                 self.coeffs + other.coeffs, order, degree, self._variables(other)
             )
-        coeffs = self.coeffs.copy()
-        coeffs[0] += other
-        return Jet(self.space, coeffs, self.order, self.degree, self.wirtinger)
+        return Jet(self.space, _plus(self.coeffs, other), self.order, self.degree, self.wirtinger)
 
     __radd__ = __add__
 
@@ -442,9 +496,8 @@ class Jet:
         order = min(self.order, other.order)
         da, db = min(self.degree, order), min(other.degree, order)
         wirtinger = self._variables(other)
-        ia, ib, iout = sp._mul_selection(da, db, order, wirtinger)
-        prod = np.zeros(sp.size, dtype=np.complex128)
-        np.add.at(prod, iout, self.coeffs[ia] * other.coeffs[ib])
+        table = sp._mul_selection(da, db, order, wirtinger)
+        prod = _product(self.coeffs, other.coeffs, table, sp.size)
         return Jet(sp, prod, order, min(da + db, order), wirtinger)
 
     __rmul__ = __mul__
@@ -502,25 +555,13 @@ class Jet:
         return Jet(acc.space, acc.coeffs, self.order, min(acc.degree, self.order), self.wirtinger)
 
     def reciprocal(self):
-        u0 = self.value
-        if u0 == 0:
-            raise ZeroDivisionError("jet with zero constant term has no reciprocal")
-        cs = [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
-        return self.compose_analytic(cs)
+        return self.compose_analytic(_reciprocal_series(self.value, self.order))
 
     def log(self):
-        u0 = self.value
-        if u0 == 0:
-            raise ZeroDivisionError("log of jet with zero constant term")
-        cs = [np.log(u0)]
-        for k in range(1, self.order + 1):
-            cs.append((-1.0) ** (k + 1) / (k * u0 ** k))
-        return self.compose_analytic(cs)
+        return self.compose_analytic(_log_series(self.value, self.order))
 
     def exp(self):
-        e0 = np.exp(self.value)
-        cs = [e0 / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_analytic(cs)
+        return self.compose_analytic(_exp_series(self.value, self.order))
 
     def sqrt(self):
         return self.pow(0.5)
@@ -528,14 +569,7 @@ class Jet:
     def pow(self, p):
         if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
             return self._int_pow(int(p))
-        u0 = self.value
-        if u0 == 0:
-            raise ZeroDivisionError("fractional power of jet with zero constant term")
-        cs, binom = [], 1.0
-        for k in range(self.order + 1):
-            cs.append(binom * u0 ** (p - k))
-            binom *= (p - k) / (k + 1)
-        return self.compose_analytic(cs)
+        return self.compose_analytic(_fractional_pow_series(self.value, p, self.order))
 
     def _int_pow(self, p):
         if p < 0:
@@ -598,14 +632,13 @@ def lift_callable_to_jet(func, base_real, order=DEFAULT_ORDER, scale=1.0):
     """
     x0 = np.asarray(base_real, dtype=float)
     space = jet_space(len(x0), order)
-    offsets, terms = space._fd_stencils
+    offsets, (slots, rows, weights) = space._fd_stencils
     h = FD_STEP_FACTOR * max(scale, 1e-8)
     steps = (h, h / 2.0)
     points = np.concatenate([x0 + offsets * s for s in steps])
     values = np.array([func(x) for x in points])
     total = np.zeros(2 * space.size, dtype=np.result_type(values, float))
-    for slots, rows, weights in terms:
-        total[slots] += weights * values[rows]
+    np.add.at(total, slots, weights * values[rows])
     powers = np.array([[s**k for k in range(order + 1)] for s in steps])
     d_h, d_h2 = total.reshape(2, space.size) / powers[:, space.degree]
     return Jet(space, ((4.0 * d_h2 - d_h) / 3.0 / space._fact).astype(np.complex128), order)

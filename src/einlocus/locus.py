@@ -11,7 +11,12 @@ factorization (see ``frame_field_jets``), with the metric's t-derivative
 dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
 A ``LocusGeometry`` owns the ``ChartGeometry`` at its point; stage 4 of
-``verdict`` builds one per locus parameter and stage 5 reads it.
+``verdict`` builds one per locus parameter.  Stage 5 reads them all at
+once: ``LocusGeometry.stacked`` joins their frames and chart data along a
+leading point axis, and the members stage 5 reads (the frame sums of the
+curvature, the mixed curvature, ``restricted_ricci``) are written for any
+leading axes, so one point and the stack run the same code and agree
+point by point bit for bit.
 
 The joint jet expansion of the potential in (chart displacement,
 parameters), behind ``metric_jets_on_locus``, is read by no verdict; it
@@ -28,7 +33,7 @@ from .coords import j_matrix, wirtinger_jet
 from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import Jet, jet_space
-from .metrics import PotentialChart, cached
+from .metrics import ChartGeometry, PotentialChart, cached
 
 # Below this, a singular value of d(param)/dt or of the joint frame, or the
 # length Gram-Schmidt leaves a tangent field, counts as lost rank.
@@ -189,19 +194,37 @@ class LocusGeometry:
         components i Eh[c], Rm(x, y, z, w) = 2 Re R[i, j, k, l] X_i conj(Y_j)
         (Z_k conj(W_l) - W_k conj(Z_l)) makes every frame sum of stage 5 a
         real part of U or V times Eh."""
-        E = self.frame
-        Eh = E[:, 0::2] + 1j * E[:, 1::2]
-        R, nn = self.geom.curvature, self.n**2
-        A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
-        B = (Eh.T @ np.conj(Eh)).ravel() @ R.transpose(0, 3, 1, 2).reshape(nn, nn)  # [(j, k)]
-        return Eh, np.conj(Eh) @ A.reshape(self.n, -1), np.conj(Eh) @ B.reshape(self.n, -1)
+        E, n = self.frame, self.n
+        lead = E.shape[:-2]
+        Eh = E[..., 0::2] + 1j * E[..., 1::2]
+        EhT, R = Eh.swapaxes(-1, -2), self.geom.curvature
+        pairs = lead + (1, n * n)  # each point's frame sums S and Q as one row
+        A = (EhT @ Eh).reshape(pairs) @ R.swapaxes(-3, -2).reshape(lead + (n * n,) * 2)
+        B = (EhT @ np.conj(Eh)).reshape(pairs) @ np.moveaxis(R, -1, -3).reshape(
+            lead + (n * n,) * 2
+        )
+        square = lead + (n, n)
+        return Eh, np.conj(Eh) @ A.reshape(square), np.conj(Eh) @ B.reshape(square)
 
     @cached
     def mixed_curvature(self):
         """The mixed trace out[a, b] = sum_c Rm(J e_c, e_a, e_b, J e_c) on frame
         pairs, 2 Re(V Eh^T + U Eh^H) from ``frame_curvature``."""
         Eh, U, V = self.frame_curvature
-        return 2.0 * np.real(V @ Eh.T + U @ np.conj(Eh).T)
+        return 2.0 * np.real(V @ Eh.swapaxes(-1, -2) + U @ np.conj(Eh).swapaxes(-1, -2))
+
+    @classmethod
+    def stacked(cls, points):
+        """The locus geometries ``points`` as one, for stage 5: their frames
+        stacked along a leading point axis over their stacked chart
+        geometries (``ChartGeometry.stacked``).  Every member that stage 5
+        reads is the same code on one point and on the stack."""
+        first = points[0]
+        stack = cls.__new__(cls)
+        stack.chart, stack.locus, stack.n, stack.m = first.chart, first.locus, first.n, first.m
+        stack.geom = ChartGeometry.stacked([lp.geom for lp in points])
+        stack.__dict__["frame"] = np.array([lp.frame for lp in points])
+        return stack
 
 
 # -- module-level operations ------------------------------------------------------
@@ -250,5 +273,5 @@ def restricted_ricci(lp: LocusGeometry) -> np.ndarray:
     fundamental form vanishes, which ``verdict`` gates before it reads this.
     """
     E = lp.frame
-    return E @ lp.geom.Ric @ E.T - lp.mixed_curvature
+    return E @ lp.geom.Ric @ E.swapaxes(-1, -2) - lp.mixed_curvature
 

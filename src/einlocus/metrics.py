@@ -9,13 +9,15 @@ d d psi are then plain gathers of coefficient times alpha! beta!
 (``Jet.wirtinger_tensor``).  The curvature tensor follows from the
 standard potential formula, and the Ricci form is its g-trace.  A point
 whose metric alone is read (a map image) is lifted to order 2 only.  The
-potential is the only thing expanded in jet arithmetic, so the cost per
-point is polynomial in the dimension and the fourth derivatives entering
-the curvature carry no step-size error.  A black-box potential is lifted
-over the real variables by finite differences and converted once
-(``Jet.to_wirtinger``), so every chart quantity has one read-off route.
-A ``ChartGeometry`` is built once per point per verdict and handed from
-stage to stage; no module state outlives the verdict.
+potential is the only thing expanded in jet arithmetic, by the chart's
+compiled program (``exprs.Program``), so the cost per point is polynomial
+in the dimension and the fourth derivatives entering the curvature carry
+no step-size error.  A black-box potential is lifted over the real
+variables by finite differences and converted once (``Jet.to_wirtinger``),
+so every chart quantity has one read-off route.  A ``ChartGeometry`` is
+built once per point per verdict and handed from stage to stage; no module
+state outlives the verdict.  Stage 5 reads the geometries of its locus
+points stacked into one (``ChartGeometry.stacked``).
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -51,25 +53,27 @@ METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
 
-def lift_to_jet(field: ScalarField, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
+def lift_to_jet(field, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
     """Lift a real scalar field to its jet over (z, zbar) at a point: returns
     (jet, relative Hermitian defect of the jet before its real part is taken).
 
-    Expression-tree fields are evaluated in exact jet arithmetic on the
-    coordinate jets z^j (variable 2j); their conjugates come from
-    ``Jet.conjugate``.  The defect is max |c_(alpha, beta) - conj c_(beta,
-    alpha)| / (1 + max |c|); above ``HERMITIAN_TOL`` the field is not
-    real-valued.  Callables (black boxes on the real coordinate vector) fall
-    back to Richardson-extrapolated central finite differences over the real
-    variables, with steps proportional to ``fd_scale``, converted once to
-    (z, zbar) with defect 0; they lose roughly half the significant digits of
-    the exact route.
+    Expression-tree fields (or their compiled ``exprs.Program``) run in
+    exact jet arithmetic on the coordinate jets z^j (variable 2j); their
+    conjugates come from conjugating the jet.  The defect is max
+    |c_(alpha, beta) - conj c_(beta, alpha)| / (1 + max |c|); above
+    ``HERMITIAN_TOL`` the field is not real-valued.  Callables (black boxes
+    on the real coordinate vector) fall back to Richardson-extrapolated
+    central finite differences over the real variables, with steps
+    proportional to ``fd_scale``, converted once to (z, zbar) with defect 0;
+    they lose roughly half the significant digits of the exact route.
     """
     if callable(field):
         real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
         return real.to_wirtinger(), 0.0
+    if not isinstance(field, exprs.Program):
+        field = exprs.compile(field, exprs.coord_names(point.n))
     coords = coordinate_jets(point.holo, order, wirtinger=True)
-    jet = exprs.evaluate(field, dict(zip(exprs.coord_names(point.n), coords)))
+    jet = field.on_jets(coords, kind="z")
     if not isinstance(jet, Jet):
         space = coords[0].space
         jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
@@ -107,24 +111,27 @@ class PotentialChart:
     def is_exact(self):
         return not callable(self.potential)
 
-    @property
-    def coord_names(self):
-        return exprs.coord_names(self.dimension)
+    @functools.cached_property
+    def _programs(self):
+        """The compiled potential (or the callable itself) and domain, on
+        first use: the benchmark's set-up builds charts, not programs."""
+        names = exprs.coord_names(self.dimension)
+        potential = self.potential
+        if not callable(potential):
+            potential = exprs.compile(potential, names)
+        domain = None if self.domain is None else exprs.compile(self.domain, names)
+        return potential, domain
 
     def potential_value(self, point: ChartPoint) -> float:
         if callable(self.potential):
             return float(self.potential(point.real_view))
-        env = dict(zip(self.coord_names, point.holo))
-        return complex(exprs.evaluate(self.potential, env)).real
+        return complex(self._programs[0].on_numbers(point.holo)).real
 
     def admits(self, point: ChartPoint) -> bool:
         if not all(lo <= c <= hi for c, (lo, hi) in zip(point.real_view, self.box)):
             return False
-        if self.domain is not None:
-            env = dict(zip(self.coord_names, point.holo))
-            if complex(exprs.evaluate(self.domain, env)).real <= 0.0:
-                return False
-        return True
+        domain = self._programs[1]
+        return domain is None or not complex(domain.on_numbers(point.holo)).real <= 0.0
 
     def geometry(self, point: ChartPoint, lift_order=DEFAULT_ORDER) -> "ChartGeometry":
         """A new geometry at a point, lifted to ``lift_order``:
@@ -170,13 +177,28 @@ class ChartGeometry:
         self.n = chart.dimension
         self.lift_order = lift_order
 
+    @classmethod
+    def stacked(cls, geometries):
+        """The geometries of several points of one chart as one geometry,
+        whose g, G, G_inv, dg and ddg are theirs stacked along a leading
+        point axis.  The members that stage 5 reads from these (g_inv,
+        curvature, ricci, Ric) are written for any leading axes, so each
+        is the same code on one point and on the stack, and equal point by
+        point bit for bit."""
+        first = geometries[0]
+        stack = cls.__new__(cls)
+        stack.chart, stack.n, stack.lift_order = first.chart, first.n, first.lift_order
+        for name in ("g", "G", "G_inv", "dg", "ddg"):
+            stack.__dict__[name] = np.array([getattr(geom, name) for geom in geometries])
+        return stack
+
     # -- potential and its partial tensors -------------------------------------
 
     @cached
     def _lift(self):
         """(jet, Hermitian defect) of the potential lifted to ``lift_order``."""
         chart = self.chart
-        return lift_to_jet(chart.potential, self.point, self.lift_order, chart.fd_scale)
+        return lift_to_jet(chart._programs[0], self.point, self.lift_order, chart.fd_scale)
 
     @property
     def psi_jet(self):
@@ -229,15 +251,19 @@ class ChartGeometry:
     @cached
     def ricci(self):
         """Ricci coefficients Ric_{i jbar} = g^{lbar k} R_{i jbar k lbar}, which
-        equals -d_i dbar_j log det g."""
-        return np.einsum("lk,ijkl->ij", self.g_inv, self.curvature)
+        equals -d_i dbar_j log det g; one contraction per point."""
+        g_inv, R = self.g_inv, self.curvature
+        if g_inv.ndim == 2:
+            return np.einsum("lk,ijkl->ij", g_inv, R)
+        return np.array([np.einsum("lk,ijkl->ij", a, b) for a, b in zip(g_inv, R)])
 
     @cached
     def curvature(self):
         """R[i,j,k,l] = -d_i dbar_j g_{k lbar} + g^{qbar p} d_i g_{k qbar} dbar_j g_{p lbar}."""
-        n, dg = self.n, self.dg.reshape(-1, self.n)  # rows (i, k)
-        term2 = (dg @ self.g_inv) @ np.conj(dg).T  # [(i, k), (j, l)]
-        return -self.ddg + term2.reshape((n,) * 4).transpose(0, 2, 1, 3)
+        n, lead = self.n, self.dg.shape[:-3]
+        dg = self.dg.reshape(lead + (n * n, n))  # rows (i, k)
+        term2 = (dg @ self.g_inv) @ np.conj(dg).swapaxes(-1, -2)  # [(i, k), (j, l)]
+        return -self.ddg + term2.reshape(lead + (n,) * 4).swapaxes(-3, -2)
 
     # -- real metric data --------------------------------------------------------
 

@@ -35,13 +35,15 @@ def _halton_start(seed):
     return 17 + 1009 * int(seed)
 
 
-def halton_points(dim, count, seed=0):
-    """``count`` points of the Halton sequence in [0, 1)^dim.
+def halton_points(dim, count, seed=0, skip=0):
+    """``count`` points of the Halton sequence in [0, 1)^dim, after the
+    seed's first ``skip`` points.
 
     Each column runs the digit loop of the radical inverse over all rows at
-    once, with the same float operations per element as the scalar loop.
+    once, with the same float operations per element as the scalar loop, so
+    a point does not depend on the rows drawn with it.
     """
-    start = _halton_start(seed)
+    start = _halton_start(seed) + skip
     out = np.empty((count, dim))
     for d, base in enumerate(_first_primes(dim)):
         i = np.arange(start, start + count, dtype=np.int64)
@@ -54,12 +56,13 @@ def halton_points(dim, count, seed=0):
     return out
 
 
-def box_points(box, count, seed=0):
-    """Halton points inside a box, shrunk by ``DEFAULT_MARGIN`` of each side."""
+def box_points(box, count, seed=0, skip=0):
+    """Halton points inside a box, shrunk by ``DEFAULT_MARGIN`` of each side
+    (see ``halton_points`` for ``skip``)."""
     box = np.asarray(box, dtype=float)
     lo = box[:, 0] + DEFAULT_MARGIN * (box[:, 1] - box[:, 0])
     hi = box[:, 1] - DEFAULT_MARGIN * (box[:, 1] - box[:, 0])
-    unit = halton_points(box.shape[0], count, seed)
+    unit = halton_points(box.shape[0], count, seed, skip)
     return lo + unit * (hi - lo)
 
 
@@ -107,12 +110,17 @@ def sample_chart_points(chart, count, seed=0):
     Points outside the domain predicate or with a degenerate metric are
     skipped and counted; the stream is extended until ``count`` admitted
     points are found or ``MAX_CANDIDATE_FACTOR * count`` candidates were
-    tried.
+    tried.  Candidates are drawn ``count`` at a time, as they are needed:
+    at an admit ratio near 1 that is one or two draws, not the whole budget.
     """
     stats = SampleStats(requested=count)
     accepted = []
     budget = MAX_CANDIDATE_FACTOR * count
-    raw = box_points(chart.box, budget, seed=seed)
+    raw = (
+        row
+        for skip in range(0, budget, count)
+        for row in box_points(chart.box, count, seed=seed, skip=skip)
+    )
     for row in raw:
         if len(accepted) >= count:
             break

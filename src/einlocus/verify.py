@@ -27,7 +27,7 @@ from .antiholo import (
     isometry_residual,
 )
 from .bundles import ManifoldBundle
-from .criterion import map_normal_projector, spectral_test, trace_operator_at
+from .criterion import _frobenius, map_normal_projector, spectral_test, trace_operator_at
 from .errors import (
     ChartDomainError,
     DegenerateMetricError,
@@ -378,36 +378,34 @@ def _stages(bundle, config, tol, report):
     if _stopped(report) == EXIT_HYPOTHESES_FAILED:
         return None
 
-    # -- stage 5: trace operator and spectral test ---------------------------------------
-    point_verdicts = []
-    cross_route = []
-    c_values = []
-    kappa_values = []
-    restricted_spread = []
-    for lp in lpoints:
-        op = trace_operator_at(lp, map_normal_projector(mapping, lp.point))
-        cross_route.append(op.route_agreement)
-        sv = spectral_test(op.matrix, tol.tol_sym, tol.tol_eig)
-        point_verdicts.append(sv)
-        c_values.append(sv.C_est)
+    # -- stage 5: trace operator and spectral test, on all locus points at once -----
+    projectors = np.array([map_normal_projector(mapping, lp.point) for lp in lpoints])
+    stack = LocusGeometry.stacked(lpoints)
+    op = trace_operator_at(stack, projectors)
+    sv = spectral_test(op.matrix, tol.tol_sym, tol.tol_eig)
+    cross_route = op.route_agreement.tolist()
+    c_values = sv.C_est.tolist()
+    for lp, eigs, sym_res, spread, c, einstein in zip(
+        lpoints, sv.eigenvalues.tolist(), sv.symmetric_residual.tolist(),
+        sv.eigenvalue_spread.tolist(), c_values, sv.einstein.tolist(),
+    ):  # fmt: skip
         report["spectral"]["per_point"].append(
             {
                 "t": [float(x) for x in lp.t],
-                "eigenvalues": list(sv.eigenvalues),
-                "symmetric_residual": sv.symmetric_residual,
-                "eigenvalue_spread": sv.eigenvalue_spread,
-                "C_est": sv.C_est,
-                "einstein": sv.einstein,
+                "eigenvalues": eigs,
+                "symmetric_residual": sym_res,
+                "eigenvalue_spread": spread,
+                "C_est": c,
+                "einstein": einstein,
             }
         )
-        # restricted-Ricci route (the biconditional cross-check); the gates
-        # above established total geodesy
-        R_res, nloc = restricted_ricci(lp), lp.m
-        kappa_pt = float(np.trace(R_res) / nloc)
-        kappa_values.append(kappa_pt)
-        restricted_spread.append(
-            float(np.linalg.norm(R_res - kappa_pt * np.eye(nloc)) / max(1.0, abs(kappa_pt)))
-        )
+    # restricted-Ricci route (the biconditional cross-check); the gates
+    # above established total geodesy
+    R_res, nloc = restricted_ricci(stack), stack.m
+    kappa = np.trace(R_res, axis1=1, axis2=2) / nloc
+    off = R_res - kappa[:, None, None] * np.eye(nloc)
+    kappa_values = kappa.tolist()
+    restricted_spread = (_frobenius(off) / np.fmax(1.0, np.abs(kappa))).tolist()
 
     # reported, not gated: stage 5 stops nothing
     _check(report, "trace_route_agreement", cross_route, tol.report_cross_route)
@@ -429,9 +427,7 @@ def _stages(bundle, config, tol, report):
     if tol.tol_const / 2.0 <= C_spread < tol.tol_const:
         warnings.append("eigenvalue constant C is near the constancy threshold")
 
-    einstein_by_spectrum = bool(
-        all(v.einstein for v in point_verdicts) and C_spread < tol.tol_const
-    )
+    einstein_by_spectrum = bool(sv.einstein.all() and C_spread < tol.tol_const)
     split_gap = abs(lam - kappa_est - C_est)
     if einstein_by_spectrum and split_gap > tol.tol_const:
         warnings.append(

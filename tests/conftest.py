@@ -7,9 +7,68 @@ import sympy as sp
 
 from einlocus import exprs, jets
 from einlocus.coords import j_matrix, wirtinger_jet, wirtinger_matrix
-from einlocus.errors import NonAnalyticFieldError
-from einlocus.metrics import METRIC_ORDER, PotentialChart
+from einlocus.errors import NonAnalyticFieldError, UnknownPrimitiveError
+from einlocus.metrics import METRIC_ORDER, PotentialChart, _real_metric_matrix
 from einlocus.sampling import sample_chart_points
+
+
+# The recursive tree walk that ``exprs.evaluate`` once was: the reference
+# the compiled programs reproduce bit for bit.  Each unary head with its
+# operation on a jet and on a number.
+_ORACLE_UNARY = {
+    "log": (lambda x: x.log(), lambda x: np.log(complex(x))),
+    "exp": (lambda x: x.exp(), lambda x: np.exp(complex(x))),
+    "sqrt": (lambda x: x.sqrt(), lambda x: np.sqrt(complex(x))),
+    "abs2": (lambda x: x * x.conjugate(), lambda x: x * np.conj(x)),
+    "conj": (lambda x: x.conjugate(), np.conj),
+    "re": (lambda x: x.real, lambda x: complex(x).real),
+    "im": (lambda x: x.imag, lambda x: complex(x).imag),
+}
+
+
+def interpret(expr, env):
+    """Evaluate an expression tree in an environment of numbers or jets by
+    walking it, with the jet operations of ``jets.Jet``."""
+    if isinstance(expr, str):
+        if expr == "I":
+            return 1j
+        try:
+            return env[expr]
+        except KeyError:
+            raise UnknownPrimitiveError(f"unknown identifier {expr!r}") from None
+    if isinstance(expr, numbers.Number):
+        return expr
+    head, args = expr[0], expr[1:]
+    if head == "+":
+        acc = interpret(args[0], env)
+        for a in args[1:]:
+            acc = acc + interpret(a, env)
+        return acc
+    if head == "*":
+        acc = interpret(args[0], env)
+        for a in args[1:]:
+            acc = acc * interpret(a, env)
+        return acc
+    if head == "-":
+        if len(args) == 1:
+            return -interpret(args[0], env)
+        acc = interpret(args[0], env)
+        for a in args[1:]:
+            acc = acc - interpret(a, env)
+        return acc
+    if head == "/":
+        return interpret(args[0], env) / interpret(args[1], env)
+    if head == "pow":
+        exponent = args[1]
+        if not isinstance(exponent, numbers.Number):
+            raise UnknownPrimitiveError("pow exponent must be a numeric literal")
+        base = interpret(args[0], env)
+        return base.pow(exponent) if isinstance(base, jets.Jet) else complex(base) ** exponent
+    if head in _ORACLE_UNARY:
+        on_jet, on_number = _ORACLE_UNARY[head]
+        x = interpret(args[0], env)
+        return on_jet(x) if isinstance(x, jets.Jet) else on_number(x)
+    raise UnknownPrimitiveError(f"unknown primitive {head!r}")
 
 
 def admitted_geometries(chart, count, seed=0):
@@ -388,3 +447,65 @@ def loop_jet_tables(nvars, capacity):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- stage 5 one point at a time: the reference for the stacked stage ------------------
+
+
+def per_point_curvature(geom):
+    """R[i,j,k,l] = -d_i dbar_j g_{k lbar} + g^{qbar p} d_i g_{k qbar} dbar_j g_{p lbar},
+    from one point's inverse metric, as a per-point member once computed it."""
+    n, dg = geom.n, geom.dg.reshape(-1, geom.n)  # rows (i, k)
+    g_inv = np.linalg.inv(geom.g)
+    term2 = (dg @ g_inv) @ np.conj(dg).T  # [(i, k), (j, l)]
+    return -geom.ddg + term2.reshape((n,) * 4).transpose(0, 2, 1, 3)
+
+
+def per_point_frame_curvature(lp):
+    """(Eh, U, V) of ``LocusGeometry.frame_curvature`` at one locus point."""
+    E = lp.frame
+    Eh = E[:, 0::2] + 1j * E[:, 1::2]
+    R, nn = per_point_curvature(lp.geom), lp.n**2
+    A = (Eh.T @ Eh).ravel() @ R.transpose(0, 2, 1, 3).reshape(nn, nn)  # [(j, l)]
+    B = (Eh.T @ np.conj(Eh)).ravel() @ R.transpose(0, 3, 1, 2).reshape(nn, nn)  # [(j, k)]
+    return Eh, np.conj(Eh) @ A.reshape(lp.n, -1), np.conj(Eh) @ B.reshape(lp.n, -1)
+
+
+def per_point_stage_five(lp, projector, tol_sym, tol_eig):
+    """Everything stage 5 reads at one locus point, computed there alone:
+    the trace-operator matrix and its cross route, the route agreement, the
+    spectral test's fields, and the restricted Ricci matrix with its kappa
+    and spread."""
+    geom, E = lp.geom, lp.frame
+    Eh, U, V = per_point_frame_curvature(lp)
+    mixed = 2.0 * np.real(V @ Eh.T + U @ np.conj(Eh).T)
+    cov = np.stack([-2.0 * np.imag(U - V), 2.0 * np.real(U + V)], axis=-1).reshape(E.shape)
+    M = E @ geom.G @ (j_matrix(lp.n) @ projector @ geom.G_inv @ cov.T)
+    cross = -mixed.T
+    agreement = float(
+        np.max(np.abs(M - cross)) / max(1.0, float(np.max(np.abs(M))))
+    )
+    scale = max(1.0, float(np.linalg.norm(M)))
+    sym_res = float(np.linalg.norm(M - M.T) / scale)
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    mean = float(np.mean(eigs))
+    spread = float((eigs[-1] - eigs[0]) / max(1.0, abs(mean)))
+    g_inv = np.linalg.inv(geom.g)
+    ricci = np.einsum("lk,ijkl->ij", g_inv, per_point_curvature(geom))
+    R_res = E @ _real_metric_matrix(ricci) @ E.T - mixed
+    kappa = float(np.trace(R_res) / lp.m)
+    return {
+        "matrix": M,
+        "cross_matrix": cross,
+        "route_agreement": agreement,
+        "eigenvalues": tuple(float(e) for e in eigs),
+        "symmetric_residual": sym_res,
+        "eigenvalue_spread": spread,
+        "C_est": -mean,
+        "einstein": bool(sym_res < tol_sym and spread < tol_eig),
+        "restricted_ricci": R_res,
+        "kappa": kappa,
+        "restricted_spread": float(
+            np.linalg.norm(R_res - kappa * np.eye(lp.m)) / max(1.0, abs(kappa))
+        ),
+    }

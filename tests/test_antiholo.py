@@ -1,5 +1,6 @@
 """Anti-holomorphic maps: residuals, pullbacks, fixed loci."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from einlocus import (
     verdict,
 )
 from einlocus.antiholo import involution_residual
+from einlocus.sampling import sample_parameters
 
 from conftest import (
     admitted_points,
@@ -187,6 +189,41 @@ def test_antiholomorphy_gate_ladder():
         failed = [k for k, h in data["hypotheses"].items() if not h["passed"]]
         assert failed == ([] if code == 0 else ["antiholomorphy"])
         assert (residual > gate) == (code == 3)
+
+
+def phase(angle):
+    """e^{i angle} as an expression: cos + I sin."""
+    return ("+", math.cos(angle), ("*", "I", math.sin(angle)))
+
+
+def rotated_locus(eps, theta=0.6):
+    """cpn-1 with the isometric involution w -> e^{i theta} conj(w), whose
+    fixed locus is the line e^{i theta / 2} R, and the line e^{i (theta +
+    eps) / 2} R as its declared locus: f moves the point e^{i phi} t to
+    e^{i (theta - phi)} t, so |f(p) - p| = 2 sin(eps / 2) |t|."""
+    bundle = builtin_cpn(1)
+    mapping = AntiholoMap((("*", phase(theta), ("conj", "w1")),), declared_involution=True)
+    locus = FixedLocusParam((("*", phase((theta + eps) / 2), "t1"),), ((-1.0, 1.0),))
+    return replace(bundle, mapping=mapping, locus=locus)
+
+
+def test_locus_fixed_gate_ladder():
+    # the residual is 2 sin(eps / 2) max |t| over the locus samples, so the
+    # verdict flips where that crosses gate_locus_fixed; every other gate
+    # holds, and below the flip C is cpn-1's 2
+    config = SamplingConfig(20, 20, seed=0)
+    gate = Tolerances().gate_locus_fixed
+    t_max = max(abs(t[0]) for t in sample_parameters(rotated_locus(0.0).locus, 20, seed=0))
+    for eps, code in ((1e-11, 0), (1e-10, 0), (3e-10, 3), (1e-9, 3), (1e-6, 3)):
+        data = verdict(rotated_locus(eps), config).data
+        residual = data["checks"]["locus_fixed"]["max"]
+        assert residual == pytest.approx(2.0 * math.sin(eps / 2.0) * t_max, rel=3e-6)
+        assert data["verdict"]["exit_code"] == code
+        failed = [k for k, h in data["hypotheses"].items() if not h["passed"]]
+        assert failed == ([] if code == 0 else ["locus_fixed"])
+        assert (residual > gate) == (code == 3)
+        if code == 0:
+            assert data["constants"]["C_est"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_pullback_potential_flat_scaling():

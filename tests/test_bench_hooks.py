@@ -43,7 +43,9 @@ def test_every_bench_span_has_a_live_hook():
 
 def test_stage_five_enters_the_restricted_ricci_hook():
     # stage 5 reads its restricted Ricci matrix through locus.restricted_ricci,
-    # once per admitted locus point, and never the per-vector pairing
+    # once per verdict on the stack of every admitted locus point, and never
+    # the per-vector pairing; the trace operator and the spectral test are
+    # likewise entered once, and the normal projector once per point
     tracer = load_spans().Tracer()
     with tracer.installed(einlocus):
         report, per_verdict = tracer.verdict(
@@ -51,8 +53,23 @@ def test_stage_five_enters_the_restricted_ricci_hook():
         )
     calls = per_verdict["calls"]
     assert report.exit_code == 0
-    assert calls["locus.restricted_ricci"] == report.data["counts"]["locus_admitted"] == 6
+    assert report.data["counts"]["locus_admitted"] == 6
+    assert calls["locus.restricted_ricci"] == 1
+    assert calls["criterion.trace_operator"] == calls["criterion.spectral_test"] == 1
+    assert calls["criterion.map_normal_projector"] == 6
     assert "metrics.riemann_covector" not in calls
+
+
+def test_a_traced_verdict_times_all_five_stages():
+    # the tracer opens stage 5 at the verdict's first call into the normal
+    # projector or the trace operator; a stage 5 that skipped both would
+    # fold its time into stage 4
+    tracer = load_spans().Tracer()
+    with tracer.installed(einlocus):
+        report, _ = tracer.verdict(0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0)))
+    assert report.exit_code == 0
+    assert sorted(tracer.stage_s) == [1, 2, 3, 4, 5]
+    assert all(tracer.stage_s[stage] > 0.0 for stage in range(1, 6)), dict(tracer.stage_s)
 
 
 def test_the_potential_lift_has_its_own_span():
@@ -60,7 +77,10 @@ def test_the_potential_lift_has_its_own_span():
     # is the metrics.psi_jet span's and not metrics.g's; reading the lift
     # there leaves the number of metric reads as it was.  No verdict stage
     # reads kahler_form since the report dropped the anti-isometry check
-    # (20 reads in stage 2) and the lagrangian check (10 in stage 4)
+    # (20 reads in stage 2) and the lagrangian check (10 in stage 4).
+    # Stage 5 reads g, G and G_inv once per locus point to stack them, and
+    # the stack's g_inv (twice), G and G_inv once per verdict: 34 reads
+    # where the per-point stage made 4 per point, 40
     tracer = load_spans().Tracer()
     with tracer.installed(einlocus):
         report, per_verdict = tracer.verdict(
@@ -69,7 +89,7 @@ def test_the_potential_lift_has_its_own_span():
     calls = per_verdict["calls"]
     assert report.exit_code == 0
     assert calls["metrics.psi_jet"] > 0
-    assert calls["metrics.g"] == 170
+    assert calls["metrics.g"] == 164
 
 
 def test_stage_two_reads_the_map_through_the_isometry_residual_alone():

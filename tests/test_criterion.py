@@ -12,6 +12,8 @@ from einlocus import (
     Tolerances,
     builtin_cpn,
     builtin_flat_torus,
+    locus_point,
+    restricted_ricci,
     spectral_test,
     trace_operator_at,
     verdict,
@@ -22,7 +24,24 @@ from einlocus.coords import j_matrix
 from einlocus.criterion import map_normal_projector
 from einlocus.sampling import sample_parameters
 
-from conftest import j_normal_curvature, riemann, riemann_tensor, rotated_frame
+from conftest import (
+    j_normal_curvature,
+    per_point_curvature,
+    per_point_stage_five,
+    riemann,
+    riemann_tensor,
+    rotated_frame,
+)
+
+# the tolerances under which a black-box lift passes the gates
+FD_OVERRIDES = (
+    ("gate_ambient_einstein", 5e-2),
+    ("tol_sym", 1e-2),
+    ("tol_eig", 1e-2),
+    ("tol_const", 1e-2),
+    ("gate_geodesic", 1e-3),
+    ("report_cross_route", 1e-3),
+)
 
 TOL = Tolerances()
 
@@ -272,3 +291,87 @@ def test_complex_frame_sums_match_real_tensor_on_a_rotated_frame():
     assert np.max(np.abs(rotated.mixed_curvature - mixed)) < 1e-12 * np.max(np.abs(M))
     assert np.max(np.abs(trace_operator_at(rotated, P).matrix - M)) < 1e-12 * np.max(np.abs(M))
     assert np.max(np.abs(rotated.mixed_curvature - Q.T @ lp.mixed_curvature @ Q)) < 1e-12
+
+
+def blackbox_cpn2():
+    """cpn-2 with its potential log(1 + |x|^2) as a callable."""
+    cpn2 = builtin_cpn(2)
+    chart = PotentialChart(
+        2, lambda xy: float(np.log1p(xy @ xy)), ((-1.0, 1.0),) * 4, label="black-box"
+    )
+    locus = FixedLocusParam(("t1", "t2"), ((-1.0, 1.0),) * 2)
+    return ManifoldBundle(chart, cpn2.mapping, locus, label="black-box-cpn-2")
+
+
+STAGE_FIVE_CASES = {
+    "cpn-2": lambda: builtin_cpn(2),
+    "quadric-3": lambda: builtin_quadric(3),
+    "toric-fs-2": lambda: builtin_toric_fs(2),
+    "cpn-6": lambda: builtin_cpn(6),
+    "product": product_bundle,
+    "black-box-cpn-2": blackbox_cpn2,
+}
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_FIVE_CASES))
+def test_stacked_stage_five_equals_per_point_stage_five_bit_for_bit(name):
+    # stage 5 runs once per verdict on the stacked locus geometry; each
+    # point's share must be what the per-point code computed there alone
+    bundle = STAGE_FIVE_CASES[name]()
+    points = [
+        LocusGeometry(bundle.chart, bundle.locus, t)
+        for t in sample_parameters(bundle.locus, 12, seed=2)
+    ]
+    projectors = np.array([projector(bundle, lp) for lp in points])
+    stack = LocusGeometry.stacked(points)
+    op = trace_operator_at(stack, projectors)
+    sv = spectral(op.matrix)
+    agreement = op.route_agreement
+    R = restricted_ricci(stack)
+    for p, (lp, P) in enumerate(zip(points, projectors)):
+        want = per_point_stage_five(lp, P, TOL.tol_sym, TOL.tol_eig)
+        assert bits(op.matrix[p]) == bits(want["matrix"]), (name, p)
+        assert bits(op.cross_matrix[p]) == bits(want["cross_matrix"]), (name, p)
+        assert agreement[p] == want["route_agreement"]
+        assert tuple(sv.eigenvalues[p].tolist()) == want["eigenvalues"]
+        for field in ("symmetric_residual", "eigenvalue_spread", "C_est", "einstein"):
+            assert getattr(sv, field)[p].item() == want[field], (name, p, field)
+        assert bits(R[p]) == bits(want["restricted_ricci"]), (name, p)
+        # the per-point API is the same code on one point
+        one = trace_operator_at(lp, P)
+        assert bits(one.matrix) == bits(want["matrix"])
+        assert bits(one.cross_matrix) == bits(want["cross_matrix"])
+        assert one.route_agreement == want["route_agreement"]
+        verdict_at = spectral(one.matrix)
+        assert verdict_at.eigenvalues == want["eigenvalues"]
+        assert verdict_at.C_est == want["C_est"]
+        assert bits(restricted_ricci(lp)) == bits(want["restricted_ricci"])
+        assert bits(lp.geom.curvature) == bits(per_point_curvature(lp.geom))
+
+
+@pytest.mark.parametrize("name", ["cpn-2", "quadric-3", "product", "black-box-cpn-2"])
+def test_verdict_reports_the_per_point_stage_five(name):
+    # the report's per-point spectral entries, restricted-Ricci spread and
+    # constants, recomputed one point at a time from the verdict's locus
+    # samples with the per-point oracle
+    bundle = STAGE_FIVE_CASES[name]()
+    overrides = FD_OVERRIDES if name == "black-box-cpn-2" else ()
+    tol = Tolerances().with_overrides(overrides)
+    data = verdict(bundle, SamplingConfig(10, 10, seed=1, tolerance_overrides=overrides)).data
+    entries = data["spectral"]["per_point"]
+    assert entries, name
+    kappas, spreads = [], []
+    for entry in entries:
+        lp = locus_point(LocusGeometry(bundle.chart, bundle.locus, entry["t"]))
+        want = per_point_stage_five(lp, projector(bundle, lp), tol.tol_sym, tol.tol_eig)
+        for field in ("eigenvalues", "symmetric_residual", "eigenvalue_spread", "C_est", "einstein"):
+            got = entry[field]
+            assert (tuple(got) if field == "eigenvalues" else got) == want[field], (name, field)
+        kappas.append(want["kappa"])
+        spreads.append(want["restricted_spread"])
+    assert data["checks"]["restricted_einstein_spread"]["max"] == max(spreads)
+    assert data["constants"]["kappa_est"] == float(np.median(kappas))

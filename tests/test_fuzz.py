@@ -1,11 +1,26 @@
-"""Random grammar trees: ``verdict`` always ends with an exit code, never raises."""
+"""Random grammar trees: ``verdict`` always ends with an exit code, never
+raises, and compiled programs reproduce the tree walk bit for bit."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einlocus import AntiholoMap, FixedLocusParam, ManifoldBundle, PotentialChart, verdict
-from einlocus.exprs import UNARY_HEADS, coord_names
+from einlocus import (
+    AntiholoMap,
+    FixedLocusParam,
+    Jet,
+    ManifoldBundle,
+    PotentialChart,
+    make_builtin,
+    verdict,
+)
+from einlocus.bundles import DEFAULT_SUITE
+from einlocus.exprs import UNARY_HEADS, coord_names, compile
+from einlocus.jets import coordinate_jets, jet_space
 from einlocus.sampling import SamplingConfig
+
+from conftest import admitted_points, interpret
 
 NUMBERS = st.one_of(
     st.integers(-3, 3),
@@ -77,3 +92,103 @@ def map_and_locus_bundles(draw):
 def test_verdict_never_raises_on_grammar_maps_and_loci(bundle):
     report = verdict(bundle, SamplingConfig(6, 6, seed=0))
     assert report.exit_code in {0, 2, 3, 4}
+
+
+# -- compiled programs against the tree walk -------------------------------------------
+
+BASE_POINTS = ((0.3 + 0.2j, -0.4 + 0.1j), (-0.7 + 0.5j, 0.2 - 0.6j))
+
+# label -> (plan kind, inputs at a base point): numbers, the coordinate jets
+# over the real variables at orders 1 and 2 and over (z, zbar) at orders 2
+# and 4, and the parameter jets t_d at order 2, each under the plan kind its
+# owner uses
+INPUTS = {
+    "numbers": (None, lambda holo: holo),
+    "x + iy, order 1": ("x + iy", lambda holo: coordinate_jets(holo, 1)),
+    "x + iy, order 2": ("x + iy", lambda holo: coordinate_jets(holo, 2)),
+    "z, order 2": ("z", lambda holo: coordinate_jets(holo, 2, wirtinger=True)),
+    "z, order 4": ("z", lambda holo: coordinate_jets(holo, 4, wirtinger=True)),
+    "t, order 2": (
+        "t",
+        lambda holo: [jet_space(len(holo), 2).variable(d, z.real) for d, z in enumerate(holo)],
+    ),
+}
+
+
+def outcome(run):
+    """('value', result) or ('raised', exception type), under all=raise."""
+    try:
+        with np.errstate(all="raise"):
+            return "value", run()
+    except Exception as err:  # the type is what is compared
+        return "raised", type(err)
+
+
+def assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] is want[1]
+        return
+    got, want = got[1], want[1]
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, Jet):
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert (got.order, got.degree, got.wirtinger) == (want.order, want.degree, want.wirtinger)
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), expression_trees(n))),
+    st.sampled_from(sorted(INPUTS)),
+)
+def test_compiled_programs_match_the_tree_walk_bit_for_bit(case, label):
+    n, tree = case
+    kind, build = INPUTS[label]
+    program = compile(tree, coord_names(n))
+    for holo in BASE_POINTS:  # one plan serves both base points
+        inputs = build(holo[:n])
+        env = dict(zip(coord_names(n), inputs))
+        if kind is None:
+            got = outcome(lambda: program.on_numbers(inputs))
+        else:
+            got = outcome(lambda: program.on_jets(inputs, kind))
+        assert_same(got, outcome(lambda: interpret(tree, env)))
+
+
+def is_subsequence(rows, of):
+    """Whether the table rows ``rows`` appear in ``of`` in the same order."""
+    keys = [tuple(r) for r in np.stack(rows, axis=1).tolist()]
+    remaining = iter(tuple(r) for r in np.stack(of, axis=1).tolist())
+    return all(key in remaining for key in keys)
+
+
+@pytest.mark.parametrize("name, n", DEFAULT_SUITE + (("cpn", 6), ("toric-fs", 4)))
+def test_planned_products_keep_rows_of_their_selection_in_table_order(name, n):
+    bundle = make_builtin(name, n)
+    point = admitted_points(bundle.chart, 1)[0]
+    for order in (2, 4):
+        program = compile(bundle.chart.potential, coord_names(n))
+        program.on_jets(coordinate_jets(point.holo, order, wirtinger=True), "z")
+        (plan,) = program._plans.values()
+        assert plan.products
+        for key, rows in plan.products:
+            selection = plan.space._mul_selection(*key)
+            assert len(rows[0]) <= len(selection[0])
+            assert is_subsequence(rows, selection), (name, n, order, key)
+
+
+def test_folding_takes_whole_constant_subtrees_only():
+    names = ("w1",)
+    # no reassociation: (w1 + 1) + 2, not w1 + 3
+    assert compile(("+", "w1", 1, 2), names)._root == ("+", ("input", 0), ("const", 1), ("const", 2))
+    assert compile(("*", "w1", ("+", 1, 2)), names)._root == ("*", ("input", 0), ("const", 3))
+    assert compile(("exp", ("+", 1, "I")), names)._root == ("const", np.exp(1 + 1j))
+    # a constant that raises or sets a floating-point flag stays a subtree
+    # and fails where the program runs, as the tree walk does
+    for tree, error in ((("log", 0), FloatingPointError), (("/", 1, 0), ZeroDivisionError)):
+        program = compile(tree, names)
+        assert program._root[0] != "const"
+        with np.errstate(all="raise"), pytest.raises(error):
+            program.on_numbers((0.5,))

@@ -1,9 +1,24 @@
-"""Halton sampling: the vectorised sequence against the scalar digit loop."""
+"""Halton sampling: the vectorised sequence against the scalar digit loop, and
+the chunked candidate draw against the whole-budget draw."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from einlocus.sampling import MAX_CANDIDATE_FACTOR, SamplingConfig, _first_primes, halton_points
+from einlocus import PotentialChart, make_builtin
+from einlocus.bundles import DEFAULT_SUITE
+from einlocus.coords import ChartPoint
+from einlocus.errors import ChartDomainError, DegenerateMetricError
+from einlocus.sampling import (
+    MAX_CANDIDATE_FACTOR,
+    SampleStats,
+    SamplingConfig,
+    _first_primes,
+    box_points,
+    halton_points,
+    sample_chart_points,
+)
 
 
 def _radical_inverse(i, base):
@@ -61,3 +76,62 @@ def test_sampling_config_rejects_a_seed_past_the_int64_halton_index():
         halton_points(2, 3, top + 2)
     with pytest.raises(ValueError, match=f"seed {top + 1} is too large"):
         SamplingConfig(3, 3, seed=top + 1)
+
+
+def whole_budget_sample(chart, count, seed=0):
+    """``sample_chart_points`` as it once was: the whole candidate budget
+    drawn before the first admission.  The reference the chunked draw
+    reproduces bit for bit."""
+    stats = SampleStats(requested=count)
+    accepted = []
+    for row in box_points(chart.box, MAX_CANDIDATE_FACTOR * count, seed=seed):
+        if len(accepted) >= count:
+            break
+        try:
+            geom = chart.geometry(ChartPoint.from_real(row))
+        except ChartDomainError:
+            stats.rejected_domain += 1
+            continue
+        try:
+            geom.g
+        except DegenerateMetricError:
+            stats.rejected_degenerate += 1
+            continue
+        accepted.append(geom)
+        stats.admitted += 1
+    return accepted, stats
+
+
+def sampling_charts():
+    """Charts whose draws admit all, some, or none of their candidates."""
+    flat = PotentialChart(1, ("abs2", "w1"), ((-1.0, 1.0),) * 2, label="flat")
+    yield from (make_builtin(name, n).chart for name, n in DEFAULT_SUITE)
+    # a domain that rejects about three candidates in four
+    yield replace(flat, domain=("-", 0.25, ("abs2", "w1")), label="disc")
+    # a potential degenerate where Re w1 < 0, and a domain nothing meets
+    yield replace(flat, potential=("*", ("+", ("re", "w1"), ("abs2", ("re", "w1"))), ("abs2", "w1")), label="half")
+    yield replace(flat, domain=("-", -1.0, ("abs2", "w1")), label="empty")
+
+
+@pytest.mark.parametrize("count, seed", [(2, 0), (7, 1), (20, 3)])
+def test_chunked_draw_matches_the_whole_budget_draw_bit_for_bit(count, seed):
+    for chart in sampling_charts():
+        got, got_stats = sample_chart_points(chart, count, seed)
+        want, want_stats = whole_budget_sample(chart, count, seed)
+        assert got_stats == want_stats, chart.label
+        assert [g.point.real_view.tobytes() for g in got] == [
+            w.point.real_view.tobytes() for w in want
+        ], chart.label
+
+
+def test_a_draw_that_admits_nothing_tries_the_whole_budget():
+    chart = PotentialChart(1, ("abs2", "w1"), ((-1.0, 1.0),) * 2, domain=("-", -1.0, ("abs2", "w1")))
+    got, stats = sample_chart_points(chart, 3)
+    assert got == []
+    assert stats == SampleStats(requested=3, rejected_domain=MAX_CANDIDATE_FACTOR * 3)
+
+
+def test_halton_skip_continues_the_stream():
+    whole = halton_points(3, 50, seed=2)
+    parts = [halton_points(3, 20, seed=2), halton_points(3, 30, seed=2, skip=20)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()

@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import subprocess
 import sys
+import types
 
 from einlocus import SamplingConfig, make_builtin, verdict
 from einlocus.bundles import DEFAULT_SUITE
@@ -26,6 +27,16 @@ def test_run_builtins_writes_one_report_per_suite_bundle(tmp_path):
         assert written == verdict(bundle, SamplingConfig(4, 4)).to_json(), bundle.label
 
 
+def load_report_digests():
+    """The digest script as a module, executed from its source without
+    writing bytecode next to it."""
+    path = SCRIPTS / "report_digests.py"
+    module = types.ModuleType("report_digests")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
 def test_report_digests_prints_each_reports_sha256():
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "report_digests.py"), "--samples", "4", "--seeds", "0"],
@@ -35,10 +46,15 @@ def test_report_digests_prints_each_reports_sha256():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    cases = DEFAULT_SUITE + (("cpn", 6), ("quadric", 4), ("toric-fs", 4))
-    assert len(lines) == len(cases) == 13
-    for line, (name, n) in zip(lines, cases):
-        bundle = make_builtin(name, n)
+    bundles = load_report_digests().bundles()
+    assert len(lines) == len(bundles) == 17
+    exits = []
+    for line, bundle in zip(lines, bundles):
         report = verdict(bundle, SamplingConfig(4, 4, seed=0))
         digests = [hashlib.sha256(r.encode()).hexdigest() for r in (report.to_json(), report.to_text())]
         assert line.split() == [bundle.label, "0", *digests]
+        exits.append(report.exit_code)
+    # the digests cover the suite and its three larger built-ins (exit 0),
+    # the product (exit 2), two gate failures (exit 3) and a callable potential
+    assert exits == [0] * 13 + [2, 3, 3, 0]
+    assert not bundles[-1].chart.is_exact
