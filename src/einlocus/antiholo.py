@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprs
 from .coords import ChartPoint, j_matrix
-from .jets import Jet, coordinate_jets, jet_space
+from .jets import Jet, jet_space
 from .metrics import ChartGeometry, PotentialChart
 
 
@@ -44,19 +44,13 @@ class AntiholoMap:
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
         """The 2n x 2n real Jacobian Df at a point, from order-1 jets."""
-        coords = coordinate_jets(point.holo, order=1)
-        return _real_jacobian(_jets_of(self._programs, coords, "x + iy"))
+        jets = exprs.on_coordinates(self._programs, point.holo, 1)
+        return _real_jacobian(_as_jets(jets, jet_space(2 * len(point.holo), 1)))
 
 
-def _jets_of(programs, inputs, kind):
-    """Each program run on the input jets of one ``kind`` (see
-    ``exprs.Program.on_jets``), a constant as a constant jet."""
-    space = inputs[0].space
-    out = []
-    for program in programs:
-        jet = program.on_jets(inputs, kind)
-        out.append(jet if isinstance(jet, Jet) else space.constant(jet))
-    return out
+def _as_jets(values, space):
+    """Program results as jets of ``space``: a constant as a constant jet."""
+    return [x if isinstance(x, Jet) else space.constant(x) for x in values]
 
 
 def _real_jacobian(jets) -> np.ndarray:
@@ -134,9 +128,8 @@ class FixedLocusParam:
 
     def component_jets(self, t, order=4):
         """The chart coordinates of the locus as jets in the parameters."""
-        space = jet_space(self.n_params, order)
-        params = [space.variable(d, float(t[d])) for d in range(self.n_params)]
-        return _jets_of(self._programs, params, "t")
+        jets = exprs.on_parameters(self._programs, t, order)
+        return _as_jets(jets, jet_space(self.n_params, order))
 
     def jacobian(self, t) -> np.ndarray:
         """Real 2n x m Jacobian d(param)/dt."""

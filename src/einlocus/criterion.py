@@ -38,8 +38,8 @@ class TraceOperatorAt:
     ``cross_matrix`` is the same object assembled from curvature scalars,
     minus the transposed ``LocusGeometry.mixed_curvature``.  The matrix
     depends on the frame only through orthogonal conjugation.  For a
-    stacked locus geometry both carry a leading point axis, and so does
-    the route agreement.
+    stacked locus geometry both carry a leading point axis, and the route
+    agreement is an array over it rather than a number.
     """
 
     matrix: np.ndarray
@@ -48,8 +48,7 @@ class TraceOperatorAt:
     @property
     def route_agreement(self):
         worst = np.abs(self.matrix - self.cross_matrix).max(axis=(-2, -1))
-        out = worst / np.fmax(1.0, np.abs(self.matrix).max(axis=(-2, -1)))
-        return float(out) if out.ndim == 0 else out
+        return (worst / np.fmax(1.0, np.abs(self.matrix).max(axis=(-2, -1))))[()]
 
 
 def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
@@ -68,14 +67,16 @@ def trace_operator_at(lp: LocusGeometry, projector) -> TraceOperatorAt:
 
 @dataclass(frozen=True)
 class SpectralVerdict:
-    """Outcome of the spectral Einstein test at one point, or, for a stack of
-    matrices, one array entry per point in each field."""
+    """Outcome of the spectral Einstein test.  For one matrix the fields are
+    a tuple of floats, floats and a bool; for a stack of P matrices each is
+    an array with one entry per matrix: eigenvalues (P, m), the others
+    (P,)."""
 
-    eigenvalues: tuple
-    symmetric_residual: float
-    eigenvalue_spread: float
-    C_est: float
-    einstein: bool
+    eigenvalues: tuple | np.ndarray
+    symmetric_residual: float | np.ndarray
+    eigenvalue_spread: float | np.ndarray
+    C_est: float | np.ndarray
+    einstein: bool | np.ndarray
 
 
 def _frobenius(M):

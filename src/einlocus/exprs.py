@@ -15,19 +15,34 @@ fields along a parametrized locus) a matter of seeding the inputs.
 subtree without an identifier is folded into its value (a whole subtree
 only, so ``("+", "w1", 1, 2)`` stays (w1 + 1) + 2), and the rest becomes
 nested closures.  On numbers a program runs those closures.  On jets it
-runs a plan, made once per jet space, order, variable kind and input
-support and kept on the program (a taped evaluation: Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008).  The plan starts from the
+runs a plan, made once per input structure (the jet space, order, degree,
+variable kind and nonzero pattern of each input) and kept on the program
+(a taped evaluation: Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008).  ``on_coordinates`` and ``on_parameters`` build the
+coordinate or parameter jets at a base point themselves, so they know
+that structure without reading it off the inputs.  The plan starts from the
 positions where each input jet may be nonzero (a coordinate z_j over
 (z, zbar) is nonzero at 1 and z_j only, a parameter t_d at 1 and t_d) and
 carries that support through every operation.  Each product keeps, in
 table order, only the rows of its degree-block selection
 (``JetSpace._mul_selection``) whose two operand positions are both in
 support, and every truncation mask and every Horner step of the analytic
-compositions is fixed when the plan is made.  A dropped row could only
-add an exact zero to a sum that starts at +0.0, so the coefficients are
-those of the jet operations in ``jets``, bit for bit.  ``evaluate`` is
-compile-and-run.
+compositions is fixed when the plan is made.  While every coefficient is
+finite, a dropped row could only add an exact zero to a sum that starts
+at +0.0, so the coefficients are those of the jet operations in ``jets``,
+bit for bit.  An infinite coefficient is outside that claim: the jet
+operation multiplies it by the structural zeros the plan drops, an
+invalid inf * 0 the plan never performs, so where the jet operation
+raises under ``np.errstate(invalid="raise")`` the plan need not.
+``evaluate`` is compile-and-run.
+
+The plans and the ``Jet`` operations are two implementations of one
+semantics, held to each other by a hypothesis test.  Filtering rows inside
+``Jet.__mul__`` instead, by its operands' nonzero positions, keeps the row
+cut but not the gain: at the suite's dimensions most of a plan's saving is
+the per-operation Python it does not run (the ``Jet`` objects, degree and
+kind bookkeeping and table lookups), and the row cut pays off from about
+six complex dimensions up.
 """
 
 from __future__ import annotations
@@ -46,6 +61,8 @@ from .jets import (
     _plus,
     _product,
     _reciprocal_series,
+    coordinate_jets,
+    jet_space,
     result_kind,
 )
 
@@ -113,7 +130,9 @@ class Program:
     """A compiled expression tree.  ``on_numbers(values)`` runs it on
     numbers, one per name; ``on_jets(inputs)`` on jets of one space
     (numbers may stand in for some inputs).  Each runs a plan, made on
-    first use per input structure and kept on the program."""
+    first use per input structure and kept on the program; the module's
+    ``on_coordinates`` and ``on_parameters`` run programs on the jets they
+    build themselves."""
 
     def __init__(self, root):
         self._root = root
@@ -125,31 +144,47 @@ class Program:
             plan = self._plans[None] = _Plan(self._root, (None,) * len(values))
         return plan(values)
 
-    def on_jets(self, inputs, kind=None):
+    def on_jets(self, inputs):
         """The jet (or number, for a constant tree) of the program on
         ``inputs``.  A plan starts from each jet input's support: its
-        nonzero positions and its constant term.  Without ``kind`` the plan
-        is kept per input structure, found from the inputs on every call.
-        ``kind`` names jet inputs built one way, such as the coordinate jets
-        of ``jets.coordinate_jets`` or of ``JetSpace.variable``: jets that
-        share their space, order, degree, variable kind and zero pattern
-        outside the constant term at every base point.  The plan is then
-        kept per (space, kind) and made from the first inputs."""
-        if kind is None:
-            kind = tuple(
-                (x.space, x.order, x.degree, x.wirtinger, (x.coeffs[1:] != 0).tobytes())
-                if isinstance(x, Jet)
-                else None
-                for x in inputs
-            )
-            values = tuple(x.coeffs if isinstance(x, Jet) else x for x in inputs)
-        else:
-            kind = (inputs[0].space, kind)
-            values = tuple(x.coeffs for x in inputs)
-        plan = self._plans.get(kind)
+        nonzero positions and its constant term.  It is kept per input
+        structure (space, order, degree, variable kind and the nonzero
+        pattern outside the constant term of every jet input), read off
+        the inputs on every call."""
+        structure = tuple(
+            (x.space, x.order, x.degree, x.wirtinger, (x.coeffs[1:] != 0).tobytes())
+            if isinstance(x, Jet)
+            else None
+            for x in inputs
+        )
+        return self._run_plan(structure, inputs)
+
+    def _run_plan(self, key, inputs):
+        """The program on ``inputs`` by the plan kept under ``key``, made
+        from these inputs if there is none."""
+        plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[kind] = _Plan(self._root, inputs)
-        return plan(values)
+            plan = self._plans[key] = _Plan(self._root, inputs)
+        return plan(tuple(x.coeffs if isinstance(x, Jet) else x for x in inputs))
+
+
+def on_coordinates(programs, holo, order, wirtinger=False):
+    """Each program's ``on_jets`` on the coordinate jets
+    ``jets.coordinate_jets(holo, order, wirtinger)``, built once for all.
+    Built here, their structure is known: it is the same at every base
+    point, so each plan is kept per (number of coordinates, order, variable
+    kind) without reading the structure off every call."""
+    inputs = coordinate_jets(holo, order, wirtinger)
+    key = ("coordinates", len(holo), order, wirtinger)
+    return [program._run_plan(key, inputs) for program in programs]
+
+
+def on_parameters(programs, t, order):
+    """Each program's ``on_jets`` on the parameter jets
+    ``JetSpace.variable(d, t[d])``, as ``on_coordinates`` does."""
+    space = jet_space(len(t), order)
+    inputs = [space.variable(d, float(x)) for d, x in enumerate(t)]
+    return [program._run_plan(("parameters", len(t), order), inputs) for program in programs]
 
 
 class _Shape:

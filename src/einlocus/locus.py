@@ -218,7 +218,15 @@ class LocusGeometry:
         """The locus geometries ``points`` as one, for stage 5: their frames
         stacked along a leading point axis over their stacked chart
         geometries (``ChartGeometry.stacked``).  Every member that stage 5
-        reads is the same code on one point and on the stack."""
+        reads is the same code on one point and on the stack.
+
+        A stacked locus geometry supports ``chart``, ``locus``, ``n``, ``m``,
+        ``frame``, ``geom`` (the stacked chart geometry, with the members
+        ``ChartGeometry.stacked`` lists), ``frame_curvature`` and
+        ``mixed_curvature``, and so ``trace_operator_at`` and
+        ``restricted_ricci``; nothing else.  It has no ``t`` or ``point``,
+        and the members that stages 3 and 4 read (the parameter jets, the
+        Jacobian, the second fundamental forms) are for one point only."""
         first = points[0]
         stack = cls.__new__(cls)
         stack.chart, stack.locus, stack.n, stack.m = first.chart, first.locus, first.n, first.m

@@ -37,7 +37,7 @@ import numpy as np
 from . import exprs
 from .coords import ChartPoint, j_matrix
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
-from .jets import DEFAULT_ORDER, Jet, coordinate_jets, lift_callable_to_jet
+from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
 # Smallest admissible ratio of metric eigenvalues, and of the largest metric
 # eigenvalue to the norm of the potential's real Hessian; below either a
@@ -72,10 +72,9 @@ def lift_to_jet(field, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
         return real.to_wirtinger(), 0.0
     if not isinstance(field, exprs.Program):
         field = exprs.compile(field, exprs.coord_names(point.n))
-    coords = coordinate_jets(point.holo, order, wirtinger=True)
-    jet = field.on_jets(coords, kind="z")
+    (jet,) = exprs.on_coordinates([field], point.holo, order, wirtinger=True)
     if not isinstance(jet, Jet):
-        space = coords[0].space
+        space = jet_space(2 * point.n, order)
         jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
     dust = float(np.abs(jet.coeffs - jet.conjugate().coeffs).max())
     scale = 1.0 + float(np.abs(jet.coeffs).max())
@@ -184,7 +183,14 @@ class ChartGeometry:
         point axis.  The members that stage 5 reads from these (g_inv,
         curvature, ricci, Ric) are written for any leading axes, so each
         is the same code on one point and on the stack, and equal point by
-        point bit for bit."""
+        point bit for bit.
+
+        Those nine members and ``chart``, ``n`` and ``lift_order`` are all
+        that a stacked geometry supports.  It has no ``point``, so
+        ``psi_jet`` and ``hermitian_defect`` raise AttributeError; ``dG``,
+        ``christoffel``, ``kahler_form``, ``ricci_real`` and
+        ``riemann_covector`` are written for one point and give wrong
+        shapes or numbers on a stack."""
         first = geometries[0]
         stack = cls.__new__(cls)
         stack.chart, stack.n, stack.lift_order = first.chart, first.n, first.lift_order
@@ -251,7 +257,8 @@ class ChartGeometry:
     @cached
     def ricci(self):
         """Ricci coefficients Ric_{i jbar} = g^{lbar k} R_{i jbar k lbar}, which
-        equals -d_i dbar_j log det g; one contraction per point."""
+        equals -d_i dbar_j log det g; one contraction per point, on a stack
+        too, as a stacked contraction does not sum in the same order."""
         g_inv, R = self.g_inv, self.curvature
         if g_inv.ndim == 2:
             return np.einsum("lk,ijkl->ij", g_inv, R)

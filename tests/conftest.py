@@ -1,5 +1,7 @@
 import math
 import numbers
+import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -69,6 +71,21 @@ def interpret(expr, env):
         x = interpret(args[0], env)
         return on_jet(x) if isinstance(x, jets.Jet) else on_number(x)
     raise UnknownPrimitiveError(f"unknown primitive {head!r}")
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def report_digests():
+    """``scripts/report_digests.py`` as a module, executed from its source
+    without writing bytecode next to it.  Its bundles (the product, the
+    black-box cpn-2 with its tolerance overrides) are test fixtures too, so
+    the digests and the tests check one copy of each."""
+    path = SCRIPTS / "report_digests.py"
+    module = types.ModuleType("report_digests")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def admitted_geometries(chart, count, seed=0):

@@ -5,7 +5,6 @@ import pytest
 
 from einlocus import (
     ChartGeometry,
-    ChartPoint,
     LocusGeometry,
     PotentialChart,
     SamplingConfig,
@@ -18,8 +17,7 @@ from einlocus import (
     trace_operator_at,
     verdict,
 )
-from einlocus.antiholo import FixedLocusParam
-from einlocus.bundles import ManifoldBundle, builtin_quadric, builtin_toric_fs
+from einlocus.bundles import builtin_quadric, builtin_toric_fs
 from einlocus.coords import j_matrix
 from einlocus.criterion import map_normal_projector
 from einlocus.sampling import sample_parameters
@@ -28,20 +26,15 @@ from conftest import (
     j_normal_curvature,
     per_point_curvature,
     per_point_stage_five,
+    report_digests,
     riemann,
     riemann_tensor,
     rotated_frame,
 )
 
-# the tolerances under which a black-box lift passes the gates
-FD_OVERRIDES = (
-    ("gate_ambient_einstein", 5e-2),
-    ("tol_sym", 1e-2),
-    ("tol_eig", 1e-2),
-    ("tol_const", 1e-2),
-    ("gate_geodesic", 1e-3),
-    ("report_cross_route", 1e-3),
-)
+# the digest script's product and black-box cpn-2 (with the tolerance
+# overrides under which its finite-difference lift passes the gates)
+DIGESTS = report_digests()
 
 TOL = Tolerances()
 
@@ -245,18 +238,7 @@ def real_tensor_frame_sums(lp, projector):
     return mixed, M
 
 
-def product_bundle():
-    """CP^1 x CP^2 scaled to a common Einstein constant: not Einstein on its
-    real form, so the trace matrix is not a multiple of the identity."""
-    cpn3 = builtin_cpn(3)
-    psi = (
-        "+",
-        ("*", 2, ("log", ("+", 1, ("abs2", "w1")))),
-        ("*", 3, ("log", ("+", 1, ("abs2", "w2"), ("abs2", "w3")))),
-    )
-    chart = PotentialChart(3, psi, ((-1.0, 1.0),) * 6, label="product")
-    locus = FixedLocusParam(("t1", "t2", "t3"), ((-1.0, 1.0),) * 3)
-    return ManifoldBundle(chart, cpn3.mapping, locus, label="product")
+product_bundle = DIGESTS.product
 
 
 @pytest.mark.parametrize(
@@ -293,23 +275,13 @@ def test_complex_frame_sums_match_real_tensor_on_a_rotated_frame():
     assert np.max(np.abs(rotated.mixed_curvature - Q.T @ lp.mixed_curvature @ Q)) < 1e-12
 
 
-def blackbox_cpn2():
-    """cpn-2 with its potential log(1 + |x|^2) as a callable."""
-    cpn2 = builtin_cpn(2)
-    chart = PotentialChart(
-        2, lambda xy: float(np.log1p(xy @ xy)), ((-1.0, 1.0),) * 4, label="black-box"
-    )
-    locus = FixedLocusParam(("t1", "t2"), ((-1.0, 1.0),) * 2)
-    return ManifoldBundle(chart, cpn2.mapping, locus, label="black-box-cpn-2")
-
-
 STAGE_FIVE_CASES = {
     "cpn-2": lambda: builtin_cpn(2),
     "quadric-3": lambda: builtin_quadric(3),
     "toric-fs-2": lambda: builtin_toric_fs(2),
     "cpn-6": lambda: builtin_cpn(6),
     "product": product_bundle,
-    "black-box-cpn-2": blackbox_cpn2,
+    "black-box-cpn-2": DIGESTS.blackbox_cpn2,
 }
 
 
@@ -359,9 +331,8 @@ def test_verdict_reports_the_per_point_stage_five(name):
     # constants, recomputed one point at a time from the verdict's locus
     # samples with the per-point oracle
     bundle = STAGE_FIVE_CASES[name]()
-    overrides = FD_OVERRIDES if name == "black-box-cpn-2" else ()
-    tol = Tolerances().with_overrides(overrides)
-    data = verdict(bundle, SamplingConfig(10, 10, seed=1, tolerance_overrides=overrides)).data
+    tol = Tolerances().with_overrides(bundle.tolerance_overrides)
+    data = verdict(bundle, SamplingConfig(10, 10, seed=1)).data
     entries = data["spectral"]["per_point"]
     assert entries, name
     kappas, spreads = [], []

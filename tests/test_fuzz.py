@@ -16,7 +16,7 @@ from einlocus import (
     verdict,
 )
 from einlocus.bundles import DEFAULT_SUITE
-from einlocus.exprs import UNARY_HEADS, coord_names, compile
+from einlocus.exprs import UNARY_HEADS, coord_names, compile, on_coordinates, on_parameters
 from einlocus.jets import coordinate_jets, jet_space
 from einlocus.sampling import SamplingConfig
 
@@ -98,19 +98,37 @@ def test_verdict_never_raises_on_grammar_maps_and_loci(bundle):
 
 BASE_POINTS = ((0.3 + 0.2j, -0.4 + 0.1j), (-0.7 + 0.5j, 0.2 - 0.6j))
 
-# label -> (plan kind, inputs at a base point): numbers, the coordinate jets
-# over the real variables at orders 1 and 2 and over (z, zbar) at orders 2
-# and 4, and the parameter jets t_d at order 2, each under the plan kind its
-# owner uses
+
+def parameter_jets(t, order):
+    space = jet_space(len(t), order)
+    return [space.variable(d, x) for d, x in enumerate(t)]
+
+
+# label -> (inputs at a base point, the program run there as its owner runs
+# it): on numbers, on the coordinate jets over the real variables at orders
+# 1 and 2 and over (z, zbar) at orders 2 and 4 (``on_coordinates``, which
+# builds them), and on the parameter jets t_d at order 2 (``on_parameters``)
 INPUTS = {
-    "numbers": (None, lambda holo: holo),
-    "x + iy, order 1": ("x + iy", lambda holo: coordinate_jets(holo, 1)),
-    "x + iy, order 2": ("x + iy", lambda holo: coordinate_jets(holo, 2)),
-    "z, order 2": ("z", lambda holo: coordinate_jets(holo, 2, wirtinger=True)),
-    "z, order 4": ("z", lambda holo: coordinate_jets(holo, 4, wirtinger=True)),
+    "numbers": (lambda holo: holo, lambda program, holo: program.on_numbers(holo)),
+    "x + iy, order 1": (
+        lambda holo: coordinate_jets(holo, 1),
+        lambda program, holo: on_coordinates([program], holo, 1)[0],
+    ),
+    "x + iy, order 2": (
+        lambda holo: coordinate_jets(holo, 2),
+        lambda program, holo: on_coordinates([program], holo, 2)[0],
+    ),
+    "z, order 2": (
+        lambda holo: coordinate_jets(holo, 2, wirtinger=True),
+        lambda program, holo: on_coordinates([program], holo, 2, wirtinger=True)[0],
+    ),
+    "z, order 4": (
+        lambda holo: coordinate_jets(holo, 4, wirtinger=True),
+        lambda program, holo: on_coordinates([program], holo, 4, wirtinger=True)[0],
+    ),
     "t, order 2": (
-        "t",
-        lambda holo: [jet_space(len(holo), 2).variable(d, z.real) for d, z in enumerate(holo)],
+        lambda holo: parameter_jets([z.real for z in holo], 2),
+        lambda program, holo: on_parameters([program], [z.real for z in holo], 2)[0],
     ),
 }
 
@@ -145,16 +163,33 @@ def assert_same(got, want):
 )
 def test_compiled_programs_match_the_tree_walk_bit_for_bit(case, label):
     n, tree = case
-    kind, build = INPUTS[label]
+    build, run = INPUTS[label]
     program = compile(tree, coord_names(n))
-    for holo in BASE_POINTS:  # one plan serves both base points
+    for holo in BASE_POINTS:
         inputs = build(holo[:n])
-        env = dict(zip(coord_names(n), inputs))
-        if kind is None:
-            got = outcome(lambda: program.on_numbers(inputs))
-        else:
-            got = outcome(lambda: program.on_jets(inputs, kind))
-        assert_same(got, outcome(lambda: interpret(tree, env)))
+        want = outcome(lambda: interpret(tree, dict(zip(coord_names(n), inputs))))
+        assert_same(outcome(lambda: run(program, holo[:n])), want)
+        if label != "numbers":  # the plan kept per structure read off the jets
+            assert_same(outcome(lambda: program.on_jets(inputs)), want)
+    # one plan per way of running serves both base points
+    assert len(program._plans) <= (1 if label == "numbers" else 2)
+
+
+@pytest.mark.parametrize("label", sorted(set(INPUTS) - {"numbers"}))
+def test_log_of_a_near_zero_argument_fails_as_the_tree_walk_does(label):
+    # the constant term is about 1e-78: its order-4 Taylor coefficient
+    # overflows to inf, which the jet operation multiplies by the structural
+    # zeros a plan drops; both must still fail alike, and at order 2, where
+    # nothing overflows, agree bit for bit
+    tree = ("log", ("*", 1e-78, ("+", 1, "w1"), ("+", 1, "w2")))
+    build, run = INPUTS[label]
+    program = compile(tree, coord_names(2))
+    for holo in BASE_POINTS:
+        inputs = build(holo)
+        want = outcome(lambda: interpret(tree, dict(zip(coord_names(2), inputs))))
+        assert_same(outcome(lambda: run(program, holo)), want)
+        assert_same(outcome(lambda: program.on_jets(inputs)), want)
+        assert want[0] == ("value" if inputs[0].order <= 2 else "raised")
 
 
 def is_subsequence(rows, of):
@@ -170,7 +205,7 @@ def test_planned_products_keep_rows_of_their_selection_in_table_order(name, n):
     point = admitted_points(bundle.chart, 1)[0]
     for order in (2, 4):
         program = compile(bundle.chart.potential, coord_names(n))
-        program.on_jets(coordinate_jets(point.holo, order, wirtinger=True), "z")
+        on_coordinates([program], point.holo, order, wirtinger=True)
         (plan,) = program._plans.values()
         assert plan.products
         for key, rows in plan.products:

@@ -1,15 +1,13 @@
 """The helper scripts run end to end."""
 
 import hashlib
-import pathlib
 import subprocess
 import sys
-import types
 
 from einlocus import SamplingConfig, make_builtin, verdict
 from einlocus.bundles import DEFAULT_SUITE
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+from conftest import SCRIPTS, report_digests
 
 
 def test_run_builtins_writes_one_report_per_suite_bundle(tmp_path):
@@ -27,16 +25,6 @@ def test_run_builtins_writes_one_report_per_suite_bundle(tmp_path):
         assert written == verdict(bundle, SamplingConfig(4, 4)).to_json(), bundle.label
 
 
-def load_report_digests():
-    """The digest script as a module, executed from its source without
-    writing bytecode next to it."""
-    path = SCRIPTS / "report_digests.py"
-    module = types.ModuleType("report_digests")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 def test_report_digests_prints_each_reports_sha256():
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "report_digests.py"), "--samples", "4", "--seeds", "0"],
@@ -46,7 +34,7 @@ def test_report_digests_prints_each_reports_sha256():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    bundles = load_report_digests().bundles()
+    bundles = report_digests().bundles()
     assert len(lines) == len(bundles) == 17
     exits = []
     for line, bundle in zip(lines, bundles):
