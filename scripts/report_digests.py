@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print the sha256 of each bundle's report, one `label seed json text` line.
 
-Covers the default suite plus cpn-6, quadric-4 and toric-fs-4, and four
+Covers the default suite plus cpn-6, quadric-4 and toric-fs-4, and six
 bundles that end elsewhere than exit 0 or lift a callable: the CP^1 x CP^2
-product (exit 2), projective space under a contracting map and a perturbed
-flat potential (both exit 3), and cpn-2 with its potential as a black-box
-callable.  Each runs at --samples ambient and locus samples, once per seed
+product (exit 2), projective space under a contracting map, a perturbed
+flat potential and cpn-2 on a complex plane (all exit 3), cpn-2 with its
+potential as a black-box callable, and a potential whose lift overflows
+(exit 4).  Each runs at --samples ambient and locus samples, once per seed
 in --seeds.  Each line holds the sha256 of the JSON report and of its text
 rendering.  Reports are byte-identical for a fixed seed, so two checkouts
 that should agree are compared with `diff` on this script's output:
@@ -100,10 +101,38 @@ def blackbox_cpn2():
     )
 
 
+def complex_plane_cpn2():
+    """cpn-2 on the plane t -> (t1 + i t2, 0), which J maps into itself: it
+    is complex, so totally_real reads 1, and conjugation does not fix it
+    (exit 3)."""
+    base = builtin_cpn(2)
+    plane = FixedLocusParam((("+", "t1", ("*", "I", "t2")), 0), ((-0.5, 0.5),) * 2)
+    return ManifoldBundle(base.chart, base.mapping, plane, label="complex-plane-cpn-2")
+
+
+def overflowing_series():
+    """A real potential, Re 1 / (u (1 + |w|^2)) with u = (3 + 2i) 1e84, whose
+    order-4 lift takes the reciprocal of a constant term near 1e84: the
+    series' Taylor coefficients from u^4 on overflow, and the run ends as
+    degenerate (exit 4) with a warning that names the series."""
+    u = ("+", 3e84, ("*", 2e84, "I"))
+    psi = ("re", ("/", 1, ("*", u, ("+", 1, ("abs2", "w1")))))
+    base = builtin_cpn(1)
+    chart = PotentialChart(1, psi, ((-1.0, 1.0),) * 2, label="overflowing-series")
+    return ManifoldBundle(chart, base.mapping, base.locus, label="overflowing-series")
+
+
 def bundles():
     """Every bundle the script reports on, in print order."""
     builtins = [make_builtin(name, n) for name, n in DEFAULT_SUITE + EXTRA]
-    return builtins + [product(), contracted_cpn2(), perturbed_flat(), blackbox_cpn2()]
+    return builtins + [
+        product(),
+        contracted_cpn2(),
+        perturbed_flat(),
+        blackbox_cpn2(),
+        complex_plane_cpn2(),
+        overflowing_series(),
+    ]
 
 
 def main():

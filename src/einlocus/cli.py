@@ -80,7 +80,7 @@ CHECK_EXPLANATIONS = {
         "without one the run stops after the ambient checks",
     ),
     "totally_real": (
-        "max_ab |G(e_a, J e_b)| plus frame rank defect",
+        "max_ab |G(e_a, J e_b)| over a G-orthonormal frame of the locus",
         "the tangent space of the locus must meet its J-image orthogonally "
         "and jointly span the ambient tangent space; as G(e_a, J e_b) = "
         "-w(e_a, e_b), for m = n this is the Lagrangian condition w|_T = 0",

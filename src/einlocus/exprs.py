@@ -11,38 +11,26 @@ same tree evaluates over plain complex numbers or over jets, which is what
 makes exact differentiation of composed data (potentials after pullbacks,
 fields along a parametrized locus) a matter of seeding the inputs.
 
-``compile(expr, names)`` turns a tree into a ``Program`` once: every
-subtree without an identifier is folded into its value (a whole subtree
-only, so ``("+", "w1", 1, 2)`` stays (w1 + 1) + 2), and the rest becomes
-nested closures.  On numbers a program runs those closures.  On jets it
-runs a plan, made once per input structure (the jet space, order, degree,
-variable kind and nonzero pattern of each input) and kept on the program
-(a taped evaluation: Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008).  ``on_coordinates`` and ``on_parameters`` build the
-coordinate or parameter jets at a base point themselves, so they know
-that structure without reading it off the inputs.  The plan starts from the
+``compile(expr, names)`` checks a tree against the grammar (``validate``)
+and turns it into a ``Program`` once: every subtree without an identifier
+is folded into its value (a whole subtree only, so ``("+", "w1", 1, 2)``
+stays (w1 + 1) + 2), and the rest becomes nested closures.  On numbers a
+program runs those closures.  On jets it runs a plan, made once per input
+structure (the jet space, order, degree, variable kind and nonzero pattern
+of each input) and kept on the program (a taped evaluation: Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  ``on_coordinates``
+and ``on_parameters`` build the coordinate or parameter jets at a base
+point themselves, so they know that structure without reading it off the
+inputs.  A plan runs the jet operations of ``jets._Operations`` from the
 positions where each input jet may be nonzero (a coordinate z_j over
-(z, zbar) is nonzero at 1 and z_j only, a parameter t_d at 1 and t_d) and
-carries that support through every operation.  Each product keeps, in
-table order, only the rows of its degree-block selection
-(``JetSpace._mul_selection``) whose two operand positions are both in
-support, and every truncation mask and every Horner step of the analytic
-compositions is fixed when the plan is made.  While every coefficient is
-finite, a dropped row could only add an exact zero to a sum that starts
-at +0.0, so the coefficients are those of the jet operations in ``jets``,
-bit for bit.  An infinite coefficient is outside that claim: the jet
-operation multiplies it by the structural zeros the plan drops, an
-invalid inf * 0 the plan never performs, so where the jet operation
-raises under ``np.errstate(invalid="raise")`` the plan need not.
-``evaluate`` is compile-and-run.
-
-The plans and the ``Jet`` operations are two implementations of one
-semantics, held to each other by a hypothesis test.  Filtering rows inside
-``Jet.__mul__`` instead, by its operands' nonzero positions, keeps the row
-cut but not the gain: at the suite's dimensions most of a plan's saving is
-the per-operation Python it does not run (the ``Jet`` objects, degree and
-kind bookkeeping and table lookups), and the row cut pays off from about
-six complex dimensions up.
+(z, zbar) is nonzero at 1 and z_j only, a parameter t_d at 1 and t_d), so
+each product keeps only the rows its operands' supports reach.  A ``Jet``
+operator plans its one operation on supports read off its operands'
+degrees instead.  While every coefficient is finite, a row the whole-tree
+plan drops could only add an exact zero to a sum that starts at +0.0, so
+the two agree bit for bit.  A Taylor series with a coefficient that is
+not finite raises under ``np.errstate(over="raise")``, as in a verdict,
+so both stop there alike.  ``evaluate`` is compile-and-run.
 """
 
 from __future__ import annotations
@@ -53,18 +41,7 @@ import operator
 import numpy as np
 
 from .errors import SpecFormatError, UnknownPrimitiveError
-from .jets import (
-    Jet,
-    _exp_series,
-    _fractional_pow_series,
-    _log_series,
-    _plus,
-    _product,
-    _reciprocal_series,
-    coordinate_jets,
-    jet_space,
-    result_kind,
-)
+from .jets import Jet, _Operations, _Shape, _with_constant, coordinate_jets, jet_space
 
 # Each unary head's operation on a number; the grammar that ``validate``
 # checks is read off the same table.
@@ -85,35 +62,29 @@ HEADS = ("+", "-", "*", "/", "pow") + UNARY_HEADS
 
 def compile(expr, names):
     """The program of one expression tree over the identifiers ``names``, in
-    that order.  A tree outside the grammar raises here, as evaluating it
-    would: UnknownPrimitiveError for an unknown identifier or head."""
+    that order.  A tree outside the grammar raises here, by ``validate``:
+    UnknownPrimitiveError for an unknown identifier or head, SpecFormatError
+    for anything else."""
+    validate(expr, names)
     return Program(_node(expr, {name: i for i, name in enumerate(names)}))
 
 
 def _node(expr, index):
-    """The node of a tree: ("const", value), ("input", i), ("pow", base,
-    exponent), ("neg", x) for a unary minus, or (head, argument, ...), with
-    every constant subtree folded."""
+    """The node of a valid tree: ("const", value), ("input", i), ("pow",
+    base, exponent), ("neg", x) for a unary minus, or (head, argument, ...),
+    with every constant subtree folded."""
     if isinstance(expr, str):
-        if expr == "I":
-            return ("const", 1j)
-        if expr not in index:
-            raise UnknownPrimitiveError(f"unknown identifier {expr!r}")
-        return ("input", index[expr])
+        return ("const", 1j) if expr == "I" else ("input", index[expr])
     if isinstance(expr, numbers.Number):
         return ("const", expr)
     head, args = expr[0], expr[1:]
     if head == "pow":
-        if not isinstance(args[1], numbers.Number):
-            raise UnknownPrimitiveError("pow exponent must be a numeric literal")
         node = ("pow", _node(args[0], index), args[1])
-    elif head in ("+", "-", "*", "/"):  # a tuple: an unhashable head is no error here
-        kids = tuple(_node(a, index) for a in ((args[0], args[1]) if head == "/" else args))
+    elif head in _BINARY:
+        kids = tuple(_node(a, index) for a in args)
         node = ("neg",) + kids if head == "-" and len(kids) == 1 else (head,) + kids
-    elif head in UNARY_HEADS:
-        node = (head, _node(args[0], index))
     else:
-        raise UnknownPrimitiveError(f"unknown primitive {head!r}")
+        node = (head, _node(args[0], index))
     if any(kid[0] != "const" for kid in node[1:2 if head == "pow" else None]):
         return node
     # fold a whole constant subtree, never part of an argument list, so
@@ -187,36 +158,15 @@ def on_parameters(programs, t, order):
     return [program._run_plan(("parameters", len(t), order), inputs) for program in programs]
 
 
-class _Shape:
-    """What a plan knows of a jet-valued node before it runs: its order,
-    degree, variable kind and the positions where it may be nonzero."""
-
-    __slots__ = ("order", "degree", "wirtinger", "support")
-
-    def __init__(self, order, degree, wirtinger, support):
-        self.order, self.degree = order, degree
-        self.wirtinger, self.support = wirtinger, support
-
-
-def _with_constant(support):
-    """A support with the constant term added."""
-    support = support.copy()
-    support[0] = True
-    return support
-
-
-class _Plan:
+class _Plan(_Operations):
     """A program on its inputs' values: numbers, or the coefficient arrays of
     jets of one space.  Every node becomes a closure over fixed index tables
     that evaluates its arguments in tree order and then applies the number
-    operation, or the jet operation of ``Jet`` with the same operand order
-    and the rows its operands' supports reach."""
+    operation, or the jet operation of ``jets._Operations`` planned on its
+    operands' shapes."""
 
     def __init__(self, root, inputs):
-        self.space = next((x.space for x in inputs if isinstance(x, Jet)), None)
-        # (da, db, order, wirtinger) of each product's degree-block selection
-        # and the rows (ia, ib, iout) that the plan keeps of it, in plan order
-        self.products = []
+        super().__init__(next((x.space for x in inputs if isinstance(x, Jet)), None))
         self._inputs = [
             _Shape(x.order, x.degree, x.wirtinger, _with_constant(x.coeffs != 0))
             if isinstance(x, Jet)
@@ -227,8 +177,7 @@ class _Plan:
 
     def __call__(self, values):
         out = self._run(values)
-        s = self.shape
-        return out if s is None else Jet(self.space, out, s.order, s.degree, s.wirtinger)
+        return out if self.shape is None else self.shape.jet(self.space, out)
 
     def _plan(self, node):
         """(closure, shape) of a node; the shape is None for a number."""
@@ -243,161 +192,21 @@ class _Plan:
             f, s = self._plan(node[1])
             for kid in node[2:]:
                 g, t = self._plan(kid)
-                op, s = self._binary(kind, s, t)
+                if s is None and t is None:
+                    op = _BINARY[kind]
+                else:
+                    op, s = self._binary(kind, s, t)
                 f = (lambda f, g, op: lambda values: op(f(values), g(values)))(f, g, op)
             return f, s
         f, s = self._plan(node[1])
         if kind == "pow":
-            op, shape = self._pow(s, node[2])
-        elif kind == "neg":
-            op, shape = (operator.neg if s is None else np.negative), s
+            p = node[2]
+            op, shape = ((lambda x: complex(x) ** p), None) if s is None else self._pow(s, p)
         elif s is None:
-            op, shape = _UNARY[kind], None
+            op, shape = (operator.neg if kind == "neg" else _UNARY[kind]), None
         else:
             op, shape = self._unary(kind, s)
         return (lambda values: op(f(values))), shape
-
-    # -- operations: (op, shape), op on the operands' values ---------------------------
-
-    def _binary(self, kind, sa, sb):
-        if sa is None and sb is None:
-            return _BINARY[kind], None
-        if kind == "*":
-            if sa is None:  # number * jet is jet * number
-                return (lambda x, c: c * x), sb
-            return (operator.mul, sa) if sb is None else self._product(sa, sb)
-        if kind == "/":
-            if sb is None:
-                return operator.truediv, sa
-            reciprocal, sr = self._compose(sb, _reciprocal_series)
-            if sa is None:  # number / jet is the reciprocal times the number
-                return (lambda x, c: reciprocal(c) * x), sr
-            product, shape = self._product(sa, sr)
-            return (lambda a, b: product(a, reciprocal(b))), shape
-        # a jet minus anything is the jet plus its negation
-        if sa is None or sb is None:
-            s = sb if sa is None else sa
-            shape = _Shape(s.order, s.degree, s.wirtinger, _with_constant(s.support))
-            if sb is None:
-                return ((lambda c, x: _plus(c, -x)) if kind == "-" else _plus), shape
-            return ((lambda x, c: _plus(-c, x)) if kind == "-" else lambda x, c: _plus(c, x)), shape
-        add = (lambda a, b: a + (-b)) if kind == "-" else operator.add
-        order, degree = min(sa.order, sb.order), max(sa.degree, sb.degree)
-        wirtinger = result_kind(sa.wirtinger, sa.degree, sb.wirtinger, sb.degree)
-        support = sa.support | sb.support
-        if degree <= order:
-            return add, _Shape(order, degree, wirtinger, support)
-        # Jet._truncated: coefficients above the order are zeroed only when
-        # the degree reaches past it
-        mask = self.space._masks[order]
-        return (lambda a, b: add(a, b) * mask), _Shape(order, order, wirtinger, support & mask)
-
-    def _product(self, sa, sb):
-        """``Jet.__mul__`` of two jets: the rows of the degree-block selection
-        whose operand positions are both in support, in table order."""
-        order = min(sa.order, sb.order)
-        da, db = min(sa.degree, order), min(sb.degree, order)
-        wirtinger = result_kind(sa.wirtinger, sa.degree, sb.wirtinger, sb.degree)
-        ia, ib, iout = self.space._mul_selection(da, db, order, wirtinger)
-        keep = sa.support[ia] & sb.support[ib]
-        table, size = (ia[keep], ib[keep], iout[keep]), self.space.size
-        self.products.append(((da, db, order, wirtinger), table))
-        support = np.zeros(size, dtype=bool)
-        support[table[2]] = True
-        shape = _Shape(order, min(da + db, order), wirtinger, support)
-        return (lambda a, b: _product(a, b, table, size)), shape
-
-    def _constant(self, order, wirtinger):
-        """The shape of ``space.constant`` with the given order and kind."""
-        return _Shape(order, 0, wirtinger, _with_constant(np.zeros(self.space.size, dtype=bool)))
-
-    def _compose(self, s, series):
-        """``Jet.compose_analytic`` with the Taylor coefficients
-        ``series(value, order)``, every Horner step planned."""
-        order, size = s.order, self.space.size
-        h_support = s.support.copy()
-        h_support[0] = False
-        h = _Shape(order, s.degree, s.wirtinger, h_support)
-        acc, steps = self._constant(self.space.capacity, False), []
-        for k in range(order - 1, -1, -1):
-            step, acc = self._product(acc, h)
-            acc.support[0] = True
-            steps.append((step, k))
-
-        def compose(coeffs):
-            cs = series(complex(coeffs[0]), order)
-            h = coeffs.copy()
-            h[0] = 0.0
-            out = np.zeros(size, dtype=np.complex128)
-            out[0] = cs[order]
-            for step, k in steps:
-                out = step(out, h)
-                out[0] += cs[k]
-            return out
-
-        return compose, _Shape(order, min(acc.degree, order), s.wirtinger, acc.support)
-
-    def _pow(self, s, p):
-        """``Jet.pow``: an integral exponent by square-and-multiply from the
-        constant 1 (after a reciprocal when negative), any other by its
-        binomial series."""
-        if s is None:
-            return (lambda x: complex(x) ** p), None
-        if not (isinstance(p, int) or (isinstance(p, float) and p.is_integer())):
-            return self._compose(s, lambda u0, order: _fractional_pow_series(u0, p, order))
-        p, reciprocal = int(p), None
-        if p < 0:
-            reciprocal, s = self._compose(s, _reciprocal_series)
-            p = -p
-        acc, base, steps, size = self._constant(s.order, s.wirtinger), s, [], self.space.size
-        while p:
-            if p & 1:
-                step, acc = self._product(acc, base)
-                steps.append((True, step))
-            if p > 1:
-                step, base = self._product(base, base)
-                steps.append((False, step))
-            p >>= 1
-
-        def power(coeffs):
-            b = coeffs if reciprocal is None else reciprocal(coeffs)
-            out = np.zeros(size, dtype=np.complex128)
-            out[0] = 1.0
-            for into_acc, step in steps:
-                if into_acc:
-                    out = step(out, b)
-                else:
-                    b = step(b, b)
-            return out
-
-        return power, acc
-
-    def _unary(self, head, s):
-        if head == "log":
-            return self._compose(s, _log_series)
-        if head == "exp":
-            return self._compose(s, _exp_series)
-        if head == "sqrt":
-            return self._pow(s, 0.5)
-        # Jet.conjugate: over (z, zbar) the z and zbar exponents swap
-        conj, sc = np.conj, s
-        if s.wirtinger:
-            swap = self.space._wirtinger_layout[1]
-            conj, sc = (lambda c: np.conj(c[swap])), _Shape(s.order, s.degree, True, s.support[swap])
-        if head == "conj":
-            return conj, sc
-        if head == "abs2":
-            product, shape = self._product(s, sc)
-            return (lambda c: product(c, conj(c))), shape
-        if not s.wirtinger:
-            if head == "re":
-                return (lambda c: c.real.astype(np.complex128)), s
-            return (lambda c: c.imag.astype(np.complex128)), s
-        # over (z, zbar): (f + conj f) / 2 and (f - conj f) / 2i
-        shape = _Shape(s.order, s.degree, True, s.support | sc.support)
-        if head == "re":
-            return (lambda c: 0.5 * (c + conj(c))), shape
-        return (lambda c: -0.5j * (c - conj(c))), shape
 
 
 def evaluate(expr, env):

@@ -36,16 +36,20 @@ Conjugation swaps the z and zbar exponents and conjugates the coefficient,
 so the real part is (f + conj f) / 2.  The same space carries jets over
 real variables too; the two kinds do not mix, constants excepted.
 
-The jet operations here are the reference semantics of an expression
-program (``exprs.Program``): a program runs the same operations on bare
-coefficient arrays, through the kernels they share (``_product`` and the
-Taylor series of the analytic functions), with every table fixed when the
-program is planned and only the table rows its operands' supports reach.
+Each jet operation is written once, in ``_Operations``, on bare
+coefficient arrays: planning it fixes its index tables and its result's
+order, degree and kind from its operands', and a product keeps only the
+table rows its operands' supports (where each may be nonzero) reach.  An
+expression program (``exprs.Program``) plans a whole tree from the
+supports of its inputs; a ``Jet`` operator runs a one-operation plan,
+kept on the space, on supports read off its operands' degrees.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
@@ -166,18 +170,35 @@ class JetSpace:
             table = tuple(t[rows] for t in table)
         return table
 
+    @_table_per_key
+    def _operation(self, name, operands, *exponent):
+        """The one-operation plan (op, shape) that a ``Jet`` operator runs,
+        on ``operands`` given as (order, degree, wirtinger) for a jet and
+        None for a number, and for "pow" on the exponent and its type (2
+        and numpy's int64(2) are equal keys, but only 2 is integral).  A
+        jet may be nonzero up to its degree, so a product keeps every row
+        of its degree-block selection."""
+        ops = _Operations(self)
+        shapes = [None if x is None else _Shape(*x, self.degree <= x[1]) for x in operands]
+        if name == "pow":
+            return ops._pow(*shapes, exponent[0])
+        if name == "compose":
+            return ops._compose(*shapes)
+        if len(shapes) == 2:
+            return ops._binary(name, *shapes)
+        return ops._unary(name, *shapes)
+
     @cached_property
     def _deriv(self):
-        """The differentiation maps of every variable: no verdict stage
-        differentiates a jet."""
-        return [self._deriv_table(v) for v in range(self.nvars)]
-
-    def _deriv_table(self, v):
-        """(source positions, target positions, factors) of d/dx_v: the
-        coefficient of alpha lands on alpha - e_v, times alpha_v."""
-        src = np.nonzero(self.indices[:, v] > 0)[0]
-        dst = self._positions(self._keys[src] - self._key_base[v])
-        return src, dst, self.indices[src, v].astype(np.float64)
+        """(source positions, target positions, factors) of each d/dx_v: the
+        coefficient of alpha lands on alpha - e_v, times alpha_v.  No
+        verdict stage differentiates a jet."""
+        tables = []
+        for v in range(self.nvars):
+            src = np.nonzero(self.indices[:, v] > 0)[0]
+            dst = self._positions(self._keys[src] - self._key_base[v])
+            tables.append((src, dst, self.indices[src, v].astype(np.float64)))
+        return tables
 
     @cached_property
     def _wirtinger_layout(self):
@@ -357,14 +378,36 @@ def _product(a, b, table, size):
     return prod
 
 
+def _conjugate(coeffs, swap):
+    """The conjugate's coefficients: over (z, zbar) the z and zbar exponents
+    swap too, ``swap`` holding each position's swapped one (None over real
+    variables)."""
+    return np.conj(coeffs if swap is None else coeffs[swap])
+
+
+def _real(coeffs, swap):
+    """The real part's coefficients: (f + conj f) / 2 over (z, zbar)."""
+    if swap is None:
+        return coeffs.real.astype(np.complex128)
+    return 0.5 * (coeffs + _conjugate(coeffs, swap))
+
+
 # The Taylor coefficients c_k = g^(k)(u0) / k!, k <= order, of the analytic
-# functions a jet composes with (``Jet.compose_analytic``).
+# functions a jet composes with.  Python's complex arithmetic overflows to
+# inf or nan without a floating-point flag, so a coefficient that is not
+# finite raises where numpy raises on overflow, as in a verdict.
+
+
+def _finite(name, u0, cs):
+    if not all(map(cmath.isfinite, cs)) and np.geterr()["over"] == "raise":
+        raise FloatingPointError(f"{name} series at {u0} has a non-finite Taylor coefficient")
+    return cs
 
 
 def _reciprocal_series(u0, order):
     if u0 == 0:
         raise ZeroDivisionError("jet with zero constant term has no reciprocal")
-    return [(-1.0) ** k / u0 ** (k + 1) for k in range(order + 1)]
+    return _finite("reciprocal", u0, [(-1.0) ** k / u0 ** (k + 1) for k in range(order + 1)])
 
 
 def _log_series(u0, order):
@@ -373,12 +416,12 @@ def _log_series(u0, order):
     cs = [np.log(u0)]
     for k in range(1, order + 1):
         cs.append((-1.0) ** (k + 1) / (k * u0 ** k))
-    return cs
+    return _finite("log", u0, cs)
 
 
 def _exp_series(u0, order):
     e0 = np.exp(u0)
-    return [e0 / math.factorial(k) for k in range(order + 1)]
+    return _finite("exp", u0, [e0 / math.factorial(k) for k in range(order + 1)])
 
 
 def _fractional_pow_series(u0, p, order):
@@ -388,7 +431,199 @@ def _fractional_pow_series(u0, p, order):
     for k in range(order + 1):
         cs.append(binom * u0 ** (p - k))
         binom *= (p - k) / (k + 1)
-    return cs
+    return _finite(f"power {p}", u0, cs)
+
+
+_SERIES = {"reciprocal": _reciprocal_series, "log": _log_series, "exp": _exp_series}
+
+
+class _Shape:
+    """What a plan knows of a jet before it runs: its order, degree,
+    variable kind and the positions where it may be nonzero."""
+
+    __slots__ = ("order", "degree", "wirtinger", "support")
+
+    def __init__(self, order, degree, wirtinger, support):
+        self.order, self.degree = order, degree
+        self.wirtinger, self.support = wirtinger, support
+
+    def jet(self, space, coeffs):
+        return Jet(space, coeffs, self.order, self.degree, self.wirtinger)
+
+
+def _with_constant(support):
+    """A support with the constant term added."""
+    support = support.copy()
+    support[0] = True
+    return support
+
+
+class _Operations:
+    """The jet operations on the coefficient arrays of one space, each
+    planned from its operands' shapes: a method returns (op, shape), op
+    mapping the operands' values (coefficient arrays, or numbers where a
+    shape is None) to the result's coefficients.  Every index table is fixed
+    when the operation is planned, and each product keeps, in table order,
+    only the rows of its degree-block selection whose two operand positions
+    are in support.  An expression program plans its whole tree here
+    (``exprs._Plan``), each ``Jet`` operator one operation
+    (``JetSpace._operation``)."""
+
+    def __init__(self, space):
+        self.space = space
+        # (da, db, order, wirtinger) of each product's degree-block selection
+        # and the rows (ia, ib, iout) that the plan keeps of it, in plan order
+        self.products = []
+
+    def _binary(self, kind, sa, sb):
+        """+ - * / with at least one jet operand."""
+        if kind == "*":
+            if sa is None:  # number * jet is jet * number
+                return (lambda x, c: c * x), sb
+            return (operator.mul, sa) if sb is None else self._product(sa, sb)
+        if kind == "/":
+            if sb is None:
+                return operator.truediv, sa
+            reciprocal, sr = self._unary("reciprocal", sb)
+            if sa is None:  # number / jet is the reciprocal times the number
+                return (lambda x, c: reciprocal(c) * x), sr
+            product, shape = self._product(sa, sr)
+            return (lambda a, b: product(a, reciprocal(b))), shape
+        # a jet minus anything is the jet plus its negation
+        if sa is None or sb is None:
+            s = sb if sa is None else sa
+            shape = _Shape(s.order, s.degree, s.wirtinger, _with_constant(s.support))
+            if sb is None:
+                return ((lambda c, x: _plus(c, -x)) if kind == "-" else _plus), shape
+            return ((lambda x, c: _plus(-c, x)) if kind == "-" else lambda x, c: _plus(c, x)), shape
+        add = (lambda a, b: a + (-b)) if kind == "-" else operator.add
+        order, degree = min(sa.order, sb.order), max(sa.degree, sb.degree)
+        wirtinger = result_kind(sa.wirtinger, sa.degree, sb.wirtinger, sb.degree)
+        support = sa.support | sb.support
+        if degree <= order:
+            return add, _Shape(order, degree, wirtinger, support)
+        # coefficients above the order are zeroed only when the degree
+        # reaches past it
+        mask = self.space._masks[order]
+        return (lambda a, b: add(a, b) * mask), _Shape(order, order, wirtinger, support & mask)
+
+    def _product(self, sa, sb):
+        """The product of two jets: order the smaller, degree the sum of
+        the operands' (capped at the order), over the rows of the
+        degree-block selection whose operand positions are both in support.
+        When every row is kept the plan shares the selection's arrays."""
+        order = min(sa.order, sb.order)
+        da, db = min(sa.degree, order), min(sb.degree, order)
+        wirtinger = result_kind(sa.wirtinger, sa.degree, sb.wirtinger, sb.degree)
+        ia, ib, iout = table = self.space._mul_selection(da, db, order, wirtinger)
+        keep = sa.support[ia] & sb.support[ib]
+        if not keep.all():
+            table = (ia[keep], ib[keep], iout[keep])
+        size = self.space.size
+        self.products.append(((da, db, order, wirtinger), table))
+        support = np.zeros(size, dtype=bool)
+        support[table[2]] = True
+        shape = _Shape(order, min(da + db, order), wirtinger, support)
+        return (lambda a, b: _product(a, b, table, size)), shape
+
+    def _constant(self, order, wirtinger):
+        """The shape of ``space.constant`` with the given order and kind."""
+        return _Shape(order, 0, wirtinger, _with_constant(np.zeros(self.space.size, dtype=bool)))
+
+    def _compose(self, s):
+        """The composition with a scalar analytic function: op(coeffs, cs)
+        from the function's Taylor coefficients cs[k] = g^(k)(u0) / k!,
+        k <= order, around the jet's constant term u0, by Horner's rule on
+        the jet less its constant term, every step planned.  Each step keeps
+        the rows that meet the zeroed constant term: an accumulator that is
+        not finite turns them into nan, as a plain product would."""
+        order, size = s.order, self.space.size
+        acc, steps = self._constant(self.space.capacity, False), []
+        for k in range(order - 1, -1, -1):
+            step, acc = self._product(acc, s)
+            acc.support[0] = True
+            steps.append((step, k))
+
+        def compose(coeffs, cs):
+            h = coeffs.copy()
+            h[0] = 0.0
+            out = np.zeros(size, dtype=np.complex128)
+            out[0] = cs[order]
+            for step, k in steps:
+                out = step(out, h)
+                out[0] += cs[k]
+            return out
+
+        return compose, _Shape(order, min(acc.degree, order), s.wirtinger, acc.support)
+
+    def _analytic(self, s, series):
+        """``_compose`` with the coefficients ``series(u0, order)``."""
+        compose, shape = self._compose(s)
+        order = s.order
+        return (lambda c: compose(c, series(complex(c[0]), order))), shape
+
+    def _pow(self, s, p):
+        """An integral exponent by square-and-multiply from the constant 1
+        (after a reciprocal when negative), any other by its binomial
+        series."""
+        if not (isinstance(p, int) or (isinstance(p, float) and p.is_integer())):
+            return self._analytic(s, lambda u0, order: _fractional_pow_series(u0, p, order))
+        p, reciprocal = int(p), None
+        if p < 0:
+            reciprocal, s = self._unary("reciprocal", s)
+            p = -p
+        acc, base, steps, size = self._constant(s.order, s.wirtinger), s, [], self.space.size
+        while p:
+            if p & 1:
+                step, acc = self._product(acc, base)
+                steps.append((True, step))
+            if p > 1:
+                step, base = self._product(base, base)
+                steps.append((False, step))
+            p >>= 1
+
+        def power(coeffs):
+            b = coeffs if reciprocal is None else reciprocal(coeffs)
+            out = np.zeros(size, dtype=np.complex128)
+            out[0] = 1.0
+            for into_acc, step in steps:
+                if into_acc:
+                    out = step(out, b)
+                else:
+                    b = step(b, b)
+            return out
+
+        return power, acc
+
+    def _unary(self, head, s):
+        """neg, reciprocal, log, exp, sqrt, conj, abs2, re and im of a jet."""
+        if head == "neg":
+            return np.negative, s
+        if head in _SERIES:
+            return self._analytic(s, _SERIES[head])
+        if head == "sqrt":
+            return self._pow(s, 0.5)
+        swap, sc = None, s
+        if s.wirtinger:
+            swap = self.space._wirtinger_layout[1]
+            sc = _Shape(s.order, s.degree, True, s.support[swap])
+        if head == "conj":
+            return (lambda c: _conjugate(c, swap)), sc
+        if head == "abs2":
+            product, shape = self._product(s, sc)
+            return (lambda c: product(c, _conjugate(c, swap))), shape
+        shape = s if swap is None else _Shape(s.order, s.degree, True, s.support | sc.support)
+        if head == "re":
+            return (lambda c: _real(c, swap)), shape
+        if swap is None:
+            return (lambda c: c.imag.astype(np.complex128)), shape
+        return (lambda c: -0.5j * (c - _conjugate(c, swap))), shape
+
+
+def _structure(x):
+    """What a one-operation plan is kept by: a jet's (order, degree, kind),
+    None for a number."""
+    return (x.order, x.degree, x.wirtinger) if isinstance(x, Jet) else None
 
 
 class Jet:
@@ -396,7 +631,8 @@ class Jet:
 
     ``degree`` (default ``order``) bounds the total degree of its nonzero
     coefficients, and ``wirtinger`` marks a jet over (z, zbar) rather than
-    over real variables; see the module docstring."""
+    over real variables; see the module docstring.  Its arithmetic runs
+    one-operation plans of ``_Operations``."""
 
     __slots__ = ("space", "coeffs", "order", "degree", "wirtinger")
 
@@ -453,82 +689,57 @@ class Jet:
         coeffs[rows] = (self.coeffs[pos] * weight).sum(axis=1)
         return Jet(self.space, coeffs, self.order, self.degree, wirtinger=True)
 
-    def _truncated(self, coeffs, order, degree, wirtinger):
-        """A jet of ``order`` from coefficients of degree <= ``degree``: the
-        coefficients above the order are zeroed only when the degree
-        reaches past it."""
-        if order < 0:
-            raise JetOrderError("jet differentiated below order 0")
-        if degree > order:
-            coeffs = coeffs * self.space._masks[order]
-            degree = order
-        return Jet(self.space, coeffs, order, degree, wirtinger)
+    # -- arithmetic: one planned operation each ------------------------------
 
-    def _variables(self, other):
-        return result_kind(self.wirtinger, self.degree, other.wirtinger, other.degree)
-
-    # -- ring operations -----------------------------------------------------
+    def _planned(self, name, *operands):
+        """The operation ``name`` on ``operands`` (jets of this space, or
+        numbers), by its plan kept on the space."""
+        op, shape = self.space._operation(name, tuple(map(_structure, operands)))
+        return shape.jet(self.space, op(*(x.coeffs if isinstance(x, Jet) else x for x in operands)))
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            order = min(self.order, other.order)
-            degree = max(self.degree, other.degree)
-            return self._truncated(
-                self.coeffs + other.coeffs, order, degree, self._variables(other)
-            )
-        return Jet(self.space, _plus(self.coeffs, other), self.order, self.degree, self.wirtinger)
+        return self._planned("+", self, other)
 
-    __radd__ = __add__
+    __radd__ = __add__  # a number plus a jet is the jet plus the number
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order, self.degree, self.wirtinger)
+        return self._planned("neg", self)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._planned("-", self, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._planned("-", other, self)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.coeffs * other, self.order, self.degree, self.wirtinger)
-        sp = self.space
-        order = min(self.order, other.order)
-        da, db = min(self.degree, order), min(other.degree, order)
-        wirtinger = self._variables(other)
-        table = sp._mul_selection(da, db, order, wirtinger)
-        prod = _product(self.coeffs, other.coeffs, table, sp.size)
-        return Jet(sp, prod, order, min(da + db, order), wirtinger)
+        return self._planned("*", self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.space, self.coeffs / other, self.order, self.degree, self.wirtinger)
+        return self._planned("/", self, other)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * other
+        return self._planned("/", other, self)
+
+    @property
+    def _swap(self):
+        return self.space._wirtinger_layout[1] if self.wirtinger else None
 
     def conjugate(self):
         """Over real variables conjugation acts on the coefficients only; over
         (z, zbar) it also swaps the z and zbar exponents."""
-        coeffs = self.coeffs[self.space._wirtinger_layout[1]] if self.wirtinger else self.coeffs
-        return Jet(self.space, np.conj(coeffs), self.order, self.degree, self.wirtinger)
+        coeffs = _conjugate(self.coeffs, self._swap)
+        return Jet(self.space, coeffs, self.order, self.degree, self.wirtinger)
 
     @property
     def real(self):
-        if self.wirtinger:
-            coeffs = 0.5 * (self.coeffs + self.conjugate().coeffs)
-            return Jet(self.space, coeffs, self.order, self.degree, True)
-        return Jet(self.space, self.coeffs.real.astype(np.complex128), self.order, self.degree)
+        coeffs = _real(self.coeffs, self._swap)
+        return Jet(self.space, coeffs, self.order, self.degree, self.wirtinger)
 
     @property
     def imag(self):
-        if self.wirtinger:
-            coeffs = -0.5j * (self.coeffs - self.conjugate().coeffs)
-            return Jet(self.space, coeffs, self.order, self.degree, True)
-        return Jet(self.space, self.coeffs.imag.astype(np.complex128), self.order, self.degree)
+        return self._planned("im", self)
 
     # -- calculus ------------------------------------------------------------
 
@@ -538,51 +749,34 @@ class Jet:
         not hold the coefficients a derivative would need."""
         if self.wirtinger:
             raise JetOrderError("a jet over (z, zbar) cannot be differentiated exactly")
+        if self.order < 1:
+            raise JetOrderError("jet differentiated below order 0")
         src, dst, fac = self.space._deriv[v]
         out = np.zeros(self.space.size, dtype=np.complex128)
         out[dst] = self.coeffs[src] * fac
-        return self._truncated(out, self.order - 1, max(self.degree - 1, 0), False)
+        return Jet(self.space, out, self.order - 1, max(self.degree - 1, 0))
 
     def compose_analytic(self, taylor_coeffs):
         """Compose with a scalar analytic function given by its own Taylor
         coefficients c_k = g^(k)(value)/k! around this jet's constant term."""
-        h = self.coeffs.copy()
-        h[0] = 0.0
-        hjet = Jet(self.space, h, self.order, self.degree, self.wirtinger)
-        acc = self.space.constant(taylor_coeffs[self.order])
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * hjet + taylor_coeffs[k]
-        return Jet(acc.space, acc.coeffs, self.order, min(acc.degree, self.order), self.wirtinger)
+        compose, shape = self.space._operation("compose", (_structure(self),))
+        return shape.jet(self.space, compose(self.coeffs, taylor_coeffs))
 
     def reciprocal(self):
-        return self.compose_analytic(_reciprocal_series(self.value, self.order))
+        return self._planned("reciprocal", self)
 
     def log(self):
-        return self.compose_analytic(_log_series(self.value, self.order))
+        return self._planned("log", self)
 
     def exp(self):
-        return self.compose_analytic(_exp_series(self.value, self.order))
+        return self._planned("exp", self)
 
     def sqrt(self):
-        return self.pow(0.5)
+        return self._planned("sqrt", self)
 
     def pow(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            return self._int_pow(int(p))
-        return self.compose_analytic(_fractional_pow_series(self.value, p, self.order))
-
-    def _int_pow(self, p):
-        if p < 0:
-            return self.reciprocal()._int_pow(-p)
-        acc = self.space.constant(1.0)
-        acc.order, acc.wirtinger = self.order, self.wirtinger
-        base = self
-        while p:
-            if p & 1:
-                acc = acc * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return acc
+        op, shape = self.space._operation("pow", (_structure(self),), p, type(p))
+        return shape.jet(self.space, op(self.coeffs))
 
     # -- restriction ---------------------------------------------------------
 
@@ -600,13 +794,6 @@ class Jet:
         out[target_space._lookup(sp.indices[rows][:, keep])] = self.coeffs[rows]
         order = min(self.order, target_space.capacity)
         return Jet(target_space, out * target_space._masks[order], order)
-
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.coeffs))
-        return (
-            f"Jet(nvars={self.space.nvars}, order={self.order}, "
-            f"value={self.value:.6g}, nonzero={nz})"
-        )
 
 
 # -- finite-difference fallback for black-box fields ---------------------------

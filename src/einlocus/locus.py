@@ -35,8 +35,8 @@ from .exprs import coord_names, evaluate
 from .jets import Jet, jet_space
 from .metrics import ChartGeometry, PotentialChart, cached
 
-# Below this, a singular value of d(param)/dt or of the joint frame, or the
-# length Gram-Schmidt leaves a tangent field, counts as lost rank.
+# Below this, a singular value of d(param)/dt, or the length Gram-Schmidt
+# leaves a tangent field, counts as lost rank.
 RANK_TOL = 1e-8
 
 
@@ -246,20 +246,19 @@ def locus_point(lg: LocusGeometry) -> LocusGeometry:
 
 
 def totally_real_residual(lp: LocusGeometry) -> float:
-    """Failure of the tangent space to meet its J-image orthogonally,
-    combined with the rank defect of the joint 2n-frame.
+    """Failure of the tangent space to meet its J-image orthogonally:
+    max |G(e_a, J e_b)| over the G-orthonormal frame.
 
     Zero means totally real with orthogonal splitting; a J-invariant
     tangent direction scores 1.  The cross term E G (E J^T)^T is -E w E^T, so
     for a half-dimensional locus this is the Lagrangian condition w|_T = 0.
+    Where [E; E J^T] loses rank, some unit u in span(E) has J u in span(E),
+    so the cross term has 2-norm at least 1 and an entry at least 1/m: a
+    rank defect always reads far above any gate.
     """
     E = lp.frame
-    N = E @ j_matrix(lp.n).T
-    cross = E @ lp.geom.G @ N.T
-    stacked = np.vstack([E, N])
-    rank = np.linalg.matrix_rank(stacked, tol=RANK_TOL)
-    defect = float(stacked.shape[0] - rank) / stacked.shape[0]
-    return max(float(np.max(np.abs(cross))), defect)
+    cross = E @ lp.geom.G @ (E @ j_matrix(lp.n).T).T
+    return float(np.max(np.abs(cross)))
 
 
 def map_normal_projector(mapping, point) -> np.ndarray:

@@ -15,8 +15,9 @@ from einlocus.sampling import sample_chart_points
 
 
 # The recursive tree walk that ``exprs.evaluate`` once was: the reference
-# the compiled programs reproduce bit for bit.  Each unary head with its
-# operation on a jet and on a number.
+# the compiled programs reproduce bit for bit.  On jets it runs the ``Jet``
+# operators, each a one-operation plan on supports read off the degrees.
+# Each unary head with its operation on a jet and on a number.
 _ORACLE_UNARY = {
     "log": (lambda x: x.log(), lambda x: np.log(complex(x))),
     "exp": (lambda x: x.exp(), lambda x: np.exp(complex(x))),

@@ -13,6 +13,8 @@ import numpy as np
 import einlocus
 from einlocus import ManifoldBundle, PotentialChart, SamplingConfig, builtin_cpn, jets, verdict
 
+from conftest import report_digests
+
 SPANS_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 # Hooks on ChartGeometry members that the package no longer has; the table
@@ -60,16 +62,40 @@ def test_stage_five_enters_the_restricted_ricci_hook():
     assert "metrics.riemann_covector" not in calls
 
 
+# Spans of the ``Jet`` arithmetic, the tree walk and the real-variable
+# Wirtinger derivative: a verdict runs planned programs and read-offs only.
+UNENTERED_BY_VERDICTS = {
+    "jets.mul",
+    "jets.deriv",
+    "jets.compose",
+    "jets.restrict",
+    "exprs.evaluate",
+    "coords.wirtinger_jet",
+}
+
+
 def test_a_traced_verdict_times_all_five_stages():
     # the tracer opens stage 5 at the verdict's first call into the normal
     # projector or the trace operator; a stage 5 that skipped both would
     # fold its time into stage 4
     tracer = load_spans().Tracer()
     with tracer.installed(einlocus):
-        report, _ = tracer.verdict(0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0)))
+        report, per_verdict = tracer.verdict(
+            0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0))
+        )
     assert report.exit_code == 0
     assert sorted(tracer.stage_s) == [1, 2, 3, 4, 5]
     assert all(tracer.stage_s[stage] > 0.0 for stage in range(1, 6)), dict(tracer.stage_s)
+    assert not UNENTERED_BY_VERDICTS & set(per_verdict["calls"])
+    # nor does a verdict on a callable potential, whose lift is by finite
+    # differences and one conversion to (z, zbar)
+    with tracer.installed(einlocus):
+        report, per_verdict = tracer.verdict(
+            1, lambda: verdict(report_digests().blackbox_cpn2(), SamplingConfig(6, 6, seed=0))
+        )
+    assert report.exit_code == 0
+    assert per_verdict["calls"]["jets.fd_lift"] > 0
+    assert not UNENTERED_BY_VERDICTS & set(per_verdict["calls"])
 
 
 def test_the_potential_lift_has_its_own_span():

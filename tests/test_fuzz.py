@@ -3,7 +3,7 @@ raises, and compiled programs reproduce the tree walk bit for bit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einlocus import (
@@ -12,6 +12,9 @@ from einlocus import (
     Jet,
     ManifoldBundle,
     PotentialChart,
+    SpecFormatError,
+    UnknownPrimitiveError,
+    builtin_cpn,
     make_builtin,
     verdict,
 )
@@ -161,7 +164,13 @@ def assert_same(got, want):
     st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), expression_trees(n))),
     st.sampled_from(sorted(INPUTS)),
 )
+# a reciprocal of a constant term near 1e84: its order-4 Taylor coefficients
+# overflow to nan in Python's complex arithmetic, and both routes must raise
+@example((1, ("/", "I", ("/", "w1", ("/", 9.845449036720216e-85, "I")))), "z, order 4")
 def test_compiled_programs_match_the_tree_walk_bit_for_bit(case, label):
+    # the tree walk runs each operation as its own plan, on supports read
+    # off the degrees; a program plans the whole tree on the supports its
+    # inputs have, so this checks that the rows it drops add exact zeros
     n, tree = case
     build, run = INPUTS[label]
     program = compile(tree, coord_names(n))
@@ -178,9 +187,10 @@ def test_compiled_programs_match_the_tree_walk_bit_for_bit(case, label):
 @pytest.mark.parametrize("label", sorted(set(INPUTS) - {"numbers"}))
 def test_log_of_a_near_zero_argument_fails_as_the_tree_walk_does(label):
     # the constant term is about 1e-78: its order-4 Taylor coefficient
-    # overflows to inf, which the jet operation multiplies by the structural
-    # zeros a plan drops; both must still fail alike, and at order 2, where
-    # nothing overflows, agree bit for bit
+    # overflows to inf, an inf that the tree walk's one-operation plans
+    # would multiply by structural zeros a whole-tree plan drops; the log
+    # series raises on it in both, and at order 2, where nothing
+    # overflows, the two agree bit for bit
     tree = ("log", ("*", 1e-78, ("+", 1, "w1"), ("+", 1, "w2")))
     build, run = INPUTS[label]
     program = compile(tree, coord_names(2))
@@ -190,6 +200,55 @@ def test_log_of_a_near_zero_argument_fails_as_the_tree_walk_does(label):
         assert_same(outcome(lambda: run(program, holo)), want)
         assert_same(outcome(lambda: program.on_jets(inputs)), want)
         assert want[0] == ("value" if inputs[0].order <= 2 else "raised")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), expression_trees(n))))
+def test_wirtinger_programs_match_the_converted_real_variable_jet(case):
+    # an oracle for the (z, zbar) rules (the exponent swap of conj, re and
+    # im over (z, zbar), the kept-set product filter) that reads none of
+    # them: the same program over the real variables, then ``to_wirtinger``
+    n, tree = case
+    program = compile(tree, coord_names(n))
+    for holo in BASE_POINTS:
+        try:
+            with np.errstate(all="raise"):
+                (z,) = on_coordinates([program], holo[:n], 4, wirtinger=True)
+                (x,) = on_coordinates([program], holo[:n], 4)
+        except ArithmeticError:
+            continue
+        if not isinstance(z, Jet):  # a constant tree
+            continue
+        want = x.to_wirtinger()
+        if not (np.all(np.isfinite(z.coeffs)) and np.all(np.isfinite(want.coeffs))):
+            continue
+        scale = 1.0 + np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(z.coeffs - want.coeffs)) <= 1e-9 * scale, tree
+
+
+@pytest.mark.parametrize(
+    "tree, error",
+    [
+        (("pow", "w1"), SpecFormatError),
+        (("log",), SpecFormatError),
+        (("/", "w1"), SpecFormatError),
+        (("+",), SpecFormatError),
+        (("log", "w1", "w1"), SpecFormatError),
+        (("*", 2j, ("abs2", "w1")), SpecFormatError),
+        (("sin", "w1"), UnknownPrimitiveError),
+        (("abs2", "w2"), UnknownPrimitiveError),
+    ],
+)
+def test_compile_refuses_trees_outside_the_grammar(tree, error):
+    # compile checks a tree by the grammar's one rule set, ``validate``, so
+    # a bundle built through the API fails as a spec file does, never with
+    # an IndexError or by dropping an argument
+    with pytest.raises(error):
+        compile(tree, ("w1",))
+    cpn1 = builtin_cpn(1)
+    chart = PotentialChart(1, tree, cpn1.chart.box, label="malformed")
+    with pytest.raises(error):
+        verdict(ManifoldBundle(chart, cpn1.mapping, cpn1.locus), SamplingConfig(4, 4))
 
 
 def is_subsequence(rows, of):

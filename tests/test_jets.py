@@ -405,6 +405,32 @@ def test_a_table_is_built_once_per_space_and_key(monkeypatch):
     assert built == [fresh]
 
 
+def test_jet_operators_run_one_plan_each_kept_on_the_space():
+    space = JetSpace(4)
+    x, y = space.variable(0, 0.3), space.variable(1, -0.2)
+    want = (x * y + 1.0).coeffs
+    plans = dict(vars(space)["_operations"])
+    assert set(plans) == {("*", ((4, 1, False), (4, 1, False))), ("+", ((4, 2, False), None))}
+    assert (x * y + 1.0).coeffs.tobytes() == want.tobytes()
+    assert vars(space)["_operations"] == plans  # nothing planned the second time
+    # a product of dense jets keeps every row of its selection and shares
+    # the selection's arrays rather than copying them
+    ops = jets._Operations(space)
+    dense = jets._Shape(4, 4, False, space.degree <= 4)
+    ops._product(dense, dense)
+    ((key, rows),) = ops.products
+    assert all(r is t for r, t in zip(rows, space._mul_selection(*key)))
+
+
+def test_an_infinite_taylor_coefficient_spreads_nan_as_a_plain_product_does():
+    # exp(800) overflows to inf outside a raising error state; every Horner
+    # step keeps its rows against the zeroed constant term, so inf * 0 makes
+    # every coefficient nan rather than leaving an inf constant term
+    x = JetSpace(2).variable(0, 800.0)
+    with np.errstate(all="ignore"):
+        assert np.isnan(x.exp().coeffs.real).all()
+
+
 def test_a_space_is_freed_with_its_holders():
     # tables live on their space, so nothing outside keeps a dropped space
     space = JetSpace(4)

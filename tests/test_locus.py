@@ -35,6 +35,7 @@ from conftest import (
     laplace_log_det_ricci,
     random_tangents,
     real_metric_from_hermitian,
+    report_digests,
     ricci_pairing,
     riemann,
 )
@@ -348,13 +349,29 @@ def test_totally_real_is_the_lagrangian_defect_on_a_tilted_plane(a):
     # the plane t -> (t1 + i a t2, t2) is totally real for every real a and
     # Lagrangian only at a = 0.  totally_real's cross term E G (E J^T)^T is
     # -E w E^T, so it reads the Lagrangian defect a / sqrt(1 + a^2), bit for
-    # bit the lagrangian_residual, and the rank defect adds nothing
+    # bit the lagrangian_residual
     tilted = FixedLocusParam((("+", "t1", ("*", a, "I", "t2")), "t2"), ((-0.4, 0.4),) * 2)
     flat = builtin_flat_torus(2).chart
     for t in sample_parameters(tilted, 8, seed=0):
         lp = LocusGeometry(flat, tilted, t)
         assert totally_real_residual(lp) == lagrangian_residual(lp)
         assert totally_real_residual(lp) == pytest.approx(a / np.sqrt(1.0 + a * a), rel=1e-12, abs=0)
+
+
+def test_a_complex_plane_reads_one_and_fails_the_totally_real_gate():
+    # on t -> (t1 + i t2, 0), J maps the tangent plane into itself: the
+    # frame and its J-image span only that plane, and the cross term alone
+    # reads 1, as a rank defect always makes it read at least 1/m
+    bundle = report_digests().complex_plane_cpn2()
+    for t in sample_parameters(bundle.locus, 6, seed=0):
+        lp = locus_point(LocusGeometry(bundle.chart, bundle.locus, t))
+        joint = np.vstack([lp.frame, lp.frame @ j_matrix(2).T])
+        assert np.linalg.matrix_rank(joint) == 2
+        assert totally_real_residual(lp) == pytest.approx(1.0, abs=1e-12)
+    report = verdict(bundle, SamplingConfig(12, 12, seed=0))
+    assert report.exit_code == 3
+    assert report.data["checks"]["totally_real"]["max"] == pytest.approx(1.0, abs=1e-12)
+    assert not report.data["hypotheses"]["totally_real"]["passed"]
 
 
 def test_frame_trace_identity():

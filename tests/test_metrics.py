@@ -47,6 +47,7 @@ from conftest import (
     random_tangents,
     real_metric_derivatives,
     real_psi_jet,
+    report_digests,
     ricci_pairing,
     riemann,
     riemann_tensor,
@@ -516,6 +517,27 @@ def test_non_finite_metric_is_degenerate():
         assert all(np.all(np.isfinite(geom.g)) for geom in geoms)
         with pytest.raises(DegenerateMetricError, match="not finite"):
             ChartGeometry(chart, ChartPoint((0.9 + 0.9j,))).g
+
+
+def test_an_overflowing_taylor_series_ends_the_verdict_as_degenerate():
+    # the reciprocal of a constant term near (3 + 2i) 1e84 has Taylor
+    # coefficients u^-4 and u^-5 that Python's complex arithmetic overflows
+    # to nan without a floating-point flag; the series raises under the
+    # verdict's error state, so the run stops with the series named instead
+    # of reading nan metrics
+    bundle = report_digests().overflowing_series()
+    report = verdict(bundle, SamplingConfig(6, 6, seed=0))
+    assert report.exit_code == EXIT_DEGENERATE
+    (warning,) = report.data["warnings"]
+    assert warning.startswith("numerical failure (FloatingPointError): reciprocal series")
+    assert report.data["checks"] == {}
+    # an order-2 lift needs only u^-1 .. u^-3, which stay finite
+    point = ChartPoint((0.1 + 0.2j,))
+    with np.errstate(over="raise"):
+        jet, _ = metrics_module.lift_to_jet(bundle.chart.potential, point, order=2)
+        assert np.all(np.isfinite(jet.coeffs))
+        with pytest.raises(FloatingPointError, match="reciprocal series"):
+            metrics_module.lift_to_jet(bundle.chart.potential, point)
 
 
 WIRTINGER_PATTERNS = ((True, False), (True, True, False), (True, False, True, False), (True, True))

@@ -35,7 +35,7 @@ def test_report_digests_prints_each_reports_sha256():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     bundles = report_digests().bundles()
-    assert len(lines) == len(bundles) == 17
+    assert len(lines) == len(bundles) == 19
     exits = []
     for line, bundle in zip(lines, bundles):
         report = verdict(bundle, SamplingConfig(4, 4, seed=0))
@@ -43,6 +43,7 @@ def test_report_digests_prints_each_reports_sha256():
         assert line.split() == [bundle.label, "0", *digests]
         exits.append(report.exit_code)
     # the digests cover the suite and its three larger built-ins (exit 0),
-    # the product (exit 2), two gate failures (exit 3) and a callable potential
-    assert exits == [0] * 13 + [2, 3, 3, 0]
-    assert not bundles[-1].chart.is_exact
+    # the product (exit 2), two gate failures (exit 3), a callable potential,
+    # a complex plane as locus (exit 3) and an overflowing lift (exit 4)
+    assert exits == [0] * 13 + [2, 3, 3, 0, 3, 4]
+    assert not bundles[-3].chart.is_exact
