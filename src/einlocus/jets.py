@@ -700,7 +700,7 @@ class Jet:
     def __add__(self, other):
         return self._planned("+", self, other)
 
-    __radd__ = __add__  # a number plus a jet is the jet plus the number
+    __radd__ = __add__
 
     def __neg__(self):
         return self._planned("neg", self)
