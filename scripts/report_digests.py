@@ -12,10 +12,17 @@ rendering.  Reports are byte-identical for a fixed seed, so two checkouts
 that should agree are compared with `diff` on this script's output:
 
     python scripts/report_digests.py --samples 40 --seeds 0 1 > after.txt
+
+With --values it prints the reported numbers instead: one `label seed key
+value` line per numeric leaf of each JSON report, the key path joined by
+`.` (list entries by their index) and the value as its `repr`, so that two
+checkouts' listings can be joined on (label, seed, key) to find the largest
+change per bundle.
 """
 
 import argparse
 import hashlib
+import json
 import pathlib
 import sys
 
@@ -135,14 +142,33 @@ def bundles():
     ]
 
 
+def numeric_leaves(data, path=()):
+    """(key path, value) of each int or float leaf of a report's data."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        if isinstance(data, (int, float)) and not isinstance(data, bool):
+            yield ".".join(map(str, path)), data
+        return
+    for key, value in items:
+        yield from numeric_leaves(value, path + (key,))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--samples", type=int, default=12)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--values", action="store_true", help="print reported numbers, not hashes")
     args = parser.parse_args()
     for bundle in bundles():
         for seed in args.seeds:
             report = verdict(bundle, SamplingConfig(args.samples, args.samples, seed=seed))
+            if args.values:
+                for key, value in numeric_leaves(json.loads(report.to_json())):
+                    print(bundle.label, seed, key, repr(value), flush=True)
+                continue
             digests = (hashlib.sha256(r.encode()).hexdigest() for r in (report.to_json(), report.to_text()))
             print(bundle.label, seed, *digests, flush=True)
     return 0

@@ -53,7 +53,8 @@ CHECK_EXPLANATIONS = {
         "map this is the same as pulling the Kahler form back to its negative",
     ),
     "ambient_einstein": (
-        "max_p ||Ric - lambda g||_F / ||g||_F with lambda the median Ric/g ratio",
+        "max_p ||Ric - lambda g||_F / ||g||_F with lambda the median over the "
+        "ambient samples of tr(g^-1 Ric) / n, which no change of chart moves",
         "the ambient metric must satisfy Ric = lambda g before the locus "
         "criterion means anything",
     ),
@@ -62,17 +63,20 @@ CHECK_EXPLANATIONS = {
         "the declared parametrization must actually land on the fixed locus",
     ),
     "locus_rank": (
-        f"indicator: 1 when the smallest singular value of d(param)/dt drops below "
+        f"indicator: 1 when the locus_rank_margin of some locus sample is below "
         f"{RANK_TOL:g}, or when the locus has m != n parameters (no locus sampled)",
         "the locus must be a half-dimensional submanifold; rank defects "
-        "invalidate the frame construction (the singular values themselves "
-        "appear under checks), and with m != n the frame's J-image cannot "
-        "span the normal space",
+        "invalidate the frame construction (their count is "
+        "counts.locus_rank_deficient), and with m != n the frame's J-image "
+        "cannot span the normal space",
     ),
-    "locus_rank_smallest_sv": (
-        "smallest singular value of d(param)/dt at each locus sample",
-        "the values behind the locus_rank indicator; near zero the "
-        "parametrization loses rank and the frame is undefined",
+    "locus_rank_margin": (
+        "smallest diagonal entry of L, with L L^T = T G T^T the Cholesky factor "
+        "of the tangent fields' Gram matrix (T = d(param)/dt), at each locus "
+        "sample; 0 where the factorization fails",
+        "the shortest G-length Gram-Schmidt leaves a tangent field, the values "
+        "behind the locus_rank indicator; near zero the parametrization loses "
+        "rank and the frame, E = L^-1 T, is undefined",
     ),
     "locus_present": (
         "indicator: 1 when the bundle declares no locus parametrization",

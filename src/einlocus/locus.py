@@ -4,7 +4,8 @@ The canonical frame at a locus point is the Gram-Schmidt orthonormalization
 (in parameter order) of the coordinate basis T = d(param)/dt; on a totally
 real locus of half dimension its J-image E J^T spans the normal space.  It is
 taken in closed form: with L L^T = T G T^T the Cholesky factorization, the
-frame is E = L^-1 T.  The second fundamental form h(e_a, e_b) =
+frame is E = L^-1 T, and the smallest diagonal entry of L is the one test
+of the locus rank (``rank_margin``).  The second fundamental form h(e_a, e_b) =
 [nabla_{e_a} e_b]^normal needs only the frame and its first derivative
 along the locus, which follows from the derivative of the
 factorization (see ``frame_field_jets``), with the metric's t-derivative
@@ -35,8 +36,8 @@ from .exprs import coord_names, evaluate
 from .jets import Jet, jet_space
 from .metrics import ChartGeometry, PotentialChart, cached
 
-# Below this, a singular value of d(param)/dt, or the length Gram-Schmidt
-# leaves a tangent field, counts as lost rank.
+# Below this, the length Gram-Schmidt leaves a tangent field counts as lost
+# rank (``LocusGeometry.rank_margin``).
 RANK_TOL = 1e-8
 
 
@@ -102,24 +103,33 @@ class LocusGeometry:
     # -- the canonical frame to first order along the locus ----------------------
 
     @cached
+    def _gram_factor(self):
+        """L with L L^T = T G T^T, the Gram matrix of the tangent fields T_d
+        in parameter order; zero where the Cholesky factorization fails."""
+        T = self.jacobian.T
+        try:
+            return np.linalg.cholesky(T @ self.geom.G @ T.T)
+        except np.linalg.LinAlgError:
+            return np.zeros((self.m, self.m))
+
+    @property
+    def rank_margin(self) -> float:
+        """The smallest diagonal entry of L, the length Gram-Schmidt leaves a
+        tangent field after projecting out the earlier ones; below
+        ``RANK_TOL`` the locus has lost rank."""
+        return float(self._gram_factor.diagonal().min())
+
+    @cached
     def frame_in_param_basis(self):
         """Coefficients C with e_a = sum_d C[a, d] T_d at the base parameter.
 
         Gram-Schmidt of the tangent fields T_d in parameter order, in closed
-        form: C = L^-1 with L L^T = T G T^T the Cholesky factorization.  A
-        failed factorization, or a diagonal entry of L (the length left after
-        projecting out the earlier fields) below ``RANK_TOL``, is a rank
-        deficiency.
+        form: C = L^-1 (``_gram_factor``).  A ``rank_margin`` below
+        ``RANK_TOL`` is a rank deficiency.
         """
-        T = self.jacobian.T
-        try:
-            L = np.linalg.cholesky(T @ self.geom.G @ T.T)
-            full_rank = L.diagonal().min() >= RANK_TOL
-        except np.linalg.LinAlgError:
-            full_rank = False
-        if not full_rank:
+        if not self.rank_margin >= RANK_TOL:
             raise RankDeficiencyError(f"locus parametrization degenerate at t={self.t}")
-        return np.linalg.inv(L)
+        return np.linalg.inv(self._gram_factor)
 
     @cached
     def frame_field_jets(self):

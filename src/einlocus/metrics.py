@@ -7,7 +7,9 @@ psi / (alpha! beta!), and the curvature formula reads no other partial.
 The metric g, its derivatives dg and ddg, and the holomorphic Hessian
 d d psi are then plain gathers of coefficient times alpha! beta!
 (``Jet.wirtinger_tensor``).  The curvature tensor follows from the
-standard potential formula, and the Ricci form is its g-trace.  A point
+standard potential formula, and the Ricci form is its g-trace.  The
+Einstein constant of stage 3 is read off the trace tr(g^-1 Ric) / n, a
+scalar that no change of chart coordinates moves (``einstein_residual``).  A point
 whose metric alone is read (a map image) is lifted to order 2 only.  The
 potential is the only thing expanded in jet arithmetic, by the chart's
 compiled program (``exprs.Program``), so the cost per point is polynomial
@@ -257,12 +259,12 @@ class ChartGeometry:
     @cached
     def ricci(self):
         """Ricci coefficients Ric_{i jbar} = g^{lbar k} R_{i jbar k lbar}, which
-        equals -d_i dbar_j log det g; one contraction per point, on a stack
-        too, as a stacked contraction does not sum in the same order."""
-        g_inv, R = self.g_inv, self.curvature
-        if g_inv.ndim == 2:
-            return np.einsum("lk,ijkl->ij", g_inv, R)
-        return np.array([np.einsum("lk,ijkl->ij", a, b) for a, b in zip(g_inv, R)])
+        equals -d_i dbar_j log det g: rows (i, j) of R times the column g^T,
+        one matrix-vector product over any leading axes."""
+        n, g_inv = self.n, self.g_inv
+        lead = g_inv.shape[:-2]
+        R = self.curvature.reshape(lead + (n * n, n * n))
+        return (R @ g_inv.swapaxes(-1, -2).reshape(lead + (n * n, 1))).reshape(lead + (n, n))
 
     @cached
     def curvature(self):
@@ -344,32 +346,20 @@ def _real_metric_matrix(g):
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-# Entries smaller than this fraction of the metric norm are too noisy for
-# entrywise Ricci/metric ratios.
-RATIO_FLOOR = 1e-6
-
-
 def einstein_residual(geometries):
     """Estimate the Einstein constant and the worst relative defect over the
     chart geometries of the sample points.
 
-    Returns (lambda_est, max_residual) where lambda_est is the median of
-    entrywise Ric/g ratios over well-conditioned entries of all samples and
-    max_residual = max_p ||Ric - lambda g||_F / ||g||_F.
+    Returns (lambda_est, max_residual) where lambda_est is the median over
+    points of Re tr(g^-1 Ric) / n, which no change of chart coordinates
+    moves, and max_residual = max_p ||Ric - lambda g||_F / ||g||_F; a nan
+    anywhere is a nan residual.
     """
-    geometries = list(geometries)
-    if len(geometries) < 2:
+    pairs = [(geom.g, geom.ricci) for geom in geometries]
+    if len(pairs) < 2:
         raise ValueError("einstein_residual needs at least 2 sample points")
-    pairs = []
-    ratios = []
-    for geom in geometries:
-        g, ric = geom.g, geom.ricci
-        pairs.append((g, ric))
-        floor = RATIO_FLOOR * np.linalg.norm(g)
-        mask = np.abs(g) > floor
-        ratios.extend(np.real(ric[mask] / g[mask]).tolist())
-    lam = float(np.median(ratios))
-    worst = 0.0
-    for g, ric in pairs:
-        worst = max(worst, float(np.linalg.norm(ric - lam * g) / np.linalg.norm(g)))
-    return lam, worst
+    g, ric = np.moveaxis(np.array(pairs), 1, 0)
+    trace = np.trace(np.linalg.solve(g, ric), axis1=-2, axis2=-1).real
+    lam = float(np.median(trace / g.shape[-1]))
+    defect = np.linalg.norm(ric - lam * g, axis=(-2, -1)) / np.linalg.norm(g, axis=(-2, -1))
+    return lam, float(defect.max())

@@ -34,13 +34,7 @@ from .errors import (
     NonAnalyticFieldError,
     RankDeficiencyError,
 )
-from .locus import (
-    RANK_TOL,
-    LocusGeometry,
-    locus_point,
-    restricted_ricci,
-    totally_real_residual,
-)
+from .locus import LocusGeometry, locus_point, restricted_ricci, totally_real_residual
 from .metrics import METRIC_ORDER, einstein_residual
 from .sampling import DEFAULT_MARGIN, SamplingConfig, sample_chart_points, sample_parameters
 
@@ -50,7 +44,7 @@ EXIT_NOT_EINSTEIN = 2
 EXIT_HYPOTHESES_FAILED = 3
 EXIT_DEGENERATE = 4
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 _STATUS_BY_EXIT = {
     EXIT_EINSTEIN: "einstein",
@@ -176,10 +170,11 @@ def _hypothesis(report, name, worst, tol):
 
 def _check(report, name, values, tol=None, hypothesis=None):
     """Record the statistics of a check and, given a tolerance, the
-    hypothesis (``hypothesis``, else ``name``) that its worst value meets it."""
-    report["checks"][name] = _stat(values)
+    hypothesis (``hypothesis``, else ``name``) that its worst value, the
+    statistics' max (nan if any value is), meets it."""
+    stat = report["checks"][name] = _stat(values)
     if tol is not None:
-        _hypothesis(report, hypothesis or name, max(values), tol)
+        _hypothesis(report, hypothesis or name, stat["max"], tol)
 
 
 def _stopped(report):
@@ -345,7 +340,7 @@ def _stages(bundle, config, tol, report):
     lpoints = []
     counts["locus_requested"] = len(params)
     rejected, rank_deficient = 0, 0
-    fixed_res, rank_sv = [], []
+    fixed_res, rank_margin = [], []
     for t in params:
         try:
             lg = LocusGeometry(chart, locus, t)  # evaluates the parametrization, once
@@ -354,23 +349,23 @@ def _stages(bundle, config, tol, report):
             rejected += 1
             continue
         fixed_res.append(fixed_locus_residual(mapping, lg.point))
-        sv = np.linalg.svd(lg.jacobian, compute_uv=False)
-        rank_sv.append(float(sv[-1]))
         try:
             lpoints.append(locus_point(lg))
         except RankDeficiencyError:
             rank_deficient += 1
+        rank_margin.append(lg.rank_margin)
     counts["locus_admitted"] = len(lpoints)
     counts["locus_rejected"] = rejected
     counts["locus_rank_deficient"] = rank_deficient
     _check(report, "locus_fixed", fixed_res)
-    _check(report, "locus_rank_smallest_sv", rank_sv)
+    _check(report, "locus_rank_margin", rank_margin)
     if not lpoints or rejected + rank_deficient > len(params) / 2:
         warnings.append("locus sampling was mostly unusable")
         return None
 
-    _hypothesis(report, "locus_fixed", max(fixed_res), tol.gate_locus_fixed)
-    _hypothesis(report, "locus_rank", 0.0 if min(rank_sv) > RANK_TOL else 1.0, 0.5)
+    fixed_worst = report["checks"]["locus_fixed"]["max"]
+    _hypothesis(report, "locus_fixed", fixed_worst, tol.gate_locus_fixed)
+    _hypothesis(report, "locus_rank", 1.0 if rank_deficient else 0.0, 0.5)
     treal = [totally_real_residual(lp) for lp in lpoints]
     _check(report, "totally_real", treal, tol.gate_totally_real)
     h_res = [lp.sff_max_norm for lp in lpoints]
@@ -413,8 +408,8 @@ def _stages(bundle, config, tol, report):
 
     C_est = float(np.median(c_values))
     kappa_est = float(np.median(kappa_values))
-    C_spread = float((max(c_values) - min(c_values)) / max(1.0, abs(C_est)))
-    kappa_spread = float((max(kappa_values) - min(kappa_values)) / max(1.0, abs(kappa_est)))
+    C_spread = float(np.ptp(sv.C_est) / max(1.0, abs(C_est)))
+    kappa_spread = float(np.ptp(kappa) / max(1.0, abs(kappa_est)))
     report["constants"].update(
         {
             "C_est": C_est,

@@ -509,7 +509,7 @@ def per_point_stage_five(lp, projector, tol_sym, tol_eig):
     mean = float(np.mean(eigs))
     spread = float((eigs[-1] - eigs[0]) / max(1.0, abs(mean)))
     g_inv = np.linalg.inv(geom.g)
-    ricci = np.einsum("lk,ijkl->ij", g_inv, per_point_curvature(geom))
+    ricci = (per_point_curvature(geom).reshape(g_inv.size, -1) @ g_inv.T.reshape(-1, 1)).reshape(lp.n, -1)
     R_res = E @ _real_metric_matrix(ricci) @ E.T - mixed
     kappa = float(np.trace(R_res) / lp.m)
     return {

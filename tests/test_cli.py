@@ -50,7 +50,7 @@ def test_verify_json_report_deterministic(tmp_path, capsys):
     assert a == b
     data = json.loads(a)
     assert data["verdict"]["status"] == "einstein"
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
 
 
 def test_verify_spec_file(tmp_path, capsys):

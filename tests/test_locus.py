@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from einlocus import (
+    EXIT_HYPOTHESES_FAILED,
     AntiholoMap,
     ChartPoint,
     FixedLocusParam,
@@ -28,6 +29,7 @@ from einlocus import (
     verdict,
 )
 from einlocus.criterion import map_normal_projector
+from einlocus.locus import RANK_TOL
 from einlocus.sampling import sample_parameters
 
 from conftest import (
@@ -121,6 +123,23 @@ def test_collapsing_parametrizations_are_rank_deficient_not_linalg_failures():
         counts = report.data["counts"]
         assert counts["locus_rank_deficient"] == counts["locus_requested"] > 0
         assert not any(w.startswith("numerical failure") for w in report.data["warnings"])
+
+
+def test_a_locus_that_loses_rank_at_some_samples_fails_locus_rank():
+    # (t1, t2^15) flattens where |t2| is small: there the second tangent
+    # field's Gram-Schmidt length is below RANK_TOL, at fewer than half of
+    # the samples, so stage 4 goes on to record the failed rank gate
+    locus = FixedLocusParam(components=("t1", ("pow", "t2", 15)), box=((-1.0, 1.0),) * 2)
+    conjugation = AntiholoMap((("conj", "w1"), ("conj", "w2")), declared_involution=True)
+    bundle = ManifoldBundle(chart=FLAT2, mapping=conjugation, locus=locus, c1_sign="zero", label="flattened")
+    report = verdict(bundle, SamplingConfig(12, 12, seed=0))
+    counts, margin = report.data["counts"], report.data["checks"]["locus_rank_margin"]
+    assert 0 < counts["locus_rank_deficient"] < counts["locus_requested"] / 2
+    assert report.exit_code == EXIT_HYPOTHESES_FAILED
+    assert report.data["hypotheses"]["locus_rank"] == {"passed": False, "worst": 1.0, "tolerance": 0.5}
+    margins = [LocusGeometry(FLAT2, locus, t).rank_margin for t in sample_parameters(locus, 12, seed=0)]
+    assert margin["min"] == min(margins) < RANK_TOL
+    assert sum(m < RANK_TOL for m in margins) == counts["locus_rank_deficient"]
 
 
 def test_locus_point_builds_the_frame_of_the_geometry_it_is_given():

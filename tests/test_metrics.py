@@ -7,6 +7,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from einlocus.bundles import BUILTINS
 from einlocus.errors import JetOrderError, NonAnalyticFieldError
 from einlocus.metrics import METRIC_ORDER, lift_to_jet
 from einlocus.sampling import sample_chart_points
+from einlocus.verify import _check
 
 from conftest import (
     admitted_geometries,
@@ -155,6 +157,45 @@ def test_einstein_residual_flat_fs_perturbed():
 def test_einstein_residual_needs_two_points():
     with pytest.raises(ValueError):
         einstein_residual([FLAT2.geometry(ChartPoint((0.0, 0.0)))])
+
+
+def test_the_einstein_constant_does_not_move_with_a_unitary_change_of_chart():
+    # w = U u, U unitary, carries the perturbed flat potential to a chart in
+    # u; tr(g^-1 Ric) and the Frobenius norms of g and Ric - lambda g agree
+    # at corresponding points, where entrywise Ric/g ratios do not
+    psi = ("+", ("abs2", "w1"), ("abs2", "w2"), ("*", 0.1, ("pow", ("abs2", "w1"), 2)))
+    chart = PotentialChart(2, psi, ((-0.8, 0.8),) * 4, label="perturbed")
+    c, s, phase = np.cos(0.7), np.sin(0.7), np.exp(0.4j)
+    U = np.array([[c, -s], [s * phase, c * phase]])
+
+    def literal(z):
+        return ("+", float(z.real), ("*", float(z.imag), "I"))
+
+    rows = {f"w{j + 1}": ("+", ("*", literal(U[j, 0]), "w1"), ("*", literal(U[j, 1]), "w2")) for j in range(2)}
+    moved = PotentialChart(2, exprs.substitute(psi, rows), ((-2.0, 2.0),) * 4, label="moved")
+    points = admitted_points(chart, 9, seed=0)
+    lam, res = einstein_residual(chart.geometry(p) for p in points)
+    lam_u, res_u = einstein_residual(
+        moved.geometry(ChartPoint(tuple(U.conj().T @ np.array(p.holo)))) for p in points
+    )
+    assert res > 0.1
+    assert abs(lam_u - lam) < 1e-12
+    assert abs(res_u - res) < 1e-12
+
+
+def test_a_nan_ricci_tensor_is_a_nan_residual():
+    # a nan that is not first must not be dropped on the way to the gate
+    g = np.eye(2, dtype=complex)
+    stubs = [SimpleNamespace(g=g, ricci=ric) for ric in (2.0 * g, np.full((2, 2), np.nan + 0j), 2.0 * g)]
+    _, res = einstein_residual(stubs)
+    assert np.isnan(res)
+
+
+def test_a_nan_value_fails_the_hypothesis_it_is_checked_against():
+    report = {"checks": {}, "hypotheses": {}}
+    _check(report, "ambient_einstein", [0.0, float("nan")], 1e-6)
+    hypothesis = report["hypotheses"]["ambient_einstein"]
+    assert hypothesis["passed"] is False and np.isnan(hypothesis["worst"])
 
 
 def test_curvature_flat_and_symmetries():
