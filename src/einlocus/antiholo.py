@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, j_matrix
+from .coords import ChartPoint, holo_of, j_matrix
 from .jets import Jet, jet_space
 from .metrics import ChartGeometry, PotentialChart
 
@@ -43,22 +43,24 @@ class AntiholoMap:
         return ChartPoint(tuple(complex(p.on_numbers(point.holo)) for p in self._programs))
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
-        """The 2n x 2n real Jacobian Df at a point, from order-1 jets."""
-        jets = exprs.on_coordinates(self._programs, point.holo, 1)
-        return _real_jacobian(_as_jets(jets, jet_space(2 * len(point.holo), 1)))
+        """The 2n x 2n real Jacobian Df at a point (a list's, stacked, from
+        one run), from order-1 jets."""
+        holo = holo_of(point)
+        jets = exprs.on_coordinates(self._programs, holo, 1)
+        return _real_jacobian(_as_jets(jets, jet_space(2 * len(holo), 1), np.shape(holo[0])))
 
 
-def _as_jets(values, space):
-    """Program results as jets of ``space``: a constant as a constant jet."""
-    return [x if isinstance(x, Jet) else space.constant(x) for x in values]
+def _as_jets(values, space, points=()):
+    """Program results as jets of ``space``, a constant stacked over ``points``."""
+    return [x if isinstance(x, Jet) else space.constant(np.full(points, x)) for x in values]
 
 
 def _real_jacobian(jets) -> np.ndarray:
     """The real Jacobian of complex-valued jets: row 2k holds the real and
-    row 2k + 1 the imaginary part of the gradient of jets[k]."""
-    grad = np.array([jet.derivative_tensor(1) for jet in jets])
-    D = np.empty((2 * grad.shape[0], grad.shape[1]))
-    D[0::2], D[1::2] = grad.real, grad.imag
+    row 2k + 1 the imaginary part of the gradient of jets[k], per point."""
+    grad = np.stack([jet.derivative_tensor(1) for jet in jets], axis=-2)
+    D = np.empty(grad.shape[:-2] + (2 * grad.shape[-2], grad.shape[-1]))
+    D[..., 0::2, :], D[..., 1::2, :] = grad.real, grad.imag
     return D
 
 
@@ -127,9 +129,11 @@ class FixedLocusParam:
         return ChartPoint(tuple(complex(p.on_numbers(values)) for p in self._programs))
 
     def component_jets(self, t, order=4):
-        """The chart coordinates of the locus as jets in the parameters."""
+        """The chart coordinates of the locus as jets in the parameters (at
+        a list of parameter tuples, stacked)."""
+        t = np.array(t).T if isinstance(t, list) else t
         jets = exprs.on_parameters(self._programs, t, order)
-        return _as_jets(jets, jet_space(self.n_params, order))
+        return _as_jets(jets, jet_space(self.n_params, order), np.shape(t[0]))
 
     def jacobian(self, t) -> np.ndarray:
         """Real 2n x m Jacobian d(param)/dt."""

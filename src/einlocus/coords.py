@@ -71,6 +71,11 @@ class ChartPoint:
         return ChartPoint(tuple(r[0::2] + 1j * r[1::2]))
 
 
+def holo_of(points):
+    """A point's holomorphic coordinates, or a list's as n arrays of P."""
+    return np.array([p.holo for p in points]).T if isinstance(points, list) else points.holo
+
+
 def wirtinger_matrix(n):
     """The n x 2n matrix W with d/dz^j = sum_a W[j, a] d/dx^a; its complex
     conjugate gives d/dzbar^j."""

@@ -11,12 +11,11 @@ and the scalar route -sum_a Rm(J e_a, e_b, e_c, J e_a); they must agree to
 tensor-assembly precision.  Both read the chart's complex curvature
 summed over the frame (``LocusGeometry.frame_curvature``).
 
-``verdict`` evaluates both routes and the spectral test once, on the
-stacked locus geometry of all its admitted points
-(``LocusGeometry.stacked``): each matrix product, inverse and eigenvalue
-call runs on (points, ...) arrays, and the Frobenius norms are one dot
-product per point, as ``np.linalg.norm`` takes them.  On one point the
-same functions give the same numbers bit for bit.
+``verdict`` runs both routes, the spectral test and the normal projectors
+(from one stacked Jacobian run) once, on (points, ...) arrays of all its
+admitted points (``LocusGeometry.stacked``); Frobenius norms are one dot
+product per point, as ``np.linalg.norm`` takes them, and one point gives
+the same numbers bit for bit.
 """
 
 from __future__ import annotations

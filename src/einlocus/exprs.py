@@ -12,25 +12,22 @@ makes exact differentiation of composed data (potentials after pullbacks,
 fields along a parametrized locus) a matter of seeding the inputs.
 
 ``compile(expr, names)`` checks a tree against the grammar (``validate``)
-and turns it into a ``Program`` once: every subtree without an identifier
-is folded into its value (a whole subtree only, so ``("+", "w1", 1, 2)``
-stays (w1 + 1) + 2), and the rest becomes nested closures.  On numbers a
-program runs those closures.  On jets it runs a plan, made once per input
-structure (the jet space, order, degree, variable kind and nonzero pattern
-of each input) and kept on the program (a taped evaluation: Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  ``on_coordinates``
-and ``on_parameters`` build the coordinate or parameter jets at a base
-point themselves, so they know that structure without reading it off the
-inputs.  A plan runs the jet operations of ``jets._Operations`` from the
-positions where each input jet may be nonzero (a coordinate z_j over
-(z, zbar) is nonzero at 1 and z_j only, a parameter t_d at 1 and t_d), so
-each product keeps only the rows its operands' supports reach.  A ``Jet``
-operator plans its one operation on supports read off its operands'
-degrees instead.  While every coefficient is finite, a row the whole-tree
-plan drops could only add an exact zero to a sum that starts at +0.0, so
-the two agree bit for bit.  A Taylor series with a coefficient that is
-not finite raises under ``np.errstate(over="raise")``, as in a verdict,
-so both stop there alike.  ``evaluate`` is compile-and-run.
+and turns it into a ``Program`` once: every whole subtree without an
+identifier is folded into its value (``("+", "w1", 1, 2)`` stays
+(w1 + 1) + 2), and the rest becomes nested closures, run as they are on
+numbers.  On jets a program runs a plan, made once per input structure
+(space, order, degree, variable kind and nonzero pattern of each input) and
+kept on the program (a taped evaluation: Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008).  ``on_coordinates`` and ``on_parameters``
+build the coordinate or parameter jets themselves, so they know that
+structure; at the base values of P points they run each program once, on
+the stacked jets of all.  A plan runs the operations of ``jets._Operations``
+from where each input may be nonzero, so each product keeps only the rows
+its operands' supports reach; a ``Jet`` operator plans on supports read off
+its operands' degrees.  While every coefficient is finite, a row the plan
+drops adds an exact zero to a sum from +0.0, so the two agree bit for bit;
+a Taylor series with a non-finite coefficient raises under
+``np.errstate(over="raise")`` in both.  ``evaluate`` is compile-and-run.
 """
 
 from __future__ import annotations
@@ -123,7 +120,7 @@ class Program:
         pattern outside the constant term of every jet input), read off
         the inputs on every call."""
         structure = tuple(
-            (x.space, x.order, x.degree, x.wirtinger, (x.coeffs[1:] != 0).tobytes())
+            (x.space, x.order, x.degree, x.wirtinger, _support(x)[1:].tobytes())
             if isinstance(x, Jet)
             else None
             for x in inputs
@@ -154,8 +151,15 @@ def on_parameters(programs, t, order):
     """Each program's ``on_jets`` on the parameter jets
     ``JetSpace.variable(d, t[d])``, as ``on_coordinates`` does."""
     space = jet_space(len(t), order)
-    inputs = [space.variable(d, float(x)) for d, x in enumerate(t)]
+    inputs = [space.variable(d, x) for d, x in enumerate(t)]
     return [program._run_plan(("parameters", len(t), order), inputs) for program in programs]
+
+
+def _support(jet):
+    """Where a jet, or any jet of a stack, is nonzero, and its constant term."""
+    support = np.zeros(jet.space.size, dtype=bool)
+    support[np.nonzero(jet.coeffs)[0]] = True
+    return _with_constant(support)
 
 
 class _Plan(_Operations):
@@ -167,13 +171,9 @@ class _Plan(_Operations):
 
     def __init__(self, root, inputs):
         super().__init__(next((x.space for x in inputs if isinstance(x, Jet)), None))
-        self._inputs = [
-            _Shape(x.order, x.degree, x.wirtinger, _with_constant(x.coeffs != 0))
-            if isinstance(x, Jet)
-            else None
-            for x in inputs
-        ]
+        self._inputs, self._shapes = inputs, {}  # shapes of the inputs read
         self._run, self.shape = self._plan(root)
+        del self._inputs, self._shapes
 
     def __call__(self, values):
         out = self._run(values)
@@ -186,8 +186,10 @@ class _Plan(_Operations):
             value = node[1]
             return (lambda values: value), None
         if kind == "input":
-            i = node[1]
-            return (lambda values: values[i]), self._inputs[i]
+            i, x = node[1], self._inputs[node[1]]
+            if i not in self._shapes and isinstance(x, Jet):
+                self._shapes[i] = _Shape(x.order, x.degree, x.wirtinger, _support(x))
+            return (lambda values: values[i]), self._shapes.get(i)
         if kind in _BINARY:
             f, s = self._plan(node[1])
             for kid in node[2:]:

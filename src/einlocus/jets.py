@@ -1,26 +1,19 @@
 """Truncated multivariate Taylor (jet) arithmetic.
 
 A jet stores the Taylor coefficients of a scalar field in ``nvars`` real
-variables around a base point, truncated at total degree ``capacity``
-(4 by default, which is what curvature from a potential needs).  The
-coefficient of multi-index alpha is the alpha-th partial derivative divided
-by alpha!; sums, products and compositions with analytic functions are then
-exact polynomial operations, so no step-size error enters anywhere.
+variables around a base point, truncated at total degree ``capacity`` (4 by
+default, what curvature from a potential needs).  The coefficient of
+multi-index alpha is the alpha-th partial over alpha!, so sums, products and
+compositions with analytic functions are exact polynomial operations.
 
 Each jet carries an ``order`` <= capacity up to which its coefficients are
-guaranteed: differentiating costs one order, multiplying takes the minimum
-of the factors.  Coefficients above ``order`` are kept identically zero.
-
-Each jet also carries a ``degree`` <= order: a bound on the highest total
-degree whose coefficient may be nonzero.  Order says how far a jet is
-known, degree how far it can reach: a coordinate has degree 1 at every
-order, a constant degree 0, a sum takes the larger and a product the sum
-of its operands' degrees (capped at the order), and a derivative one less
-(never below 0).  The multiplication table is laid out in blocks by the
-degree pair (d1, d2) of its operand coefficients, and a product runs only
-the blocks its operands' degrees can reach, so the polynomial stages of a
-lift never multiply the exact zeros above their degree.  A jet built
-directly from coefficients is dense: degree = order.
+known (differentiating costs one, a product takes the smaller; above it they
+are zero), and a ``degree`` <= order bounding the total degree that may be
+nonzero: 1 for a coordinate, 0 for a constant, the larger for a sum, the sum
+for a product (capped at the order), one less for a derivative (never below
+0).  The multiplication table is laid out in blocks by the degree pair
+(d1, d2) of its operand coefficients, and a product runs only the blocks its
+operands' degrees reach.  A jet built from coefficients has degree = order.
 
 A jet over 2n variables can also be a jet over the Wirtinger variables
 (z_1, zbar_1, ..., z_n, zbar_n), interleaved like the real ones; its
@@ -42,7 +35,9 @@ order, degree and kind from its operands', and a product keeps only the
 table rows its operands' supports (where each may be nonzero) reach.  An
 expression program (``exprs.Program``) plans a whole tree from the
 supports of its inputs; a ``Jet`` operator runs a one-operation plan,
-kept on the space, on supports read off its operands' degrees.
+kept on the space, on supports read off its operands' degrees.  Either
+runs on one jet's coefficients or on the stacked (size, P) coefficients
+of P base points at once, with the same bits per point.
 """
 
 from __future__ import annotations
@@ -315,8 +310,8 @@ class JetSpace:
 
     # -- constructors -------------------------------------------------------
 
-    def constant(self, value):
-        coeffs = np.zeros(self.size, dtype=np.complex128)
+    def constant(self, value):  # stacked if ``value`` is an array of P values
+        coeffs = np.zeros((self.size,) + np.shape(value), dtype=np.complex128)
         coeffs[0] = value
         return Jet(self, coeffs, self.capacity, 0)
 
@@ -324,7 +319,7 @@ class JetSpace:
         """The coordinate function x_v expanded around base_value."""
         if not 0 <= v < self.nvars:
             raise KeyError(f"no variable {v} among {self.nvars}")
-        coeffs = np.zeros(self.size, dtype=np.complex128)
+        coeffs = np.zeros((self.size,) + np.shape(base_value), dtype=np.complex128)
         coeffs[0] = base_value
         coeffs[self._tensor_table(1)[0][v]] = 1.0
         return Jet(self, coeffs, self.capacity, 1)
@@ -337,18 +332,19 @@ def jet_space(nvars, capacity=DEFAULT_ORDER):
 
 def coordinate_jets(holo, order=DEFAULT_ORDER, wirtinger=False):
     """Jets of the holomorphic coordinates z^j around the point ``holo``,
-    each of degree 1, filled in one (n, size) array: over (z, zbar) z^j is
-    variable 2j, over the interleaved real variables it is x^j + i y^j."""
-    n = len(holo)
-    space = jet_space(2 * n, order)
+    each of degree 1: over (z, zbar) z^j is variable 2j, over the
+    interleaved real variables it is x^j + i y^j.  Given arrays of values
+    at P points, the jets are stacked: coefficients of shape (size, P)."""
+    space = jet_space(2 * len(holo), order)
     units = space._tensor_table(1)[0]
-    coeffs = np.zeros((n, space.size), dtype=np.complex128)
-    rows = np.arange(n)
-    coeffs[:, 0] = holo
-    coeffs[rows, units[0::2]] = 1.0
-    if not wirtinger:
-        coeffs[rows, units[1::2]] = 1j
-    return [Jet(space, c, order, 1, wirtinger) for c in coeffs]
+    jets = []
+    for j, z in enumerate(holo):
+        coeffs = np.zeros((space.size,) + np.shape(z), dtype=np.complex128)
+        coeffs[0], coeffs[units[2 * j]] = z, 1.0
+        if not wirtinger:
+            coeffs[units[2 * j + 1]] = 1j
+        jets.append(Jet(space, coeffs, order, 1, wirtinger))
+    return jets
 
 
 def result_kind(wirtinger_a, degree_a, wirtinger_b, degree_b):
@@ -368,13 +364,30 @@ def _plus(coeffs, value):
     return coeffs
 
 
+STACKED_TERMS = 1024  # the most table rows plus jet size of a product summed as a stack
+
+
 def _product(a, b, table, size):
     """The coefficients of a product from its operands' coefficients ``a``
     and ``b`` and rows ``table`` = (ia, ib, iout) of the multiplication
-    table: each output sums its terms in table order, from +0.0."""
+    table: each output sums its terms in table order, from +0.0.  A small
+    stacked product sums all points' real and imaginary parts in one
+    ``np.bincount``, in index order from +0.0 as ``np.add.at`` does; a
+    larger one, or a sum that is not finite (so that numpy raises or warns
+    as it would), runs ``np.add.at`` per point."""
     ia, ib, iout = table
-    prod = np.zeros(size, dtype=np.complex128)
-    np.add.at(prod, iout, a[ia] * b[ib])
+    terms = a.take(ia, axis=0) * b.take(ib, axis=0)
+    if terms.ndim > 1 and len(iout) + size <= STACKED_TERMS:
+        parts = terms.view(np.float64)  # (rows, 2P): re, im per point
+        width = parts.shape[1]
+        index = (iout * width)[:, None] + np.arange(width)
+        prod = np.bincount(index.ravel(), parts.ravel(), size * width)
+        prod = prod.view(np.complex128).reshape(size, -1)
+        if np.isfinite(prod).all():
+            return prod
+    prod = np.zeros((size,) + terms.shape[1:], dtype=np.complex128)
+    for column, column_terms in zip(prod.reshape(size, -1).T, terms.reshape(len(iout), -1).T):
+        np.add.at(column, iout, column_terms)
     return prod
 
 
@@ -382,7 +395,7 @@ def _conjugate(coeffs, swap):
     """The conjugate's coefficients: over (z, zbar) the z and zbar exponents
     swap too, ``swap`` holding each position's swapped one (None over real
     variables)."""
-    return np.conj(coeffs if swap is None else coeffs[swap])
+    return np.conj(coeffs if swap is None else coeffs.take(swap, axis=0))
 
 
 def _real(coeffs, swap):
@@ -505,7 +518,7 @@ class _Operations:
         # coefficients above the order are zeroed only when the degree
         # reaches past it
         mask = self.space._masks[order]
-        return (lambda a, b: add(a, b) * mask), _Shape(order, order, wirtinger, support & mask)
+        return (lambda a, b: (add(a, b).T * mask).T), _Shape(order, order, wirtinger, support & mask)
 
     def _product(self, sa, sb):
         """The product of two jets: order the smaller, degree the sum of
@@ -537,7 +550,7 @@ class _Operations:
         the jet less its constant term, every step planned.  Each step keeps
         the rows that meet the zeroed constant term: an accumulator that is
         not finite turns them into nan, as a plain product would."""
-        order, size = s.order, self.space.size
+        order = s.order
         acc, steps = self._constant(self.space.capacity, False), []
         for k in range(order - 1, -1, -1):
             step, acc = self._product(acc, s)
@@ -547,7 +560,7 @@ class _Operations:
         def compose(coeffs, cs):
             h = coeffs.copy()
             h[0] = 0.0
-            out = np.zeros(size, dtype=np.complex128)
+            out = np.zeros(coeffs.shape, dtype=np.complex128)
             out[0] = cs[order]
             for step, k in steps:
                 out = step(out, h)
@@ -557,10 +570,16 @@ class _Operations:
         return compose, _Shape(order, min(acc.degree, order), s.wirtinger, acc.support)
 
     def _analytic(self, s, series):
-        """``_compose`` with the coefficients ``series(u0, order)``."""
+        """``_compose`` with the coefficients ``series(u0, order)``, per
+        point of a stack from its own constant term u0."""
         compose, shape = self._compose(s)
         order = s.order
-        return (lambda c: compose(c, series(complex(c[0]), order))), shape
+
+        def analytic(c):
+            cs = np.array([series(complex(u0), order) for u0 in np.ravel(c[0])]).T
+            return compose(c, cs.reshape((order + 1,) + c.shape[1:]))
+
+        return analytic, shape
 
     def _pow(self, s, p):
         """An integral exponent by square-and-multiply from the constant 1
@@ -572,7 +591,7 @@ class _Operations:
         if p < 0:
             reciprocal, s = self._unary("reciprocal", s)
             p = -p
-        acc, base, steps, size = self._constant(s.order, s.wirtinger), s, [], self.space.size
+        acc, base, steps = self._constant(s.order, s.wirtinger), s, []
         while p:
             if p & 1:
                 step, acc = self._product(acc, base)
@@ -584,7 +603,7 @@ class _Operations:
 
         def power(coeffs):
             b = coeffs if reciprocal is None else reciprocal(coeffs)
-            out = np.zeros(size, dtype=np.complex128)
+            out = np.zeros(coeffs.shape, dtype=np.complex128)
             out[0] = 1.0
             for into_acc, step in steps:
                 if into_acc:
@@ -632,7 +651,8 @@ class Jet:
     ``degree`` (default ``order``) bounds the total degree of its nonzero
     coefficients, and ``wirtinger`` marks a jet over (z, zbar) rather than
     over real variables; see the module docstring.  Its arithmetic runs
-    one-operation plans of ``_Operations``."""
+    one-operation plans of ``_Operations``.  A stacked jet holds P base
+    points' jets as (size, P) coefficients; its read-offs lead with P."""
 
     __slots__ = ("space", "coeffs", "order", "degree", "wirtinger")
 
@@ -667,8 +687,7 @@ class Jet:
         top = min(self.order, WIRTINGER_BIDEGREE) if self.wirtinger else self.order
         if not 1 <= k <= top:
             raise JetOrderError(f"order-{k} partials of a jet of order {self.order}")
-        pos, fact = self.space._tensor_table(k)
-        return self.coeffs[pos] * fact
+        return self._read(*self.space._tensor_table(k))
 
     def wirtinger_tensor(self, holo):
         """The order-k Wirtinger partials of a (z, zbar) jet at the base
@@ -676,8 +695,11 @@ class Jet:
         gather of coefficient times alpha! beta! (``_wirtinger_table``)."""
         if len(holo) > self.order:
             raise JetOrderError(f"order-{len(holo)} partials of a jet of order {self.order}")
-        pos, fact = self.space._wirtinger_table(holo)
-        return self.coeffs[pos] * fact
+        return self._read(*self.space._wirtinger_table(holo))
+
+    def _read(self, pos, fact):  # the coefficients at pos times fact, a stack's points first
+        gathered = self.coeffs.take(pos.ravel(), axis=0).T * fact.ravel()
+        return gathered.reshape(self.coeffs.shape[1:] + pos.shape)
 
     def to_wirtinger(self):
         """The same field as a jet over (z, zbar), from this jet over the

@@ -11,18 +11,12 @@ along the locus, which follows from the derivative of the
 factorization (see ``frame_field_jets``), with the metric's t-derivative
 dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
-A ``LocusGeometry`` owns the ``ChartGeometry`` at its point; stage 4 of
-``verdict`` builds one per locus parameter.  Stage 5 reads them all at
-once: ``LocusGeometry.stacked`` joins their frames and chart data along a
-leading point axis, and the members stage 5 reads (the frame sums of the
-curvature, the mixed curvature, ``restricted_ricci``) are written for any
-leading axes, so one point and the stack run the same code and agree
-point by point bit for bit.
-
-The joint jet expansion of the potential in (chart displacement,
-parameters), behind ``metric_jets_on_locus``, is read by no verdict; it
-stays because the benchmark's span table names it.  The independent
-oracles for the induced metric's curvature live with the tests.
+A ``LocusGeometry`` owns the ``ChartGeometry`` at its point.  Stage 4 of
+``verdict`` builds one per locus parameter, with the parametrization's
+derivatives from one stacked run (``param_derivatives``); stage 5 reads
+them all at once (``LocusGeometry.stacked``).  The joint expansion behind
+``metric_jets_on_locus`` is read by no verdict; the benchmark's spans name
+it.  The oracles for the induced metric's curvature live with the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from .coords import j_matrix, wirtinger_jet
 from .errors import NonAnalyticFieldError, RankDeficiencyError
 from .exprs import coord_names, evaluate
 from .jets import Jet, jet_space
-from .metrics import ChartGeometry, PotentialChart, cached
+from .metrics import ChartGeometry, PotentialChart, at_once, cached
 
 # Below this, the length Gram-Schmidt leaves a tangent field counts as lost
 # rank (``LocusGeometry.rank_margin``).
@@ -48,7 +42,7 @@ class LocusGeometry:
     (ChartDomainError); every derived member is a ``cached`` property,
     computed on first read (the frame included) and kept on the object."""
 
-    def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t):
+    def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t, derivatives=None):
         self.chart = chart
         self.locus = locus
         self.t = tuple(float(x) for x in t)
@@ -56,6 +50,8 @@ class LocusGeometry:
         self.geom = chart.geometry(self.point)
         self.n = chart.dimension
         self.m = locus.n_params
+        if derivatives is not None:
+            self.__dict__["jacobian"], self.__dict__["_param_hessians"] = derivatives
 
     # -- parameter jets -------------------------------------------------------
 
@@ -141,7 +137,7 @@ class LocusGeometry:
         of L^-1 dH L^-T with its diagonal halved, so dE_c = C dT_c - X_c E.
         """
         m = self.m
-        z2 = np.array([w.derivative_tensor(2) for w in self.param_jets])  # [k, c, d]
+        z2 = self._param_hessians  # [k, c, d]
         T, C = self.jacobian.T, self.frame_in_param_basis
         dT = np.empty((m, m, 2 * self.n))  # dT[c, d] = d T_d / d t_c
         dT[..., 0::2], dT[..., 1::2] = z2.real.transpose(1, 2, 0), z2.imag.transpose(1, 2, 0)
@@ -163,6 +159,11 @@ class LocusGeometry:
         """d(param)/dt at the base parameter, real 2n x m, read off the
         parameter jets the frame reads."""
         return _real_jacobian(self.param_jets)
+
+    @cached
+    def _param_hessians(self):
+        """d^2 param_k / dt_c dt_d at the base parameter, as [k, c, d]."""
+        return np.array([w.derivative_tensor(2) for w in self.param_jets])
 
     # -- second fundamental form -------------------------------------------------
 
@@ -225,27 +226,32 @@ class LocusGeometry:
 
     @classmethod
     def stacked(cls, points):
-        """The locus geometries ``points`` as one, for stage 5: their frames
-        stacked along a leading point axis over their stacked chart
-        geometries (``ChartGeometry.stacked``).  Every member that stage 5
-        reads is the same code on one point and on the stack.
-
-        A stacked locus geometry supports ``chart``, ``locus``, ``n``, ``m``,
-        ``frame``, ``geom`` (the stacked chart geometry, with the members
-        ``ChartGeometry.stacked`` lists), ``frame_curvature`` and
-        ``mixed_curvature``, and so ``trace_operator_at`` and
-        ``restricted_ricci``; nothing else.  It has no ``t`` or ``point``,
-        and the members that stages 3 and 4 read (the parameter jets, the
-        Jacobian, the second fundamental forms) are for one point only."""
-        first = points[0]
-        stack = cls.__new__(cls)
+        """The locus geometries ``points`` as one for stage 5: their frames
+        and chart g, G, G_inv, dg and ddg stacked along a leading axis.  It
+        supports what ``trace_operator_at`` and ``restricted_ricci`` read,
+        which is written for any leading axes and agrees point by point bit
+        for bit; nothing else."""
+        first, stack = points[0], cls.__new__(cls)
         stack.chart, stack.locus, stack.n, stack.m = first.chart, first.locus, first.n, first.m
-        stack.geom = ChartGeometry.stacked([lp.geom for lp in points])
+        stack.geom = geom = ChartGeometry.__new__(ChartGeometry)
+        geom.chart, geom.n, geom.lift_order = first.chart, first.n, first.geom.lift_order
+        for name in ("g", "G", "G_inv", "dg", "ddg"):
+            geom.__dict__[name] = np.array([getattr(lp.geom, name) for lp in points])
         stack.__dict__["frame"] = np.array([lp.frame for lp in points])
         return stack
 
 
 # -- module-level operations ------------------------------------------------------
+
+
+def param_derivatives(locus, params):
+    """Each parameter's ``LocusGeometry`` ``derivatives`` from one run (None if
+    it raises).  Stage 4 lifts per point: stacking that too cut a suite pass
+    12% more but raised the suite and controls scaling exponents too far."""
+    jets = at_once(lambda: locus.component_jets(params, order=2))
+    if jets is None:
+        return [None] * len(params)
+    return list(zip(_real_jacobian(jets), np.stack([w.derivative_tensor(2) for w in jets], axis=1)))
 
 
 def locus_point(lg: LocusGeometry) -> LocusGeometry:
@@ -272,9 +278,9 @@ def totally_real_residual(lp: LocusGeometry) -> float:
 
 
 def map_normal_projector(mapping, point) -> np.ndarray:
-    """The splitting projector (I - Df) / 2 onto the normal space, as a matrix."""
+    """The splitting projector (I - Df) / 2 onto the normal space (stacked at a list of points)."""
     D = mapping.jacobian_real(point)
-    return (np.eye(D.shape[0]) - D) / 2.0
+    return (np.eye(D.shape[-1]) - D) / 2.0
 
 
 def lagrangian_residual(lp: LocusGeometry) -> float:

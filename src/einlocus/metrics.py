@@ -8,18 +8,15 @@ The metric g, its derivatives dg and ddg, and the holomorphic Hessian
 d d psi are then plain gathers of coefficient times alpha! beta!
 (``Jet.wirtinger_tensor``).  The curvature tensor follows from the
 standard potential formula, and the Ricci form is its g-trace.  The
-Einstein constant of stage 3 is read off the trace tr(g^-1 Ric) / n, a
-scalar that no change of chart coordinates moves (``einstein_residual``).  A point
-whose metric alone is read (a map image) is lifted to order 2 only.  The
-potential is the only thing expanded in jet arithmetic, by the chart's
-compiled program (``exprs.Program``), so the cost per point is polynomial
-in the dimension and the fourth derivatives entering the curvature carry
-no step-size error.  A black-box potential is lifted over the real
-variables by finite differences and converted once (``Jet.to_wirtinger``),
-so every chart quantity has one read-off route.  A ``ChartGeometry`` is
-built once per point per verdict and handed from stage to stage; no module
-state outlives the verdict.  Stage 5 reads the geometries of its locus
-points stacked into one (``ChartGeometry.stacked``).
+Einstein constant of stage 3 is read off the trace tr(g^-1 Ric) / n, which
+no change of chart coordinates moves (``einstein_residual``).  A map image,
+whose metric alone is read, is lifted to order 2 only.  The potential is the
+only thing expanded in jet arithmetic, by the chart's compiled program
+(``exprs.Program``), run once on the stacked points of a draw or stage
+(``PotentialChart.lifts``), so the fourth derivatives carry no step-size
+error.  A black-box potential is lifted point by point by finite
+differences and converted once (``Jet.to_wirtinger``).  A ``ChartGeometry``
+is built once per point per verdict and handed from stage to stage.
 
 Normalization, pinned by the self-consistency checks in the test suite:
 the real Riemannian metric is G(v, w) = 2 Re(g_jk V^j conj(W^k)) where V, W
@@ -37,7 +34,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprs
-from .coords import ChartPoint, j_matrix
+from .coords import ChartPoint, holo_of, j_matrix
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
 from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
 
@@ -51,6 +48,10 @@ DEGENERACY_RATIO = 1e-10
 HERMITIAN_TOL = 1e-8
 
 METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
+
+# ``PotentialChart.lifts`` stacks at least MIN_STACK points (4 lifted cpn-6 slower than
+# one by one) and arrays of at most STACK_COEFFS (64 KB: cpn-3 lifted faster 19 at a time).
+MIN_STACK, STACK_COEFFS = 8, 4096
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
@@ -68,23 +69,30 @@ def lift_to_jet(field, point: ChartPoint, order=DEFAULT_ORDER, fd_scale=1.0):
     central finite differences over the real variables, with steps
     proportional to ``fd_scale``, converted once to (z, zbar) with defect 0;
     they lose roughly half the significant digits of the exact route.
+    At a list of points an expression field runs once on their stacked
+    coordinate jets, giving each point's (jet, defect).
     """
     if callable(field):
         real = lift_callable_to_jet(field, point.real_view, order=order, scale=fd_scale)
         return real.to_wirtinger(), 0.0
+    holo = holo_of(point)
     if not isinstance(field, exprs.Program):
-        field = exprs.compile(field, exprs.coord_names(point.n))
-    (jet,) = exprs.on_coordinates([field], point.holo, order, wirtinger=True)
-    if not isinstance(jet, Jet):
-        space = jet_space(2 * point.n, order)
-        jet = Jet(space, space.constant(jet).coeffs, order, 0, wirtinger=True)
-    dust = float(np.abs(jet.coeffs - jet.conjugate().coeffs).max())
-    scale = 1.0 + float(np.abs(jet.coeffs).max())
-    if dust > HERMITIAN_TOL * scale:
+        field = exprs.compile(field, exprs.coord_names(len(holo)))
+    (jet,) = exprs.on_coordinates([field], holo, order, wirtinger=True)
+    space = jet_space(2 * len(holo), order)
+    if not isinstance(jet, Jet):  # a constant tree
+        jet = Jet(space, space.constant(np.full(np.shape(holo[0]), jet)).coeffs, order, 0, True)
+    coeffs = np.ascontiguousarray(jet.coeffs.T)  # a stack's points in rows
+    conjugate = np.conj(coeffs.take(space._wirtinger_layout[1], axis=-1))
+    dust = np.abs(coeffs - conjugate).max(axis=-1)
+    scale = 1.0 + np.abs(coeffs).max(axis=-1)
+    if np.any(dust > HERMITIAN_TOL * scale):
         raise NonAnalyticFieldError(
-            f"field is not real-valued at {point.holo}: Hermitian defect {dust:.3g}"
+            f"field is not real-valued at {holo}: Hermitian defect {np.max(dust):.3g}"
         )
-    return jet.real, dust / scale
+    real, defects = np.atleast_2d(0.5 * (coeffs + conjugate)), (dust / scale).reshape(-1).tolist()
+    lifted = [(Jet(space, c, order, jet.degree, wirtinger=True), d) for c, d in zip(real, defects)]
+    return lifted if isinstance(point, list) else lifted[0]
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,38 @@ class PotentialChart:
         domain = self._programs[1]
         return domain is None or not complex(domain.on_numbers(point.holo)).real <= 0.0
 
-    def geometry(self, point: ChartPoint, lift_order=DEFAULT_ORDER) -> "ChartGeometry":
-        """A new geometry at a point, lifted to ``lift_order``:
-        ``METRIC_ORDER`` for a point whose metric alone is read, else 4."""
-        return ChartGeometry(self, point, lift_order)
+    def geometry(self, point: ChartPoint, lift_order=DEFAULT_ORDER, lift=None) -> "ChartGeometry":
+        """A new geometry at a point, lifted to ``lift_order`` (or given its
+        ``lift``): ``METRIC_ORDER`` if its metric alone is read, else 4."""
+        return ChartGeometry(self, point, lift_order, lift)
+
+    def lifts(self, points, lift_order=DEFAULT_ORDER):
+        """The potential's (jet, defect) for ``geometry`` at the leading points the domain
+        admits (up to one whose admission raises), from stacked runs; None for the
+        others, for a run that raises, a callable or fewer than ``MIN_STACK`` points."""
+        inside = []
+        for i, point in enumerate(points if self.is_exact else ()):
+            admitted = at_once(lambda: self.admits(point))
+            if admitted is None:
+                break
+            if admitted:
+                inside.append(i)
+        made = [None] * len(points)
+        step = max(1, STACK_COEFFS // jet_space(2 * self.dimension, lift_order).size)
+        for start in range(0, len(inside) if len(inside) >= MIN_STACK else 0, step):
+            chunk = [points[i] for i in inside[start: start + step]]
+            lifted = at_once(lambda: lift_to_jet(self._programs[0], chunk, lift_order))
+            for i, one in zip(inside[start: start + step], lifted or ()):
+                made[i] = one
+        return made
+
+
+def at_once(run):
+    """``run()``, or None if it raises: a stage then redoes the run per point, in order."""
+    try:
+        return run()
+    except Exception:
+        return None
 
 
 def cached(fget):
@@ -160,45 +196,25 @@ def cached(fget):
 class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
-    The object lifts the potential once, to ``lift_order``, and derives all
-    metric, connection and curvature values from that jet.  Each derived
-    member is a ``cached`` property, computed on first read and kept on the
-    object.  A geometry lifted to ``METRIC_ORDER`` holds g, G and the
-    Kahler form only: reading dg, ddg or anything built on them raises
-    JetOrderError.  It admits its point once, on construction
-    (ChartDomainError), and lives as long as its holder: ``verdict`` builds
-    one per point and passes it to every stage that reads the point.
+    The object lifts the potential once, to ``lift_order`` (unless handed
+    its ``lift``, made by ``PotentialChart.lifts``), and derives all metric,
+    connection and curvature values from that jet, each a ``cached``
+    property.  One lifted to ``METRIC_ORDER`` holds g, G and the Kahler form
+    only: dg, ddg and what is built on them raise JetOrderError.  It admits
+    its point on construction (ChartDomainError; a lifted point was
+    admitted) and lives as long as its holder: ``verdict`` builds one per
+    point and passes it to every stage that reads the point.
     """
 
-    def __init__(self, chart: PotentialChart, point: ChartPoint, lift_order=DEFAULT_ORDER):
-        if not chart.admits(point):
+    def __init__(self, chart: PotentialChart, point: ChartPoint, lift_order=DEFAULT_ORDER, lift=None):
+        if lift is None and not chart.admits(point):
             raise ChartDomainError(f"{point.holo} outside domain of {chart.label}")
         self.chart = chart
         self.point = point
         self.n = chart.dimension
         self.lift_order = lift_order
-
-    @classmethod
-    def stacked(cls, geometries):
-        """The geometries of several points of one chart as one geometry,
-        whose g, G, G_inv, dg and ddg are theirs stacked along a leading
-        point axis.  The members that stage 5 reads from these (g_inv,
-        curvature, ricci, Ric) are written for any leading axes, so each
-        is the same code on one point and on the stack, and equal point by
-        point bit for bit.
-
-        Those nine members and ``chart``, ``n`` and ``lift_order`` are all
-        that a stacked geometry supports.  It has no ``point``, so
-        ``psi_jet`` and ``hermitian_defect`` raise AttributeError; ``dG``,
-        ``christoffel``, ``kahler_form``, ``ricci_real`` and
-        ``riemann_covector`` are written for one point and give wrong
-        shapes or numbers on a stack."""
-        first = geometries[0]
-        stack = cls.__new__(cls)
-        stack.chart, stack.n, stack.lift_order = first.chart, first.n, first.lift_order
-        for name in ("g", "G", "G_inv", "dg", "ddg"):
-            stack.__dict__[name] = np.array([getattr(geom, name) for geom in geometries])
-        return stack
+        if lift is not None:
+            self.__dict__["_lift"] = lift
 
     # -- potential and its partial tensors -------------------------------------
 

@@ -39,21 +39,20 @@ def halton_points(dim, count, seed=0, skip=0):
     """``count`` points of the Halton sequence in [0, 1)^dim, after the
     seed's first ``skip`` points.
 
-    Each column runs the digit loop of the radical inverse over all rows at
-    once, with the same float operations per element as the scalar loop, so
-    a point does not depend on the rows drawn with it.
+    One digit loop of the radical inverse runs over all rows and columns,
+    each column in its base, with the float operations of the scalar loop
+    per element (a column out of digits adds +0.0), so a point does not
+    depend on the rows drawn with it.
     """
     start = _halton_start(seed) + skip
-    out = np.empty((count, dim))
-    for d, base in enumerate(_first_primes(dim)):
-        i = np.arange(start, start + count, dtype=np.int64)
-        f, r = 1.0, np.zeros(count)
-        while np.any(i > 0):
-            f /= base
-            r += f * (i % base)
-            i //= base
-        out[:, d] = r
-    return out
+    bases = np.array(_first_primes(dim), dtype=np.int64)
+    i = np.arange(start, start + count, dtype=np.int64)[:, None] + np.zeros(dim, dtype=np.int64)
+    f, r = np.ones(dim), np.zeros((count, dim))
+    while np.any(i > 0):
+        f /= bases
+        r += f * (i % bases)
+        i //= bases
+    return r
 
 
 def box_points(box, count, seed=0, skip=0):
@@ -111,31 +110,29 @@ def sample_chart_points(chart, count, seed=0):
     skipped and counted; the stream is extended until ``count`` admitted
     points are found or ``MAX_CANDIDATE_FACTOR * count`` candidates were
     tried.  Candidates are drawn ``count`` at a time, as they are needed:
-    at an admit ratio near 1 that is one or two draws, not the whole budget.
+    at an admit ratio of 1 that is one draw.  A draw is lifted in stacked
+    runs (``PotentialChart.lifts``); candidates past the stop never raise.
     """
     stats = SampleStats(requested=count)
     accepted = []
-    budget = MAX_CANDIDATE_FACTOR * count
-    raw = (
-        row
-        for skip in range(0, budget, count)
-        for row in box_points(chart.box, count, seed=seed, skip=skip)
-    )
-    for row in raw:
-        if len(accepted) >= count:
-            break
-        try:
-            geom = chart.geometry(ChartPoint.from_real(row))
-        except ChartDomainError:
-            stats.rejected_domain += 1
-            continue
-        try:
-            geom.g
-        except DegenerateMetricError:
-            stats.rejected_degenerate += 1
-            continue
-        accepted.append(geom)
-        stats.admitted += 1
+    for skip in range(0, MAX_CANDIDATE_FACTOR * count, count):
+        rows = box_points(chart.box, count, seed=seed, skip=skip)
+        points = [ChartPoint.from_real(row) for row in rows]
+        for point, lift in zip(points, chart.lifts(points)):
+            try:
+                geom = chart.geometry(point, lift=lift)
+            except ChartDomainError:
+                stats.rejected_domain += 1
+                continue
+            try:
+                geom.g
+            except DegenerateMetricError:
+                stats.rejected_degenerate += 1
+                continue
+            accepted.append(geom)
+            stats.admitted += 1
+            if stats.admitted == count:
+                return accepted, stats
     return accepted, stats
 
 

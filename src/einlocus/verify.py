@@ -34,8 +34,9 @@ from .errors import (
     NonAnalyticFieldError,
     RankDeficiencyError,
 )
-from .locus import LocusGeometry, locus_point, restricted_ricci, totally_real_residual
-from .metrics import METRIC_ORDER, einstein_residual
+from .locus import LocusGeometry, locus_point, param_derivatives, restricted_ricci
+from .locus import totally_real_residual
+from .metrics import METRIC_ORDER, at_once, einstein_residual
 from .sampling import DEFAULT_MARGIN, SamplingConfig, sample_chart_points, sample_parameters
 
 EXIT_EINSTEIN = 0
@@ -285,15 +286,20 @@ def _stages(bundle, config, tol, report):
     mapping = bundle.mapping
 
     # -- stage 2: map residuals, one Jacobian and one image per ambient point ----------
+    # one run each (the loop redoes a raising one) for the Jacobians, the images and
+    # their lifts: to METRIC_ORDER, since only an image's metric is read
+    points = [geom.point for geom in ambient]
+    jacobians = at_once(lambda: mapping.jacobian_real(points))
+    images = at_once(lambda: [mapping.apply(p) for p in points])
+    image_lifts = chart.lifts(images, METRIC_ORDER) if images else [None] * len(points)
     anti_res, iso_res = [], []
     escapes = 0
-    for geom in ambient:
-        p = geom.point
-        D = mapping.jacobian_real(p)
+    for i, (geom, p) in enumerate(zip(ambient, points)):
+        D = mapping.jacobian_real(p) if jacobians is None else jacobians[i]
         anti_res.append(antiholomorphy_residual(mapping, p, D))
         try:
-            # only the image's metric is read, so it is lifted to METRIC_ORDER
-            image = chart.geometry(mapping.apply(p), METRIC_ORDER)
+            image = images[i] if images else mapping.apply(p)
+            image = chart.geometry(image, METRIC_ORDER, image_lifts[i])
             iso_res.append(isometry_residual(D, geom, image))
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             escapes += 1
@@ -337,13 +343,14 @@ def _stages(bundle, config, tol, report):
         return None
 
     params = sample_parameters(locus, config.locus_samples, seed=config.seed)
+    derivatives = param_derivatives(locus, params)
     lpoints = []
     counts["locus_requested"] = len(params)
     rejected, rank_deficient = 0, 0
     fixed_res, rank_margin = [], []
-    for t in params:
+    for t, made in zip(params, derivatives):
         try:
-            lg = LocusGeometry(chart, locus, t)  # evaluates the parametrization, once
+            lg = LocusGeometry(chart, locus, t, made)  # evaluates the parametrization, once
             lg.geom.g
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             rejected += 1
@@ -374,7 +381,9 @@ def _stages(bundle, config, tol, report):
         return None
 
     # -- stage 5: trace operator and spectral test, on all locus points at once -----
-    projectors = np.array([map_normal_projector(mapping, lp.point) for lp in lpoints])
+    projectors = at_once(lambda: map_normal_projector(mapping, [lp.point for lp in lpoints]))
+    if projectors is None:
+        projectors = np.array([map_normal_projector(mapping, lp.point) for lp in lpoints])
     stack = LocusGeometry.stacked(lpoints)
     op = trace_operator_at(stack, projectors)
     sv = spectral_test(op.matrix, tol.tol_sym, tol.tol_eig)

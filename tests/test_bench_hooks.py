@@ -43,13 +43,22 @@ def test_every_bench_span_has_a_live_hook():
     assert set(tracer.missing) <= STALE_HOOKS, sorted(set(tracer.missing) - STALE_HOOKS)
 
 
-def test_stage_five_enters_the_restricted_ricci_hook():
+def test_stage_five_enters_the_restricted_ricci_hook(monkeypatch):
     # stage 5 reads its restricted Ricci matrix through locus.restricted_ricci,
     # once per verdict on the stack of every admitted locus point, and never
-    # the per-vector pairing; the trace operator and the spectral test are
-    # likewise entered once, and the normal projector once per point
+    # the per-vector pairing; the trace operator, the spectral test and the
+    # normal projector are likewise entered once, the projector with every
+    # admitted locus point, each once
     tracer = load_spans().Tracer()
-    with tracer.installed(einlocus):
+    seen = []
+    with tracer.installed(einlocus), monkeypatch.context() as patch:
+        traced = einlocus.verify.map_normal_projector
+
+        def recording(mapping, points):
+            seen.extend(points if isinstance(points, list) else [points])
+            return traced(mapping, points)
+
+        patch.setattr(einlocus.verify, "map_normal_projector", recording)
         report, per_verdict = tracer.verdict(
             0, lambda: verdict(builtin_cpn(2), SamplingConfig(6, 6, seed=0))
         )
@@ -58,7 +67,9 @@ def test_stage_five_enters_the_restricted_ricci_hook():
     assert report.data["counts"]["locus_admitted"] == 6
     assert calls["locus.restricted_ricci"] == 1
     assert calls["criterion.trace_operator"] == calls["criterion.spectral_test"] == 1
-    assert calls["criterion.map_normal_projector"] == 6
+    assert calls["criterion.map_normal_projector"] == 1
+    locus_points = [tuple(complex(x) for x in pt["t"]) for pt in report.data["spectral"]["per_point"]]
+    assert [p.holo for p in seen] == locus_points
     assert "metrics.riemann_covector" not in calls
 
 

@@ -184,6 +184,31 @@ def test_compiled_programs_match_the_tree_walk_bit_for_bit(case, label):
     assert len(program._plans) <= (1 if label == "numbers" else 2)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), expression_trees(n))),
+    st.sampled_from(sorted(set(INPUTS) - {"numbers"})),
+)
+def test_a_program_on_stacked_points_matches_its_runs_point_by_point(case, label):
+    # the base points' coordinates as arrays: one run on their stacked jets,
+    # whose columns must be the single runs' coefficients, or which raises
+    # if any single run does
+    n, tree = case
+    _, run = INPUTS[label]
+    singles = [outcome(lambda: run(compile(tree, coord_names(n)), holo[:n])) for holo in BASE_POINTS]
+    columns = tuple(np.array(z) for z in zip(*BASE_POINTS))[:n]
+    stacked = outcome(lambda: run(compile(tree, coord_names(n)), columns))
+    if any(kind == "raised" for kind, _ in singles):
+        assert stacked[0] == "raised"
+        return
+    assert stacked[0] == "value", stacked
+    for p, single in enumerate(singles):
+        got = stacked[1]
+        if isinstance(got, Jet):
+            got = Jet(got.space, got.coeffs[:, p], got.order, got.degree, got.wirtinger)
+        assert_same(("value", got), single)
+
+
 @pytest.mark.parametrize("label", sorted(set(INPUTS) - {"numbers"}))
 def test_log_of_a_near_zero_argument_fails_as_the_tree_walk_does(label):
     # the constant term is about 1e-78: its order-4 Taylor coefficient

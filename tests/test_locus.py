@@ -410,14 +410,15 @@ def test_frame_trace_identity():
 
 def test_one_locus_jacobian_per_locus_point(monkeypatch):
     # the stage-4 rank test, locus_point and the frame's parameter
-    # coefficients all read the Jacobian cached on the locus geometry, and
-    # it is read off the parameter jets the frame's derivative reads: one
-    # evaluation of the locus components per point
-    calls = []
+    # coefficients all read the Jacobian handed to the locus geometry, read
+    # off the parameter jets of one stacked run with the frame's second
+    # derivatives: one evaluation of the locus components per point
+    runs, calls = [], []
     component_jets = FixedLocusParam.component_jets
 
     def counting(self, t, order=4):
-        calls.append(t)
+        runs.append(t)
+        calls.extend(t if isinstance(t, list) else [t])
         return component_jets(self, t, order)
 
     monkeypatch.setattr(FixedLocusParam, "component_jets", counting)
@@ -425,7 +426,8 @@ def test_one_locus_jacobian_per_locus_point(monkeypatch):
     counts = report.data["counts"]
     assert report.exit_code == 0
     assert counts["locus_admitted"] == 8
-    assert len(calls) == 8
+    assert len(runs) == 1
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_stage_four_evaluates_each_parameter_once(monkeypatch):

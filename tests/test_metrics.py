@@ -34,7 +34,7 @@ from einlocus import (
 )
 from einlocus import exprs, jets
 from einlocus import metrics as metrics_module
-from einlocus.bundles import BUILTINS
+from einlocus.bundles import BUILTINS, DEFAULT_SUITE
 from einlocus.errors import JetOrderError, NonAnalyticFieldError
 from einlocus.metrics import METRIC_ORDER, lift_to_jet
 from einlocus.sampling import sample_chart_points
@@ -412,11 +412,12 @@ def test_metric_order_geometry_refuses_curvature():
 def test_verdict_lifts_each_point_once_per_order(monkeypatch):
     # ambient and locus points are lifted once, at order 4; only map
     # images that are neither are lifted at METRIC_ORDER
+    # (a stacked run lifts a list of points, each of them once)
     lifts = []
     lift = metrics_module.lift_to_jet
 
     def recording(field, point, order=jets.DEFAULT_ORDER, fd_scale=1.0):
-        lifts.append((point, order))
+        lifts.extend((p, order) for p in (point if isinstance(point, list) else [point]))
         return lift(field, point, order, fd_scale)
 
     monkeypatch.setattr(metrics_module, "lift_to_jet", recording)
@@ -727,3 +728,104 @@ def test_chart_tensors_make_no_tensordot_call(monkeypatch):
     for name in ("g", "dg", "ddg"):
         getattr(geom, name)
     assert calls == []
+
+
+# -- stacked runs and their point-by-point fallback ----------------------------------
+
+
+def fallback_reports(monkeypatch, bundle, config):
+    """(report, report of the point-by-point path, whether a stacked run
+    raised): the second with every stacked run failing, as ``at_once``
+    reports a raising run, so that each point runs alone.  Stacks of two
+    points already count, so that small samples exercise them."""
+    from einlocus import locus as locus_module, verify as verify_module
+
+    raised, at_once = [], metrics_module.at_once
+
+    def recording(run):
+        out = at_once(run)
+        raised.append(out is None)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics_module, "MIN_STACK", 2)
+        for module in (metrics_module, locus_module, verify_module):
+            patch.setattr(module, "at_once", recording)
+        stacked = verdict(bundle, config).to_json()
+        for module in (metrics_module, locus_module, verify_module):
+            patch.setattr(module, "at_once", lambda run: None)
+        alone = verdict(bundle, config).to_json()
+    return stacked, alone, any(raised)
+
+
+def exp_chart(domain=None):
+    """|w|^2 + exp(1000 Re w): its lift overflows where Re w passes about 0.7."""
+    psi = ("+", ("abs2", "w1"), ("exp", ("*", 1000, ("re", "w1"))))
+    return PotentialChart(1, psi, ((-1.0, 1.0),) * 2, domain=domain, label="exp")
+
+
+def test_a_lift_overflowing_at_one_point_of_a_stack_ends_the_run_there(monkeypatch):
+    base = builtin_cpn(1)
+    bundle = ManifoldBundle(exp_chart(), base.mapping, base.locus, label="exp")
+    stacked, alone, raised = fallback_reports(monkeypatch, bundle, SamplingConfig(12, 12, seed=0))
+    assert raised
+    assert stacked == alone
+    assert '"exit_code": 4' in stacked and "overflow" in stacked
+
+
+def test_a_candidate_past_the_stage_one_stop_never_raises(monkeypatch):
+    # at seed 7 the first draw of four admits three (one lies outside the
+    # disc), and the second draw's first candidate completes the sample; its
+    # fourth overflows, and is lifted in the draw's stack only
+    base = builtin_cpn(1)
+    bundle = ManifoldBundle(exp_chart(("-", 0.8, ("abs2", "w1"))), base.mapping, base.locus)
+    config = SamplingConfig(4, 4, seed=7)
+    stacked, alone, raised = fallback_reports(monkeypatch, bundle, config)
+    assert raised
+    assert stacked == alone
+    ambient, stats = sample_chart_points(bundle.chart, 4, seed=7)
+    assert (len(ambient), stats.rejected_domain) == (4, 1)
+
+
+def test_a_degenerate_candidate_inside_a_stack_is_rejected_as_alone(monkeypatch):
+    base = builtin_cpn(1)
+    half = ("*", ("+", ("re", "w1"), ("abs2", ("re", "w1"))), ("abs2", "w1"))
+    chart = PotentialChart(1, half, ((-1.0, 1.0),) * 2, label="half")
+    bundle = ManifoldBundle(chart, base.mapping, base.locus, label="half")
+    stacked, alone, _ = fallback_reports(monkeypatch, bundle, SamplingConfig(8, 8, seed=1))
+    assert stacked == alone
+    assert '"ambient_rejected_degenerate": 0' not in stacked
+
+
+def test_map_images_escaping_or_dividing_by_zero_at_one_point_count_as_alone(monkeypatch):
+    base = builtin_cpn(2)
+    tripled = AntiholoMap(tuple(("*", 3, ("conj", w)) for w in exprs.coord_names(2)))
+    stacked, alone, _ = fallback_reports(
+        monkeypatch, replace(base, mapping=tripled), SamplingConfig(10, 10, seed=0)
+    )
+    assert stacked == alone
+    assert '"map_escapes": 0' not in stacked
+    # a map with a pole at the third ambient point: 1 / (conj w - conj w0)
+    chart = builtin_cpn(1).chart
+    w0 = sample_chart_points(chart, 10, seed=0)[0][2].point.holo[0]
+    pole = ("/", 1, ("-", ("conj", "w1"), ("+", w0.real, ("*", -w0.imag, "I"))))
+    bundle = ManifoldBundle(chart, AntiholoMap((pole,)), builtin_cpn(1).locus, label="pole")
+    stacked, alone, raised = fallback_reports(monkeypatch, bundle, SamplingConfig(10, 10, seed=0))
+    assert raised
+    assert stacked == alone
+    assert "ZeroDivisionError" in stacked
+
+
+def test_stacked_lifts_equal_single_lifts_bit_for_bit():
+    # every built-in of the suite and cpn-6, whose largest products sum
+    # point by point, at both lift orders
+    for name, n in tuple(DEFAULT_SUITE) + (("cpn", 6),):
+        chart = make_builtin(name, n).chart
+        points = [g.point for g in sample_chart_points(chart, 3, seed=2)[0]]
+        for order in (METRIC_ORDER, jets.DEFAULT_ORDER):
+            with np.errstate(all="raise"):
+                stacked = lift_to_jet(chart._programs[0], points, order)
+                for point, (jet, defect) in zip(points, stacked):
+                    alone, alone_defect = lift_to_jet(chart._programs[0], point, order)
+                    assert jet.coeffs.tobytes() == alone.coeffs.tobytes(), (name, n, order)
+                    assert defect == alone_defect and jet.degree == alone.degree

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from einlocus import PotentialChart, make_builtin
+from einlocus import PotentialChart, make_builtin, sampling, verdict
 from einlocus.bundles import DEFAULT_SUITE
 from einlocus.coords import ChartPoint
 from einlocus.errors import ChartDomainError, DegenerateMetricError
@@ -45,6 +45,47 @@ def test_halton_matches_scalar_loop_bit_for_bit(seed):
             fast = halton_points(dim, count, seed)
             assert fast.shape == (count, dim)
             assert fast.tobytes() == _scalar_halton(dim, count, seed).tobytes()
+
+
+def per_column_halton(dim, count, seed=0, skip=0):
+    """``halton_points`` as it once was: one digit loop per column, over
+    all rows.  The reference the loop over all columns at once reproduces
+    bit for bit."""
+    start = 17 + 1009 * int(seed) + skip
+    out = np.empty((count, dim))
+    for d, base in enumerate(_first_primes(dim)):
+        i = np.arange(start, start + count, dtype=np.int64)
+        f, r = 1.0, np.zeros(count)
+        while np.any(i > 0):
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out[:, d] = r
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10, 1000, 10**6])
+def test_halton_over_all_columns_matches_the_per_column_loop_bit_for_bit(seed):
+    for dim in range(1, 25):
+        for count, skip in ((1, 0), (4, 0), (50, 7), (300, 2000)):
+            want = per_column_halton(dim, count, seed, skip)
+            assert halton_points(dim, count, seed, skip).tobytes() == want.tobytes(), (dim, count)
+
+
+def test_stage_one_draws_one_chunk_at_an_admit_ratio_of_one(monkeypatch):
+    # the draw stops before drawing once the sample is complete: a cpn-2
+    # verdict at 12 samples draws its 12 candidates once
+    chart = make_builtin("cpn", 2).chart
+    draws = []
+
+    def counting(box, count, seed=0, skip=0):
+        draws.append((tuple(map(tuple, box)), skip))
+        return box_points(box, count, seed, skip)
+
+    monkeypatch.setattr(sampling, "box_points", counting)
+    report = verdict(make_builtin("cpn", 2), SamplingConfig(12, 12))
+    assert report.data["counts"]["ambient_admitted"] == 12
+    assert [skip for box, skip in draws if box == tuple(map(tuple, chart.box))] == [0]
 
 
 # the fewest samples a run can use: two ambient points for the Einstein fit,
