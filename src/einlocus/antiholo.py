@@ -43,8 +43,7 @@ class AntiholoMap:
         return ChartPoint(tuple(complex(p.on_numbers(point.holo)) for p in self._programs))
 
     def jacobian_real(self, point: ChartPoint) -> np.ndarray:
-        """The 2n x 2n real Jacobian Df at a point (a list's, stacked, from
-        one run), from order-1 jets."""
+        """The 2n x 2n real Jacobian Df at a point (a list's, stacked), from order-1 jets."""
         holo = holo_of(point)
         jets = exprs.on_coordinates(self._programs, holo, 1)
         return _real_jacobian(_as_jets(jets, jet_space(2 * len(holo), 1), np.shape(holo[0])))
@@ -129,8 +128,7 @@ class FixedLocusParam:
         return ChartPoint(tuple(complex(p.on_numbers(values)) for p in self._programs))
 
     def component_jets(self, t, order=4):
-        """The chart coordinates of the locus as jets in the parameters (at
-        a list of parameter tuples, stacked)."""
+        """The chart coordinates of the locus as jets in the parameters (stacked at a list)."""
         t = np.array(t).T if isinstance(t, list) else t
         jets = exprs.on_parameters(self._programs, t, order)
         return _as_jets(jets, jet_space(self.n_params, order), np.shape(t[0]))

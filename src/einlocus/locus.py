@@ -12,8 +12,8 @@ factorization (see ``frame_field_jets``), with the metric's t-derivative
 dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
 A ``LocusGeometry`` owns the ``ChartGeometry`` at its point.  Stage 4 of
-``verdict`` builds one per locus parameter, with the parametrization's
-derivatives from one stacked run (``param_derivatives``); stage 5 reads
+``verdict`` builds one per locus parameter, from stacked runs on all of
+them (``stage_four_runs``); stage 5 reads
 them all at once (``LocusGeometry.stacked``).  The joint expansion behind
 ``metric_jets_on_locus`` is read by no verdict; the benchmark's spans name
 it.  The oracles for the induced metric's curvature live with the tests.
@@ -42,12 +42,14 @@ class LocusGeometry:
     (ChartDomainError); every derived member is a ``cached`` property,
     computed on first read (the frame included) and kept on the object."""
 
-    def __init__(self, chart: PotentialChart, locus: FixedLocusParam, t, derivatives=None):
+    def __init__(
+        self, chart: PotentialChart, locus: FixedLocusParam, t, point=None, lift=None, derivatives=None
+    ):
         self.chart = chart
         self.locus = locus
         self.t = tuple(float(x) for x in t)
-        self.point = locus.point(self.t)
-        self.geom = chart.geometry(self.point)
+        self.point = locus.point(self.t) if point is None else point
+        self.geom = chart.geometry(self.point, lift=lift)
         self.n = chart.dimension
         self.m = locus.n_params
         if derivatives is not None:
@@ -226,11 +228,10 @@ class LocusGeometry:
 
     @classmethod
     def stacked(cls, points):
-        """The locus geometries ``points`` as one for stage 5: their frames
-        and chart g, G, G_inv, dg and ddg stacked along a leading axis.  It
-        supports what ``trace_operator_at`` and ``restricted_ricci`` read,
-        which is written for any leading axes and agrees point by point bit
-        for bit; nothing else."""
+        """The locus geometries ``points`` as one for stage 5: their frames and
+        chart g, G, G_inv, dg and ddg stacked along a leading axis.  It supports
+        only what ``trace_operator_at`` and ``restricted_ricci`` read, written
+        for any leading axes and agreeing point by point bit for bit."""
         first, stack = points[0], cls.__new__(cls)
         stack.chart, stack.locus, stack.n, stack.m = first.chart, first.locus, first.n, first.m
         stack.geom = geom = ChartGeometry.__new__(ChartGeometry)
@@ -244,14 +245,16 @@ class LocusGeometry:
 # -- module-level operations ------------------------------------------------------
 
 
-def param_derivatives(locus, params):
-    """Each parameter's ``LocusGeometry`` ``derivatives`` from one run (None if
-    it raises).  Stage 4 lifts per point: stacking that too cut a suite pass
-    12% more but raised the suite and controls scaling exponents too far."""
+def stage_four_runs(chart, locus, params):
+    """Each parameter's ``LocusGeometry`` ``point``, ``lift`` and parameter
+    ``derivatives`` from stacked runs on all (None where a run raised)."""
+    points = at_once(lambda: [locus.point(t) for t in params])
+    lifts = chart.lifts(points) if points else [None] * len(params)
     jets = at_once(lambda: locus.component_jets(params, order=2))
-    if jets is None:
-        return [None] * len(params)
-    return list(zip(_real_jacobian(jets), np.stack([w.derivative_tensor(2) for w in jets], axis=1)))
+    hessians = jets and np.stack([w.derivative_tensor(2) for w in jets], axis=1)
+    derivatives = lifts if jets is None else zip(_real_jacobian(jets), hessians)
+    made = zip(points or lifts, lifts, derivatives)
+    return [dict(point=p, lift=lift, derivatives=d) for p, lift, d in made]
 
 
 def locus_point(lg: LocusGeometry) -> LocusGeometry:

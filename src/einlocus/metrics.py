@@ -49,9 +49,9 @@ HERMITIAN_TOL = 1e-8
 
 METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
 
-# ``PotentialChart.lifts`` stacks at least MIN_STACK points (4 lifted cpn-6 slower than
-# one by one) and arrays of at most STACK_COEFFS (64 KB: cpn-3 lifted faster 19 at a time).
-MIN_STACK, STACK_COEFFS = 8, 4096
+# ``PotentialChart.lifts`` runs stacks of STACK_POINTS, the same at every n (stacks sized
+# by the jet raised the suite's scaling exponent), and none below (4 lifted cpn-6 slower).
+STACK_POINTS = 8
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
 
@@ -150,7 +150,7 @@ class PotentialChart:
     def lifts(self, points, lift_order=DEFAULT_ORDER):
         """The potential's (jet, defect) for ``geometry`` at the leading points the domain
         admits (up to one whose admission raises), from stacked runs; None for the
-        others, for a run that raises, a callable or fewer than ``MIN_STACK`` points."""
+        others, for a run that raises, a callable or fewer than ``STACK_POINTS`` points."""
         inside = []
         for i, point in enumerate(points if self.is_exact else ()):
             admitted = at_once(lambda: self.admits(point))
@@ -159,11 +159,10 @@ class PotentialChart:
             if admitted:
                 inside.append(i)
         made = [None] * len(points)
-        step = max(1, STACK_COEFFS // jet_space(2 * self.dimension, lift_order).size)
-        for start in range(0, len(inside) if len(inside) >= MIN_STACK else 0, step):
-            chunk = [points[i] for i in inside[start: start + step]]
-            lifted = at_once(lambda: lift_to_jet(self._programs[0], chunk, lift_order))
-            for i, one in zip(inside[start: start + step], lifted or ()):
+        for start in range(0, len(inside) if len(inside) >= STACK_POINTS else 0, STACK_POINTS):
+            stack = inside[start: start + STACK_POINTS]
+            lifted = at_once(lambda: lift_to_jet(self._programs[0], [points[i] for i in stack], lift_order))
+            for i, one in zip(stack, lifted or ()):
                 made[i] = one
         return made
 

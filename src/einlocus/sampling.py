@@ -40,9 +40,8 @@ def halton_points(dim, count, seed=0, skip=0):
     seed's first ``skip`` points.
 
     One digit loop of the radical inverse runs over all rows and columns,
-    each column in its base, with the float operations of the scalar loop
-    per element (a column out of digits adds +0.0), so a point does not
-    depend on the rows drawn with it.
+    each in its base, with the scalar loop's float operations per element (a
+    column out of digits adds +0.0): a point does not depend on its draw.
     """
     start = _halton_start(seed) + skip
     bases = np.array(_first_primes(dim), dtype=np.int64)

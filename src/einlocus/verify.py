@@ -34,7 +34,7 @@ from .errors import (
     NonAnalyticFieldError,
     RankDeficiencyError,
 )
-from .locus import LocusGeometry, locus_point, param_derivatives, restricted_ricci
+from .locus import LocusGeometry, locus_point, restricted_ricci, stage_four_runs
 from .locus import totally_real_residual
 from .metrics import METRIC_ORDER, at_once, einstein_residual
 from .sampling import DEFAULT_MARGIN, SamplingConfig, sample_chart_points, sample_parameters
@@ -343,14 +343,14 @@ def _stages(bundle, config, tol, report):
         return None
 
     params = sample_parameters(locus, config.locus_samples, seed=config.seed)
-    derivatives = param_derivatives(locus, params)
+    made = stage_four_runs(chart, locus, params)
     lpoints = []
     counts["locus_requested"] = len(params)
     rejected, rank_deficient = 0, 0
     fixed_res, rank_margin = [], []
-    for t, made in zip(params, derivatives):
+    for t, one in zip(params, made):
         try:
-            lg = LocusGeometry(chart, locus, t, made)  # evaluates the parametrization, once
+            lg = LocusGeometry(chart, locus, t, **one)  # evaluates the parametrization, once
             lg.geom.g
         except (ChartDomainError, DegenerateMetricError, ZeroDivisionError):
             rejected += 1

@@ -736,7 +736,7 @@ def test_chart_tensors_make_no_tensordot_call(monkeypatch):
 def fallback_reports(monkeypatch, bundle, config):
     """(report, report of the point-by-point path, whether a stacked run
     raised): the second with every stacked run failing, as ``at_once``
-    reports a raising run, so that each point runs alone.  Stacks of two
+    reports a raising run, so that each point runs alone.  Stacks of four
     points already count, so that small samples exercise them."""
     from einlocus import locus as locus_module, verify as verify_module
 
@@ -748,7 +748,7 @@ def fallback_reports(monkeypatch, bundle, config):
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(metrics_module, "MIN_STACK", 2)
+        patch.setattr(metrics_module, "STACK_POINTS", 4)
         for module in (metrics_module, locus_module, verify_module):
             patch.setattr(module, "at_once", recording)
         stacked = verdict(bundle, config).to_json()
