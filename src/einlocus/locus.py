@@ -13,8 +13,8 @@ dG . T taken from the chart geometry; h is one contraction over all frame
 pairs.  No quantity beyond the chart's own potential jet is expanded.
 A ``LocusGeometry`` owns the ``ChartGeometry`` at its point.  Stage 4 of
 ``verdict`` builds one per locus parameter, from stacked runs on all of
-them (``stage_four_runs``); stage 5 reads
-them all at once (``LocusGeometry.stacked``).  The joint expansion behind
+them (``stage_four_runs``); stage 5 reads them all at once
+(``LocusGeometry.stacked``).  The joint expansion behind
 ``metric_jets_on_locus`` is read by no verdict; the benchmark's spans name
 it.  The oracles for the induced metric's curvature live with the tests.
 """
@@ -252,7 +252,7 @@ def stage_four_runs(chart, locus, params):
     lifts = chart.lifts(points) if points else [None] * len(params)
     jets = at_once(lambda: locus.component_jets(params, order=2))
     hessians = jets and np.stack([w.derivative_tensor(2) for w in jets], axis=1)
-    derivatives = lifts if jets is None else zip(_real_jacobian(jets), hessians)
+    derivatives = [None] * len(params) if jets is None else zip(_real_jacobian(jets), hessians)
     made = zip(points or lifts, lifts, derivatives)
     return [dict(point=p, lift=lift, derivatives=d) for p, lift, d in made]
 

@@ -829,3 +829,19 @@ def test_stacked_lifts_equal_single_lifts_bit_for_bit():
                     alone, alone_defect = lift_to_jet(chart._programs[0], point, order)
                     assert jet.coeffs.tobytes() == alone.coeffs.tobytes(), (name, n, order)
                     assert defect == alone_defect and jet.degree == alone.degree
+
+
+def test_a_raising_stacked_parameter_run_leaves_each_locus_point_its_own(monkeypatch):
+    # the stacked lifts of stage 4 stand while its stacked parameter-jet run
+    # raises: each locus geometry reads its derivatives off its own jets
+    want = verdict(builtin_cpn(2), SamplingConfig(10, 10, seed=2)).to_json()
+    component_jets = FixedLocusParam.component_jets
+
+    def stacked_raises(self, t, order=4):
+        if isinstance(t, list):
+            raise FloatingPointError("stacked run")
+        return component_jets(self, t, order)
+
+    monkeypatch.setattr(FixedLocusParam, "component_jets", stacked_raises)
+    monkeypatch.setattr(metrics_module, "STACK_POINTS", 4)
+    assert verdict(builtin_cpn(2), SamplingConfig(10, 10, seed=2)).to_json() == want
