@@ -36,7 +36,7 @@ import numpy as np
 from . import exprs
 from .coords import ChartPoint, holo_of, j_matrix
 from .errors import ChartDomainError, DegenerateMetricError, NonAnalyticFieldError
-from .jets import DEFAULT_ORDER, Jet, jet_space, lift_callable_to_jet
+from .jets import DEFAULT_ORDER, STACKED_TERMS, Jet, jet_space, lift_callable_to_jet
 
 # Smallest admissible ratio of metric eigenvalues, and of the largest metric
 # eigenvalue to the norm of the potential's real Hessian; below either a
@@ -50,7 +50,7 @@ HERMITIAN_TOL = 1e-8
 METRIC_ORDER = 2  # the potential order that g, G and the Kahler form read
 
 # ``PotentialChart.lifts`` runs stacks of STACK_POINTS, the same at every n (stacks sized
-# by the jet raised the suite's scaling exponent), and none below (4 lifted cpn-6 slower).
+# by the jet raised the suite's scaling exponent); fewer points, as large jets, lift alone.
 STACK_POINTS = 8
 
 ScalarField = Union[tuple, Callable[[np.ndarray], float]]
@@ -148,17 +148,19 @@ class PotentialChart:
         return ChartGeometry(self, point, lift_order, lift)
 
     def lifts(self, points, lift_order=DEFAULT_ORDER):
-        """The potential's (jet, defect) for ``geometry`` at the leading points the domain
-        admits (up to one whose admission raises), from stacked runs; None for the
-        others, for a run that raises, a callable or fewer than ``STACK_POINTS`` points."""
-        inside = []
-        for i, point in enumerate(points if self.is_exact else ()):
-            admitted = at_once(lambda: self.admits(point))
-            if admitted is None:
-                break
-            if admitted:
-                inside.append(i)
+        """For ``geometry``: the potential's (jet, defect) from stacked runs at the leading
+        points the domain admits, else whether it admits them (True where a run raised), up
+        to one whose admission raises; None past it, and everywhere for a callable, fewer
+        than ``STACK_POINTS`` points or jets over ``STACKED_TERMS`` (all summed per point)."""
         made = [None] * len(points)
+        size = jet_space(2 * self.dimension, lift_order).size
+        if not self.is_exact or len(points) < STACK_POINTS or size > STACKED_TERMS:
+            return made
+        for i, point in enumerate(points):
+            made[i] = at_once(lambda: self.admits(point))
+            if made[i] is None:
+                break
+        inside = [i for i, admitted in enumerate(made) if admitted]
         for start in range(0, len(inside) if len(inside) >= STACK_POINTS else 0, STACK_POINTS):
             stack = inside[start: start + STACK_POINTS]
             lifted = at_once(lambda: lift_to_jet(self._programs[0], [points[i] for i in stack], lift_order))
@@ -196,23 +198,23 @@ class ChartGeometry:
     """Lazily computed geometric data of one chart at one point.
 
     The object lifts the potential once, to ``lift_order`` (unless handed
-    its ``lift``, made by ``PotentialChart.lifts``), and derives all metric,
+    its ``lift`` by ``PotentialChart.lifts``), and derives all metric,
     connection and curvature values from that jet, each a ``cached``
     property.  One lifted to ``METRIC_ORDER`` holds g, G and the Kahler form
     only: dg, ddg and what is built on them raise JetOrderError.  It admits
-    its point on construction (ChartDomainError; a lifted point was
-    admitted) and lives as long as its holder: ``verdict`` builds one per
-    point and passes it to every stage that reads the point.
+    its point on construction (ChartDomainError) unless ``lift`` says
+    whether the domain does, and lives as long as its holder: ``verdict``
+    builds one per point and passes it to every stage that reads the point.
     """
 
     def __init__(self, chart: PotentialChart, point: ChartPoint, lift_order=DEFAULT_ORDER, lift=None):
-        if lift is None and not chart.admits(point):
+        if lift is False or lift is None and not chart.admits(point):
             raise ChartDomainError(f"{point.holo} outside domain of {chart.label}")
         self.chart = chart
         self.point = point
         self.n = chart.dimension
         self.lift_order = lift_order
-        if lift is not None:
+        if isinstance(lift, tuple):
             self.__dict__["_lift"] = lift
 
     # -- potential and its partial tensors -------------------------------------

@@ -34,8 +34,7 @@ from .errors import (
     NonAnalyticFieldError,
     RankDeficiencyError,
 )
-from .locus import LocusGeometry, locus_point, restricted_ricci, stage_four_runs
-from .locus import totally_real_residual
+from .locus import LocusGeometry, locus_point, restricted_ricci, stage_four_runs, totally_real_residual
 from .metrics import METRIC_ORDER, at_once, einstein_residual
 from .sampling import DEFAULT_MARGIN, SamplingConfig, sample_chart_points, sample_parameters
 

@@ -831,6 +831,63 @@ def test_stacked_lifts_equal_single_lifts_bit_for_bit():
                     assert defect == alone_defect and jet.degree == alone.degree
 
 
+def test_no_stacked_run_of_the_default_suite_falls_back(monkeypatch):
+    # at the default stack size, every stacked run of the suite's verdicts
+    # returns (none falls back to per-point runs), and every point a stacked
+    # lift admits is lifted in it: a fault only the stacked path meets fails here
+    from einlocus import locus as locus_module, verify as verify_module
+
+    returned, made = [], []
+    at_once, lifts = metrics_module.at_once, PotentialChart.lifts
+
+    def recording(run):
+        out = at_once(run)
+        returned.append(out is not None)
+        return out
+
+    def recording_lifts(self, points, lift_order=jets.DEFAULT_ORDER):
+        out = lifts(self, points, lift_order)
+        made.extend(out)
+        return out
+
+    for module in (metrics_module, locus_module, verify_module):
+        monkeypatch.setattr(module, "at_once", recording)
+    monkeypatch.setattr(PotentialChart, "lifts", recording_lifts)
+    assert metrics_module.STACK_POINTS == 8
+    for name, n in DEFAULT_SUITE:
+        verdict(make_builtin(name, n), SamplingConfig(12, 12, seed=0))
+    assert len(returned) > 100 and all(returned)
+    assert any(isinstance(one, tuple) for one in made)
+    assert all(isinstance(one, tuple) or one is False for one in made)
+
+
+def test_lifts_stack_no_jet_past_the_stacked_product_size():
+    # cpn-6's order-4 jet has 1820 coefficients, past STACKED_TERMS: its lifts
+    # run per point, with the domain left to each geometry; its order-2 jet stacks
+    chart = make_builtin("cpn", 6).chart
+    points = [g.point for g in sample_chart_points(chart, 8, seed=0)[0]]
+    assert jets.jet_space(12, 4).size > jets.STACKED_TERMS >= jets.jet_space(12, 2).size
+    assert chart.lifts(points) == [None] * 8
+    assert all(isinstance(one, tuple) for one in chart.lifts(points, METRIC_ORDER))
+    assert chart.lifts(points[:7], METRIC_ORDER) == [None] * 7
+
+
+@pytest.mark.parametrize("count", [4, 12])
+def test_stage_one_checks_each_candidate_against_the_domain_once(monkeypatch, count):
+    # a disc that refuses some candidates, at 12 points (stacked) and 4 (alone)
+    disc = PotentialChart(1, ("abs2", "w1"), ((-1.0, 1.0),) * 2, domain=("-", 0.3, ("abs2", "w1")))
+    checked, admits = [], PotentialChart.admits
+
+    def recording(self, point):
+        checked.append(point.holo)
+        return admits(self, point)
+
+    monkeypatch.setattr(PotentialChart, "admits", recording)
+    ambient, stats = sample_chart_points(disc, count, seed=0)
+    assert len(ambient) == count and stats.rejected_domain > 0
+    assert len(checked) == len(set(checked)) >= count + stats.rejected_domain
+
+
 def test_a_raising_stacked_parameter_run_leaves_each_locus_point_its_own(monkeypatch):
     # the stacked lifts of stage 4 stand while its stacked parameter-jet run
     # raises: each locus geometry reads its derivatives off its own jets

@@ -30,8 +30,8 @@ def _radical_inverse(i, base):
     return r
 
 
-def _scalar_halton(dim, count, seed):
-    start = 17 + 1009 * int(seed)
+def _scalar_halton(dim, count, seed, skip=0):
+    start = 17 + 1009 * int(seed) + skip
     bases = _first_primes(dim)
     return np.array(
         [[_radical_inverse(start + row, b) for b in bases] for row in range(count)]
@@ -40,36 +40,12 @@ def _scalar_halton(dim, count, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 500, 2**31 - 1])
 def test_halton_matches_scalar_loop_bit_for_bit(seed):
-    for dim in range(1, 13):
-        for count in (1, 37, 200):
-            fast = halton_points(dim, count, seed)
-            assert fast.shape == (count, dim)
-            assert fast.tobytes() == _scalar_halton(dim, count, seed).tobytes()
-
-
-def per_column_halton(dim, count, seed=0, skip=0):
-    """``halton_points`` as it once was: one digit loop per column, over
-    all rows.  The reference the loop over all columns at once reproduces
-    bit for bit."""
-    start = 17 + 1009 * int(seed) + skip
-    out = np.empty((count, dim))
-    for d, base in enumerate(_first_primes(dim)):
-        i = np.arange(start, start + count, dtype=np.int64)
-        f, r = 1.0, np.zeros(count)
-        while np.any(i > 0):
-            f /= base
-            r += f * (i % base)
-            i //= base
-        out[:, d] = r
-    return out
-
-
-@pytest.mark.parametrize("seed", [0, 3, 10, 1000, 10**6])
-def test_halton_over_all_columns_matches_the_per_column_loop_bit_for_bit(seed):
+    # all columns run one digit loop, so columns out of digits add +0.0
     for dim in range(1, 25):
-        for count, skip in ((1, 0), (4, 0), (50, 7), (300, 2000)):
-            want = per_column_halton(dim, count, seed, skip)
-            assert halton_points(dim, count, seed, skip).tobytes() == want.tobytes(), (dim, count)
+        for count, skip in ((1, 0), (37, 0), (200, 0), (4, 7), (100, 2000)):
+            fast = halton_points(dim, count, seed, skip)
+            assert fast.shape == (count, dim)
+            assert fast.tobytes() == _scalar_halton(dim, count, seed, skip).tobytes(), (dim, skip)
 
 
 def test_stage_one_draws_one_chunk_at_an_admit_ratio_of_one(monkeypatch):
